@@ -150,7 +150,8 @@ class LossyPlaybackSummary:
     real-time pace), and are reported separately in ``missing``.
 
     Attributes:
-        startup_delay: earliest start meeting every available deadline.
+        startup_delay: earliest non-negative start meeting every available
+            deadline.
         buffer_peak: peak end-of-slot occupancy at that start.
         available: packets available (received or repaired) in the prefix.
         missing: residual holes in the measured prefix.
@@ -178,7 +179,9 @@ def summarize_lossy_playback(
     missing = tuple(sorted(set(range(num_packets)) - set(avail)))
     if not avail:
         return LossyPlaybackSummary(0, 0, 0, missing)
-    start = max(slot - packet for packet, slot in avail.items()) + 1
+    # Clamped at 0: a node holding only packets that arrived ahead of their
+    # index (e.g. {5: 3}) starts playback at once, not before the stream.
+    start = max(0, max(slot - packet for packet, slot in avail.items()) + 1)
     # Buffer occupancy with holes: packet j is consumed at slot
     # start + j - 1 (clamped to its arrival); missing packets never occupy.
     horizon = max(max(avail.values()) + 1, start + num_packets)

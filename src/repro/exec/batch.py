@@ -8,19 +8,37 @@ the identical semantics as NumPy column operations so one pass scores a
 whole batch:
 
 * the schedule is **lowered** once per process into NumPy columns (sender
-  and receiver rows in ``(node, packet)`` flat index space, arrival slots,
-  per-slot offsets, a per-slot scatter-uniqueness flag) and cached on the
-  :class:`~repro.exec.compiler.CompiledSchedule`;
-* replay keeps one ``(B, (rows + 1) * packets)`` holdings matrix of
-  earliest arrival slots (``INF`` = never held) and walks the horizon
-  slot-by-slot, applying the scalar kernel's hold check, drop mask, and
+  and receiver holdings rows, packets, arrival and send slots) and cached
+  on the :class:`~repro.exec.compiler.CompiledSchedule`;
+* each ``(num_packets, horizon)`` pair gets a cached **measured-prefix
+  view**: only the transmissions that carry a packet ``< num_packets``
+  before the horizon.  Dropping the rest is exact with no extra invariant,
+  because a send of packet ``p`` reads and writes only packet ``p``'s
+  holdings column, so unscored packets can never affect scored ones.  The
+  view orders its transmissions by send slot and splits a slot into steps
+  whose targets are pairwise distinct;
+* replay keeps one ``(packets * (rows + 1), B)`` holdings matrix of
+  earliest arrival slots (``INF`` = never held) and walks the view step by
+  step, applying the scalar kernel's hold check, drop mask, and
   earliest-arrival min-fold to all ``B`` sessions at once.  Per-slot
   processing is exact because a transmission sent at slot ``s`` arrives at
   ``s`` or later while forwarding requires an arrival strictly *before*
   ``s`` — deliveries within a slot can never enable sends in that slot;
-* metrics reduce straight to per-session :class:`BatchMetrics` columns
-  (residual, goodput, delay/buffer aggregates, optional per-node columns)
-  without materializing per-session arrival dicts.
+* drop masks are still drawn over the whole schedule by
+  :func:`bernoulli_masks`, one private ``default_rng(seed)`` row per
+  session, and the view takes its columns from them, so a session's mask
+  does not depend on the view.  A batch whose rates are all zero has no
+  masks: it scores **one row** and broadcasts it to every session.  That
+  row is replayed once per view and memoized on it;
+* scores are closed-form per node, with no time axis: the loss-tolerant
+  startup delay is ``max(0, max_p(arrival_p - p) + 1)`` over the available
+  packets (clamped at 0, like
+  :func:`~repro.core.metrics.summarize_lossy_playback`).  That start is
+  hiccup-free, so available packet ``p`` is held from its arrival ``a_p``
+  through slot ``start + p - 1``, and the buffer peak is the most packets
+  held at any arrival: ``max_q #{p : a_p <= a_q < start + p}``, 0 when
+  nothing arrived.  (Over the sorted arrivals ``a_(i)`` this is
+  ``max(0, max_i(i - #{available p <= a_(i) - start}))``.)
 
 Results are slot-for-slot identical to
 :func:`~repro.exec.replay.replay_point` — including the loss model: a
@@ -38,7 +56,7 @@ output columns still scale with the batch, of course).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Union, cast
 
 import numpy as np
@@ -61,9 +79,6 @@ Seed = Union[int, np.random.SeedSequence]
 
 #: "Never arrived" sentinel in the holdings matrix.
 _INF = np.int32(np.iinfo(np.int32).max)
-
-#: "No available packet" sentinel for the startup-delay max-fold.
-_NEG = np.int64(-(1 << 40))
 
 #: Default working-set budget per kernel chunk, in array elements
 #: (~64 MB of int32).  The chunk batch size is derived from it.
@@ -116,27 +131,67 @@ def bernoulli_masks(
 # --------------------------------------------------------------------------
 
 
+#: One kernel step: ``(slot, lo, hi, senders, targets, arrivals)`` — the
+#: view's transmissions ``lo:hi``, all sent at ``slot``, with holdings rows
+#: of their senders and (pairwise-distinct) receivers and a ``(k, 1)``
+#: column of arrival slots.
+_Step = tuple[
+    int, int, int,
+    npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.int32],
+]
+
+#: Per-node ``(startup_delays, buffer_peaks, available_counts)`` columns,
+#: each ``(B, num_rows)``.
+_Scores = tuple[
+    npt.NDArray[np.int32], npt.NDArray[np.int32], npt.NDArray[np.int32]
+]
+
+
+@dataclass(slots=True)
+class _View:
+    """The transmissions a ``(num_packets, horizon)`` replay measures.
+
+    ``columns`` are their flat schedule indices, in step order (the
+    drop-mask columns to take); holdings rows address the
+    ``width * (num_rows + 1)`` matrix, ``packet * (num_rows + 1) + row``,
+    where row ``num_rows`` is the always-held source row.  ``lossfree``
+    memoizes the one-row loss-free scores once a loss-free batch has
+    needed them.
+    """
+
+    columns: npt.NDArray[np.intp]
+    steps: tuple[_Step, ...]
+    num_rows: int
+    width: int
+    lossfree: _Scores | None = None
+
+
 @dataclass(frozen=True, slots=True)
 class _Lowered:
     """A compiled schedule's columns in kernel index space.
 
-    ``snd_flat`` / ``rcv_flat`` address the flat holdings matrix
-    ``row * num_packets + packet``; source senders point at the extra
-    all-``INF`` dummy row ``num_rows`` (their hold check is overridden by
-    ``is_source``).  ``slot_unique[s]`` records whether slot ``s``'s
-    ``(receiver, packet)`` targets are pairwise distinct — when they are,
-    the min-fold scatters with plain fancy indexing; otherwise it falls
-    back to ``np.minimum.at``.
+    One entry per transmission: send ``slots``, ``packets``, ``arrivals``
+    and the holdings rows of sender and receiver (``schedule.node_ids``
+    order; source senders map to the extra row ``num_rows``).  ``views``
+    caches the measured-prefix views built from these columns.
     """
 
     starts: npt.NDArray[np.int64]
-    snd_flat: npt.NDArray[np.int64]
-    rcv_flat: npt.NDArray[np.int64]
-    is_source: npt.NDArray[np.bool_]
+    slots: npt.NDArray[np.int64]
+    snd_row: npt.NDArray[np.int64]
+    rcv_row: npt.NDArray[np.int64]
+    packets: npt.NDArray[np.int64]
     arrivals: npt.NDArray[np.int32]
-    slot_unique: npt.NDArray[np.bool_]
     num_rows: int
     num_packets: int
+    views: dict[tuple[int, int], _View] = field(default_factory=dict)
+
+
+def _rows_of(ids: npt.NDArray[np.int64], row_of: dict[int, int]) -> npt.NDArray[np.int64]:
+    """Map node ids to holdings rows, one dict lookup per distinct id."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    table = np.array([row_of[nid] for nid in distinct.tolist()], dtype=np.int64)
+    return table[inverse.reshape(-1)]
 
 
 def _lower(schedule: CompiledSchedule) -> _Lowered:
@@ -144,44 +199,63 @@ def _lower(schedule: CompiledSchedule) -> _Lowered:
     if cached is not None:
         return cached
     starts = np.asarray(schedule.starts, dtype=np.int64)
-    senders = np.asarray(schedule.senders, dtype=np.int64)
-    receivers = np.asarray(schedule.receivers, dtype=np.int64)
     packets = np.asarray(schedule.packets, dtype=np.int64)
-    arrivals = np.asarray(schedule.arrivals, dtype=np.int32)
-    node_row = {nid: row for row, nid in enumerate(schedule.node_ids)}
-    num_rows = len(node_row)
-    sources = frozenset(schedule.source_ids)
-    num_packets = int(packets.max()) + 1 if packets.size else 1
-    size = len(senders)
-    snd_row = np.empty(size, dtype=np.int64)
-    is_source = np.zeros(size, dtype=np.bool_)
-    rcv_row = np.empty(size, dtype=np.int64)
-    for i in range(size):
-        sender = int(senders[i])
-        if sender in sources:
-            snd_row[i] = num_rows  # dummy row: never "held", see is_source
-            is_source[i] = True
-        else:
-            snd_row[i] = node_row[sender]
-        rcv_row[i] = node_row[int(receivers[i])]
-    rcv_flat = rcv_row * num_packets + packets
-    slot_unique = np.ones(schedule.num_slots, dtype=np.bool_)
-    for slot in range(schedule.num_slots):
-        lo, hi = int(starts[slot]), int(starts[slot + 1])
-        if hi - lo > 1:
-            slot_unique[slot] = len(np.unique(rcv_flat[lo:hi])) == hi - lo
+    num_rows = len(schedule.node_ids)
+    receiver_row = {nid: row for row, nid in enumerate(schedule.node_ids)}
+    sender_row = receiver_row | dict.fromkeys(schedule.source_ids, num_rows)
     lowered = _Lowered(
         starts=starts,
-        snd_flat=snd_row * num_packets + packets,
-        rcv_flat=rcv_flat,
-        is_source=is_source,
-        arrivals=arrivals,
-        slot_unique=slot_unique,
+        slots=np.repeat(np.arange(schedule.num_slots, dtype=np.int64), np.diff(starts)),
+        snd_row=_rows_of(np.asarray(schedule.senders, dtype=np.int64), sender_row),
+        rcv_row=_rows_of(np.asarray(schedule.receivers, dtype=np.int64), receiver_row),
+        packets=packets,
+        arrivals=np.asarray(schedule.arrivals, dtype=np.int32),
         num_rows=num_rows,
-        num_packets=num_packets,
+        num_packets=int(packets.max()) + 1 if packets.size else 1,
     )
     schedule._np_cache = lowered
     return lowered
+
+
+def _view(schedule: CompiledSchedule, num_packets: int, horizon: int) -> _View:
+    """The cached measured-prefix view of ``schedule`` (see module doc)."""
+    lowered = _lower(schedule)
+    view = lowered.views.get((num_packets, horizon))
+    if view is not None:
+        return view
+    end = int(lowered.starts[horizon])
+    kept = np.flatnonzero(lowered.packets[:end] < num_packets)
+    width = min(num_packets, lowered.num_packets)
+    stride = lowered.num_rows + 1
+    slots = lowered.slots[kept]
+    packets = lowered.packets[kept]
+    targets = packets * stride + lowered.rcv_row[kept]
+    # The r-th send to one target within a slot goes to step r, so every
+    # step's scatter hits distinct targets.  Exact: sends never see their
+    # own slot's deliveries, and the earliest-arrival fold commutes.
+    slot_target = slots * (width * stride) + targets
+    order = np.argsort(slot_target, kind="stable")
+    first = np.searchsorted(slot_target[order], slot_target[order])
+    rank = np.empty(len(kept), dtype=np.int64)
+    rank[order] = np.arange(len(kept)) - first
+    order = np.lexsort((rank, slots))
+    step = (slots * (int(rank.max(initial=0)) + 1) + rank)[order]
+    bounds = np.flatnonzero(np.diff(step, prepend=-1, append=-1)).tolist()
+    senders = (packets * stride + lowered.snd_row[kept])[order]
+    targets = targets[order]
+    arrivals = lowered.arrivals[kept][order, None]
+    slots = slots[order]
+    view = _View(
+        columns=kept[order],
+        steps=tuple(
+            (int(slots[lo]), lo, hi, senders[lo:hi], targets[lo:hi], arrivals[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ),
+        num_rows=lowered.num_rows,
+        width=width,
+    )
+    lowered.views[(num_packets, horizon)] = view
+    return view
 
 
 # --------------------------------------------------------------------------
@@ -190,96 +264,73 @@ def _lower(schedule: CompiledSchedule) -> _Lowered:
 
 
 def _hold_and_deliver(
-    lowered: _Lowered,
-    masks: npt.NDArray[np.bool_] | None,
-    horizon: int,
-    batch: int,
+    view: _View, alive: npt.NDArray[np.bool_] | None
 ) -> npt.NDArray[np.int32]:
-    """Replay ``horizon`` slots for ``batch`` sessions at once.
+    """Replay the view for every session column of ``alive`` at once.
 
-    Returns the ``(batch, num_rows, num_packets)`` earliest-arrival matrix
-    (``_INF`` = never arrived).  One ``(B, K)`` column operation per slot:
-    hold check against the pre-slot holdings state, mask, then
-    earliest-arrival min-fold scatter.
+    ``alive`` is the ``(len(view.columns), B)`` not-dropped matrix, or
+    ``None`` for one loss-free session.  Returns the
+    ``(width, num_rows, B)`` earliest-arrival array (``_INF`` = never
+    arrived).  Per step: hold check against the pre-slot holdings, mask,
+    then an earliest-arrival min-fold into the step's distinct targets.
     """
-    width = (lowered.num_rows + 1) * lowered.num_packets
-    held_at = np.full((batch, width), _INF, dtype=np.int32)
-    batch_rows = np.arange(batch)[:, None]
-    starts = lowered.starts
-    for slot in range(horizon):
-        lo, hi = int(starts[slot]), int(starts[slot + 1])
-        if lo == hi:
-            continue
-        ok = (held_at[:, lowered.snd_flat[lo:hi]] < slot) | lowered.is_source[lo:hi]
-        if masks is not None:
-            ok &= ~masks[:, lo:hi]
-        targets = lowered.rcv_flat[lo:hi]
-        arrived = lowered.arrivals[lo:hi]
-        if lowered.slot_unique[slot]:
-            current = held_at[:, targets]
-            held_at[:, targets] = np.where(
-                ok, np.minimum(current, arrived), current
-            )
-        else:
-            np.minimum.at(
-                held_at,
-                (batch_rows, targets[None, :]),
-                np.where(ok, arrived, _INF),
-            )
-    shaped = held_at.reshape(batch, lowered.num_rows + 1, lowered.num_packets)
-    return shaped[:, : lowered.num_rows, :]
+    held = np.full(
+        (view.width, view.num_rows + 1, 1 if alive is None else alive.shape[1]),
+        _INF,
+        dtype=np.int32,
+    )
+    held[:, view.num_rows] = -1  # a source holds every packet before slot 0
+    flat = held.reshape(-1, held.shape[2])
+    for slot, lo, hi, senders, targets, arrivals in view.steps:
+        sent = flat[senders] < slot
+        if alive is not None:
+            sent &= alive[lo:hi]
+        current = flat[targets]
+        np.minimum(current, arrivals, out=current, where=sent)
+        flat[targets] = current
+    return held[:, : view.num_rows]
 
 
-def _score(
-    held: npt.NDArray[np.int32], num_packets: int
-) -> tuple[
-    npt.NDArray[np.int32], npt.NDArray[np.int32], npt.NDArray[np.int64]
-]:
-    """Per-node playback scores over the measured packet prefix.
+def _score(arrived: npt.NDArray[np.int32]) -> _Scores:
+    """Per-node playback scores of a ``(width, num_rows, B)`` arrival array.
 
     Returns ``(startup_delays, buffer_peaks, available_counts)``, each of
-    shape ``(batch, num_rows)``, matching
+    shape ``(B, num_rows)``, matching
     :func:`~repro.core.metrics.summarize_lossy_playback` node for node:
-    startup is the earliest hiccup-free start over the *available* packets
-    (0 when nothing arrived), and the buffer peak is the max end-of-slot
-    occupancy at that start (packet ``p`` arrives at its slot and is
-    consumed at ``max(start + p - 1, arrival)``; missing packets never
-    occupy).
+    startup is the earliest hiccup-free start over the *available* packets,
+    clamped at 0 (0 when nothing arrived), and the buffer peak is the max
+    end-of-slot occupancy at that start.  Packets ``>= width`` never
+    arrived, so they cannot occupy the buffer or delay the start.
     """
-    batch, rows, compiled_packets = held.shape
-    if num_packets <= compiled_packets:
-        window = held[:, :, :num_packets]
-    else:
-        pad = np.full(
-            (batch, rows, num_packets - compiled_packets), _INF, dtype=np.int32
-        )
-        window = np.concatenate([held, pad], axis=2)
-    avail = window < _INF
-    navail = avail.sum(axis=2, dtype=np.int64)
-    packet_index = np.arange(num_packets, dtype=np.int64)
-    arrived = window.astype(np.int64)
-    relative = np.where(avail, arrived - packet_index, _NEG)
-    start = np.where(navail > 0, relative.max(axis=2) + 1, np.int64(0))
+    width = arrived.shape[0]
+    avail = arrived < _INF
+    packet = np.arange(width, dtype=np.int32)[:, None, None]
+    start = np.where(avail, arrived - packet, -1).max(axis=0) + 1
+    # The start is hiccup-free, so packet p sits in the buffer from its
+    # arrival a_p through slot start + p - 1, and occupancy peaks at some
+    # arrival a_q: count the p with a_p <= a_q < start + p.  A missing
+    # packet (arrival _INF) is never counted and never peaks.
+    covers = arrived[:, None] <= arrived
+    covers &= arrived < (start + packet)[:, None]
+    peak = covers.sum(axis=0, dtype=np.int32).max(axis=0)
+    return start.T, peak.T, avail.sum(axis=0, dtype=np.int32).T
 
-    # Buffer peaks via one delta/cumsum sweep over a shared time axis.  The
-    # scalar path clamps each node's sweep to its own horizon; using a
-    # global horizon is equivalent because occupancy is non-increasing
-    # after a node's last arrival, so no later slot can exceed its peak.
-    top_arrival = int(np.max(np.where(avail, arrived, 0), initial=0))
-    length = top_arrival + num_packets + 2
-    dump = length - 1  # unavailable packets: +1/-1 here, net zero
-    delta = np.zeros((batch, rows, length), dtype=np.int32)
-    batch_axis = np.arange(batch)[:, None]
-    row_axis = np.arange(rows)[None, :]
-    consume = np.maximum(start[:, :, None] + packet_index - 1, arrived)
-    for packet in range(num_packets):
-        available = avail[:, :, packet]
-        fill = np.where(available, arrived[:, :, packet], dump)
-        drain = np.where(available, consume[:, :, packet] + 1, dump)
-        delta[batch_axis, row_axis, fill] += 1
-        delta[batch_axis, row_axis, drain] -= 1
-    peak = np.cumsum(delta, axis=2, dtype=np.int32).max(axis=2)
-    return start.astype(np.int32), peak, navail
+
+def _replay(view: _View, masks: npt.NDArray[np.bool_] | None) -> _Scores:
+    """Scores of every session row of ``masks``.
+
+    ``None`` (a loss-free batch) replays one row, once per view; the
+    caller broadcasts it to every session.  The memoized arrays are shared
+    between calls, so they are read-only.
+    """
+    if masks is not None:
+        return _score(_hold_and_deliver(view, ~masks.T[view.columns]))
+    if view.lossfree is None:
+        scores = _score(_hold_and_deliver(view, None))
+        for column in scores:
+            column.flags.writeable = False
+        view.lossfree = scores
+    return view.lossfree
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +434,8 @@ def replay_batch(
     ``(seeds[i], drop_rates[i])`` and is scored exactly like
     :func:`~repro.exec.replay.replay_point` — same loss model, same
     metrics, bit-for-bit.  Bumps ``sweep.batch_sessions`` /
-    ``sweep.batched_tx`` on the active registry.
+    ``sweep.batched_tx`` (sessions x transmissions up to the horizon) on
+    the active registry.
 
     Args:
         schedule: the compiled timetable every session shares.
@@ -421,21 +473,19 @@ def replay_batch(
     for rate in rates:
         if not 0 <= rate <= 1:
             raise ReproError(f"drop rate must be in [0, 1], got {rate}")
-    lowered = _lower(schedule)
-    rows = lowered.num_rows
-    if rows == 0:
+    if not schedule.node_ids:
         raise ReproError("schedule has no receiver nodes to score")
-    end = int(lowered.starts[horizon])
-    window = max(num_packets, lowered.num_packets)
-    top_arrival = int(lowered.arrivals[:end].max()) if end else 0
+    view = _view(schedule, num_packets, horizon)
+    rows = view.num_rows
     per_session = max(
-        (rows + 1) * lowered.num_packets,        # holdings matrix
-        rows * (top_arrival + num_packets + 2),  # buffer delta sweep
-        rows * window * 2,                       # int64 reduction temps
-        schedule.size,                           # drop-mask row
-        1,
+        (rows + 1) * view.width,  # holdings matrix
+        rows * view.width ** 2,   # pairwise buffer-cover temporaries
+        schedule.size,            # drop-mask row
     )
-    chunk = max(1, min(total, element_budget // per_session))
+    if any(rate > 0 for rate in rates):
+        chunk = max(1, min(total, element_budget // per_session))
+    else:
+        chunk = total  # loss-free: one replayed row serves the whole batch
 
     residual = np.empty(total, dtype=np.int64)
     available = np.empty(total, dtype=np.int64)
@@ -452,8 +502,8 @@ def replay_batch(
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         masks = bernoulli_masks(schedule, rates[lo:hi], seeds[lo:hi])
-        held = _hold_and_deliver(lowered, masks, horizon, hi - lo)
-        delays, peaks, navail = _score(held, num_packets)
+        # A loss-free chunk scores one row; the assignments broadcast it.
+        delays, peaks, navail = _replay(view, masks)
         residual[lo:hi] = num_packets * rows - navail.sum(axis=1)
         available[lo:hi] = navail.sum(axis=1)
         max_delay[lo:hi] = delays.max(axis=1)
@@ -466,7 +516,9 @@ def replay_batch(
     registry = active_registry()
     scheme = schedule.key.scheme if schedule.key is not None else "ad-hoc"
     registry.counter("sweep.batch_sessions", scheme=scheme).inc(total)
-    registry.counter("sweep.batched_tx", scheme=scheme).inc(total * end)
+    registry.counter("sweep.batched_tx", scheme=scheme).inc(
+        total * schedule.starts[horizon]
+    )
     return BatchMetrics(
         num_sessions=total,
         num_nodes=rows,

@@ -98,7 +98,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("sweep.batch_sessions", "counter", ("scheme",),
                "sessions replayed through the batch kernel"),
     MetricSpec("sweep.batched_tx", "counter", ("scheme",),
-               "transmissions replayed through the batch kernel"),
+               "transmissions up to the horizon, summed over batch sessions"),
     MetricSpec("sweep.cells", "counter", ("scheme", "degree"),
                "parallel-workload sweep cells computed"),
     MetricSpec("sweep.delay", "histogram", ("scheme", "degree"),

@@ -252,12 +252,9 @@ def _row_histograms(
         (matrix.astype(np.int64) + offsets).ravel(), minlength=num_rows * width
     ).reshape(num_rows, width)
     rows, values = np.nonzero(counts)
-    tallies = counts[rows, values]
-    splits = np.searchsorted(rows, np.arange(1, num_rows))
-    return [
-        tuple(zip(map(int, v), map(int, c)))
-        for v, c in zip(np.split(values, splits), np.split(tallies, splits))
-    ]
+    pairs = list(zip(values.tolist(), counts[rows, values].tolist()))
+    bounds = np.searchsorted(rows, np.arange(num_rows + 1)).tolist()
+    return [tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def score_batch_sessions(

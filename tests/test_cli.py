@@ -240,7 +240,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 2.2.0"
+        assert capsys.readouterr().out.strip() == "repro 2.3.0"
 
 
 class TestFleetCommand:

@@ -8,15 +8,20 @@ contract surface — validation, chunking, mask determinism, counters, the
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.core.errors import ReproError
+from repro.core.metrics import collect_repair_metrics, summarize_lossy_playback
 from repro.exec import (
     BatchMetrics,
+    CompiledSchedule,
     bernoulli_mask,
     bernoulli_masks,
     compile_schedule,
+    replay_arrivals,
     replay_batch,
     replay_point,
     spawn_seeds,
@@ -159,13 +164,107 @@ class TestReplayBatch:
         assert tx.value == 4 * schedule.size
 
     def test_loss_free_batch_is_uniform(self, schedule):
+        # One replayed row, broadcast to every session's columns.
         batch = replay_batch(schedule, (1, 2, 3), 0.0, num_packets=6)
         assert batch.metrics(0) == batch.metrics(1) == batch.metrics(2)
         assert int(batch.residual[0]) == 0
+        assert batch.node_delays is not None and batch.node_buffers is not None
+        assert (batch.node_delays == batch.node_delays[0]).all()
+        assert (batch.node_buffers == batch.node_buffers[0]).all()
 
     def test_isinstance_batch_metrics(self, schedule):
         batch = replay_batch(schedule, (1,), 0.0, num_packets=4)
         assert isinstance(batch, BatchMetrics)
+
+
+def _scalar_session(schedule, seed, rate, *, num_packets, num_slots):
+    mask = bernoulli_mask(schedule, rate, seed)
+    arrivals = replay_arrivals(schedule, num_slots=num_slots, drop_mask=mask)
+    metrics = collect_repair_metrics(
+        arrivals, num_packets=num_packets, num_slots=num_slots
+    )
+    return arrivals, metrics
+
+
+class TestStartupClamp:
+    def test_churned_lossy_node_starts_at_zero_like_scalar(self):
+        # A prerecorded multi-tree session cut at slot 2: seed 2 at 20% loss
+        # leaves a node holding only packets that arrived ahead of their
+        # index, whose unclamped start is negative.
+        schedule = compile_schedule("multi-tree", 15, 3, num_packets=8)
+        arrivals, scalar = _scalar_session(
+            schedule, 2, 0.2, num_packets=4, num_slots=2
+        )
+        unclamped = [
+            max(slot - packet for packet, slot in trace.items() if packet < 4) + 1
+            for trace in arrivals.values()
+            if any(packet < 4 for packet in trace)
+        ]
+        assert min(unclamped) < 0
+        batch = replay_batch(schedule, (2,), 0.2, num_packets=4, num_slots=2)
+        assert batch.metrics(0) == scalar
+        assert batch.node_delays is not None and batch.node_buffers is not None
+        for row, node in enumerate(schedule.node_ids):
+            summary = summarize_lossy_playback(arrivals[node], 4)
+            assert batch.node_delays[0, row] == summary.startup_delay >= 0
+            assert batch.node_buffers[0, row] == summary.buffer_peak
+
+
+def _double_delivery_schedule() -> CompiledSchedule:
+    # Relays 1 and 2 both forward packet 0 to node 3 in slot 1, with
+    # different arrivals: the kernel splits the slot so each scatter hits
+    # distinct targets, and must keep the earliest surviving arrival.
+    def column(*values):
+        return array("i", values)
+
+    return CompiledSchedule(
+        key=None,
+        num_slots=3,
+        node_ids=(1, 2, 3),
+        source_ids=(0,),
+        starts=column(0, 3, 6, 7),
+        senders=column(0, 0, 0, 1, 2, 1, 2),
+        receivers=column(1, 2, 1, 3, 3, 2, 3),
+        packets=column(0, 0, 1, 0, 0, 1, 1),
+        arrivals=column(0, 0, 0, 2, 1, 1, 2),
+        latencies=column(0, 0, 0, 1, 0, 0, 0),
+        trees=column(-1, -1, -1, -1, -1, -1, -1),
+    )
+
+
+class TestMeasuredPrefixView:
+    def test_repeated_target_in_one_slot_matches_scalar(self):
+        schedule = _double_delivery_schedule()
+        seeds = tuple(range(64))
+        for num_slots in (1, 2, 3):
+            batch = replay_batch(
+                schedule, seeds, 0.3, num_packets=2, num_slots=num_slots
+            )
+            for i, seed in enumerate(seeds):
+                _, scalar = _scalar_session(
+                    schedule, seed, 0.3, num_packets=2, num_slots=num_slots
+                )
+                assert batch.metrics(i) == scalar, (num_slots, seed)
+
+    def test_memoized_loss_free_row_survives_other_calls(self):
+        # The loss-free row is memoized per view; lossy calls on the same
+        # view and writes to a returned batch must not leak into it.
+        schedule = compile_schedule("hypercube", 24, 3, num_packets=8)
+        _, clean = _scalar_session(
+            schedule, 0, 0.0, num_packets=6, num_slots=schedule.num_slots
+        )
+        first = replay_batch(schedule, (0, 1), 0.0, num_packets=6)
+        assert first.node_delays is not None
+        first.node_delays[:] = -7
+        lossy = replay_batch(schedule, spawn_seeds(3, 4), 0.4, num_packets=6)
+        for i, seed in enumerate(lossy.seeds):
+            _, scalar = _scalar_session(
+                schedule, seed, 0.4, num_packets=6, num_slots=schedule.num_slots
+            )
+            assert lossy.metrics(i) == scalar
+        again = replay_batch(schedule, (2, 3, 4), (0.0, 0.0, 0.0), num_packets=6)
+        assert again.metrics(0) == again.metrics(2) == clean
+        assert again.node_delays is not None and (again.node_delays >= 0).all()
 
 
 class TestReplayPointShim:

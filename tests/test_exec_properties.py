@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import simulate
-from repro.core.metrics import collect_repair_metrics
+from repro.core.metrics import collect_repair_metrics, summarize_lossy_playback
 from repro.exec.batch import replay_batch, spawn_seeds
 from repro.exec.compiler import COMPILABLE_SCHEMES, build_protocol, compile_protocol
 from repro.exec.replay import bernoulli_mask, replay_arrivals
@@ -71,13 +71,31 @@ class TestCompiledReplayEquivalence:
                 assert slot == clean[node][packet], (scheme, n, d, node, packet)
 
 
+RATES = st.sampled_from([0.0, 0.05, 0.2, 0.5])
+
 BATCH_CONFIG = st.tuples(
     st.sampled_from(COMPILABLE_SCHEMES),
     st.integers(min_value=3, max_value=34),            # N
     st.integers(min_value=2, max_value=4),             # d
-    st.sampled_from([0.0, 0.05, 0.2, 0.5]),            # drop_rate
+    RATES,                                             # drop_rate
     st.integers(min_value=1, max_value=7),             # batch size
 )
+
+
+def _assert_matches_scalar(compiled, batch, horizon):
+    """Every session of ``batch`` equals its scalar replay, node for node."""
+    num_packets = batch.num_packets
+    for i, (seed, rate) in enumerate(zip(batch.seeds, batch.drop_rates)):
+        mask = bernoulli_mask(compiled, rate, seed)
+        arrivals = replay_arrivals(compiled, num_slots=horizon, drop_mask=mask)
+        scalar = collect_repair_metrics(
+            arrivals, num_packets=num_packets, num_slots=horizon
+        )
+        assert batch.metrics(i) == scalar, (i, seed, rate)
+        for row, node in enumerate(compiled.node_ids):
+            summary = summarize_lossy_playback(arrivals[node], num_packets)
+            assert batch.node_delays[i, row] == summary.startup_delay, (i, node)
+            assert batch.node_buffers[i, row] == summary.buffer_peak, (i, node)
 
 
 class TestBatchKernelEquivalence:
@@ -92,17 +110,12 @@ class TestBatchKernelEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(BATCH_CONFIG, st.integers(min_value=0, max_value=2**31 - 1))
     def test_batched_matches_scalar_replay_per_session(self, config, master):
+        # A scalar rate of 0.0 is an all-zero vector: one replayed row.
         scheme, n, d, rate, batch_size = config
         compiled, _, num_slots = _compile_and_reference(scheme, n, d)
         seeds = spawn_seeds(master, batch_size)
         batch = replay_batch(compiled, seeds, rate, num_packets=6)
-        for i in range(batch_size):
-            mask = bernoulli_mask(compiled, rate, seeds[i])
-            arrivals = replay_arrivals(compiled, drop_mask=mask)
-            scalar = collect_repair_metrics(
-                arrivals, num_packets=6, num_slots=num_slots
-            )
-            assert batch.metrics(i) == scalar, (scheme, n, d, rate, i)
+        _assert_matches_scalar(compiled, batch, num_slots)
 
     @settings(max_examples=20, deadline=None)
     @given(CONFIG)
@@ -114,6 +127,31 @@ class TestBatchKernelEquivalence:
             reference.all_arrivals(), num_packets=6, num_slots=num_slots
         )
         assert batch.metrics(0) == engine, (scheme, n, d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(BATCH_CONFIG, st.integers(min_value=0, max_value=2**31 - 1), st.data())
+    def test_node_columns_match_scalar_at_any_horizon_and_prefix(
+        self, config, master, data
+    ):
+        # Truncated horizons are the churned-viewer path; prefixes above the
+        # compiled packets have columns that never arrive, prefixes below it
+        # leave transmissions unscored; rate vectors mix zero and lossy
+        # sessions.
+        scheme, n, d, _, batch_size = config
+        compiled, _, num_slots = _compile_and_reference(scheme, n, d)
+        horizon = data.draw(st.integers(min_value=1, max_value=num_slots))
+        compiled_packets = max(compiled.packets) + 1
+        num_packets = data.draw(
+            st.integers(min_value=1, max_value=compiled_packets + 3)
+        )
+        rates = data.draw(
+            st.lists(RATES, min_size=batch_size, max_size=batch_size)
+        )
+        seeds = spawn_seeds(master, batch_size)
+        batch = replay_batch(
+            compiled, seeds, rates, num_packets=num_packets, num_slots=horizon
+        )
+        _assert_matches_scalar(compiled, batch, horizon)
 
     @settings(max_examples=15, deadline=None)
     @given(BATCH_CONFIG, st.integers(min_value=0, max_value=2**31 - 1))

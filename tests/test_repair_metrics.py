@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.metrics import (
+    LossyPlaybackSummary,
     collect_repair_metrics,
     summarize_lossy_playback,
 )
@@ -42,6 +43,16 @@ class TestSummarizeLossyPlayback:
         assert summary.available == 0
         assert summary.missing == (0, 1, 2)
         assert summary.startup_delay == 0
+
+    def test_startup_clamped_at_zero_for_early_packets(self):
+        # Only packet 5 survived, and it arrived at slot 3 — ahead of its
+        # index — so the unclamped start 3 - 5 + 1 = -1 would precede the
+        # stream.  Playback starts at 0 and holds packet 5 for slots 3..4.
+        summary = summarize_lossy_playback({5: 3}, 8)
+        assert summary == LossyPlaybackSummary(
+            startup_delay=0, buffer_peak=1, available=1,
+            missing=(0, 1, 2, 3, 4, 6, 7),
+        )
 
     def test_out_of_prefix_arrivals_ignored(self):
         summary = summarize_lossy_playback({0: 1, 7: 2}, 2)
