@@ -24,12 +24,15 @@ whole batch:
   processing is exact because a transmission sent at slot ``s`` arrives at
   ``s`` or later while forwarding requires an arrival strictly *before*
   ``s`` — deliveries within a slot can never enable sends in that slot;
-* drop masks are still drawn over the whole schedule by
-  :func:`bernoulli_masks`, one private ``default_rng(seed)`` row per
-  session, and the view takes its columns from them, so a session's mask
-  does not depend on the view.  A batch whose rates are all zero has no
-  masks: it scores **one row** and broadcasts it to every session.  That
-  row is replayed once per view and memoized on it;
+* drops come from a counter-based stream: session ``b``'s drop bit for
+  flat transmission ``i`` is a pure function of ``(key_b, i)``, with
+  ``key_b`` derived from ``seeds[b]`` (see :func:`bernoulli_masks`).  Bits
+  do not depend on draw order, so the kernel draws only the view's
+  columns, for the whole chunk in one vectorized pass, straight into the
+  ``(columns, B)`` layout the replay reads; a session's mask still does
+  not depend on the view, the batch, or the worker.  A batch whose rates
+  are all zero has no masks: it scores **one row** and broadcasts it to
+  every session.  That row is replayed once per view and memoized on it;
 * scores are closed-form per node, with no time axis: the loss-tolerant
   startup delay is ``max(0, max_p(arrival_p - p) + 1)`` over the available
   packets (clamped at 0, like
@@ -55,6 +58,7 @@ output columns still scale with the batch, of course).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Union, cast
@@ -74,7 +78,8 @@ __all__ = [
     "spawn_seeds",
 ]
 
-#: Accepted per-session seed types (``default_rng`` accepts both).
+#: A per-session seed: an int in ``[0, 2**64)``, used as the raw key word,
+#: or a ``SeedSequence``, whose first 64-bit state word is.
 Seed = Union[int, np.random.SeedSequence]
 
 #: "Never arrived" sentinel in the holdings matrix.
@@ -84,31 +89,77 @@ _INF = np.int32(np.iinfo(np.int32).max)
 #: (~64 MB of int32).  The chunk batch size is derived from it.
 DEFAULT_ELEMENT_BUDGET = 16_000_000
 
+#: SplitMix64: the golden-ratio increment and the finalizer's multipliers.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
 
 def spawn_seeds(seed: int, n: int) -> tuple[np.random.SeedSequence, ...]:
     """``n`` statistically independent per-session seed sequences.
 
-    Derived via ``np.random.SeedSequence(seed).spawn(n)``, so session ``i``
-    of master seed ``s`` always gets the same stream — whether its mask is
-    drawn solo, inside any batch, or on any worker.
+    Derived via ``np.random.SeedSequence(seed).spawn(n)``.  Child ``i``
+    depends only on ``(seed, i)``, and its first 64-bit state word keys its
+    drop stream, so session ``i`` of master seed ``s`` always draws the same
+    mask — solo, inside any batch, or on any worker.
     """
     if n < 0:
         raise ReproError(f"cannot spawn {n} seeds")
     return tuple(np.random.SeedSequence(seed).spawn(n))
 
 
+def _mix(z: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """SplitMix64's finalizer, in place.  ``z`` must be an array: wrapping
+    uint64 arithmetic is silent on arrays but warns on NumPy scalars."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def _keys(seeds: Sequence[Seed]) -> npt.NDArray[np.uint64]:
+    """Per-session stream keys: ``mix(raw + G)`` of each seed's raw word."""
+    raw = np.array(
+        [
+            seed.generate_state(1, np.uint64)[0]
+            if isinstance(seed, np.random.SeedSequence)
+            else seed
+            for seed in seeds
+        ],
+        dtype=np.uint64,
+    )
+    raw += _GOLDEN
+    return _mix(raw)
+
+
 def bernoulli_masks(
     schedule: CompiledSchedule,
     drop_rates: Sequence[float],
     seeds: Sequence[Seed],
+    columns: npt.ArrayLike | None = None,
 ) -> npt.NDArray[np.bool_] | None:
-    """Stack per-session drop masks into a ``(B, size)`` matrix.
+    """Per-session drop masks over ``columns``, as a ``(B, len(columns))``
+    matrix.
 
-    Row ``b`` is exactly ``bernoulli_mask(schedule, drop_rates[b],
-    seeds[b])``: each session draws from its own private
-    ``default_rng(seed)`` stream, so a session's mask is independent of
-    batch composition, batch order, and worker placement.  Returns ``None``
-    when every rate is zero (loss-free batch, nothing to mask).
+    The stream is counter-based: with SplitMix64's finalizer ``mix``,
+    ``G = 0x9E3779B97F4A7C15`` and wrapping uint64 arithmetic, session
+    ``b`` has key ``mix(raw + G)``, where ``raw`` is ``seeds[b]`` itself
+    (an int in ``[0, 2**64)``) or ``seed.generate_state(1, np.uint64)[0]``
+    for a ``SeedSequence``.  Flat transmission ``i`` drops iff
+    ``mix(key + (i + 1) * G) >> 11 < ceil(rate * 2**53)``: the 53-bit
+    uniform ``Generator.random()`` builds, compared with ``< rate``, so
+    rate 0 drops nothing and rate 1 drops everything.
+
+    Entry ``[b, j]`` is session ``b``'s bit for transmission
+    ``columns[j]`` (default: every transmission, in flat order), so a
+    session's mask does not depend on the batch, its order, the columns
+    drawn, or the worker: row ``b`` restricted to any columns equals
+    ``bernoulli_mask(schedule, drop_rates[b], seeds[b])`` at those columns.
+    The matrix is the transpose of a C-ordered ``(len(columns), B)`` array.
+    Every seed is validated, whatever the rates; returns ``None`` when every
+    rate is zero (loss-free batch, nothing to mask).
     """
     if len(drop_rates) != len(seeds):
         raise ReproError(
@@ -117,13 +168,36 @@ def bernoulli_masks(
     for rate in drop_rates:
         if not 0 <= rate <= 1:
             raise ReproError(f"drop rate must be in [0, 1], got {rate}")
+    for seed in seeds:
+        if type(seed) is int or isinstance(seed, np.integer):
+            if 0 <= seed < 2**64:
+                continue
+        elif isinstance(seed, np.random.SeedSequence):
+            continue
+        raise ReproError(
+            f"seed {seed!r} is not an int in [0, 2**64) or a SeedSequence"
+        )
     if not any(rate > 0 for rate in drop_rates):
         return None
-    masks = np.zeros((len(seeds), schedule.size), dtype=np.bool_)
-    for b, (seed, rate) in enumerate(zip(seeds, drop_rates)):
-        if rate > 0:
-            masks[b] = np.random.default_rng(seed).random(schedule.size) < rate
-    return masks
+    index: npt.NDArray[np.intp]
+    if columns is None:
+        index = np.arange(schedule.size, dtype=np.intp)
+    else:
+        index = np.asarray(columns, dtype=np.intp)
+        if index.size and (index.min() < 0 or index.max() >= schedule.size):
+            raise ReproError(
+                f"mask columns must index the schedule's {schedule.size} "
+                "transmissions"
+            )
+    counters = index.astype(np.uint64)
+    counters += np.uint64(1)
+    counters *= _GOLDEN
+    bits = _mix(np.add.outer(counters, _keys(seeds)))
+    bits >>= 11
+    limits = np.array(
+        [math.ceil(rate * 2**53) for rate in drop_rates], dtype=np.uint64
+    )
+    return (bits < limits).T
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +226,7 @@ class _View:
     """The transmissions a ``(num_packets, horizon)`` replay measures.
 
     ``columns`` are their flat schedule indices, in step order (the
-    drop-mask columns to take); holdings rows address the
+    drop-mask columns to draw); holdings rows address the
     ``width * (num_rows + 1)`` matrix, ``packet * (num_rows + 1) + row``,
     where row ``num_rows`` is the always-held source row.  ``lossfree``
     memoizes the one-row loss-free scores once a loss-free batch has
@@ -317,14 +391,14 @@ def _score(arrived: npt.NDArray[np.int32]) -> _Scores:
 
 
 def _replay(view: _View, masks: npt.NDArray[np.bool_] | None) -> _Scores:
-    """Scores of every session row of ``masks``.
+    """Scores of every session row of ``masks``, drawn over ``view.columns``.
 
     ``None`` (a loss-free batch) replays one row, once per view; the
     caller broadcasts it to every session.  The memoized arrays are shared
     between calls, so they are read-only.
     """
     if masks is not None:
-        return _score(_hold_and_deliver(view, ~masks.T[view.columns]))
+        return _score(_hold_and_deliver(view, ~masks.T))
     if view.lossfree is None:
         scores = _score(_hold_and_deliver(view, None))
         for column in scores:
@@ -439,7 +513,8 @@ def replay_batch(
 
     Args:
         schedule: the compiled timetable every session shares.
-        seeds: one RNG seed (int or ``SeedSequence``) per session.
+        seeds: one stream seed per session (see :data:`Seed`); every
+            seed is validated, whatever the rates.
         drop_rates: per-session Bernoulli drop rates, or one scalar rate
             broadcast to the whole batch.
         num_packets: measured stream prefix.
@@ -480,7 +555,7 @@ def replay_batch(
     per_session = max(
         (rows + 1) * view.width,  # holdings matrix
         rows * view.width ** 2,   # pairwise buffer-cover temporaries
-        schedule.size,            # drop-mask row
+        4 * len(view.columns),    # drop draw: two uint64 (4 int32) per column
     )
     if any(rate > 0 for rate in rates):
         chunk = max(1, min(total, element_budget // per_session))
@@ -501,7 +576,9 @@ def replay_batch(
     )
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        masks = bernoulli_masks(schedule, rates[lo:hi], seeds[lo:hi])
+        masks = bernoulli_masks(
+            schedule, rates[lo:hi], seeds[lo:hi], view.columns
+        )
         # A loss-free chunk scores one row; the assignments broadcast it.
         delays, peaks, navail = _replay(view, masks)
         residual[lo:hi] = num_packets * rows - navail.sum(axis=1)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.metrics import RepairMetrics
+from repro.exec.batch import Seed, bernoulli_masks, replay_batch
 from repro.exec.compiler import CompiledSchedule
 from repro.obs.registry import active_registry
 
@@ -32,27 +33,23 @@ __all__ = ["replay_arrivals", "bernoulli_mask", "replay_point"]
 def bernoulli_mask(
     schedule: CompiledSchedule,
     rate: float,
-    seed: int | np.random.SeedSequence,
+    seed: Seed,
 ) -> np.ndarray | None:
     """Deterministic per-transmission drop mask over the whole schedule.
 
-    Drawn in flat (send-order) index space with one ``default_rng(seed)``
-    stream, so a ``(seed, rate)`` pair always prunes the same indices — on
-    any worker, serial or parallel.  The guarantee extends to batching:
-    :func:`~repro.exec.batch.bernoulli_masks` draws row ``b`` from exactly
-    this stream, so a session's mask is identical whether it replays solo,
-    inside any batch, or on any worker.  To give each session of a fleet an
+    Bit ``i`` is session ``seed``'s counter-based drop bit for flat
+    (send-order) transmission ``i``, a pure function of ``(seed, i)``:
+    this is :func:`~repro.exec.batch.bernoulli_masks` over every column,
+    which defines the stream.  A ``(seed, rate)`` pair therefore prunes the
+    same indices solo, inside any batch, on any worker, and whichever
+    columns the batch kernel draws.  To give each session of a fleet an
     independent stream from one master seed, pass the ``SeedSequence``
-    children of :func:`~repro.exec.batch.spawn_seeds` (i.e.
-    ``np.random.SeedSequence(master).spawn(B)``) — child identity depends
-    only on ``(master, index)``, never on batch composition.
+    children of :func:`~repro.exec.batch.spawn_seeds` — child identity
+    depends only on ``(master, index)``, never on batch composition.
+    Returns ``None`` at rate 0 (the seed is still validated).
     """
-    if not 0 <= rate <= 1:
-        raise ReproError(f"drop rate must be in [0, 1], got {rate}")
-    if rate == 0:
-        return None
-    rng = np.random.default_rng(seed)
-    return rng.random(schedule.size) < rate
+    masks = bernoulli_masks(schedule, (rate,), (seed,))
+    return None if masks is None else masks[0]
 
 
 def replay_arrivals(
@@ -122,7 +119,7 @@ def replay_point(
     schedule: CompiledSchedule,
     *,
     num_packets: int,
-    seed: int | np.random.SeedSequence = 0,
+    seed: Seed = 0,
     drop_rate: float = 0.0,
     num_slots: int | None = None,
 ) -> RepairMetrics:
@@ -138,8 +135,6 @@ def replay_point(
     ``sweep.replayed_tx`` on the active registry; the underlying kernel
     call additionally bumps the batch counters.
     """
-    from repro.exec.batch import replay_batch
-
     horizon = schedule.num_slots if num_slots is None else num_slots
     batch = replay_batch(
         schedule,

@@ -279,6 +279,12 @@ class FleetSpec:
         object.__setattr__(self, "arrival_slots", tuple(self.arrival_slots))
         if not self.sessions:
             raise ReproError("a fleet needs at least one SessionSpec")
+        if (
+            not isinstance(self.seed, (int, np.integer))
+            or isinstance(self.seed, bool)
+            or self.seed < 0
+        ):
+            raise ReproError(f"fleet seed must be an int >= 0, got {self.seed!r}")
         if self.num_sessions < 1:
             raise ReproError(f"num_sessions must be >= 1, got {self.num_sessions}")
         if self.arrival not in ARRIVAL_PROCESSES:

@@ -8,6 +8,9 @@ contract surface — validation, chunking, mask determinism, counters, the
 
 from __future__ import annotations
 
+import math
+import re
+import warnings
 from array import array
 
 import numpy as np
@@ -80,6 +83,105 @@ class TestBernoulliMasks:
         with pytest.raises(ReproError, match=r"drop rate must be in \[0, 1\]"):
             bernoulli_masks(schedule, [1.5], [1])
 
+    # The stream's contract: a drop bit is a pure function of (key, column).
+
+    def test_columns_restrict_the_full_mask(self, schedule):
+        seeds = [5, np.random.SeedSequence(8), 2**64 - 1]
+        rates = [0.3, 0.3, 0.6]
+        full = bernoulli_masks(schedule, rates, seeds)
+        assert full is not None
+        rng = np.random.default_rng(0)
+        for columns in (
+            np.sort(rng.choice(schedule.size, 50, replace=False)),
+            rng.permutation(schedule.size)[:80],
+            np.array([], dtype=np.intp),
+        ):
+            part = bernoulli_masks(schedule, rates, seeds, columns)
+            assert part is not None and part.shape == (3, len(columns))
+            assert np.array_equal(part, full[:, columns])
+
+    def test_columns_outside_schedule_rejected(self, schedule):
+        with pytest.raises(ReproError, match="mask columns"):
+            bernoulli_masks(schedule, [0.1], [1], [schedule.size])
+        with pytest.raises(ReproError, match="mask columns"):
+            bernoulli_masks(schedule, [0.1], [1], [-1])
+
+    @pytest.mark.parametrize("rate", [0.01, 0.2, 0.5])
+    def test_drop_frequency_is_binomial(self, schedule, rate):
+        sessions = 300  # x 385 transmissions: > 10^5 bits
+        masks = bernoulli_masks(schedule, [rate] * sessions, range(sessions))
+        assert masks is not None
+        bits = masks.size
+        assert bits >= 10**5
+        sigma = (bits * rate * (1 - rate)) ** 0.5
+        assert abs(int(masks.sum()) - bits * rate) < 5 * sigma
+
+    def test_rate_zero_and_one_are_exact(self, schedule):
+        masks = bernoulli_masks(schedule, [0.0, 1.0], [3, 3])
+        assert masks is not None
+        assert not masks[0].any() and masks[1].all()
+        assert bernoulli_mask(schedule, 1.0, 7).all()
+
+    def test_adjacent_seeds_and_columns_are_independent(self, schedule):
+        masks = bernoulli_masks(schedule, [0.5] * 600, range(600))
+        assert masks is not None
+        even_columns = schedule.size - schedule.size % 2
+        for first, second in (
+            (masks[0::2], masks[1::2]),  # seeds s, s + 1
+            (masks[:, 0:even_columns:2], masks[:, 1:even_columns:2]),  # i, i + 1
+        ):
+            pairs = first.size
+            sigma = (pairs * 0.25 * 0.75) ** 0.5
+            joint = int((first & second).sum())
+            assert abs(joint - pairs / 4) < 5 * sigma
+
+    def test_matches_python_reference(self, schedule):
+        # The stream as specified, in Python integers masked to 64 bits.
+        word = 2**64 - 1
+
+        def mix(z):
+            z ^= z >> 30
+            z = z * 0xBF58476D1CE4E5B9 & word
+            z ^= z >> 27
+            z = z * 0x94D049BB133111EB & word
+            return z ^ z >> 31
+
+        golden = 0x9E3779B97F4A7C15
+        for seed in (0, 1, 2**64 - 1, np.random.SeedSequence(11)):
+            raw = (
+                int(seed.generate_state(1, np.uint64)[0])
+                if isinstance(seed, np.random.SeedSequence) else seed
+            )
+            key = mix(raw + golden & word)
+            for rate in (0.05, 0.5):
+                limit = math.ceil(rate * 2**53)
+                want = [
+                    i for i in range(schedule.size)
+                    if mix(key + (i + 1) * golden & word) >> 11 < limit
+                ]
+                got = np.flatnonzero(bernoulli_mask(schedule, rate, seed))
+                assert got.tolist() == want, (seed, rate)
+
+    def test_golden_drops(self, schedule):
+        # Any change to the stream shows here.
+        assert np.flatnonzero(bernoulli_mask(schedule, 0.05, 0)).tolist() == [
+            38, 39, 47, 51, 67, 112, 164, 172, 186, 237, 281, 315, 322,
+        ]
+        mask = bernoulli_mask(schedule, 0.05, np.random.SeedSequence(11))
+        assert np.flatnonzero(mask).tolist() == [
+            1, 12, 92, 94, 99, 109, 127, 128, 141, 147, 156, 176, 191, 204,
+            225, 229, 238, 254, 270, 271, 275, 292, 294, 319, 325, 336, 356,
+            375, 378,
+        ]
+
+    def test_wrapping_arithmetic_never_warns(self, schedule):
+        seeds = [0, 2**64 - 1, np.uint64(2**63), np.random.SeedSequence(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bernoulli_masks(schedule, [0.5] * 4, seeds)
+            bernoulli_mask(schedule, 0.5, 2**64 - 1)
+            replay_batch(schedule, seeds, 0.5, num_packets=6)
+
 
 class TestReplayBatchValidation:
     def test_empty_seed_batch_rejected(self, schedule):
@@ -104,6 +206,14 @@ class TestReplayBatchValidation:
     def test_nonpositive_packets(self, schedule):
         with pytest.raises(ReproError, match="num_packets must be positive"):
             replay_batch(schedule, (1,), 0.0, num_packets=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None, True])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_bad_seed_rejected_whatever_the_rate(self, schedule, seed, rate):
+        with pytest.raises(ReproError, match=re.escape(f"seed {seed!r}")):
+            replay_batch(schedule, (1, seed), rate, num_packets=4)
+        with pytest.raises(ReproError, match=re.escape(f"seed {seed!r}")):
+            bernoulli_mask(schedule, rate, seed)
 
     def test_session_index_out_of_range(self, schedule):
         batch = replay_batch(schedule, (1, 2), 0.05, num_packets=4)

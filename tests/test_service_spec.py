@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.errors import ReproError
@@ -165,6 +167,11 @@ class TestFleetSpec:
             FleetSpec(churn_rate=2.0)
         with pytest.raises(ReproError):
             FleetSpec(min_degree=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ReproError, match=re.escape(f"got {seed!r}")):
+            FleetSpec(seed=seed)
 
     def test_constant_vocabularies(self):
         assert ARRIVAL_PROCESSES == ("poisson", "uniform", "trace")
