@@ -3,7 +3,8 @@
 The v2.0 scaling demonstration: compile one schedule, spawn a million
 per-session seed sequences from one master seed
 (:func:`~repro.exec.batch.spawn_seeds`), and stream chunked
-:func:`~repro.exec.batch.replay_batch` calls straight into a sketch-mode
+:func:`~repro.exec.batch.replay_batch` calls, each scored by
+:func:`~repro.service.score_batch_sessions`, straight into a sketch-mode
 :class:`~repro.service.FleetAggregator`.  Nothing in the pipeline scales
 with the full population: the kernel's working set is capped by its element
 budget, each chunk's metric columns are dropped after scoring, and the
@@ -24,7 +25,7 @@ from conftest import report
 
 from repro.exec import compile_schedule, replay_batch, spawn_seeds
 from repro.obs import Timer
-from repro.service.slo import FleetAggregator, score_session_columns
+from repro.service.slo import FleetAggregator, score_batch_sessions
 
 NUM_SESSIONS = 1_000_000
 CHUNK = 50_000
@@ -60,13 +61,15 @@ def test_million_sessions_bounded_memory():
                 num_packets=NUM_PACKETS,
                 keep_node_columns=True,
             )
-            for i in range(batch.num_sessions):
+            for _ in range(batch.num_sessions):
                 aggregator.add_decision(decision)
-                aggregator.add_session(
-                    score_session_columns(
-                        batch, i, session_id=lo + i, label="multi-tree-31"
-                    )
+            aggregator.add_sessions(
+                score_batch_sessions(
+                    batch,
+                    session_ids=range(lo, lo + batch.num_sessions),
+                    labels=("multi-tree-31",) * batch.num_sessions,
                 )
+            )
     fleet = aggregator.report(cache_hits=NUM_SESSIONS - 1, cache_misses=1)
     rate = timer.elapsed / NUM_SESSIONS
 

@@ -6,8 +6,11 @@ one :func:`~repro.exec.batch.replay_batch` call instead of one Python
 replay per session.  ``test_batched_kernel_at_100k_sessions`` runs a
 100,000-session fleet through the batched path in bounded memory (sketch
 aggregation, no per-session SLO list) and requires the batched kernel to be
-at least **5x** faster per session than the v1 scalar path
-(``execution="scalar"``) on the same workload — both timings land in
+at least **5x** faster per session than the reference interpreter
+(:func:`~repro.exec.replay.bernoulli_mask` +
+:func:`~repro.exec.replay.replay_arrivals` + per-node
+:func:`~repro.core.metrics.summarize_lossy_playback`) replaying the first
+10k sessions of the same workload — both timings land in
 ``results/fleet_scale.json``.
 
 The older amortization claim still holds and stays pinned: the shared
@@ -27,16 +30,19 @@ Two further acceptance tests cover the telemetry layer (docs/TELEMETRY.md):
   materialized: ``report.sessions == ()``), and the sketch percentiles must
   agree with exact pooled aggregation within the documented
   ``relative_error`` bound;
-* **run-until-converged** — with ``run_until_converged=True`` the runner
-  executes sessions in batches and must stop well before the full scenario
-  once the p99 startup-delay CI is tight.
+* **run-until-converged** — with ``convergence=ConvergenceCriterion(...)``
+  the runner executes sessions in batches and must stop well before the
+  full scenario once the p99 startup-delay CI is tight.
 """
 
 from __future__ import annotations
 
 from conftest import report
 
+from repro.core.metrics import summarize_lossy_playback
+from repro.exec.compiler import compile_schedule
 from repro.exec.executor import ExecutorPolicy
+from repro.exec.replay import bernoulli_mask, replay_arrivals
 from repro.obs import Timer
 from repro.obs.convergence import ConvergenceCriterion
 from repro.service import CapacityModel, FleetRunner, FleetSpec, SessionSpec
@@ -62,78 +68,97 @@ SERIAL = ExecutorPolicy(mode="serial")
 
 
 BATCH_SESSIONS = 100_000
-SCALAR_SESSIONS = 10_000
+REFERENCE_SESSIONS = 10_000
 MIN_SPEEDUP = 5.0
 
 
+def _reference_replay(sessions, decisions) -> float:
+    """Replay and score sessions one at a time on the reference interpreter.
+
+    Schedules compile before the timed loop, so the loop holds the same
+    work the kernel's shard timings cover: the loss mask, the replay, and
+    the per-node delay/buffer scoring.
+    """
+    schedules = {}
+    for session, decision in zip(sessions, decisions):
+        spec = session.spec
+        key = (spec, decision.degree)
+        if key not in schedules:
+            schedules[key] = compile_schedule(
+                spec.scheme, spec.num_nodes, decision.degree,
+                num_packets=spec.num_packets, construction=spec.construction,
+                mode=spec.mode, latency=spec.latency,
+            )
+    with Timer() as timer:
+        for session, decision in zip(sessions, decisions):
+            spec = session.spec
+            schedule = schedules[(spec, decision.degree)]
+            mask = bernoulli_mask(schedule, spec.drop_rate, session.seed)
+            arrivals = replay_arrivals(
+                schedule, num_slots=decision.duration, drop_mask=mask
+            )
+            for trace in arrivals.values():
+                summarize_lossy_playback(trace, spec.num_packets)
+    return timer.elapsed
+
+
 def test_batched_kernel_at_100k_sessions():
-    """100k sessions through the batched kernel, >= 5x the scalar path."""
-
-    def fleet_spec(num_sessions: int, execution: str) -> FleetSpec:
-        return FleetSpec(
-            sessions=CONFIGS,
-            num_sessions=num_sessions,
-            capacity=CAPACITY,
-            arrival_rate=16.0,
-            seed=21,
-            aggregation="sketch",
-            sketch_error=0.01,
-            execution=execution,
-        )
-
+    """100k sessions through the batched kernel, >= 5x the reference."""
+    fleet = FleetSpec(
+        sessions=CONFIGS,
+        num_sessions=BATCH_SESSIONS,
+        capacity=CAPACITY,
+        arrival_rate=16.0,
+        seed=21,
+        aggregation="sketch",
+        sketch_error=0.01,
+    )
     with Timer() as batch_timer:
-        batched = FleetRunner(policy=SERIAL).run(
-            fleet_spec(BATCH_SESSIONS, "batch")
-        )
-    # The scalar comparator replays the same workload's arrival prefix; a
-    # 10k subset keeps the bench bounded and per-session rates comparable
+        batched = FleetRunner(policy=SERIAL).run(fleet)
+    # The reference interpreter replays the workload's first 10k sessions;
+    # the subset keeps the bench bounded and per-session rates comparable
     # (every session replays one of the same 8 compiled schedules).
-    with Timer() as scalar_timer:
-        scalar = FleetRunner(policy=SERIAL).run(
-            fleet_spec(SCALAR_SESSIONS, "scalar")
-        )
+    reference_s = _reference_replay(
+        batched.sessions[:REFERENCE_SESSIONS],
+        batched.decisions[:REFERENCE_SESSIONS],
+    )
 
     batch_rate = batch_timer.elapsed / BATCH_SESSIONS
-    scalar_rate = scalar_timer.elapsed / SCALAR_SESSIONS
     # The 5x floor is on the replay kernel itself: shard timings cover
     # exactly the replay+scoring work, so their sum isolates the kernel
-    # from admission control (which is identical in both modes and would
-    # otherwise dilute the ratio).
+    # from admission control (which the reference loop does not do and
+    # would otherwise dilute the ratio).
     batch_replay = sum(row["elapsed_s"] for row in batched.shard_timings)
-    scalar_replay = sum(row["elapsed_s"] for row in scalar.shard_timings)
     batch_replay_rate = batch_replay / BATCH_SESSIONS
-    scalar_replay_rate = scalar_replay / SCALAR_SESSIONS
-    speedup = scalar_replay_rate / batch_replay_rate
+    reference_rate = reference_s / REFERENCE_SESSIONS
+    speedup = reference_rate / batch_replay_rate
 
     report_100k = batched.report
     assert report_100k.num_sessions == BATCH_SESSIONS
     assert report_100k.rejected == 0, "capacity was sized to admit everything"
     # Bounded memory: sketch aggregation never materializes the SLO list.
     assert report_100k.sessions == ()
-    assert batched.executor_info["execution"] == "batch"
     assert batched.executor_info["units"] < batched.executor_info["tasks"], (
         "batch grouping should collapse many sessions into few kernel calls"
     )
-    assert scalar.executor_info["execution"] == "scalar"
     assert speedup >= MIN_SPEEDUP, (
-        f"batched kernel {speedup:.1f}x scalar (floor {MIN_SPEEDUP:.0f}x): "
-        f"{batch_replay_rate * 1e6:.0f}us vs "
-        f"{scalar_replay_rate * 1e6:.0f}us per session replayed"
+        f"batched kernel {speedup:.1f}x the reference interpreter (floor "
+        f"{MIN_SPEEDUP:.0f}x): {batch_replay_rate * 1e6:.0f}us vs "
+        f"{reference_rate * 1e6:.0f}us per session replayed"
     )
 
     lines = [
         f"batched fleet kernel ({BATCH_SESSIONS} sessions, "
         f"{len(CONFIGS)} configs, P={NUM_PACKETS}, sketch aggregation):",
         "",
-        f"  batched (execution=batch):   {batch_timer.elapsed:7.3f}s "
+        f"  batched fleet run:      {batch_timer.elapsed:7.3f}s "
         f"wall for {BATCH_SESSIONS} sessions "
         f"({batch_rate * 1e6:6.0f}us/session, "
         f"{batched.executor_info['units']} kernel calls, "
         f"replay {batch_replay_rate * 1e6:.0f}us/session)",
-        f"  scalar  (execution=scalar):  {scalar_timer.elapsed:7.3f}s "
-        f"wall for {SCALAR_SESSIONS} sessions "
-        f"({scalar_rate * 1e6:6.0f}us/session, "
-        f"replay {scalar_replay_rate * 1e6:.0f}us/session)",
+        f"  reference interpreter:  {reference_s:7.3f}s "
+        f"for the first {REFERENCE_SESSIONS} sessions "
+        f"(replay {reference_rate * 1e6:.0f}us/session)",
         f"  replay-kernel speedup: {speedup:.1f}x "
         f"(acceptance floor {MIN_SPEEDUP:.0f}x)",
         "",
@@ -150,12 +175,11 @@ def test_batched_kernel_at_100k_sessions():
         phases={
             "sessions": BATCH_SESSIONS,
             "batch_s": round(batch_timer.elapsed, 6),
-            "scalar_sessions": SCALAR_SESSIONS,
-            "scalar_s": round(scalar_timer.elapsed, 6),
+            "reference_sessions": REFERENCE_SESSIONS,
+            "reference_s": round(reference_s, 6),
             "batch_us_per_session": round(batch_rate * 1e6, 2),
-            "scalar_us_per_session": round(scalar_rate * 1e6, 2),
             "batch_replay_us_per_session": round(batch_replay_rate * 1e6, 2),
-            "scalar_replay_us_per_session": round(scalar_replay_rate * 1e6, 2),
+            "reference_replay_us_per_session": round(reference_rate * 1e6, 2),
             "speedup": round(speedup, 2),
             "kernel_calls": batched.executor_info["units"],
         },
@@ -323,7 +347,6 @@ def test_run_until_converged_stops_early():
         seed=7,
         aggregation="sketch",
         sketch_error=SKETCH_ERROR,
-        run_until_converged=True,
         convergence=criterion,
     )
     with Timer() as timer:

@@ -780,6 +780,7 @@ def _parse_session_config(text: str):
 
 def _cmd_fleet(args) -> int:
     from repro.exec.executor import ExecutorPolicy
+    from repro.obs.convergence import ConvergenceCriterion
     from repro.reporting.export import write_fleet_report_json
     from repro.service import CapacityModel, FleetSpec
 
@@ -798,7 +799,7 @@ def _cmd_fleet(args) -> int:
             seed=args.seed,
             aggregation=args.aggregation,
             sketch_error=args.sketch_error,
-            run_until_converged=args.until_converged,
+            convergence=ConvergenceCriterion() if args.until_converged else None,
         )
     except ReproError as exc:
         raise SystemExit(str(exc)) from exc

@@ -1,12 +1,14 @@
-"""Engine-free replay of compiled schedules for sweep workers.
+"""The reference interpreter: engine-free replay of one session at a time.
 
 The engine's object path exists to *validate* a scheme against the paper's
 communication model; once a schedule is compiled (and its loss-free run
-certified once), a sweep point only needs the arrival traces.  This module
+certified once), a session only needs the arrival traces.  This module
 walks the flat arrays of a :class:`~repro.exec.compiler.CompiledSchedule`
 directly — no Transmission objects, no validator, no heap — applying the
 engine's delivery semantics (earliest arrival wins; a slot-``t`` arrival is
-forwardable from ``t + 1``).
+forwardable from ``t + 1``).  Sweeps and fleets execute through the batch
+kernel (:func:`~repro.exec.batch.replay_batch`); :func:`replay_arrivals` and
+:func:`bernoulli_mask` are the oracle it is tested against.
 
 Loss model: with a drop mask, a dropped index simply never delivers, and any
 transmission whose sender does not actually hold its packet at send time is a

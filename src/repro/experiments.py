@@ -479,7 +479,6 @@ def _run_sweep(spec: ExperimentSpec, instr) -> tuple:
     provenance["description"] = protocol.describe()
     provenance["num_slots"] = num_slots
     provenance["executor"] = dict(executor.last_run)
-    provenance["executor"]["execution"] = "batch"
     return tuple(rows), None, None, {"schedule": schedule}, provenance
 
 

@@ -54,9 +54,9 @@ from repro.obs.events import (
     EventTracer,
     JsonlSink,
     RingBufferSink,
+    arrivals_from_events,
     count_events,
     read_events_jsonl,
-    replay_arrivals,
 )
 from repro.obs.convergence import (
     ConvergenceCriterion,
@@ -137,13 +137,13 @@ __all__ = [
     "Timer",
     "WindowStats",
     "active_registry",
+    "arrivals_from_events",
     "count_events",
     "drain_worker_spans",
     "format_profile_table",
     "global_registry",
     "install_span_context",
     "read_events_jsonl",
-    "replay_arrivals",
     "use_registry",
     "wall_time_s",
     "worker_span",

@@ -27,7 +27,7 @@ observation stream always converges at the same count.
 
 Wiring: :class:`repro.service.runner.FleetRunner` feeds the detector
 per-session p99-tracked delays between execution batches when
-``FleetSpec.run_until_converged`` is set; see ``docs/TELEMETRY.md``.
+``FleetSpec.convergence`` is set; see ``docs/TELEMETRY.md``.
 """
 
 from __future__ import annotations

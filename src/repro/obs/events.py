@@ -9,7 +9,7 @@ replaying the stream.
 The vocabulary is fixed (see :data:`EVENT_SCHEMA`): every event carries the
 slot it happened in plus the fields the schema names.  A JSONL stream is
 self-describing — one object per line, ``{"event": ..., "slot": ..., ...}``
-— and :func:`read_events_jsonl` / :func:`replay_arrivals` rebuild the exact
+— and :func:`read_events_jsonl` / :func:`arrivals_from_events` rebuild the exact
 per-node arrival maps the metrics layer consumes, so replayed counters can be
 checked against :func:`repro.core.metrics.collect_repair_metrics` outputs.
 """
@@ -51,7 +51,7 @@ __all__ = [
     "EventTracer",
     "read_events_jsonl",
     "count_events",
-    "replay_arrivals",
+    "arrivals_from_events",
 ]
 
 # ------------------------------------------------------------- event names
@@ -240,7 +240,7 @@ def count_events(events: Iterable[Event]) -> TallyCounter[str]:
     return TallyCounter(e.name for e in events)
 
 
-def replay_arrivals(events: Iterable[Event]) -> dict[int, dict[int, int]]:
+def arrivals_from_events(events: Iterable[Event]) -> dict[int, dict[int, int]]:
     """Rebuild per-node arrival maps from ``tx_delivered`` events.
 
     Only first arrivals (``new=True``) count, mirroring the engine's

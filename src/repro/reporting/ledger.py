@@ -145,7 +145,7 @@ def _spec_summary(spec: Any) -> dict[str, Any]:
         fleet = spec.fleet
         summary["fleet_sessions"] = fleet.num_sessions
         summary["aggregation"] = fleet.aggregation
-        if fleet.run_until_converged:
+        if fleet.convergence is not None:
             summary["run_until_converged"] = True
         if fleet.controller is not None:
             summary["controlled"] = True

@@ -10,40 +10,34 @@ concurrent sessions sharing source fan-out and backbone capacity:
   :meth:`FleetSpec.resolve` expansion);
 * :mod:`repro.service.admission` — :class:`SessionManager` with
   reject/queue/degrade policies against the capacity model;
-* :mod:`repro.service.runner` — :class:`FleetRunner`, sharding sessions
-  across the ``exec`` process pool while amortizing schedule compilation
-  through the shared :class:`~repro.exec.cache.ScheduleCache`;
+* :mod:`repro.service.runner` — :class:`FleetRunner`, one epoch loop that
+  admits arrivals and executes them as batch units across the ``exec``
+  process pool while amortizing schedule compilation through the shared
+  :class:`~repro.exec.cache.ScheduleCache`;
 * :mod:`repro.service.slo` — per-session and fleet SLOs
-  (:class:`SessionSLO`, :class:`FleetSLOReport` with exact pooled
-  percentiles, and the streaming :class:`FleetAggregator` whose sketch mode
-  bounds memory at fleet scale).
+  (:func:`score_batch_sessions`, :class:`SessionSLO`,
+  :class:`FleetSLOReport` with exact pooled percentiles, and the streaming
+  :class:`FleetAggregator` whose sketch mode bounds memory at fleet scale).
 
 Fleet-scale telemetry (``docs/TELEMETRY.md``): :class:`FleetTelemetry`
 records tumbling-window time series and pipeline spans for a run;
 ``FleetSpec(aggregation="sketch")`` streams aggregation through quantile
-sketches; ``FleetSpec(run_until_converged=True)`` stops once the p99 SLO
-estimate's confidence interval is tight (open-loop steady-state mode).
+sketches; ``FleetSpec(convergence=ConvergenceCriterion())`` stops once the
+p99 SLO estimate's confidence interval is tight (open-loop steady-state
+mode).
 
 Entry points: ``repro.run(ExperimentSpec(kind="fleet", fleet=...))`` or the
 ``repro fleet`` CLI subcommand.
 """
 
 from repro.service.admission import AdmissionDecision, SessionManager
-from repro.service.runner import (
-    FleetRunner,
-    FleetRunResult,
-    FleetTelemetry,
-    fleet_session_task,
-)
+from repro.service.runner import FleetRunner, FleetRunResult, FleetTelemetry
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
     SessionSLO,
-    aggregate_fleet,
     pooled_percentile,
     score_batch_sessions,
-    score_session,
-    score_session_columns,
 )
 from repro.service.spec import (
     ADMISSION_POLICIES,
@@ -69,10 +63,6 @@ __all__ = [
     "SessionManager",
     "SessionSLO",
     "SessionSpec",
-    "aggregate_fleet",
-    "fleet_session_task",
     "pooled_percentile",
     "score_batch_sessions",
-    "score_session",
-    "score_session_columns",
 ]

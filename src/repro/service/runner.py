@@ -13,30 +13,34 @@
    measures);
 3. **execute** admitted sessions with the :class:`~repro.exec.SweepExecutor`
    process pool — the token-indexed schedule dict ships once per worker as
-   the pool payload.  Batch-first since v2.0: sessions sharing a
-   ``(schedule token, drop_rate, packets, horizon)`` coordinate group into
-   **units** scored by one vectorized kernel pass each
-   (:func:`~repro.exec.replay_batch`; the 0.992 cache hit rate means almost
-   every session lands in a large unit), while ABR sessions — and fleets
-   with ``FleetSpec(execution="scalar")`` — replay one session per task.
-   Every session's loss mask is deterministic in its own seed, so results
-   are identical batched or scalar, on any worker count, and per-worker
-   metric snapshots merge back into the caller's registry;
+   the pool payload.  Sessions sharing a ``(schedule token, drop_rate,
+   packets, horizon)`` coordinate group into **units**, each scored by one
+   vectorized kernel pass (:func:`~repro.exec.replay_batch`; the 0.992
+   cache hit rate means almost every session lands in a large unit).  ABR
+   members of a unit additionally play one QoE session each.  Every
+   session's loss mask is deterministic in its own seed, so results do not
+   depend on the grouping or the worker count, and per-worker metric
+   snapshots merge back into the caller's registry;
 4. **aggregate** per-session SLOs and admission decisions into the fleet
    report (exact pooled percentiles, reject rate, cache hit-rate).
 
-Aggregation is **streaming**: each session SLO folds into a
+Every mode runs one **epoch loop**: an epoch admits a chunk of arrivals and
+executes the sessions admitted during it as one window.  A static run is a
+single epoch.  ``FleetSpec.convergence`` adds a stop predicate checked
+every ``check_every`` executed sessions (:mod:`repro.obs.convergence`) —
+the open-loop steady-state mode.  ``FleetSpec.controller`` splits the
+arrivals into control epochs with a ``ControlPlane.step`` hook at the start
+of each (``docs/CONTROL.md``).
+
+Aggregation is **streaming**: each unit's SLOs fold into a
 :class:`~repro.service.slo.FleetAggregator` through the executor's
 ``on_result`` callback the moment its shard completes — with
 ``FleetSpec.aggregation="sketch"`` nothing per-session is ever
-materialized, which is what lets ``bench_fleet_scale.py`` run 10k+
-sessions in bounded memory.  ``FleetSpec.run_until_converged`` executes
-admitted sessions in batches and stops early once the tracked SLO
-quantile's confidence interval is narrow enough
-(:mod:`repro.obs.convergence`) — the open-loop steady-state mode.  A
-:class:`FleetTelemetry` bundle adds tumbling-window time series keyed by
-arrival slot and pipeline spans (compile/admit/execute/aggregate plus
-per-session worker spans) exportable as a Chrome trace.
+materialized, which is what lets ``bench_fleet_scale.py`` run 100k
+sessions in bounded memory.  A :class:`FleetTelemetry` bundle adds
+tumbling-window time series keyed by arrival slot and pipeline spans
+(resolve/admit/execute/aggregate plus per-unit worker spans) exportable as
+a Chrome trace.
 
 Everything is deterministic in ``FleetSpec.seed`` regardless of worker count.
 """
@@ -44,15 +48,15 @@ Everything is deterministic in ``FleetSpec.seed`` regardless of worker count.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Any, Callable, ContextManager
+from typing import Any, ContextManager
 
 from repro.exec.cache import ScheduleCache
 from repro.exec.compiler import compile_schedule
 from repro.exec.batch import replay_batch
 from repro.exec.executor import ExecutorPolicy, SweepExecutor, worker_payload
-from repro.exec.replay import bernoulli_mask, replay_arrivals
 from repro.obs.convergence import ConvergenceDetector, ConvergenceState
 from repro.obs.events import EventTracer
 from repro.obs.names import (
@@ -75,7 +79,6 @@ from repro.service.slo import (
     FleetSLOReport,
     SessionSLO,
     pooled_percentile,
-    score_session,
     score_batch_sessions,
 )
 from repro.service.spec import FleetSpec, ResolvedSession, SessionSpec
@@ -84,103 +87,38 @@ __all__ = [
     "FleetRunner",
     "FleetRunResult",
     "FleetTelemetry",
-    "fleet_session_task",
     "fleet_unit_task",
 ]
 
 
-def fleet_session_task(task: tuple[Any, ...]) -> SessionSLO:
-    """Executor worker: replay one admitted session and score its SLO.
-
-    Task tuple: ``(session_id, label, status, token, seed, drop_rate,
-    num_packets, wait_slots, horizon, abr_profile)``.  The token-indexed
-    schedule dict arrives via :func:`~repro.exec.executor.worker_payload`;
-    the loss mask is deterministic in the session seed, so results do not
-    depend on which worker (or how many) ran the session.
-
-    When ``abr_profile`` is set, the worker additionally plays the session
-    through a deterministic ABR playback loop (one chunk per measured
-    packet) against the named bandwidth profile, seeded by the session seed,
-    and attaches the resulting QoE metrics to the SLO.
-    """
-    (
-        session_id, label, status, token, seed,
-        drop_rate, num_packets, wait_slots, horizon, abr_profile,
-    ) = task
-    with worker_span("session.replay", session=session_id, label=label):
-        schedule = worker_payload()[token]
-        mask = bernoulli_mask(schedule, drop_rate, seed)
-        arrivals = replay_arrivals(schedule, num_slots=horizon, drop_mask=mask)
-        slo = score_session(
-            arrivals,
-            session_id=session_id,
-            label=label,
-            num_packets=num_packets,
-            num_slots=horizon,
-            wait_slots=wait_slots,
-            status=status,
-        )
-    registry = active_registry()
-    if abr_profile is not None:
-        from dataclasses import replace
-
-        from repro.abr import AbrSessionSpec, build_profile, collect_qoe, run_session
-
-        abr_spec = AbrSessionSpec(num_chunks=num_packets)
-        trace = build_profile(
-            abr_profile,
-            max(64, num_packets * abr_spec.chunk_slots),
-            seed=seed,
-        )
-        qoe = collect_qoe(run_session(abr_spec, trace))
-        slo = replace(slo, qoe=qoe.to_dict())
-        registry.counter(FLEET_ABR_SESSIONS, tier=qoe.tier).inc()
-    registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc()
-    registry.histogram(FLEET_STARTUP_DELAY).observe(slo.startup_delay)
-    registry.histogram(FLEET_REBUFFER_RATIO).observe(slo.rebuffer_ratio)
-    return slo
-
-
 def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
-    """Executor worker: score one execution unit — a batch group or one
-    scalar session.
+    """Executor worker: score one execution unit.
 
-    Units come in two shapes:
-
-    * ``("batch", token, drop_rate, num_packets, horizon, members)`` —
-      every member session shares the token's compiled schedule and the
-      replay coordinate, so one :func:`~repro.exec.replay_batch` kernel
-      pass scores the whole group.  ``members`` is a tuple of
-      ``(task_index, session_id, label, status, seed, wait_slots)``.
-    * ``("scalar", task_index, task)`` — delegates to
-      :func:`fleet_session_task` (ABR sessions, and fleets running with
-      ``execution="scalar"``).
+    Unit tuple: ``(token, drop_rate, num_packets, horizon, members)``.
+    Every member session shares the token's compiled schedule (from
+    :func:`~repro.exec.executor.worker_payload`) and the replay coordinate,
+    so one :func:`~repro.exec.replay_batch` kernel pass scores the whole
+    group.  ``members`` is a tuple of ``(task_index, session_id, label,
+    status, seed, wait_slots, abr_profile)``.  A member with an
+    ``abr_profile`` additionally plays a deterministic ABR session (one
+    chunk per measured packet) against that bandwidth profile, seeded by
+    the session seed, and its SLO carries the resulting QoE metrics.
 
     Returns ``(task_index, SessionSLO)`` pairs in member order; the task
     index is fleet-global so the runner can attribute results (telemetry
     windows, shard timings) to the right session no matter how sessions
-    were grouped.  Per-session counters/histograms match the scalar worker
-    exactly, so registry snapshots are grouping-independent.
+    were grouped.
     """
-    kind = unit[0]
-    if kind == "scalar":
-        _, task_index, task = unit
-        return [(task_index, fleet_session_task(task))]
-    _, token, drop_rate, num_packets, horizon, members = unit
-    label = members[0][2]
-    with worker_span(
-        "session.replay", sessions=len(members), label=label
-    ):
-        schedule = worker_payload()[token]
+    token, drop_rate, num_packets, horizon, members = unit
+    with worker_span("session.replay", sessions=len(members), label=members[0][2]):
         batch = replay_batch(
-            schedule,
+            worker_payload()[token],
             [member[4] for member in members],
             drop_rate,
             num_packets=num_packets,
             num_slots=horizon,
             keep_node_columns=True,
         )
-        registry = active_registry()
         slos = score_batch_sessions(
             batch,
             session_ids=[member[1] for member in members],
@@ -188,16 +126,34 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
             wait_slots=[member[5] for member in members],
             statuses=[member[3] for member in members],
         )
+        registry = active_registry()
         for label, count in Counter(member[2] for member in members).items():
             registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc(count)
         startup_hist = registry.histogram(FLEET_STARTUP_DELAY)
         rebuffer_hist = registry.histogram(FLEET_REBUFFER_RATIO)
         out: list[tuple[int, SessionSLO]] = []
-        for (task_index, *_), slo in zip(members, slos):
+        for member, slo in zip(members, slos):
+            if member[6] is not None:
+                slo = _with_qoe(slo, member[6], member[4], num_packets)
             startup_hist.observe(slo.startup_delay)
             rebuffer_hist.observe(slo.rebuffer_ratio)
-            out.append((task_index, slo))
+            out.append((member[0], slo))
     return out
+
+
+def _with_qoe(
+    slo: SessionSLO, profile: str, seed: int, num_packets: int
+) -> SessionSLO:
+    """``slo`` with the QoE of its ABR playback session attached."""
+    from repro.abr import AbrSessionSpec, build_profile, collect_qoe, run_session
+
+    spec = AbrSessionSpec(num_chunks=num_packets)
+    trace = build_profile(
+        profile, max(64, num_packets * spec.chunk_slots), seed=seed
+    )
+    qoe = collect_qoe(run_session(spec, trace))
+    active_registry().counter(FLEET_ABR_SESSIONS, tier=qoe.tier).inc()
+    return replace(slo, qoe=qoe.to_dict())
 
 
 class FleetTelemetry:
@@ -206,8 +162,8 @@ class FleetTelemetry:
     Args:
         window: tumbling-window width (arrival slots) of the time series.
         relative_error: per-window sketch error bound.
-        trace: record pipeline spans (compile/admit/execute/aggregate and
-            per-session worker spans) under one trace id.
+        trace: record pipeline spans (resolve/admit/execute/aggregate and
+            per-unit worker spans) under one trace id.
     """
 
     __slots__ = ("series", "spans")
@@ -257,17 +213,18 @@ class FleetRunResult:
         decisions: per-session admission outcomes, in arrival order.
         sessions: the resolved scenario the run executed.
         executor_info: how the execution fanned out
-            (:attr:`SweepExecutor.last_run` plus ``tasks`` = sessions
-            actually run, ``units`` = executor tasks after batch grouping,
-            and ``execution`` = the fleet's execution mode;
-            convergence-mode runs add the ``batches`` executed).
-        shard_timings: per-shard wall-clock rows ``{"shard": task index,
-            "elapsed_s": seconds}`` in completion order (shard ids are
-            fleet-global even across convergence batches).
+            (:attr:`SweepExecutor.last_run` of the last executed window,
+            plus ``tasks`` = sessions actually run and ``units`` = executor
+            tasks after batch grouping; convergence runs add the
+            ``batches`` executed, controlled runs the ``epochs``).
+        shard_timings: per-session wall-clock rows ``{"shard": task index,
+            "elapsed_s": seconds}`` sorted by task index (a unit's wall
+            clock is split evenly over its members; task indices are
+            fleet-global across windows).
         telemetry: the :class:`FleetTelemetry` bundle the run recorded into
             (``None`` when telemetry was off).
-        convergence: the final detector state for
-            ``run_until_converged`` runs (``None`` otherwise).
+        convergence: the final detector state when ``FleetSpec.convergence``
+            is set (``None`` otherwise).
         control_decisions: the control plane's
             :class:`~repro.control.ControlDecision` records, in decision
             order (empty for uncontrolled runs).
@@ -286,6 +243,141 @@ class FleetRunResult:
     convergence: ConvergenceState | None = None
     control_decisions: tuple[Any, ...] = ()
     control_epochs: tuple[dict, ...] = ()
+
+
+def _tally(made: Sequence[AdmissionDecision]) -> dict[str, int]:
+    counts = Counter(d.status for d in made)
+    return {
+        "admitted": counts["admitted"],
+        "degraded": counts["degraded"],
+        "rejected": counts["rejected"],
+    }
+
+
+class _ControlHook:
+    """The control plane's decide→act→observe step between epochs.
+
+    :meth:`step` runs at the start of an epoch: the
+    :class:`~repro.control.ControlPlane` reads the *previous* epoch's p99
+    startup delay and admission tallies plus the upcoming chunk's mix and
+    churn, decides, and its knobs (admission policy, queue bound, per-kind
+    degree overrides) are applied before the chunk is admitted — so every
+    decision is observed one epoch later.  :meth:`close` ends an epoch and
+    records its row.
+    """
+
+    def __init__(
+        self,
+        fleet: FleetSpec,
+        manager: SessionManager,
+        by_id: dict[int, ResolvedSession],
+        *,
+        cache: ScheduleCache,
+        spans: SpanTracer | None,
+        tracer: EventTracer | None,
+    ) -> None:
+        from repro.control.controllers import ControlPlane
+
+        self.plane = ControlPlane(
+            fleet.controller,
+            initial_policy=fleet.policy,
+            max_queue_slots=fleet.max_queue_slots,
+            min_degree=fleet.min_degree,
+            cache=cache,
+            seed=fleet.seed,
+            spans=spans,
+            tracer=tracer,
+        )
+        self.manager = manager
+        self.by_id = by_id
+        self.kinds = {s.label: s for s in fleet.sessions}
+        self.rows: list[dict[str, Any]] = []
+        self.epochs = 0
+        self._seen: Counter[int] = Counter()
+        self._delays: list[int] = []
+        self._made: Sequence[AdmissionDecision] = ()
+        self._p99: float | None = None
+        self._decisions = 0
+
+    def step(self, chunk: Sequence[ResolvedSession]) -> Sequence[ResolvedSession]:
+        """Decide on the previous epoch; return ``chunk`` as admitted."""
+        from repro.control.controllers import EpochObservation
+
+        self._p99 = (
+            float(pooled_percentile(Counter(self._delays), 99))
+            if self._delays else None
+        )
+        prev = _tally(self._made)
+        mix = Counter(s.spec.label for s in chunk)
+        stepped = self.plane.step(
+            EpochObservation(
+                epoch=self.epochs,
+                p99=self._p99,
+                cumulative_p99=(
+                    float(pooled_percentile(self._seen, 99))
+                    if self._seen else None
+                ),
+                admitted=prev["admitted"],
+                degraded=prev["degraded"],
+                rejected=prev["rejected"],
+                arrivals=len(chunk),
+                joins=len(chunk),
+                leaves=sum(1 for s in chunk if s.leave_fraction is not None),
+                mix=tuple(sorted(mix.items())),
+            ),
+            self.kinds,
+        )
+        self._decisions = len(stepped)
+        self.manager.policy = self.plane.admission_policy
+        self.manager.max_queue_slots = self.plane.max_queue_slots
+        overrides = self.plane.degree_overrides
+        if not overrides:
+            return chunk
+        # Rebuild (and validate) each (kind, degree) pair once per epoch,
+        # not once per session.
+        respecs: dict[tuple[SessionSpec, int], SessionSpec] = {}
+        out: list[ResolvedSession] = []
+        for session in chunk:
+            spec = session.spec
+            degree = overrides.get(spec.label, spec.degree)
+            if degree != spec.degree:
+                respec = respecs.get((spec, degree))
+                if respec is None:
+                    respec = respecs[(spec, degree)] = spec.with_degree(degree)
+                session = ResolvedSession(
+                    session.session_id, respec, session.arrival_slot,
+                    session.seed, session.leave_fraction,
+                )
+                self.by_id[session.session_id] = session
+            out.append(session)
+        return out
+
+    def close(
+        self,
+        chunk: Sequence[ResolvedSession],
+        made: Sequence[AdmissionDecision],
+        delays: list[int],
+    ) -> None:
+        """Record one epoch's row; the queue-draining final epoch (no
+        arrivals) gets one only when it decided something."""
+        if chunk or made:
+            self.rows.append({
+                "epoch": self.epochs,
+                "arrivals": len(chunk),
+                "observed_p99": self._p99,
+                "policy": self.manager.policy,
+                "max_queue_slots": self.manager.max_queue_slots,
+                **_tally(made),
+                "queued": self.manager.queued_count,
+                "decisions": self._decisions,
+            })
+        if chunk:
+            self.epochs += 1
+        self._p99 = None
+        self._decisions = 0
+        self._delays = list(delays)
+        self._seen.update(delays)
+        self._made = made
 
 
 class FleetRunner:
@@ -365,28 +457,26 @@ class FleetRunner:
     def run(self, fleet: FleetSpec) -> FleetRunResult:
         """Resolve, admit, execute, and score one fleet scenario.
 
-        Sessions stream into a :class:`~repro.service.slo.FleetAggregator`
-        as their shards complete; nothing per-session is retained when
-        ``fleet.aggregation == "sketch"``.  With
-        ``fleet.run_until_converged`` sessions execute in batches of
-        ``fleet.convergence.check_every`` and the run stops once the
-        tracked quantile's CI half-width criterion is met — decisions (and
-        the report's admission tallies) then cover exactly the arrival
-        prefix that was executed, which is well-defined because admission
-        of session *i* depends only on earlier arrivals.  With
-        ``fleet.controller`` set, admission and execution instead proceed
-        in control epochs (:meth:`_run_controlled`) and the result carries
-        the control plane's decision log and per-epoch rows.
+        Runs the epoch loop described in the module docstring.  Each
+        epoch admits a chunk of arrivals
+        (:meth:`SessionManager.admit_chunk`; the last epoch also drains
+        the queue with :meth:`SessionManager.finalize`) and executes the
+        sessions admitted during it as one window.  On a convergence stop,
+        decisions (and the report's admission tallies) cover exactly the
+        arrival prefix that was executed, which is well-defined because
+        admission of session *i* depends only on earlier arrivals.
         """
         registry = self.registry if self.registry is not None else active_registry()
         telemetry = self.telemetry
+        spans = telemetry.spans if telemetry is not None else None
         self.cache_hits = 0
         self.cache_misses = 0
-        schedules: dict[str, object] = {}
+        schedules: dict[str, Any] = {}
         tokens: dict[int, str] = {}
         compile_memo: dict[tuple, tuple[str, Any]] = {}
         with self._span("fleet.resolve"):
             sessions = fleet.resolve()
+        by_id = {s.session_id: s for s in sessions}
 
         def duration_of(session: ResolvedSession, degree: int) -> int:
             # Memoize per configuration for the run: the shared cache makes
@@ -422,374 +512,182 @@ class FleetRunner:
             min_degree=fleet.min_degree,
             tracer=self.tracer,
         )
-        controlled = fleet.controller is not None
-        with use_registry(registry):
-            tasks: list[tuple] = []
-            task_arrivals: list[int] = []
-            by_id = {s.session_id: s for s in sessions}
-            epoch_delays: list[int] = []
-
-            def build_task(decision: AdmissionDecision) -> None:
-                """Append one admitted session's executor task."""
-                if not decision.admitted:
-                    return
-                session = by_id[decision.session_id]
-                token = tokens[decision.session_id]
-                full = schedules[token].num_slots
-                horizon = decision.duration
-                num_packets = session.spec.num_packets
-                if horizon < full:
-                    # Score only the packets the watched prefix can carry.
-                    num_packets = max(1, int(num_packets * horizon / full))
-                tasks.append(
-                    (
-                        decision.session_id,
-                        session.spec.label,
-                        decision.status,
-                        token,
-                        session.seed,
-                        session.spec.drop_rate,
-                        num_packets,
-                        decision.wait_slots,
-                        horizon,
-                        session.spec.abr_profile,
-                    )
-                )
-                task_arrivals.append(session.arrival_slot)
-
-            sketch_mode = fleet.aggregation == "sketch"
-            aggregator = FleetAggregator(
-                relative_error=fleet.sketch_error if sketch_mode else 0.0,
-                keep_sessions=not sketch_mode,
+        control = (
+            _ControlHook(
+                fleet, manager, by_id,
+                cache=self.cache, spans=spans, tracer=self.tracer,
             )
-            detector = (
-                ConvergenceDetector(fleet.convergence)
-                if fleet.run_until_converged else None
-            )
-            spans = telemetry.spans if telemetry is not None else None
-            executor = SweepExecutor(self.policy, registry=registry, spans=spans)
-            shard_timings: list[dict] = []
-            batch_first = fleet.execution == "batch"
-            workers = max(1, self.policy.resolved_workers())
+            if fleet.controller is not None else None
+        )
+        detector = (
+            ConvergenceDetector(fleet.convergence)
+            if fleet.convergence is not None else None
+        )
+        sketch_mode = fleet.aggregation == "sketch"
+        aggregator = FleetAggregator(
+            relative_error=fleet.sketch_error if sketch_mode else 0.0,
+            keep_sessions=not sketch_mode,
+        )
+        executor = SweepExecutor(self.policy, registry=registry, spans=spans)
+        workers = max(1, self.policy.resolved_workers())
+        # One ``(token, drop_rate, num_packets, horizon, unit member)`` task
+        # per admitted session, in decision order; the first four fields
+        # are the group key, and a task's index is its position here.
+        tasks: list[tuple] = []
+        task_arrivals: list[int] = []
+        shard_timings: list[dict] = []
+        epoch_delays: list[int] = []
+        last_run: dict | None = None
+        executed = 0
+        units_run = 0
+        windows = 0
 
-            def build_units(
-                window: list[tuple[Any, ...]], base: int
-            ) -> tuple[list[tuple[Any, ...]], list[list[int]]]:
-                """Group a task window into execution units.
-
-                Batch-first mode groups sessions sharing a ``(schedule
-                token, drop_rate, num_packets, horizon)`` coordinate into
-                kernel units (each group split into roughly one block per
-                worker so homogeneous fleets still fan out); ABR sessions
-                — and everything in ``execution="scalar"`` mode — become
-                scalar units.  Unit order is deterministic and independent
-                of the worker count-driven split (group first-seen order,
-                members in arrival order), so streaming aggregation folds
-                identically serial or parallel.
-                """
-                units: list = []
-                unit_members: list[list[int]] = []
-                scalars: list[tuple[int, tuple]] = []
-                groups: dict[tuple, list[tuple]] = {}
-                for offset, task in enumerate(window):
-                    task_index = base + offset
-                    if not batch_first or task[9] is not None:
-                        scalars.append((task_index, task))
-                        continue
-                    key = (task[3], task[5], task[6], task[8])
-                    member = (
-                        task_index, task[0], task[1], task[2], task[4], task[7],
-                    )
-                    groups.setdefault(key, []).append(member)
-                for key, members in groups.items():
-                    block = max(1, -(-len(members) // workers))
-                    for lo in range(0, len(members), block):
-                        chunk = tuple(members[lo:lo + block])
-                        units.append(("batch", *key, chunk))
-                        unit_members.append([m[0] for m in chunk])
-                for task_index, task in scalars:
-                    units.append(("scalar", task_index, task))
-                    unit_members.append([task_index])
-                return units, unit_members
-
-            def execute_window(window: list[tuple[Any, ...]], base: int) -> int:
-                if not window:
-                    return 0
-                units, unit_members = build_units(window, base)
-
-                def on_result(index: int, pairs: list[tuple[int, SessionSLO]]) -> None:
-                    aggregator.add_sessions([slo for _, slo in pairs])
-                    if controlled:
-                        epoch_delays.extend(slo.startup_delay for _, slo in pairs)
-                    if telemetry is None and detector is None:
-                        return
-                    for task_index, slo in pairs:
-                        if telemetry is not None:
-                            telemetry.record_session(slo, task_arrivals[task_index])
-                        if detector is not None:
-                            detector.add(slo.startup_delay)
-
-                executor.map(
-                    fleet_unit_task, units, payload=schedules,
-                    on_result=on_result, collect=False,
-                )
-                # One timing row per session: a unit's wall clock is split
-                # evenly over its members, keyed by fleet-global task index.
-                for row in executor.last_shards:
-                    members = unit_members[int(row["shard"])]  # type: ignore[call-overload]
-                    share = float(row["elapsed_s"]) / len(members)  # type: ignore[arg-type]
-                    for task_index in members:
-                        shard_timings.append(
-                            {"shard": task_index, "elapsed_s": share}
-                        )
-                return len(units)
-
-            conv_state: ConvergenceState | None = None
-            control_decisions: tuple[Any, ...] = ()
-            control_epochs: tuple[dict, ...] = ()
-            if controlled:
+        def add_task(decision: AdmissionDecision) -> None:
+            session = by_id[decision.session_id]
+            spec = session.spec
+            token = tokens[decision.session_id]
+            full = schedules[token].num_slots
+            horizon = decision.duration
+            num_packets = spec.num_packets
+            if horizon < full:
+                # Score only the packets the watched prefix can carry.
+                num_packets = max(1, int(num_packets * horizon / full))
+            tasks.append((
+                token, spec.drop_rate, num_packets, horizon,
                 (
-                    used_decisions, executor_info,
-                    control_decisions, control_epochs,
-                ) = self._run_controlled(
-                    fleet, sessions, manager, duration_of,
-                    build_task=build_task, execute_window=execute_window,
-                    epoch_delays=epoch_delays, tasks=tasks, executor=executor,
-                    by_id=by_id,
+                    len(tasks), decision.session_id, spec.label,
+                    decision.status, session.seed, decision.wait_slots,
+                    spec.abr_profile,
+                ),
+            ))
+            task_arrivals.append(session.arrival_slot)
+
+        def on_result(index: int, pairs: list[tuple[int, SessionSLO]]) -> None:
+            aggregator.add_sessions([slo for _, slo in pairs])
+            if control is not None:
+                epoch_delays.extend(slo.startup_delay for _, slo in pairs)
+            if telemetry is None and detector is None:
+                return
+            for task_index, slo in pairs:
+                if telemetry is not None:
+                    telemetry.record_session(slo, task_arrivals[task_index])
+                if detector is not None:
+                    detector.add(slo.startup_delay)
+
+        def execute_window(lo: int, hi: int) -> None:
+            """Run ``tasks[lo:hi]`` (non-empty) through the executor.
+
+            Sessions sharing a group key form one unit, split into roughly
+            one block per worker so homogeneous fleets still fan out.  Unit
+            order (group first-seen order, members in task order) does not
+            depend on the worker count, so streaming aggregation folds
+            identically serial or parallel.
+            """
+            nonlocal last_run, executed, units_run, windows
+            groups: dict[tuple, list[tuple]] = {}
+            for task in tasks[lo:hi]:
+                groups.setdefault(task[:4], []).append(task[4])
+            units: list[tuple] = []
+            for key, members in groups.items():
+                block = max(1, -(-len(members) // workers))
+                units.extend(
+                    (*key, tuple(members[i:i + block]))
+                    for i in range(0, len(members), block)
                 )
-                executed = len(tasks)
-            else:
-                with self._span("fleet.admit", sessions=fleet.num_sessions):
-                    decisions = manager.admit_all(sessions, duration_of)
-                for decision in decisions:
-                    build_task(decision)
-                with self._span("fleet.execute", tasks=len(tasks)):
-                    if detector is None:
-                        units_run = execute_window(tasks, 0)
-                        executed = len(tasks)
-                        executor_info = dict(executor.last_run)
-                    else:
-                        batch = fleet.convergence.check_every
-                        executed = 0
-                        batches = 0
-                        units_run = 0
-                        while executed < len(tasks):
-                            chunk = tasks[executed:executed + batch]
-                            units_run += execute_window(chunk, executed)
-                            executed += len(chunk)
-                            batches += 1
-                            conv_state = detector.state()
-                            if conv_state.converged:
-                                break
-                        executor_info = dict(executor.last_run)
-                        executor_info["batches"] = batches
-                    executor_info["tasks"] = executed
-                    executor_info["units"] = units_run
-                    executor_info["execution"] = fleet.execution
-                # On early stop, the report covers exactly the arrival
-                # prefix that was executed: admission decisions for session
-                # i depend only on earlier arrivals, so the prefix is
-                # self-consistent.
-                if executed < len(tasks):
-                    cutoff = tasks[executed - 1][0] if executed else -1
-                    used_decisions = [
-                        d for d in decisions if d.session_id <= cutoff
-                    ]
-                else:
-                    used_decisions = list(decisions)
+            executor.map(
+                fleet_unit_task, units, payload=schedules,
+                on_result=on_result, collect=False,
+            )
+            # One timing row per session: a unit's wall clock is split
+            # evenly over its members, keyed by fleet-global task index.
+            for row in executor.last_shards:
+                members = units[int(row["shard"])][-1]  # type: ignore[call-overload]
+                share = float(row["elapsed_s"]) / len(members)  # type: ignore[arg-type]
+                for member in members:
+                    shard_timings.append({"shard": member[0], "elapsed_s": share})
+            last_run = dict(executor.last_run)
+            executed = hi
+            units_run += len(units)
+            windows += 1
+
+        def execute(lo: int) -> bool:
+            """Run ``tasks[lo:]``; True once the stop predicate fires."""
+            while lo < len(tasks):
+                hi = len(tasks)
+                if detector is not None:
+                    hi = min(hi, lo + detector.criterion.check_every)
+                execute_window(lo, hi)
+                lo = hi
+                if detector is not None and detector.state().converged:
+                    return True
+            return False
+
+        size = len(sessions) if control is None else fleet.controller.epoch_sessions
+        epochs: list[Sequence[ResolvedSession]] = [
+            sessions[lo:lo + size] for lo in range(0, len(sessions), size)
+        ]
+        if control is not None:
+            epochs.append(())  # drains the queue after the last arrival
+        made_all: list[AdmissionDecision] = []
+        with use_registry(registry):
+            manager.start()
+            for number, chunk in enumerate(epochs, 1):
+                if control is not None and chunk:
+                    chunk = control.step(chunk)
+                with self._span("fleet.admit", sessions=len(chunk)):
+                    made = manager.admit_chunk(chunk, duration_of)
+                    if number == len(epochs):
+                        made += manager.finalize(duration_of)
+                made_all += made
+                base = len(tasks)
+                for decision in made:
+                    if decision.admitted:
+                        add_task(decision)
+                epoch_delays.clear()
+                with self._span("fleet.execute", tasks=len(tasks) - base):
+                    stopped = execute(base)
+                if control is not None:
+                    control.close(chunk, made, epoch_delays)
+                if stopped:
+                    break
+
+            decisions = sorted(made_all, key=lambda d: d.session_id)
+            if executed < len(tasks):
+                # Early stop: the report covers exactly the executed arrival
+                # prefix.  Admission of session i depends only on earlier
+                # arrivals, so the prefix is self-consistent.
+                cutoff = tasks[executed - 1][4][1]
+                decisions = [d for d in decisions if d.session_id <= cutoff]
             shard_timings.sort(key=lambda row: row["shard"])
-            for decision in used_decisions:
+            for decision in decisions:
                 aggregator.add_decision(decision)
                 if telemetry is not None:
                     telemetry.record_decision(
                         decision, by_id[decision.session_id].arrival_slot
                     )
-
             with self._span("fleet.aggregate", sessions=executed):
                 report = aggregator.report(
                     cache_hits=self.cache_hits,
                     cache_misses=self.cache_misses,
                 )
             registry.gauge(FLEET_CACHE_HIT_RATE).set(report.cache_hit_rate)
+        executor_info = last_run or {"mode": "empty", "workers": 0, "fallback": False}
+        if detector is not None:
+            executor_info["batches"] = windows
+        executor_info["tasks"] = executed
+        executor_info["units"] = units_run
+        if control is not None:
+            executor_info["epochs"] = control.epochs
         return FleetRunResult(
             report=report,
-            decisions=tuple(used_decisions),
+            decisions=tuple(decisions),
             sessions=sessions,
             executor_info=executor_info,
             shard_timings=tuple(shard_timings),
             telemetry=telemetry,
-            convergence=conv_state,
-            control_decisions=control_decisions,
-            control_epochs=control_epochs,
-        )
-
-    def _run_controlled(
-        self,
-        fleet: FleetSpec,
-        sessions: tuple[ResolvedSession, ...],
-        manager: SessionManager,
-        duration_of: Callable[[ResolvedSession], int],
-        *,
-        build_task: Callable[[AdmissionDecision], None],
-        execute_window: Callable[[list[tuple[Any, ...]], int], int],
-        epoch_delays: list[int],
-        tasks: list,
-        executor: SweepExecutor,
-        by_id: dict[int, ResolvedSession],
-    ) -> tuple[
-        list[AdmissionDecision], dict[str, Any],
-        tuple[Any, ...], tuple[dict[str, Any], ...],
-    ]:
-        """The control plane's decide→act→observe epoch loop.
-
-        Arrivals are admitted in epochs of ``controller.epoch_sessions``.
-        At the top of each epoch the :class:`~repro.control.ControlPlane`
-        reads the *previous* epoch's p99 startup delay and admission
-        tallies plus the upcoming chunk's mix and churn, decides, and its
-        knobs (admission policy, queue bound, per-kind degree overrides)
-        are applied before the chunk is admitted and executed — so every
-        decision is observed one epoch later.  Runs inside the caller's
-        ``use_registry`` scope.
-
-        Returns ``(decisions_in_arrival_order, executor_info,
-        control_decisions, control_epoch_rows)``.
-        """
-        from repro.control.controllers import ControlPlane, EpochObservation
-
-        spans = (
-            self.telemetry.spans if self.telemetry is not None else None
-        )
-        plane = ControlPlane(
-            fleet.controller,
-            initial_policy=fleet.policy,
-            max_queue_slots=fleet.max_queue_slots,
-            min_degree=fleet.min_degree,
-            cache=self.cache,
-            seed=fleet.seed,
-            spans=spans,
-            tracer=self.tracer,
-        )
-        kinds = {s.label: s for s in fleet.sessions}
-        epoch_size = fleet.controller.epoch_sessions
-        manager.start()
-        made_all: list[AdmissionDecision] = []
-        epoch_rows: list[dict] = []
-        seen_delays: Counter[int] = Counter()
-        prev_delays: list[int] = []
-        prev_made: list[AdmissionDecision] = []
-        executor_info: dict | None = None
-        units_run = 0
-        epochs = 0
-
-        def run_window(base: int) -> None:
-            nonlocal units_run, executor_info
-            epoch_delays.clear()
-            ran = execute_window(tasks[base:], base)
-            units_run += ran
-            if ran:
-                executor_info = dict(executor.last_run)
-
-        def tally(made: list[AdmissionDecision]) -> dict[str, int]:
-            counts = Counter(d.status for d in made)
-            return {
-                "admitted": counts["admitted"],
-                "degraded": counts["degraded"],
-                "rejected": counts["rejected"],
-            }
-
-        with self._span("fleet.execute", tasks=len(sessions)):
-            for lo in range(0, len(sessions), epoch_size):
-                chunk = list(sessions[lo:lo + epoch_size])
-                p99 = (
-                    float(pooled_percentile(Counter(prev_delays), 99))
-                    if prev_delays else None
-                )
-                cumulative = (
-                    float(pooled_percentile(seen_delays, 99))
-                    if seen_delays else None
-                )
-                prev = tally(prev_made)
-                mix = Counter(s.spec.label for s in chunk)
-                obs = EpochObservation(
-                    epoch=epochs,
-                    p99=p99,
-                    cumulative_p99=cumulative,
-                    admitted=prev["admitted"],
-                    degraded=prev["degraded"],
-                    rejected=prev["rejected"],
-                    arrivals=len(chunk),
-                    joins=len(chunk),
-                    leaves=sum(
-                        1 for s in chunk if s.leave_fraction is not None
-                    ),
-                    mix=tuple(sorted(mix.items())),
-                )
-                stepped = plane.step(obs, kinds)
-                manager.policy = plane.admission_policy
-                manager.max_queue_slots = plane.max_queue_slots
-                overrides = plane.degree_overrides
-                if overrides:
-                    chunk = [
-                        replace(s, spec=s.spec.with_degree(
-                            overrides[s.spec.label]
-                        ))
-                        if overrides.get(s.spec.label, s.spec.degree)
-                        != s.spec.degree
-                        else s
-                        for s in chunk
-                    ]
-                    for session in chunk:
-                        by_id[session.session_id] = session
-                made = manager.admit_chunk(chunk, duration_of)
-                base = len(tasks)
-                for decision in made:
-                    build_task(decision)
-                run_window(base)
-                prev_delays = list(epoch_delays)
-                seen_delays.update(epoch_delays)
-                made_all.extend(made)
-                prev_made = made
-                epoch_rows.append({
-                    "epoch": epochs,
-                    "arrivals": len(chunk),
-                    "observed_p99": p99,
-                    "policy": manager.policy,
-                    "max_queue_slots": manager.max_queue_slots,
-                    **tally(made),
-                    "queued": manager.queued_count,
-                    "decisions": len(stepped),
-                })
-                epochs += 1
-            # All arrivals seen: drain the queue on departures alone and
-            # execute the stragglers as one final window.
-            made = manager.finalize(duration_of)
-            base = len(tasks)
-            for decision in made:
-                build_task(decision)
-            run_window(base)
-            made_all.extend(made)
-            if made:
-                epoch_rows.append({
-                    "epoch": epochs,
-                    "arrivals": 0,
-                    "observed_p99": None,
-                    "policy": manager.policy,
-                    "max_queue_slots": manager.max_queue_slots,
-                    **tally(made),
-                    "queued": 0,
-                    "decisions": 0,
-                })
-        if executor_info is None:
-            executor_info = dict(executor.last_run) or {
-                "mode": "empty", "workers": 0, "fallback": False,
-            }
-        executor_info["tasks"] = len(tasks)
-        executor_info["units"] = units_run
-        executor_info["execution"] = fleet.execution
-        executor_info["epochs"] = epochs
-        by_session = {d.session_id: d for d in made_all}
-        decisions = [by_session[s.session_id] for s in sessions]
-        return (
-            decisions, executor_info,
-            tuple(plane.decisions), tuple(epoch_rows),
+            convergence=detector.state() if detector is not None else None,
+            control_decisions=(
+                tuple(control.plane.decisions) if control is not None else ()
+            ),
+            control_epochs=tuple(control.rows) if control is not None else (),
         )

@@ -4,25 +4,27 @@ The paper scores a single run by worst/average playback delay and buffer
 peak; a service tracks the same quantities as *distributions over sessions*
 plus the smoothness metrics the throughput-smoothness literature argues users
 actually feel (rebuffer/skip behavior), and the admission metrics the
-capacity literature adds (reject rate, queue wait):
+capacity literature adds (reject rate, queue wait).  One scorer and one fold
+compute them:
 
-* :func:`score_session` turns one session's replayed arrival traces into a
-  :class:`SessionSLO` — startup delay (including any admission queue wait),
-  rebuffer ratio, per-node playback-delay and buffer percentiles, goodput —
-  carrying compact ``(value, count)`` distributions so fleet-level
-  percentiles pool *exactly* across sessions;
-* :class:`FleetSLOReport` aggregates sessions + admission decisions into the
-  fleet report (p50/p95/p99 over the pooled per-node populations, reject
-  rate, schedule-cache amortization) and round-trips through
-  ``reporting/export.py``;
-* :class:`FleetAggregator` is the streaming aggregator behind
-  :func:`aggregate_fleet`: admission decisions and session SLOs fold into
-  mergeable :class:`~repro.obs.sketch.QuantileSketch` populations one at a
-  time, so fleet percentiles never require materializing per-session
-  results.  ``relative_error=0`` (the :func:`aggregate_fleet` default)
-  keeps every sketch in exact mode — reports are identical to the historical
-  Counter-based pooling; ``relative_error>0`` bounds memory at fleet scale
-  with the sketch's documented error guarantee (see ``docs/TELEMETRY.md``).
+* :func:`score_batch_sessions` turns a batched kernel result
+  (:func:`~repro.exec.replay_batch` with ``keep_node_columns=True``) into
+  one :class:`SessionSLO` per session — startup delay (including any
+  admission queue wait), rebuffer ratio, per-node playback-delay and buffer
+  percentiles, goodput — carrying compact ``(value, count)`` distributions
+  so fleet-level percentiles pool *exactly* across sessions;
+* :class:`FleetAggregator` folds admission decisions
+  (:meth:`~FleetAggregator.add_decision`) and batches of session SLOs
+  (:meth:`~FleetAggregator.add_sessions`) into mergeable
+  :class:`~repro.obs.sketch.QuantileSketch` populations, so fleet
+  percentiles never require materializing per-session results.
+  ``relative_error=0`` keeps every sketch in exact mode (reports identical
+  to Counter-based pooling); ``relative_error>0`` bounds memory at fleet
+  scale with the sketch's documented error guarantee (see
+  ``docs/TELEMETRY.md``);
+* :class:`FleetSLOReport` is the fleet report (p50/p95/p99 over the pooled
+  per-node populations, reject rate, schedule-cache amortization) and
+  round-trips through ``reporting/export.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.exec.batch import BatchMetrics
-from repro.core.metrics import summarize_lossy_playback
 from repro.obs.sketch import QuantileSketch
 
 __all__ = [
@@ -44,10 +45,7 @@ __all__ = [
     "SessionSLO",
     "FleetSLOReport",
     "FleetAggregator",
-    "score_session",
-    "score_session_columns",
     "score_batch_sessions",
-    "aggregate_fleet",
 ]
 
 
@@ -133,109 +131,6 @@ class SessionSLO:
         return out
 
 
-def score_session(
-    arrivals_by_node: Mapping[int, Mapping[int, int]],
-    *,
-    session_id: int,
-    label: str,
-    num_packets: int,
-    num_slots: int,
-    wait_slots: int = 0,
-    status: str = "admitted",
-) -> SessionSLO:
-    """Score one session's replayed arrival traces into its SLO.
-
-    Args:
-        arrivals_by_node: node -> (packet -> arrival slot), from
-            :func:`repro.exec.replay.replay_arrivals`.
-        num_packets: measured stream prefix (post churn truncation).
-        num_slots: slots the session ran (goodput denominator).
-        wait_slots: admission queue wait, charged to startup delay.
-        status: admission status carried into the report.
-    """
-    if not arrivals_by_node:
-        raise ReproError("session has no receiver traces to score")
-    if num_slots < 1:
-        raise ReproError(f"num_slots must be >= 1, got {num_slots}")
-    delay_counts: Counter[int] = Counter()
-    buffer_counts: Counter[int] = Counter()
-    missing = 0
-    available = 0
-    for arrivals in arrivals_by_node.values():
-        summary = summarize_lossy_playback(arrivals, num_packets)
-        delay_counts[summary.startup_delay] += 1
-        buffer_counts[summary.buffer_peak] += 1
-        missing += len(summary.missing)
-        available += summary.available
-    num_nodes = len(arrivals_by_node)
-    return SessionSLO(
-        session_id=session_id,
-        label=label,
-        status=status,
-        wait_slots=wait_slots,
-        startup_delay=max(delay_counts) + wait_slots,
-        rebuffer_ratio=missing / (num_nodes * num_packets),
-        delay_p50=pooled_percentile(delay_counts, 50),
-        delay_p95=pooled_percentile(delay_counts, 95),
-        delay_p99=pooled_percentile(delay_counts, 99),
-        buffer_p50=pooled_percentile(buffer_counts, 50),
-        buffer_p99=pooled_percentile(buffer_counts, 99),
-        goodput=available / (num_nodes * num_slots),
-        num_nodes=num_nodes,
-        num_packets=num_packets,
-        delay_counts=tuple(sorted(delay_counts.items())),
-        buffer_counts=tuple(sorted(buffer_counts.items())),
-    )
-
-
-def score_session_columns(
-    batch: BatchMetrics,
-    index: int,
-    *,
-    session_id: int,
-    label: str,
-    wait_slots: int = 0,
-    status: str = "admitted",
-) -> SessionSLO:
-    """Score one session of a batched kernel result into its SLO.
-
-    The column-space counterpart of :func:`score_session`: session ``index``
-    of a :class:`~repro.exec.batch.BatchMetrics` (run with
-    ``keep_node_columns=True``) produces exactly the SLO that
-    :func:`score_session` would compute from that session's replayed arrival
-    traces — the kernel's per-node delay/buffer columns are slot-identical
-    to :func:`~repro.core.metrics.summarize_lossy_playback`.
-    """
-    if batch.node_delays is None or batch.node_buffers is None:
-        raise ReproError(
-            "score_session_columns needs a batch run with keep_node_columns=True"
-        )
-    delay_counts: Counter[int] = Counter(int(v) for v in batch.node_delays[index])
-    buffer_counts: Counter[int] = Counter(int(v) for v in batch.node_buffers[index])
-    num_nodes = batch.num_nodes
-    num_packets = batch.num_packets
-    missing = int(batch.residual[index])
-    available = int(batch.available[index])
-    return SessionSLO(
-        session_id=session_id,
-        label=label,
-        status=status,
-        wait_slots=wait_slots,
-        startup_delay=max(delay_counts) + wait_slots,
-        rebuffer_ratio=missing / (num_nodes * num_packets),
-        delay_p50=pooled_percentile(delay_counts, 50),
-        delay_p95=pooled_percentile(delay_counts, 95),
-        delay_p99=pooled_percentile(delay_counts, 99),
-        buffer_p50=pooled_percentile(buffer_counts, 50),
-        buffer_p99=pooled_percentile(buffer_counts, 99),
-        goodput=available / (num_nodes * batch.num_slots),
-        num_nodes=num_nodes,
-        num_packets=num_packets,
-        delay_counts=tuple(sorted(delay_counts.items())),
-        buffer_counts=tuple(sorted(buffer_counts.items())),
-    )
-
-
 def _row_histograms(
     matrix: np.ndarray,
 ) -> list[tuple[tuple[int, int], ...]]:
@@ -267,12 +162,24 @@ def score_batch_sessions(
 ) -> list[SessionSLO]:
     """Score every session of a batched kernel result in one column pass.
 
-    Produces exactly ``[score_session_columns(batch, i, ...) for i]`` — the
-    per-session histograms, nearest-rank percentiles, and aggregates are
-    computed from the batch's ``(B, num_nodes)`` delay/buffer columns with
-    whole-matrix NumPy reductions instead of one Python ``Counter`` pass
-    per session, which is what keeps fleet-scale SLO scoring off the
-    profile.
+    Session ``i``'s SLO is computed from row ``i`` of the batch's
+    ``(B, num_nodes)`` per-node delay/buffer columns, which are
+    slot-identical to :func:`~repro.core.metrics.summarize_lossy_playback`
+    over that session's replayed arrival traces: the startup delay is the
+    worst node's playback delay plus ``wait_slots[i]`` (the admission queue
+    wait, charged to startup only), the rebuffer ratio is the missed share
+    of the ``num_nodes * num_packets`` measured pairs, and goodput is the
+    available pairs per node per slot of ``batch.num_slots``.  Histograms
+    and nearest-rank percentiles come from whole-matrix NumPy reductions
+    instead of one Python ``Counter`` pass per session, which is what keeps
+    fleet-scale SLO scoring off the profile.
+
+    Args:
+        batch: a :func:`~repro.exec.replay_batch` result run with
+            ``keep_node_columns=True``.
+        session_ids / labels: one per batch session.
+        wait_slots: per-session admission queue waits (default 0).
+        statuses: per-session admission statuses (default ``admitted``).
     """
     if batch.node_delays is None or batch.node_buffers is None:
         raise ReproError(
@@ -421,8 +328,8 @@ class FleetSLOReport:
 class FleetAggregator:
     """Streaming fleet-SLO aggregation with bounded memory.
 
-    Feed admission decisions (:meth:`add_decision`) and session SLOs
-    (:meth:`add_session`) as they arrive — e.g. from the executor's
+    Feed admission decisions (:meth:`add_decision`) and batches of session
+    SLOs (:meth:`add_sessions`) as they arrive — e.g. from the executor's
     ``on_result`` streaming callback — then :meth:`report` at any point.
 
     Args:
@@ -471,10 +378,6 @@ class FleetAggregator:
         self._tiers: Counter[str] = Counter()
         self._sessions: list[SessionSLO] = []
 
-    @property
-    def num_sessions_aggregated(self) -> int:
-        return self._slos
-
     def add_decision(self, decision: Any) -> None:
         """Tally one admission decision (any object with ``status`` /
         ``admitted`` / ``wait_slots``, i.e. ``SessionDecision``)."""
@@ -488,31 +391,16 @@ class FleetAggregator:
         if decision.admitted and decision.wait_slots > 0:
             self._queued += 1
 
-    def add_session(self, slo: SessionSLO) -> None:
-        """Fold one session's SLO into the pooled populations."""
-        self._startup.add(slo.startup_delay)
-        for value, count in slo.delay_counts:
-            self._delay.add(value, count)
-        for value, count in slo.buffer_counts:
-            self._buffer.add(value, count)
-        self._slos += 1
-        self._rebuffer_sum += slo.rebuffer_ratio
-        self._rebuffer_max = max(self._rebuffer_max, slo.rebuffer_ratio)
-        self._goodput_sum += slo.goodput
-        if slo.qoe is not None:
-            self._tiers[slo.qoe["tier"]] += 1
-        if self.keep_sessions:
-            self._sessions.append(slo)
-
     def add_sessions(self, slos: Sequence[SessionSLO]) -> None:
-        """Fold many SLOs at once — identical end state to one-at-a-time.
+        """Fold a batch of session SLOs into the pooled populations.
 
         Pools the sessions' compact histograms into plain ``Counter``s
         first and folds each distinct value into the quantile sketches
         once, so a fleet-sized batch costs sketch updates proportional to
         its distinct delay/buffer values rather than to sessions x nodes.
         The scalar tallies accumulate in session order, so float sums
-        (``rebuffer_mean``) match the one-at-a-time fold bit for bit.
+        (``rebuffer_mean``, ``goodput_mean``) depend only on the order
+        sessions arrive in, not on how they are split into batches.
         """
         startup_pool: Counter[int] = Counter()
         delay_pool: Counter[int] = Counter()
@@ -537,10 +425,6 @@ class FleetAggregator:
             self._delay.add(value, count)
         for value, count in buffer_pool.items():
             self._buffer.add(value, count)
-
-    def startup_sketch(self) -> QuantileSketch:
-        """The pooled per-session startup-delay sketch (read-only use)."""
-        return self._startup
 
     def report(
         self, *, cache_hits: int = 0, cache_misses: int = 0
@@ -586,22 +470,3 @@ class FleetAggregator:
             qoe_tiers=tuple(sorted(self._tiers.items())),
         )
 
-
-def aggregate_fleet(
-    decisions: Sequence,
-    session_slos: Sequence[SessionSLO],
-    *,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
-) -> FleetSLOReport:
-    """Fold admission decisions and per-session SLOs into the fleet report.
-
-    The batch entry point over :class:`FleetAggregator` in exact mode —
-    byte-identical to the historical Counter-based pooling.
-    """
-    aggregator = FleetAggregator(relative_error=0.0, keep_sessions=True)
-    for decision in decisions:
-        aggregator.add_decision(decision)
-    for slo in session_slos:
-        aggregator.add_session(slo)
-    return aggregator.report(cache_hits=cache_hits, cache_misses=cache_misses)

@@ -230,29 +230,17 @@ class FleetSpec:
             bounded-memory quantile sketches (error bound ``sketch_error``)
             and drops per-session detail — the fleet-scale mode.
         sketch_error: relative-error bound of ``sketch`` aggregation.
-        run_until_converged: stop executing sessions early once the tracked
-            SLO quantile's CI half-width criterion is met (the open-loop
-            steady-state mode; implies streaming execution in batches of
-            ``convergence.check_every``).
-        convergence: the stop criterion (defaults to
-            :class:`~repro.obs.convergence.ConvergenceCriterion` — p99
-            startup delay, 5% relative half-width at 95% confidence — when
-            ``run_until_converged`` is set).
+        convergence: when set, a
+            :class:`~repro.obs.convergence.ConvergenceCriterion` that stops
+            executing sessions early once the tracked SLO quantile's CI
+            half-width criterion is met (the open-loop steady-state mode;
+            executes in batches of ``convergence.check_every``).
         controller: optional :class:`~repro.control.ControlPolicy` attaching
             the feedback control plane (``docs/CONTROL.md``).  When set, the
             runner admits sessions in epochs of ``controller.epoch_sessions``
             and lets the SLO / degree / churn controllers move ``policy``,
             ``max_queue_slots``, and per-kind degrees between epochs.
-            Mutually exclusive with ``run_until_converged`` (both reshape
-            the execution loop).
-        execution: ``batch`` (the default) groups admitted sessions that
-            share a ``(schedule, drop_rate, packets, horizon)`` coordinate
-            and scores each group in one vectorized kernel pass
-            (:func:`repro.exec.replay_batch`); ``scalar`` replays one
-            session per executor task — the v1 path, kept for comparison
-            benchmarks.  Results are identical either way (ABR sessions
-            always execute scalar — their QoE playback loop is
-            per-session).
+            Mutually exclusive with ``convergence``.
     """
 
     sessions: tuple[SessionSpec, ...] = (SessionSpec(),)
@@ -269,10 +257,8 @@ class FleetSpec:
     churn_rate: float = 0.0
     aggregation: str = "exact"
     sketch_error: float = 0.01
-    run_until_converged: bool = False
     convergence: ConvergenceCriterion | None = None
     controller: object | None = None
-    execution: str = "batch"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sessions", tuple(self.sessions))
@@ -316,10 +302,12 @@ class FleetSpec:
             raise ReproError(
                 f"sketch_error must be in (0, 1), got {self.sketch_error}"
             )
-        if self.execution not in ("batch", "scalar"):
+        if self.convergence is not None and not isinstance(
+            self.convergence, ConvergenceCriterion
+        ):
             raise ReproError(
-                f"execution must be 'batch' or 'scalar', got "
-                f"{self.execution!r}"
+                "convergence must be a ConvergenceCriterion or None, got "
+                f"{self.convergence!r}"
             )
         if self.controller is not None:
             # Duck-typed (the control plane lives above the service layer;
@@ -330,13 +318,11 @@ class FleetSpec:
                         "controller must be a repro.control.ControlPolicy "
                         f"(missing {attr!r})"
                     )
-            if self.run_until_converged:
+            if self.convergence is not None:
                 raise ReproError(
-                    "controller and run_until_converged are mutually "
-                    "exclusive; the control plane owns the epoch loop"
+                    "controller and convergence are mutually exclusive; "
+                    "the control plane owns the epoch loop"
                 )
-        if self.run_until_converged and self.convergence is None:
-            object.__setattr__(self, "convergence", ConvergenceCriterion())
 
     # ------------------------------------------------------------- expansion
     def _arrivals(self) -> list[int]:

@@ -240,7 +240,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 2.4.0"
+        assert capsys.readouterr().out.strip() == "repro 3.0.0"
 
 
 class TestFleetCommand:

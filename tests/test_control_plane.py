@@ -20,6 +20,7 @@ from repro.control import (
 from repro.core.errors import ReproError
 from repro.exec.cache import ScheduleCache
 from repro.obs import EventTracer, MetricsRegistry, RingBufferSink
+from repro.obs.convergence import ConvergenceCriterion
 from repro.obs.registry import use_registry
 from repro.reporting.ledger import RunLedger
 from repro.service.runner import FleetRunner
@@ -440,7 +441,9 @@ class TestFleetSpecController:
 
     def test_controller_excludes_convergence_mode(self):
         with pytest.raises(ReproError, match="epoch loop"):
-            self._fleet(controller=ControlPolicy(), run_until_converged=True)
+            self._fleet(
+                controller=ControlPolicy(), convergence=ConvergenceCriterion()
+            )
 
 
 class TestControlledRunner:
@@ -478,6 +481,28 @@ class TestControlledRunner:
         )
         # Every offered session got exactly one terminal decision.
         assert len(result.decisions) == 40
+
+    def test_retuned_kinds_keep_their_own_spec(self):
+        # Both kinds retune d=3 -> d=2 in epoch 0; each session must run
+        # its own kind at the new degree.
+        fleet = FleetSpec(
+            sessions=(
+                SessionSpec(num_nodes=127, degree=3, num_packets=8),
+                SessionSpec(num_nodes=63, degree=3, num_packets=8),
+            ),
+            num_sessions=40,
+            capacity=CapacityModel(source_fanout=1e9, backbone=1e9),
+            controller=ControlPolicy(epoch_sessions=16),
+        )
+        result = FleetRunner().run(fleet)
+        (retune,) = [d for d in result.control_decisions if d.action == "retune"]
+        assert retune.epoch == 0 and len(retune.detail["degrees"]) == 2
+        kinds = {s.session_id: s.spec.num_nodes for s in result.sessions}
+        assert len(set(kinds.values())) == 2
+        for slo in result.report.sessions:
+            n = kinds[slo.session_id]
+            assert slo.num_nodes == n
+            assert slo.label == f"multi-tree/N{n}/d2"
 
     def test_static_run_has_empty_control_fields(self):
         fleet = self._fleet()

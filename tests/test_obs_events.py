@@ -14,9 +14,9 @@ from repro.obs.events import (
     EventTracer,
     JsonlSink,
     RingBufferSink,
+    arrivals_from_events,
     count_events,
     read_events_jsonl,
-    replay_arrivals,
 )
 
 
@@ -169,4 +169,4 @@ class TestReplay:
             Event(name=TX_SENT, slot=2,
                   fields={"sender": 0, "receiver": 5, "packet": 1}),
         ]
-        assert replay_arrivals(events) == {5: {0: 3}, 6: {0: 4}}
+        assert arrivals_from_events(events) == {5: {0: 3}, 6: {0: 4}}

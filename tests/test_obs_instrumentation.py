@@ -23,9 +23,9 @@ from repro.obs.events import (
     TX_DELIVERED,
     TX_DROPPED,
     TX_SENT,
+    arrivals_from_events,
     count_events,
     read_events_jsonl,
-    replay_arrivals,
 )
 from repro.repair.retransmit import RetransmissionCoordinator
 from repro.repair.session import default_grace, make_lossy_protocol, repair_experiment
@@ -101,7 +101,7 @@ class TestEngineEvents:
         )
         trace = simulate(protocol, protocol.slots_for_packets(9), instrumentation=instr)
         instr.close()
-        replayed = replay_arrivals(read_events_jsonl(path))
+        replayed = arrivals_from_events(read_events_jsonl(path))
         assert replayed == {n: a for n, a in trace.all_arrivals().items() if a}
 
 
@@ -212,7 +212,7 @@ class TestAcceptance:
 
         events = read_events_jsonl(path)
         replayed = {
-            node: replay_arrivals(events).get(node, {}) for node in lossy.nodes
+            node: arrivals_from_events(events).get(node, {}) for node in lossy.nodes
         }
         assert replayed == lossy.all_arrivals()
 

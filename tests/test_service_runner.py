@@ -89,6 +89,24 @@ class TestFleetRunner:
         ]
         assert all(slo.num_packets == 6 for slo in stayers)
 
+    def test_queue_drained_at_finalize_runs_in_the_same_window(self):
+        # One fan-out slot: the second arrival waits for the first to
+        # depart, and with no later arrival only finalize() admits it.
+        fleet = _small_fleet(
+            sessions=(SessionSpec(num_nodes=15, degree=3, num_packets=6),),
+            capacity=CapacityModel(source_fanout=3.0, backbone=1e6),
+            policy="queue",
+            arrival="trace",
+            arrival_slots=(0, 0),
+            num_sessions=2,
+        )
+        result = FleetRunner(policy=SERIAL).run(fleet)
+        assert result.report.admitted == 2
+        assert result.report.queued == 1
+        assert [d.session_id for d in result.decisions] == [0, 1]
+        # Both sessions share one group key, so one window means one unit.
+        assert result.executor_info["units"] == 1
+
     def test_capacity_pressure_rejects(self):
         fleet = _small_fleet(
             sessions=(SessionSpec(num_nodes=15, degree=3, num_packets=6),),
@@ -136,7 +154,6 @@ class TestRunUntilConverged:
         fleet = _small_fleet(
             num_sessions=400,
             aggregation="sketch",
-            run_until_converged=True,
             convergence=ConvergenceCriterion(
                 quantile=99.0, rel_half_width=0.2, min_count=32, check_every=32
             ),
@@ -238,6 +255,29 @@ class TestAbrSessions:
         assert all(s.qoe["tier"] in ("premium", "standard", "degraded") for s in abr)
         assert dict(report.qoe_tiers) and sum(dict(report.qoe_tiers).values()) == len(abr)
         assert "qoe_tier" in abr[0].row()
+
+    def test_qoe_matches_solo_abr_session(self):
+        from repro.abr import AbrSessionSpec, build_profile, collect_qoe, run_session
+
+        # Churned viewers play one chunk per packet of their watched prefix.
+        result = FleetRunner(policy=SERIAL).run(self._abr_fleet(churn_rate=0.5))
+        seeds = {s.session_id: s.seed for s in result.sessions}
+        abr = [slo for slo in result.report.sessions if slo.qoe is not None]
+        assert len({slo.num_packets for slo in abr}) > 1
+        for slo in abr:
+            spec = AbrSessionSpec(num_chunks=slo.num_packets)
+            trace = build_profile(
+                "onoff", max(64, slo.num_packets * spec.chunk_slots),
+                seed=seeds[slo.session_id],
+            )
+            assert slo.qoe == collect_qoe(run_session(spec, trace)).to_dict()
+
+    def test_abr_sessions_share_kernel_units(self):
+        result = FleetRunner(policy=SERIAL).run(self._abr_fleet())
+        abr = [slo for slo in result.report.sessions if slo.qoe is not None]
+        info = result.executor_info
+        assert info["units"] < info["tasks"]
+        assert info["units"] < len(abr)
 
     def test_parallel_matches_serial_with_abr(self):
         fleet = self._abr_fleet()

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.core.errors import ReproError
+from repro.obs.convergence import ConvergenceCriterion
 from repro.service.spec import (
     ADMISSION_POLICIES,
     ARRIVAL_PROCESSES,
@@ -172,6 +173,18 @@ class TestFleetSpec:
     def test_bad_seed_rejected_at_construction(self, seed):
         with pytest.raises(ReproError, match=re.escape(f"got {seed!r}")):
             FleetSpec(seed=seed)
+
+    def test_convergence_takes_a_criterion(self):
+        assert FleetSpec(convergence=ConvergenceCriterion()).convergence is not None
+        with pytest.raises(ReproError, match="ConvergenceCriterion"):
+            FleetSpec(convergence=True)
+
+    @pytest.mark.parametrize(
+        "field", [{"execution": "scalar"}, {"run_until_converged": True}]
+    )
+    def test_removed_fields_are_gone(self, field):
+        with pytest.raises(TypeError):
+            FleetSpec(**field)
 
     def test_constant_vocabularies(self):
         assert ARRIVAL_PROCESSES == ("poisson", "uniform", "trace")
