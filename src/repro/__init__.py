@@ -174,7 +174,7 @@ from repro.service import (
 from repro.theory import optimal_degree, table1
 from repro.trees import DynamicForest, MultiTreeForest, MultiTreeProtocol, analyze
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AbrSessionSpec",

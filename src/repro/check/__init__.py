@@ -10,22 +10,27 @@ Two pillars, both engine-free:
   without running a single simulated slot.  Exposed as ``repro check`` and
   as ``compile_schedule(..., verify=True)`` (verify-on-miss: a fresh compile
   must pass before it may enter the schedule cache).
-* :mod:`repro.check.lint` — an AST lint (stdlib :mod:`ast` only) enforcing
-  the project's determinism and error-handling discipline: seeded RNG only
-  (REP001), wall-clock reads confined to ``repro/obs/`` (REP002), no bare
+* :mod:`repro.check.model` — the project model, the one reader behind
+  ``repro lint``: it walks the paths, parses each file once (cached by
+  content hash), and indexes ASTs, symbol tables, the import graph, an
+  approximate call graph and each file's pragmas.  A file it cannot read
+  or parse is a ``REP000`` finding.
+* :mod:`repro.check.lint` — the per-file rules, one pass over each
+  module's tree (stdlib :mod:`ast` only) enforcing the project's
+  determinism and error-handling discipline: seeded RNG only (REP001),
+  wall-clock reads confined to ``repro/obs/`` (REP002), no bare
   ``assert`` in library code (REP003), no iteration over unordered set
-  expressions where order feeds transmission emission (REP004).
-* :mod:`repro.check.model` / :mod:`repro.check.analyzers` — a cached
-  whole-project model (ASTs, symbol tables, import graph, approximate call
-  graph) and the passes that need it: process-pool shared-state mutation
-  (REP005), metric/event-name drift against :mod:`repro.obs.names`
-  (REP006), frozen-spec mutation (REP007), and nondeterminism taint from
-  RNG/clock sources into result sinks (REP008).
+  expressions where order feeds transmission emission (REP004).  REP001
+  and REP002 share one import-resolving classifier of nondeterministic
+  calls.
+* :mod:`repro.check.analyzers` — the passes that need the whole model:
+  process-pool shared-state mutation (REP005), metric/event-name drift
+  against :mod:`repro.obs.names` (REP006), and frozen-spec mutation
+  (REP007).
 
 All lint layers run through :func:`repro.check.project.lint_project`
-(``repro lint``): per-file rules + analyzer passes, minus the committed
-baseline (``.repro-lint-baseline.json``), with ``--stats`` timings fed to
-the bench-history ledger.
+(``repro lint``): one model build, every rule over it, one pragma filter,
+minus the committed baseline (``.repro-lint-baseline.json``).
 
 ``docs/CHECKS.md`` catalogues every invariant and lint rule with its paper
 reference and rationale.

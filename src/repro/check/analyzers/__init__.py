@@ -1,33 +1,32 @@
-"""Model-based analyzer passes (REP005–REP008) over a :class:`ProjectModel`.
+"""Model-based analyzer passes (REP005–REP007) over a :class:`ProjectModel`.
 
-Where :mod:`repro.check.lint` is strictly per-file, the passes in this
-package consume the whole-project model (:mod:`repro.check.model`): the
-process-safety pass chases the call graph from pool-worker entry points,
-the metric-name pass resolves emitted names against the declared registry
-in :mod:`repro.obs.names`, the frozen-spec pass knows every
-``@dataclass(frozen=True)`` in the tree, and the taint pass flows
-nondeterminism sources through assignments to result/metric/ledger sinks.
+Where the per-file rules of :mod:`repro.check.lint` look at one module's
+tree at a time, the passes in this package consume the whole-project model
+(:mod:`repro.check.model`): the process-safety pass chases the call graph
+from pool-worker entry points, the metric-name pass resolves emitted names
+against the declared registry in :mod:`repro.obs.names`, and the
+frozen-spec pass knows every ``@dataclass(frozen=True)`` in the tree.
 
 Each pass is one module exposing ``RULE`` (its id), ``DESCRIPTION``, and
 ``analyze(model) -> list[LintViolation]``.  :func:`run_analyzers` runs a
 selection of passes and applies the per-file pragma suppressions the model
-already parsed, so ``# repro-lint: disable=REP005`` (file- or line-level)
-works exactly as it does for the per-file rules.
+already parsed (:meth:`ProjectModel.unsuppressed`, the same filter the
+per-file rules go through), so ``# repro-lint: disable=REP005`` (file- or
+line-level) works exactly as it does for REP001–REP004.
 """
 
 from __future__ import annotations
 
-from repro.check.lint import LintViolation
-from repro.check.model import ProjectModel
+from repro.check.model import LintViolation, ProjectModel
 
-from . import frozen_spec, metric_names, process_safety, taint
+from . import frozen_spec, metric_names, process_safety
 
 __all__ = [
     "ANALYZER_RULES",
     "run_analyzers",
 ]
 
-_PASSES = (process_safety, metric_names, frozen_spec, taint)
+_PASSES = (process_safety, metric_names, frozen_spec)
 
 #: rule id -> one-line description (docs/CHECKS.md holds the catalogue).
 ANALYZER_RULES: dict[str, str] = {
@@ -48,15 +47,10 @@ def run_analyzers(
     ``(path, line, col, rule)`` like :func:`repro.check.lint.lint_paths`.
     """
     violations: list[LintViolation] = []
-    by_path = {info.path: info.suppressions for info in model}
     for module in _PASSES:
-        if rules is not None and module.RULE not in rules:
-            continue
-        for violation in module.analyze(model):
-            suppressions = by_path.get(violation.path)
-            if suppressions is not None and suppressions.is_disabled(
-                violation.rule, violation.line
-            ):
-                continue
-            violations.append(violation)
-    return sorted(violations, key=lambda v: (v.path, v.line, v.col, v.rule))
+        if rules is None or module.RULE in rules:
+            violations.extend(module.analyze(model))
+    return sorted(
+        model.unsuppressed(violations),
+        key=lambda v: (v.path, v.line, v.col, v.rule),
+    )

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.lint import LintViolation
-from repro.check.model import ModuleInfo, ProjectModel
+from repro.check.model import LintViolation, ModuleInfo, ProjectModel
 
 __all__ = ["RULE", "DESCRIPTION", "analyze"]
 

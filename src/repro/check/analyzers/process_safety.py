@@ -39,8 +39,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.check.lint import LintViolation
-from repro.check.model import FunctionInfo, ModuleInfo, ProjectModel
+from repro.check.model import FunctionInfo, LintViolation, ModuleInfo, ProjectModel
 
 __all__ = ["RULE", "DESCRIPTION", "analyze", "worker_roots"]
 

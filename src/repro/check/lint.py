@@ -1,17 +1,23 @@
-"""Project lint pass (``repro lint``): the determinism & error discipline rules.
+"""Project lint rules (``repro lint``): the determinism & error discipline.
 
 A reproduction lives or dies on determinism — the same spec must yield the
 same schedule, byte for byte, on every machine — and on failing loudly
 through :class:`~repro.core.errors.ReproError` rather than stripped-out
 ``assert`` statements.  This module enforces both statically, with nothing
-but :mod:`ast`:
+but :mod:`ast`, as one pass over each module of the project model
+(:mod:`repro.check.model`, which reads and parses every file once):
 
-* **REP001 unseeded-rng** — ``np.random.default_rng()`` without a seed, or
-  any module-level ``random.*`` / legacy ``np.random.*`` call (process-global
-  RNG state).  Library code must thread an explicit seed.
-* **REP002 wall-clock** — reads of ``time.time`` / ``time.perf_counter`` /
-  ``time.monotonic`` / ``datetime.now`` outside ``repro/obs/``: timing is an
-  observability concern and lives behind :mod:`repro.obs.profile`.
+* **REP001 unseeded-rng** — a call that draws from process-global or OS
+  randomness: any stdlib ``random.*`` function, ``random.Random()`` without
+  a seed, ``random.SystemRandom``, a legacy ``np.random.*`` sampler, an
+  unseeded ``default_rng()``/``SeedSequence()``/``PCG64()``, ``os.urandom``,
+  ``uuid.uuid4`` or ``secrets.*``.  Library code must thread an explicit
+  seed.
+* **REP002 wall-clock** — a ``time.time``/``time_ns``/``perf_counter``/
+  ``monotonic`` (and ``_ns``) read or ``from time import`` of one, or a
+  ``datetime.now``/``utcnow``/``today`` / ``date.today`` call, outside
+  ``repro/obs/``: timing is an observability concern and lives behind
+  :mod:`repro.obs.profile`.
 * **REP003 bare-assert** — ``assert`` in library code; ``python -O`` strips
   asserts, so invariants must raise :class:`~repro.core.errors.ReproError`.
 * **REP004 unordered-iteration** — ``for`` loops over a set display, a
@@ -20,6 +26,12 @@ but :mod:`ast`:
   ``obs/``, where iteration order can feed transmission emission (for
   ``abr/``, chunk-fetch order; for ``obs/``, merge/serialization order of
   telemetry snapshots).  Wrap the iterable in ``sorted()``.
+
+REP001 and REP002 share one classifier (:func:`_source_reason`): a call is
+judged by the dotted name its callee resolves to through the file's imports
+— ``import x``, ``import x as y`` and ``from x import y`` alike, at module
+level or inside a function — so ``from random import shuffle; shuffle(xs)``
+is caught at the call exactly like ``random.shuffle(xs)``.
 
 Scope is path-based: rules apply to files inside a ``repro`` package tree
 and skip ``tests``/``benchmarks``/``examples``/``scripts`` directories.
@@ -37,9 +49,9 @@ Pragmas come in two scopes (``REPxxx`` standing for a real rule id):
       _STATE = payload  # worker-local by design  # repro-lint: disable=REP005
 
 Both forms accept comma-separated rule ids and the token ``all``.  The
-:class:`Suppressions` table parsed from a file is shared with the
-project-model analyzers (:mod:`repro.check.analyzers`), so one pragma
-grammar covers every rule family.
+model parses them once per file (:class:`~repro.check.model.Suppressions`)
+and :meth:`~repro.check.model.ProjectModel.unsuppressed` applies them to
+every rule family.
 
 ``lint_paths`` returns the findings; the CLI renders them as text or JSON.
 """
@@ -48,10 +60,17 @@ from __future__ import annotations
 
 import ast
 import json
-import re
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from pathlib import Path
+
+from repro.check.model import (
+    LintViolation,
+    ModuleInfo,
+    ProjectModel,
+    Suppressions,
+    build_project_model,
+    read_module,
+)
 
 __all__ = [
     "LINT_RULES",
@@ -65,19 +84,16 @@ __all__ = [
 
 #: rule id -> one-line description (docs/CHECKS.md holds the full catalogue).
 LINT_RULES: dict[str, str] = {
-    "REP001": "unseeded RNG: np.random.default_rng() without a seed or "
-    "module-level random.* / np.random.* call",
-    "REP002": "wall-clock read (time.time/perf_counter/monotonic, "
-    "datetime.now) outside repro/obs/",
+    "REP001": "unseeded RNG: a random.* / legacy np.random.* call, an "
+    "unseeded default_rng()/SeedSequence()/random.Random(), or OS entropy "
+    "(SystemRandom, os.urandom, uuid.uuid4, secrets.*)",
+    "REP002": "wall-clock read (time.time/time_ns/perf_counter/monotonic, "
+    "datetime.now/today) outside repro/obs/",
     "REP003": "bare assert in library code; raise ReproError instead",
     "REP004": "iteration over an unordered set expression where order can "
     "feed transmission emission or snapshot serialization (trees/, "
     "hypercube/, exec/, abr/, obs/)",
 }
-
-_PRAGMA = re.compile(
-    r"#[ \t]*repro-lint:[ \t]*disable=([A-Za-z0-9_,\t ]+)", re.IGNORECASE
-)
 
 #: Directory names whose files are exempt from every rule.
 _EXEMPT_DIRS = frozenset({"tests", "benchmarks", "examples", "scripts"})
@@ -85,102 +101,20 @@ _EXEMPT_DIRS = frozenset({"tests", "benchmarks", "examples", "scripts"})
 #: Directories where REP004 (emission-order determinism) applies.
 _ORDER_CRITICAL_DIRS = frozenset({"abr", "trees", "hypercube", "exec", "obs"})
 
-#: Wall-clock attribute names on the ``time`` module.
-_TIME_ATTRS = frozenset({"time", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns"})
+#: Wall-clock functions of the ``time`` module.
+_CLOCK_FNS = frozenset(
+    {"time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+     "monotonic_ns"}
+)
 
-#: random.* calls that are fine: seeded/derived generator construction.
-_RANDOM_OK = frozenset({"Random", "SystemRandom"})
+#: Wall-clock constructors on ``datetime.datetime`` / ``datetime.date``.
+_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 
-# Modern numpy RNG machinery that carries explicit seed state (as opposed to
-# the legacy np.random.<sampler>() calls that read the global RNG).
-_NUMPY_RNG_OK = frozenset({"Generator", "SeedSequence", "PCG64", "BitGenerator"})
-
-
-@dataclass(frozen=True, slots=True)
-class LintViolation:
-    """One lint finding, anchored to a source location."""
-
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
-
-#: Token standing for "every rule" inside a :class:`Suppressions` table.
-ALL_RULES_TOKEN = "*"
-
-
-@dataclass(frozen=True, slots=True)
-class Suppressions:
-    """Parsed ``# repro-lint: disable=`` pragmas for one file.
-
-    A pragma on a line of its own (nothing but whitespace/comment before
-    it) applies to the whole file; a trailing pragma on a line of code
-    applies to that line only.  The token ``all`` expands to
-    :data:`ALL_RULES_TOKEN` and matches every rule id, present and future.
-    """
-
-    file_rules: frozenset[str] = frozenset()
-    line_rules: tuple[tuple[int, frozenset[str]], ...] = ()
-
-    @classmethod
-    def empty(cls) -> "Suppressions":
-        return cls()
-
-    @classmethod
-    def from_source(cls, source: str) -> "Suppressions":
-        file_rules: set[str] = set()
-        line_rules: dict[int, set[str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            match = _PRAGMA.search(line)
-            if match is None:
-                continue
-            rules = {
-                ALL_RULES_TOKEN if token.strip().upper() == "ALL"
-                else token.strip().upper()
-                for token in match.group(1).split(",")
-                if token.strip()
-            }
-            comment_start = line.find("#")
-            prefix = line[:comment_start].strip() if comment_start >= 0 else ""
-            if prefix:
-                line_rules.setdefault(lineno, set()).update(rules)
-            else:
-                file_rules.update(rules)
-        return cls(
-            file_rules=frozenset(file_rules),
-            line_rules=tuple(
-                (lineno, frozenset(rules))
-                for lineno, rules in sorted(line_rules.items())
-            ),
-        )
-
-    def is_disabled(self, rule: str, line: int) -> bool:
-        if rule in self.file_rules or ALL_RULES_TOKEN in self.file_rules:
-            return True
-        for lineno, rules in self.line_rules:
-            if lineno == line and (rule in rules or ALL_RULES_TOKEN in rules):
-                return True
-        return False
-
-    def filter(self, violations: Iterable[LintViolation]) -> list[LintViolation]:
-        """Drop violations a pragma disables (by rule and anchor line)."""
-        return [
-            v for v in violations if not self.is_disabled(v.rule, v.line)
-        ]
+#: numpy RNG constructors that are deterministic once given a seed (as
+#: opposed to the legacy np.random.<sampler>() calls on the global RNG).
+_NUMPY_SEEDABLE = frozenset(
+    {"default_rng", "Generator", "BitGenerator", "SeedSequence", "PCG64"}
+)
 
 
 def _scope_of(path: Path) -> tuple[bool, bool, bool]:
@@ -206,6 +140,69 @@ def _is_set_expression(node: ast.expr) -> bool:
     return False
 
 
+def _is_seeded(call: ast.Call) -> bool:
+    """True when ``call`` passes a seed that is not the literal ``None``."""
+
+    def given(expr: ast.expr) -> bool:
+        return not (isinstance(expr, ast.Constant) and expr.value is None)
+
+    if call.args:
+        return given(call.args[0])
+    return any(
+        kw.arg in ("seed", "entropy") and given(kw.value) for kw in call.keywords
+    )
+
+
+def _source_reason(qualname: str, call: ast.Call) -> tuple[str, str] | None:
+    """``(rule, message)`` when calling ``qualname`` reads nondeterminism.
+
+    ``qualname`` is the callee's dotted name after import resolution
+    (``numpy.random.default_rng``, ``random.shuffle``, ``time.time``).
+    """
+    module, _, leaf = qualname.rpartition(".")
+    if module == "time" and leaf in _CLOCK_FNS:
+        return "REP002", (
+            f"time.{leaf}() outside repro/obs/; use repro.obs.profile "
+            "(Timer/PhaseProfiler)"
+        )
+    owner = module.rpartition(".")[2]
+    if leaf in _DATETIME_FNS and owner in ("datetime", "date"):
+        return "REP002", (
+            f"datetime wall-clock read ({owner}.{leaf}()) outside repro/obs/"
+        )
+    if module == "random" and leaf == "Random":
+        if _is_seeded(call):
+            return None
+        return "REP001", (
+            "random.Random() without a seed is non-reproducible; pass one "
+            "explicitly"
+        )
+    if qualname in ("random.SystemRandom", "os.urandom", "uuid.uuid4") or (
+        module == "secrets"
+    ):
+        return "REP001", (
+            f"{qualname}() draws OS entropy; derive the value from the "
+            "spec's seed"
+        )
+    if module == "random":
+        return "REP001", (
+            f"module-level random.{leaf}() uses process-global RNG state; "
+            "seed an explicit random.Random(seed)"
+        )
+    if module == "numpy.random":
+        if leaf not in _NUMPY_SEEDABLE:
+            return "REP001", (
+                f"legacy np.random.{leaf}() uses the global numpy RNG; use "
+                "np.random.default_rng(seed)"
+            )
+        if not _is_seeded(call):
+            return "REP001", (
+                f"np.random.{leaf}() without a seed is non-reproducible; "
+                "pass one explicitly"
+            )
+    return None
+
+
 class _Visitor(ast.NodeVisitor):
     """Single-pass rule evaluation over one module's AST."""
 
@@ -214,8 +211,10 @@ class _Visitor(ast.NodeVisitor):
         self.obs_exempt = obs_exempt
         self.order_critical = order_critical
         self.violations: list[LintViolation] = []
-        self._random_module_names: set[str] = set()
-        self._numpy_names: set[str] = set()
+        #: local name -> the dotted name it imports, from every aliased or
+        #: ``from`` import seen so far (module level and function-local
+        #: alike); a plain ``import x`` binds ``x`` to its own name.
+        self._imports: dict[str, str] = {}
 
     def _note(self, rule: str, node: ast.AST, message: str) -> None:
         self.violations.append(
@@ -231,104 +230,42 @@ class _Visitor(ast.NodeVisitor):
     # ------------------------------------------------------------- imports
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self._random_module_names.add(local)
-            elif alias.name in ("numpy", "numpy.random"):
-                self._numpy_names.add(local)
+            if alias.asname:
+                self._imports[alias.asname] = alias.name
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time" and not self.obs_exempt:
-            for alias in node.names:
-                if alias.name in _TIME_ATTRS:
-                    self._note(
-                        "REP002", node,
-                        f"importing time.{alias.name}; wall-clock reads belong "
-                        "in repro/obs/",
-                    )
+        # Relative imports keep their leading dots, so they never resolve
+        # to a stdlib or numpy name.
+        module = "." * node.level + (node.module or "")
+        for alias in node.names:
+            if alias.name != "*":
+                self._imports[alias.asname or alias.name] = f"{module}.{alias.name}"
+            if module == "time" and alias.name in _CLOCK_FNS and not self.obs_exempt:
+                self._note(
+                    "REP002", node,
+                    f"importing time.{alias.name}; wall-clock reads belong "
+                    "in repro/obs/",
+                )
         self.generic_visit(node)
 
     # --------------------------------------------------------------- calls
-    def _numpy_random_target(self, func: ast.expr) -> str | None:
-        """``'default_rng'``/attr name for ``np.random.<attr>`` calls."""
-        if not isinstance(func, ast.Attribute):
+    def _qualname(self, func: ast.expr) -> str | None:
+        """The callee's dotted name, its root resolved through imports."""
+        parts: list[str] = []
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
             return None
-        value = func.value
-        # np.random.<attr> — numpy imported as a module alias.
-        if (
-            isinstance(value, ast.Attribute)
-            and value.attr == "random"
-            and isinstance(value.value, ast.Name)
-            and value.value.id in self._numpy_names
-        ):
-            return func.attr
-        # <nr>.<attr> where `import numpy.random as nr`.
-        if isinstance(value, ast.Name) and value.id in self._numpy_names:
-            return func.attr if func.attr == "default_rng" else None
-        return None
+        parts.append(self._imports.get(func.id, func.id))
+        return ".".join(reversed(parts))
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        # REP001: module-level random.* (stdlib global RNG state).
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self._random_module_names
-            and func.attr not in _RANDOM_OK
-        ):
-            self._note(
-                "REP001", node,
-                f"module-level random.{func.attr}() uses process-global RNG "
-                "state; seed an explicit random.Random(seed)",
-            )
-        # REP001: numpy RNG.
-        np_attr = self._numpy_random_target(func)
-        if np_attr == "default_rng":
-            seeded = bool(node.args) and not (
-                isinstance(node.args[0], ast.Constant) and node.args[0].value is None
-            )
-            if not seeded:
-                seeded = any(
-                    kw.arg == "seed"
-                    and not (isinstance(kw.value, ast.Constant) and kw.value.value is None)
-                    for kw in node.keywords
-                )
-            if not seeded:
-                self._note(
-                    "REP001", node,
-                    "np.random.default_rng() without a seed is "
-                    "non-reproducible; pass one explicitly",
-                )
-        elif np_attr is not None and np_attr not in _NUMPY_RNG_OK:
-            self._note(
-                "REP001", node,
-                f"legacy np.random.{np_attr}() uses the global numpy RNG; "
-                "use np.random.default_rng(seed)",
-            )
-        # REP002: time.<wallclock>() via the module attribute.
-        if not self.obs_exempt and isinstance(func, ast.Attribute):
-            if (
-                isinstance(func.value, ast.Name)
-                and func.value.id == "time"
-                and func.attr in _TIME_ATTRS
-            ):
-                self._note(
-                    "REP002", node,
-                    f"time.{func.attr}() outside repro/obs/; use "
-                    "repro.obs.profile (Timer/PhaseProfiler)",
-                )
-            elif func.attr in ("now", "utcnow", "today") and isinstance(
-                func.value, (ast.Name, ast.Attribute)
-            ):
-                base = func.value
-                name = base.id if isinstance(base, ast.Name) else base.attr
-                if name == "datetime" or name == "date":
-                    self._note(
-                        "REP002", node,
-                        f"datetime wall-clock read ({name}.{func.attr}()) "
-                        "outside repro/obs/",
-                    )
+        qualname = self._qualname(node.func)
+        reason = None if qualname is None else _source_reason(qualname, node)
+        if reason is not None and not (reason[0] == "REP002" and self.obs_exempt):
+            self._note(reason[0], node, reason[1])
         self.generic_visit(node)
 
     # ----------------------------------------------------------- statements
@@ -361,72 +298,64 @@ class _Visitor(ast.NodeVisitor):
             )
 
 
-def lint_source(
-    source: str,
-    path: str | Path,
-    *,
-    scope_path: Path | None = None,
-) -> list[LintViolation]:
-    """Lint one module's source text.
-
-    Args:
-        source: the module source.
-        path: reported in findings.
-        scope_path: path used for rule scoping (defaults to ``path``).
-    """
-    where = Path(scope_path if scope_path is not None else path)
-    library, obs_exempt, order_critical = _scope_of(where)
+def _check_module(info: ModuleInfo) -> list[LintViolation]:
+    """REP001–REP004 findings for one module, before pragmas."""
+    library, obs_exempt, order_critical = _scope_of(Path(info.path))
     if not library:
         return []
-    suppressions = Suppressions.from_source(source)
-    if all(
-        rule in suppressions.file_rules for rule in LINT_RULES
-    ) or ALL_RULES_TOKEN in suppressions.file_rules:
-        return []
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            LintViolation(
-                rule="REP000",
-                path=str(path),
-                line=exc.lineno or 0,
-                col=exc.offset or 0,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
     visitor = _Visitor(
-        str(path), obs_exempt=obs_exempt, order_critical=order_critical
+        info.path, obs_exempt=obs_exempt, order_critical=order_critical
     )
-    visitor.visit(tree)
-    return suppressions.filter(visitor.violations)
+    visitor.visit(info.tree)
+    return visitor.violations
 
 
-def lint_file(path: str | Path) -> list[LintViolation]:
-    """Lint one file from disk."""
-    p = Path(path)
-    return lint_source(p.read_text(encoding="utf-8"), p)
+def run_lint_rules(
+    model: ProjectModel, rules: frozenset[str] | None = None
+) -> list[LintViolation]:
+    """Run REP001–REP004 over every file of ``model``.
+
+    Args:
+        model: the project model (its files' trees and pragmas).
+        rules: restrict to these rule ids (None = all four).
+
+    Findings come back pragma-filtered, file by file.
+    """
+    if rules is not None and rules.isdisjoint(LINT_RULES):
+        return []
+    return model.unsuppressed(
+        violation
+        for info in model
+        for violation in _check_module(info)
+        if rules is None or violation.rule in rules
+    )
 
 
-def _iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
-    for entry in paths:
-        p = Path(entry)
-        if p.is_dir():
-            yield from sorted(p.rglob("*.py"))
-        elif p.suffix == ".py":
-            yield p
+def lint_source(source: str, path: str | Path) -> list[LintViolation]:
+    """Lint one module's source text (``path`` scopes the rules and is reported)."""
+    indexed = read_module(str(path), source)
+    if isinstance(indexed, LintViolation):
+        return [indexed]
+    return run_lint_rules(ProjectModel([indexed]))
 
 
 def lint_paths(paths: Sequence[str | Path]) -> list[LintViolation]:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    Findings come back sorted by ``(path, line, col, rule)`` so output is
+    Files that cannot be read or parsed are ``REP000`` findings.  Findings
+    come back sorted by ``(path, line, col, rule)`` so output is
     deterministic across filesystems.
     """
-    violations: list[LintViolation] = []
-    for file in _iter_python_files(paths):
-        violations.extend(lint_file(file))
-    return sorted(violations, key=lambda v: (v.path, v.line, v.col, v.rule))
+    model = build_project_model(paths)
+    return sorted(
+        [*model.errors, *run_lint_rules(model)],
+        key=lambda v: (v.path, v.line, v.col, v.rule),
+    )
+
+
+def lint_file(path: str | Path) -> list[LintViolation]:
+    """Lint one ``.py`` file from disk."""
+    return lint_paths([path])
 
 
 def format_violations(

@@ -1,11 +1,10 @@
-"""Whole-project model for the multi-pass static analyzers.
+"""The project model: the one reader behind ``repro lint``.
 
-The PR-5 lint (:mod:`repro.check.lint`) is strictly per-file: each rule
-looks at one module's AST in isolation.  The analyzer passes added since
-(:mod:`repro.check.analyzers`) need *project-wide* facts — which functions
-are shipped to pool workers, which module declares a metric name a distant
-emitter references, which class is a frozen dataclass — so this module
-builds one shared :class:`ProjectModel` they all run against:
+:func:`build_project_model` walks the given paths, reads and parses every
+``.py`` file once, and indexes it into a shared :class:`ProjectModel` that
+every rule runs against — the per-file rules (:mod:`repro.check.lint`)
+walk each module's tree, and the analyzer passes
+(:mod:`repro.check.analyzers`) use the project-wide facts:
 
 * a parsed AST per module, with the module's **symbol table**: module-level
   bindings, string constants, mutable-container bindings, classes (with
@@ -13,15 +12,21 @@ builds one shared :class:`ProjectModel` they all run against:
 * the **import graph**: per module, ``import X as y`` aliases and
   ``from X import a as b`` bindings, resolvable across the project
   (including re-export chains through ``__init__`` modules);
-* an approximate **call-graph resolver** (:meth:`ProjectModel.resolve_call`)
+* an approximate **call-graph resolver** (:meth:`ProjectModel.resolve_function`)
   good enough to chase ``worker()``-style calls from a pool entry point
-  into other modules.
+  into other modules;
+* the file's ``# repro-lint: disable=`` pragmas (:class:`Suppressions`),
+  applied to every rule's findings by :meth:`ProjectModel.unsuppressed`.
+
+A file that cannot be read, is not UTF-8, or does not parse becomes a
+``REP000`` :class:`LintViolation` in :attr:`ProjectModel.errors` instead of
+a module, so it is reported under any rule selection.
 
 The model is **content-addressed and cached**: :func:`build_project_model`
 keys each module on the SHA-256 of its bytes and reuses the pickled
-per-module entry when unchanged, so CI's lint / analyzer steps re-parse
-only edited files (``REPRO_MODEL_CACHE`` or ``cache_path`` names the
-pickle; a corrupt or version-skewed cache is silently rebuilt).
+per-module entry when unchanged, so repeat runs re-parse only edited files
+(``REPRO_MODEL_CACHE`` or ``cache_path`` names the pickle; a corrupt or
+version-skewed cache is silently rebuilt).
 
 Everything here is stdlib-only (:mod:`ast`, :mod:`hashlib`,
 :mod:`pickle`) and engine-free, like the rest of ``repro/check/``.
@@ -33,20 +38,22 @@ import ast
 import hashlib
 import os
 import pickle
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
-
-from repro.check.lint import Suppressions
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "MODEL_CACHE_VERSION",
     "ClassInfo",
     "FunctionInfo",
+    "LintViolation",
     "ModuleInfo",
     "ProjectModel",
+    "Suppressions",
     "build_project_model",
     "module_name_for",
+    "read_module",
 ]
 
 #: Bump when ModuleInfo's shape changes so stale pickles self-invalidate.
@@ -59,6 +66,90 @@ _MUTABLE_CALLS = frozenset(
     {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter",
      "OrderedDict"}
 )
+
+_PRAGMA = re.compile(
+    r"#[ \t]*repro-lint:[ \t]*disable=([A-Za-z0-9_,\t ]+)", re.IGNORECASE
+)
+
+#: Token standing for "every rule" inside a :class:`Suppressions` table.
+ALL_RULES_TOKEN = "*"
+
+
+@dataclass(frozen=True, slots=True)
+class LintViolation:
+    """One lint finding, anchored to a source location."""
+
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+    def to_dict(self) -> dict[str, object]:
+        return {
+            "rule": self.rule,
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "message": self.message,
+        }
+
+
+@dataclass(frozen=True, slots=True)
+class Suppressions:
+    """Parsed ``# repro-lint: disable=`` pragmas for one file.
+
+    A pragma on a line of its own (nothing but whitespace/comment before
+    it) applies to the whole file; a trailing pragma on a line of code
+    applies to that line only.  The token ``all`` expands to
+    :data:`ALL_RULES_TOKEN` and matches every rule id, present and future.
+    """
+
+    file_rules: frozenset[str] = frozenset()
+    line_rules: tuple[tuple[int, frozenset[str]], ...] = ()
+
+    @classmethod
+    def empty(cls) -> "Suppressions":
+        return cls()
+
+    @classmethod
+    def from_source(cls, source: str) -> "Suppressions":
+        file_rules: set[str] = set()
+        line_rules: dict[int, set[str]] = {}
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            match = _PRAGMA.search(line)
+            if match is None:
+                continue
+            rules = {
+                ALL_RULES_TOKEN if token.strip().upper() == "ALL"
+                else token.strip().upper()
+                for token in match.group(1).split(",")
+                if token.strip()
+            }
+            comment_start = line.find("#")
+            prefix = line[:comment_start].strip() if comment_start >= 0 else ""
+            if prefix:
+                line_rules.setdefault(lineno, set()).update(rules)
+            else:
+                file_rules.update(rules)
+        return cls(
+            file_rules=frozenset(file_rules),
+            line_rules=tuple(
+                (lineno, frozenset(rules))
+                for lineno, rules in sorted(line_rules.items())
+            ),
+        )
+
+    def is_disabled(self, rule: str, line: int) -> bool:
+        if rule in self.file_rules or ALL_RULES_TOKEN in self.file_rules:
+            return True
+        for lineno, rules in self.line_rules:
+            if lineno == line and (rule in rules or ALL_RULES_TOKEN in rules):
+                return True
+        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,22 +324,67 @@ def _index_module(name: str, path: str, source: str, sha: str) -> ModuleInfo:
     return info
 
 
-class ProjectModel:
-    """Immutable-ish view over every indexed module, with resolvers."""
+def read_module(
+    path: str, source: str | bytes, sha256: str = ""
+) -> ModuleInfo | LintViolation:
+    """Index one file's source, or report why it cannot be: ``REP000``.
 
-    def __init__(self, modules: dict[str, ModuleInfo]) -> None:
-        self.modules = modules
+    ``source`` as bytes must be UTF-8.  This is the one-module indexer
+    behind :func:`build_project_model` and ``lint_source``.
+    """
+    try:
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
+    except UnicodeDecodeError as exc:
+        return LintViolation(
+            "REP000", path, 0, 0,
+            f"file is not UTF-8: {exc.reason} at byte {exc.start}",
+        )
+    try:
+        return _index_module(module_name_for(Path(path)), path, text, sha256)
+    except SyntaxError as exc:
+        return LintViolation(
+            "REP000", path, exc.lineno or 0, exc.offset or 0,
+            f"file does not parse: {exc.msg}",
+        )
+    except ValueError as exc:  # null bytes, on Python 3.10
+        return LintViolation("REP000", path, 0, 0, f"file does not parse: {exc}")
+
+
+class ProjectModel:
+    """Every indexed file and the REP000 findings of the rest, with resolvers."""
+
+    def __init__(
+        self, files: Sequence[ModuleInfo], errors: Sequence[LintViolation] = ()
+    ) -> None:
+        #: dotted name -> module for name resolution; when two walked files
+        #: share a name, the later one wins.
+        self.modules = {info.name: info for info in files}
+        #: every indexed file, sorted by (name, path).
+        self.files = sorted(files, key=lambda info: (info.name, info.path))
+        #: ``REP000`` findings for walked files that could not be indexed.
+        self.errors = list(errors)
 
     # ------------------------------------------------------------- iteration
     def __iter__(self) -> Iterator[ModuleInfo]:
-        for name in sorted(self.modules):
-            yield self.modules[name]
+        """Every indexed file, including those whose name another shares."""
+        return iter(self.files)
 
     def __len__(self) -> int:
-        return len(self.modules)
+        return len(self.files)
 
     def get(self, dotted: str) -> ModuleInfo | None:
         return self.modules.get(dotted)
+
+    def unsuppressed(
+        self, violations: Iterable[LintViolation]
+    ) -> list[LintViolation]:
+        """Drop the findings a pragma in their file disables."""
+        by_path = {info.path: info.suppressions for info in self.files}
+        return [
+            v for v in violations
+            if v.path not in by_path
+            or not by_path[v.path].is_disabled(v.rule, v.line)
+        ]
 
     # -------------------------------------------------------------- resolvers
     def resolve_function(
@@ -362,7 +498,7 @@ def build_project_model(
     *,
     cache_path: str | Path | None = None,
 ) -> ProjectModel:
-    """Index every ``.py`` file under ``paths`` into a :class:`ProjectModel`.
+    """Read and index every ``.py`` file under ``paths`` once.
 
     Args:
         paths: files or directories (directories recurse, sorted).
@@ -370,9 +506,8 @@ def build_project_model(
             ``REPRO_MODEL_CACHE`` environment variable when set.  Cached
             entries are reused when a file's SHA-256 is unchanged.
 
-    Files that fail to parse are skipped here — the per-file lint pass
-    reports them as ``REP000``, and an unparseable module has no facts to
-    contribute.
+    A file that cannot be read or indexed lands in
+    :attr:`ProjectModel.errors` as a ``REP000`` finding.
     """
     if cache_path is None:
         env = os.environ.get("REPRO_MODEL_CACHE", "")
@@ -383,28 +518,32 @@ def build_project_model(
         cache_file = Path(cache_path)
         cache = _load_cache(cache_file)
 
-    modules: dict[str, ModuleInfo] = {}
+    files: list[ModuleInfo] = []
+    errors: list[LintViolation] = []
     fresh_entries: dict[str, tuple[str, ModuleInfo]] = {}
     dirty = False
     for file in _iter_python_files(paths):
+        key = str(file)
         try:
             raw = file.read_bytes()
-        except OSError:
+        except OSError as exc:
+            errors.append(LintViolation(
+                "REP000", key, 0, 0, f"file cannot be read: {exc.strerror or exc}"
+            ))
             continue
         sha = hashlib.sha256(raw).hexdigest()
-        key = str(file)
         cached = cache.get(key)
         if cached is not None and cached[0] == sha:
             info = cached[1]
         else:
-            try:
-                source = raw.decode("utf-8")
-                info = _index_module(module_name_for(file), key, source, sha)
-            except (SyntaxError, UnicodeDecodeError):
+            indexed = read_module(key, raw, sha)
+            if isinstance(indexed, LintViolation):
+                errors.append(indexed)
                 continue
+            info = indexed
             dirty = True
         fresh_entries[key] = (sha, info)
-        modules[info.name] = info
+        files.append(info)
     if cache_file is not None and (dirty or fresh_entries.keys() != cache.keys()):
         _store_cache(cache_file, fresh_entries)
-    return ProjectModel(modules)
+    return ProjectModel(files, errors)

@@ -1,25 +1,29 @@
-"""Project-wide lint orchestration: per-file rules, model passes, baseline.
+"""Project-wide lint orchestration: one model, every rule, the baseline.
 
 This is the engine behind ``repro lint``.  One call to
 :func:`lint_project`:
 
-1. runs the per-file rules (REP000–REP004, :mod:`repro.check.lint`);
-2. builds (or loads from cache) the whole-project model
-   (:mod:`repro.check.model`) and runs the analyzer passes over it
-   (REP005–REP008, :mod:`repro.check.analyzers`);
+1. builds (or loads from cache) the whole-project model
+   (:mod:`repro.check.model`) — the one reader, which parses each file
+   once and turns a file it cannot read or parse into a ``REP000``
+   finding;
+2. runs the per-file rules (REP001–REP004, :mod:`repro.check.lint`) over
+   each module's tree and the analyzer passes (REP005–REP007,
+   :mod:`repro.check.analyzers`) over the model, both filtered by the
+   model's pragma table;
 3. subtracts the committed **baseline** — grandfathered findings recorded
    in ``.repro-lint-baseline.json`` so a new rule can land strict without
    blocking on a same-day cleanup of every historical hit.
 
 Baseline entries match on ``(rule, path, message)`` and deliberately *not*
 on line numbers, so unrelated edits above a grandfathered finding don't
-resurrect it.  The project's own policy (ISSUE 10) is that deliberate
-exemptions get an inline ``# repro-lint: disable=`` pragma with a
-justifying comment — the baseline exists for rule rollouts and currently
-ships empty; CI fails on any non-baselined finding.
+resurrect it.  The project's own policy is that deliberate exemptions get
+an inline ``# repro-lint: disable=`` pragma with a justifying comment — the
+baseline exists for rule rollouts and currently ships empty; CI fails on
+any non-baselined finding.
 
 Timings come from :class:`repro.obs.profile.Timer` (the sanctioned clock)
-and feed ``repro lint --stats`` and the bench-history ledger.
+and are reported with the findings (``repro lint --format json``).
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.check.analyzers import ANALYZER_RULES, run_analyzers
-from repro.check.lint import LINT_RULES, LintViolation, lint_paths
-from repro.check.model import ProjectModel, build_project_model
+from repro.check.lint import LINT_RULES, run_lint_rules
+from repro.check.model import LintViolation, build_project_model
 from repro.core.errors import ReproError
 from repro.obs.profile import Timer
 
@@ -86,17 +90,6 @@ class ProjectLintReport:
                 for v in self.violations
             ],
             "per_rule": self.per_rule,
-            "baselined": self.baselined,
-            "files_scanned": self.files_scanned,
-            "model_build_s": self.model_build_s,
-            "analyze_s": self.analyze_s,
-        }
-
-    def stats(self) -> dict[str, Any]:
-        """The ``--stats`` payload (what lands in lint_stats.json)."""
-        return {
-            "per_rule": self.per_rule,
-            "total": len(self.violations),
             "baselined": self.baselined,
             "files_scanned": self.files_scanned,
             "model_build_s": self.model_build_s,
@@ -158,17 +151,17 @@ def lint_project(
     paths: Sequence[str | Path] = ("src",),
     *,
     rules: Iterable[str] | None = None,
-    analyzers: bool = True,
     baseline_path: str | Path | None = None,
     model_cache: str | Path | None = None,
 ) -> ProjectLintReport:
-    """Run every lint layer over ``paths`` and apply the baseline.
+    """Run every lint rule over ``paths`` and apply the baseline.
 
     Args:
         paths: files/directories to scan.
         rules: restrict to these rule ids (default: all of
             :data:`ALL_RULES`); unknown ids raise :class:`ReproError`.
-        analyzers: set False to skip the model passes (per-file only).
+            ``REP000`` (a file that cannot be read or parsed) is reported
+            under any selection.
         baseline_path: baseline to subtract; None = no baseline.
         model_cache: pickle path for the project model (also settable via
             ``REPRO_MODEL_CACHE``).
@@ -183,31 +176,15 @@ def lint_project(
                 f"known: {', '.join(sorted(ALL_RULES))}"
             )
 
-    violations = [
-        v for v in lint_paths(list(paths))
-        if selected is None or v.rule in selected
-    ]
-    files_scanned = 0
-    model_build_s = 0.0
-    analyze_s = 0.0
-    run_passes = analyzers and (
-        selected is None or bool(selected & ANALYZER_RULES.keys())
-    )
-    if run_passes:
-        with Timer() as build_timer:
-            model: ProjectModel = build_project_model(
-                paths, cache_path=model_cache
-            )
-        model_build_s = build_timer.elapsed
-        files_scanned = len(model)
-        with Timer() as analyze_timer:
-            violations.extend(run_analyzers(model, selected))
-        analyze_s = analyze_timer.elapsed
-        violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    else:
-        files_scanned = sum(
-            1 for p in paths for _ in _python_files(Path(p))
-        )
+    with Timer() as build_timer:
+        model = build_project_model(paths, cache_path=model_cache)
+    with Timer() as analyze_timer:
+        violations = [
+            *model.errors,
+            *run_lint_rules(model, selected),
+            *run_analyzers(model, selected),
+        ]
+    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
 
     baselined = 0
     if baseline_path is not None:
@@ -224,14 +201,7 @@ def lint_project(
     return ProjectLintReport(
         violations=violations,
         baselined=baselined,
-        files_scanned=files_scanned,
-        model_build_s=model_build_s,
-        analyze_s=analyze_s,
+        files_scanned=len(model) + len(model.errors),
+        model_build_s=build_timer.elapsed,
+        analyze_s=analyze_timer.elapsed,
     )
-
-
-def _python_files(root: Path) -> Iterable[Path]:
-    if root.is_dir():
-        yield from root.rglob("*.py")
-    elif root.suffix == ".py":
-        yield root

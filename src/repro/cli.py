@@ -21,8 +21,9 @@ Commands:
 * ``check``    — statically model-check a compiled schedule against the
   paper's invariants and theorem bounds without running the engine
   (``--grid`` certifies every compilable scheme over the CI smoke grid);
-* ``lint``     — the project's determinism/error-discipline lint pass
-  (REP001-REP004, see ``docs/CHECKS.md``);
+* ``lint``     — the project lint: per-file determinism/error-discipline
+  rules (REP001-REP004) and the project-model analyzer passes
+  (REP005-REP007), see ``docs/CHECKS.md``;
 * ``runs``     — list experiment runs recorded in the JSONL run ledger
   (``repro.run`` appends one line per run when ``$REPRO_LEDGER`` or
   ``--ledger`` names a file);
@@ -441,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the per-file lint (REP001-REP004) and the model-based "
-        "analyzer passes (REP005-REP008) over paths",
+        help="run the per-file rules (REP001-REP004) and the model-based "
+        "analyzer passes (REP005-REP007) over paths",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -457,10 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     lint.add_argument(
-        "--no-analyzers", action="store_true",
-        help="skip the project-model passes (per-file rules only)",
-    )
-    lint.add_argument(
         "--baseline", metavar="PATH", default=None,
         help="baseline of grandfathered findings to subtract "
         "(default: .repro-lint-baseline.json when present)",
@@ -473,11 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--model-cache", metavar="PATH", default=None,
         help="pickle cache for the project model "
         "(default: $REPRO_MODEL_CACHE when set)",
-    )
-    lint.add_argument(
-        "--stats", action="store_true",
-        help="print per-rule counts and timings; write them to "
-        "benchmarks/results/lint_stats.json and append to bench_history.jsonl",
     )
 
     runs = sub.add_parser(
@@ -1160,7 +1152,6 @@ def _cmd_lint(args) -> int:
     report = lint_project(
         args.paths,
         rules=rules,
-        analyzers=not args.no_analyzers,
         baseline_path=None if args.write_baseline else baseline,
         model_cache=args.model_cache,
     )
@@ -1171,8 +1162,6 @@ def _cmd_lint(args) -> int:
         print(f"baseline -> {target} ({count} finding{'s' if count != 1 else ''})")
         return 0
 
-    if args.stats:
-        _write_lint_stats(report)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -1187,33 +1176,6 @@ def _cmd_lint(args) -> int:
             f"analyze {report.analyze_s * 1e3:.0f} ms"
         )
     return 0 if report.clean else 1
-
-
-def _write_lint_stats(report) -> None:
-    """Persist ``--stats`` output like any other benchmark measurement."""
-    import json
-    import os
-
-    from repro.reporting.ledger import (
-        append_bench_history,
-        bench_history_records,
-    )
-
-    results_dir = os.path.join("benchmarks", "results")
-    os.makedirs(results_dir, exist_ok=True)
-    stats_path = os.path.join(results_dir, "lint_stats.json")
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump(report.stats(), fh, indent=2)
-        fh.write("\n")
-    history_path = os.path.join(results_dir, "bench_history.jsonl")
-    wall = report.model_build_s + report.analyze_s
-    previous = bench_history_records(history_path, name="lint_project")
-    baseline_s = previous[-1].get("wall_clock_s") if previous else None
-    append_bench_history(
-        history_path, "lint_project", wall,
-        baseline_s=baseline_s if isinstance(baseline_s, (int, float)) else None,
-    )
-    print(f"lint stats -> {stats_path} (wall {wall * 1e3:.0f} ms)")
 
 
 def _cmd_verify(args) -> int:

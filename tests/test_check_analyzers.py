@@ -1,9 +1,13 @@
-"""Adversarial fixtures for the model-based analyzer passes (REP005–REP008).
+"""Adversarial fixtures for the model-based analyzer passes (REP005–REP007).
 
 Every rule gets at least one fixture that triggers exactly that rule and a
 near-miss twin that must stay clean (mirroring ``test_check_schedule.py``'s
-pattern), plus tests for the project model itself (symbol table, resolvers,
-content-addressed cache), the baseline workflow, and a repo-clean gate:
+pattern).  ``TestTaint`` keeps the fixtures of the retired flow check:
+``lint_project`` must flag their nondeterministic sources at the call
+(REP001/REP002) and leave their near misses clean.  Then come tests for
+the project model itself (the one reader: symbol table, resolvers,
+content-addressed cache, one parse per file, REP000 for what it cannot
+read), the baseline workflow, and a repo-clean gate:
 ``lint_project`` over the real ``src/`` tree must exit clean against the
 committed baseline, and the declared metric registry must carry no dead
 names.
@@ -15,7 +19,7 @@ package root — which is also what lets a fixture ship its *own*
 against the installed one.
 """
 
-import json
+import ast
 import textwrap
 from pathlib import Path
 
@@ -34,7 +38,6 @@ from repro.check.analyzers import (
     frozen_spec,
     metric_names,
     process_safety,
-    taint,
 )
 from repro.check.model import module_name_for
 from repro.check.project import DEFAULT_BASELINE_PATH, baseline_key
@@ -348,8 +351,10 @@ class TestFrozenSpec:
         assert "FrozenInstanceError" in found[0].message
 
 
-# ---------------------------------------------------------------------- REP008
+# ------------------------------------------- REP001/REP002 at the source call
 class TestTaint:
+    """The retired REP008 flow fixtures: the source call itself is flagged."""
+
     def test_clock_through_assignment_fires(self, tmp_path):
         files = {
             "repro/service/emit.py": """
@@ -361,8 +366,9 @@ class TestTaint:
                     registry.histogram("fleet.startup_delay").observe(elapsed)
                 """,
         }
-        found = taint.analyze(model_of(tmp_path, files))
-        assert rules_of(found) == ["REP008"]
+        found = lint_project([write_tree(tmp_path, files)]).violations
+        assert rules_of(found) == ["REP002"]
+        assert found[0].line == 5  # the read, not the sink
         assert "time.time()" in found[0].message
 
     def test_near_miss_seeded_rng_is_clean(self, tmp_path):
@@ -376,7 +382,7 @@ class TestTaint:
                     registry.histogram("fleet.startup_delay").observe(value)
                 """,
         }
-        assert taint.analyze(model_of(tmp_path, files)) == []
+        assert lint_project([write_tree(tmp_path, files)]).clean
 
     def test_near_miss_obs_wrapper_is_clean(self, tmp_path):
         files = {
@@ -388,7 +394,7 @@ class TestTaint:
                     ledger.append({"time_s": stamp})
                 """,
         }
-        assert taint.analyze(model_of(tmp_path, files)) == []
+        assert lint_project([write_tree(tmp_path, files)]).clean
 
     def test_unseeded_rng_into_ledger_fires(self, tmp_path):
         files = {
@@ -403,9 +409,9 @@ class TestTaint:
                     ledger.append({"jitter": jitter})
                 """,
         }
-        found = taint.analyze(model_of(tmp_path, files))
-        assert rules_of(found) == ["REP008"]
-        assert "ledger append()" in found[0].message
+        found = lint_project([write_tree(tmp_path, files)]).violations
+        assert rules_of(found) == ["REP001"]
+        assert "random.random()" in found[0].message
 
     def test_direct_source_in_sink_fires(self, tmp_path):
         files = {
@@ -416,8 +422,8 @@ class TestTaint:
                     registry.gauge("fleet.goodput").set(time.monotonic())
                 """,
         }
-        found = taint.analyze(model_of(tmp_path, files))
-        assert rules_of(found) == ["REP008"]
+        found = lint_project([write_tree(tmp_path, files)]).violations
+        assert rules_of(found) == ["REP002"]
 
     def test_obs_modules_are_exempt(self, tmp_path):
         files = {
@@ -428,7 +434,11 @@ class TestTaint:
                     registry.gauge("obs.now").set(time.time())
                 """,
         }
-        assert taint.analyze(model_of(tmp_path, files)) == []
+        # The undeclared "obs.now" gauge is REP006's business, not this one.
+        report = lint_project(
+            [write_tree(tmp_path, files)], rules=["REP001", "REP002"]
+        )
+        assert report.clean
 
 
 # ----------------------------------------------------------------- the model
@@ -498,6 +508,73 @@ class TestProjectModel:
         model = build_project_model([base], cache_path=cache)
         assert model.get("repro.one") is not None
 
+    def test_lint_project_parses_each_file_once(self, tmp_path, monkeypatch):
+        base = write_tree(tmp_path, {
+            "repro/one.py": "X = 1\n",
+            "repro/two.py": "Y = 2\n",
+            "repro/three.py": "Z = 3\n",
+        })
+        monkeypatch.delenv("REPRO_MODEL_CACHE", raising=False)
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        report = lint_project([base])
+        assert report.clean and report.files_scanned == 3
+        assert len(parsed) == 3
+
+    def test_unparseable_file_is_reported_under_any_rules(self, tmp_path):
+        base = write_tree(tmp_path, {
+            "repro/bad.py": "def broken(:\n",
+            "repro/ok.py": "X = 1\n",
+        })
+        for rules in (None, ["REP005"], ["REP001", "REP002"]):
+            report = lint_project([base], rules=rules)
+            assert rules_of(report.violations) == ["REP000"]
+            assert report.violations[0].path.endswith("bad.py")
+            assert report.files_scanned == 2
+
+    def test_unreadable_file_is_rep000(self, tmp_path):
+        base = write_tree(tmp_path, {"repro/ok.py": "X = 1\n"})
+        (base / "repro" / "gone.py").symlink_to(tmp_path / "missing.py")
+        report = lint_project([base])
+        assert rules_of(report.violations) == ["REP000"]
+        assert "cannot be read" in report.violations[0].message
+        assert report.files_scanned == 2
+
+    def test_files_sharing_a_dotted_name_are_all_checked(self, tmp_path):
+        base = write_tree(tmp_path, {
+            "a/repro/core/clock.py": """
+                import time
+                from dataclasses import dataclass
+
+                @dataclass(frozen=True)
+                class Spec:
+                    n: int
+
+                def bump(spec):
+                    object.__setattr__(spec, "n", 1)
+                    return time.time()
+                """,
+            "b/repro/core/clock.py": "X = 1\n",
+        })
+        model = build_project_model([base])
+        assert len(model) == 2
+        # name resolution still picks one module per name: the later one
+        assert model.get("repro.core.clock").path.endswith(
+            str(Path("b/repro/core/clock.py"))
+        )
+        report = lint_project([base])
+        assert rules_of(report.violations) == ["REP002", "REP007"]
+        assert all(
+            str(Path("a/repro/core")) in v.path for v in report.violations
+        )
+        assert report.files_scanned == 2
+
 
 # -------------------------------------------------------------- the baseline
 class TestBaseline:
@@ -532,11 +609,15 @@ class TestBaseline:
             lint_project([tmp_path], rules=["REP999"])
 
     def test_rule_selection(self, tmp_path):
-        base = write_tree(tmp_path, TestProcessSafety.WORKER_TRIGGER)
-        only_taint = lint_project([base], rules=["REP008"])
-        assert only_taint.clean
+        files = dict(TestProcessSafety.WORKER_TRIGGER)
+        files["repro/exec/clock.py"] = "import time\nSTARTED = time.time()\n"
+        base = write_tree(tmp_path, files)
+        only_frozen = lint_project([base], rules=["REP007"])
+        assert only_frozen.clean
         only_ps = lint_project([base], rules=["REP005"])
         assert set(only_ps.per_rule) == {"REP005"}
+        only_clock = lint_project([base], rules=["REP002"])
+        assert set(only_clock.per_rule) == {"REP002"}
 
 
 # ------------------------------------------------------------ repo-wide gates

@@ -57,6 +57,42 @@ class TestRules:
         src = "import random\nrng = random.Random(3)\nx = rng.random()\n"
         assert lint_source(src, LIB) == []
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from random import shuffle\nshuffle(xs)\n",
+            "def f(xs):\n    from random import shuffle\n    shuffle(xs)\n",
+            "from numpy.random import default_rng\nrng = default_rng()\n",
+            "from numpy.random import rand\nx = rand(3)\n",
+            "import random\nrng = random.SystemRandom()\n",
+            "import random\nrng = random.Random()\n",
+            "import numpy as np\nss = np.random.SeedSequence()\n",
+            "import os\nkey = os.urandom(8)\n",
+            "import uuid\nrun_id = uuid.uuid4()\n",
+            "import secrets\ntoken = secrets.token_hex(8)\n",
+        ],
+        ids=[
+            "from-random-shuffle", "local-from-random-shuffle",
+            "from-numpy-default_rng", "from-numpy-rand", "SystemRandom",
+            "unseeded-Random", "unseeded-SeedSequence", "os.urandom",
+            "uuid4", "secrets.token_hex",
+        ],
+    )
+    def test_rep001_more_sources(self, src):
+        assert rules_of(lint_source(src, LIB)) == ["REP001"]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from numpy.random import default_rng\nrng = default_rng(3)\n",
+            "import numpy as np\nss = np.random.SeedSequence(3)\n",
+            "import random\nrng = random.Random(3)\n",
+        ],
+        ids=["from-numpy-default_rng", "SeedSequence", "Random"],
+    )
+    def test_rep001_seeded_calls_are_clean(self, src):
+        assert lint_source(src, LIB) == []
+
     def test_rep002_time_call(self):
         src = "import time\nt = time.perf_counter()\n"
         assert rules_of(lint_source(src, LIB)) == ["REP002"]
@@ -68,6 +104,21 @@ class TestRules:
     def test_rep002_datetime_now(self):
         src = "from datetime import datetime\nstamp = datetime.now()\n"
         assert rules_of(lint_source(src, LIB)) == ["REP002"]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import time\nt = time.time_ns()\n",
+            "from datetime import date\nday = date.today()\n",
+            "from datetime import datetime as dt\nstamp = dt.now()\n",
+            "import time as clock\nt = clock.monotonic()\n",
+        ],
+        ids=["time_ns", "date.today", "aliased-datetime", "aliased-time"],
+    )
+    def test_rep002_more_sources(self, src):
+        violations = lint_source(src, LIB)
+        assert rules_of(violations) == ["REP002"]
+        assert violations[0].line == 2  # at the call
 
     def test_rep002_obs_is_exempt(self):
         src = "import time\nt = time.perf_counter()\n"
@@ -103,6 +154,14 @@ class TestRules:
     def test_rep000_syntax_error(self):
         violations = lint_source("def broken(:\n", LIB)
         assert rules_of(violations) == ["REP000"]
+
+    def test_rep000_not_utf8(self, tmp_path):
+        path = tmp_path / "src" / "repro" / "core" / "latin.py"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"NAME = '\xe9t\xe9'\n")
+        violations = lint_file(path)
+        assert rules_of(violations) == ["REP000"]
+        assert "UTF-8" in violations[0].message
 
     def test_exempt_dirs_skip_every_rule(self):
         src = "import time\nassert time.time() > 0\n"

@@ -240,7 +240,26 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 3.0.0"
+        assert capsys.readouterr().out.strip() == "repro 4.0.0"
+
+
+class TestLintCommand:
+    @pytest.mark.parametrize("flag", ["--stats", "--no-analyzers"])
+    def test_removed_flags_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "src", flag])
+        assert excinfo.value.code == 2
+
+    def test_unparseable_file_fails_any_rule_selection(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        ok = tmp_path / "ok.py"
+        bad.write_text("def broken(:\n")
+        ok.write_text("X = 1\n")
+        code = main(["lint", str(bad), str(ok), "--rules", "REP005"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"{bad}:1:" in out and "REP000" in out
+        assert "files: 2" in out
 
 
 class TestFleetCommand:
