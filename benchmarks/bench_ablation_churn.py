@@ -56,8 +56,8 @@ def run():
     return rows
 
 
-def test_churn_ablation(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_churn_ablation():
+    rows = run()
     by_key = {(r[0], r[1]): r for r in rows}
     # The motivating sequence: lazy eliminates structural churn entirely and
     # never swaps more than eager there.
@@ -73,7 +73,7 @@ def test_churn_ablation(benchmark):
     report("ablation_churn", text)
 
 
-def test_churn_hiccup_bound(benchmark):
+def test_churn_hiccup_bound():
     """Paper: 'up to d^2 nodes may suffer from hiccups' per operation."""
 
     def run_bound():
@@ -87,4 +87,4 @@ def test_churn_hiccup_bound(benchmark):
             assert worst <= d * d + d
         return worst
 
-    benchmark.pedantic(run_bound, rounds=1, iterations=1)
+    run_bound()

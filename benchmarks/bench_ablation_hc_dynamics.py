@@ -70,11 +70,8 @@ def churn_strategy_rows(seed=11, events=40):
     return rows
 
 
-def test_hypercube_dynamics_ablation(benchmark):
-    ghost_rows, churn_rows = benchmark.pedantic(
-        lambda: (ghost_starvation_rows(), churn_strategy_rows()),
-        rounds=1, iterations=1,
-    )
+def test_hypercube_dynamics_ablation():
+    ghost_rows, churn_rows = ghost_starvation_rows(), churn_strategy_rows()
     # No ghost: lag constant (= k).  Any ghost: lag grows between checkpoints.
     base = ghost_rows[0]
     assert base[1] == base[2]

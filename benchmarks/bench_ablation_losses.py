@@ -89,10 +89,8 @@ def sustained_loss_rows():
     return rows
 
 
-def test_loss_ablation(benchmark):
-    single, sustained = benchmark.pedantic(
-        lambda: (single_drop_rows(), sustained_loss_rows()), rounds=1, iterations=1
-    )
+def test_loss_ablation():
+    single, sustained = single_drop_rows(), sustained_loss_rows()
     text = "\n".join(
         [
             format_table(

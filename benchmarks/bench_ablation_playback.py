@@ -70,12 +70,8 @@ def live_rows():
     return rows
 
 
-def test_playback_ablation(benchmark):
-    start_r, cons_r, live_r = benchmark.pedantic(
-        lambda: (start_rule_rows(), construction_rows(), live_rows()),
-        rounds=1,
-        iterations=1,
-    )
+def test_playback_ablation():
+    start_r, cons_r, live_r = start_rule_rows(), construction_rows(), live_rows()
     text = "\n".join(
         [
             format_table(

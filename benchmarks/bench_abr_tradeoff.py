@@ -16,7 +16,6 @@ from pathlib import Path
 from conftest import report
 
 from repro.abr import abr_tradeoff
-from repro.obs import Timer
 from repro.reporting.export import abr_report_to_dict
 
 NUM_CHUNKS = 32
@@ -27,8 +26,7 @@ _RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def test_abr_tradeoff_curves():
-    with Timer() as timer:
-        rep = abr_tradeoff(num_chunks=NUM_CHUNKS, chunk_slots=CHUNK_SLOTS, seed=SEED)
+    rep = abr_tradeoff(num_chunks=NUM_CHUNKS, chunk_slots=CHUNK_SLOTS, seed=SEED)
     again = abr_tradeoff(num_chunks=NUM_CHUNKS, chunk_slots=CHUNK_SLOTS, seed=SEED)
 
     assert again.to_dict() == rep.to_dict(), "sweep must be deterministic"
@@ -56,11 +54,9 @@ def test_abr_tradeoff_curves():
             curve = " ".join(f"({d},{b})" for d, b in pairs)
             lines.append(f"  {tier:8s} {profile:8s} delay/buffer: {curve}")
 
-    report("abr_tradeoff", "\n".join(lines), elapsed=timer.elapsed)
+    report("abr_tradeoff", "\n".join(lines))
 
-    # Overwrite the harness timing row with the full versioned report (plus
-    # the timing), so results/abr_tradeoff.json carries the actual curves.
-    payload = abr_report_to_dict(rep)
-    payload["wall_clock_s"] = round(timer.elapsed, 6)
+    # The full versioned report, so results/abr_tradeoff.json carries the
+    # actual curves.
     out = _RESULTS_DIR / "abr_tradeoff.json"
-    out.write_text(json.dumps(payload, indent=1) + "\n")
+    out.write_text(json.dumps(abr_report_to_dict(rep), indent=1) + "\n")

@@ -44,8 +44,8 @@ def run():
     return rows
 
 
-def test_baseline_comparison(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_baseline_comparison():
+    rows = run()
     by_key = {(r[0], r[1]): r for r in rows}
     for n in (30, 120, 480):
         chain_delay = by_key[("chain", n)][2]

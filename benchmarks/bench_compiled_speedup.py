@@ -5,9 +5,11 @@ The pre-compiler serial path re-ran the full object-based simulation
 loss-free point of a seed sweep replays the identical timetable.  The
 execution layer compiles the schedule once (content-addressed cache) and
 replays the flat arrays per point, so the per-point cost drops from a full
-engine run to an array walk.  This bench times both paths on the same grid
+engine run to a kernel pass.  This bench times both paths on the same grid
 and asserts the >= 3x acceptance floor; the measured metrics rows must agree
-point-for-point, so the speedup is not bought with different answers.
+point-for-point, so the speedup is not bought with different answers.  The
+result file states the bound; the measured times appear only in the assert
+message.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.core.engine import simulate
 from repro.core.metrics import collect_repair_metrics
 from repro.exec.cache import ScheduleCache
 from repro.exec.compiler import build_protocol, compile_schedule
-from repro.exec.executor import ExecutorPolicy, SweepExecutor, replay_sweep_task
+from repro.exec.executor import ExecutorPolicy, SweepExecutor, replay_batch_task
 from repro.obs import Timer
 
 NUM_NODES = 1023
@@ -40,10 +42,12 @@ def _baseline_point(seed: int) -> dict:
 
 
 def test_compiled_sweep_speedup():
-    grid = [(seed, 0.0, NUM_PACKETS) for seed in SEEDS]
+    # One sweep task per seed point, as the object path runs one engine
+    # per point.
+    grid = [((seed,), 0.0, NUM_PACKETS) for seed in SEEDS]
 
     with Timer() as baseline_timer:
-        baseline_rows = [_baseline_point(seed) for seed, _, _ in grid]
+        baseline_rows = [_baseline_point(seed) for (seed,), _, _ in grid]
 
     with Timer() as compiled_timer:
         schedule = compile_schedule(
@@ -51,36 +55,25 @@ def test_compiled_sweep_speedup():
             num_packets=NUM_PACKETS, cache=ScheduleCache(),
         )
         executor = SweepExecutor(ExecutorPolicy(mode="serial"))
-        compiled_rows = executor.map(replay_sweep_task, grid, payload=schedule)
+        blocks = executor.map(replay_batch_task, grid, payload=schedule)
+    compiled_rows = [row for block in blocks for row in block]
 
     assert compiled_rows == baseline_rows, "compiled sweep changed the answers"
     speedup = baseline_timer.elapsed / compiled_timer.elapsed
-    per_point_baseline = baseline_timer.elapsed / len(grid)
-    per_point_compiled = compiled_timer.elapsed / len(grid)
 
     lines = [
         f"compiled-schedule sweep speedup (N={NUM_NODES}, d={DEGREE}, "
         f"P={NUM_PACKETS}, {len(grid)} seed points, serial executor):",
         "",
-        f"  baseline (object path per point): {baseline_timer.elapsed:8.3f}s "
-        f"({per_point_baseline * 1000:7.1f} ms/point)",
-        f"  compiled (compile once + replay): {compiled_timer.elapsed:8.3f}s "
-        f"({per_point_compiled * 1000:7.1f} ms/point)",
-        f"  speedup: {speedup:.1f}x (acceptance floor {MIN_SPEEDUP:.0f}x)",
+        "  baseline: object path per point (fresh protocol, full engine run)",
+        "  compiled: compile once, then one replay_batch_task per point",
+        f"  asserted: compiled >= {MIN_SPEEDUP:.0f}x faster than baseline",
         f"  schedule: {schedule.size} transmissions over {schedule.num_slots} slots",
         "  metrics rows identical point-for-point: yes",
     ]
-    report(
-        "compiled_speedup",
-        "\n".join(lines),
-        elapsed=baseline_timer.elapsed + compiled_timer.elapsed,
-        phases={
-            "baseline_s": round(baseline_timer.elapsed, 6),
-            "compiled_s": round(compiled_timer.elapsed, 6),
-            "speedup": round(speedup, 3),
-            "points": len(grid),
-        },
-    )
+    report("compiled_speedup", "\n".join(lines))
     assert speedup >= MIN_SPEEDUP, (
-        f"compiled sweep speedup {speedup:.2f}x below the {MIN_SPEEDUP:.0f}x floor"
+        f"compiled sweep speedup {speedup:.2f}x below the {MIN_SPEEDUP:.0f}x "
+        f"floor: baseline {baseline_timer.elapsed:.3f}s, compiled "
+        f"{compiled_timer.elapsed:.3f}s for {len(grid)} points"
     )

@@ -15,20 +15,13 @@ from __future__ import annotations
 from conftest import report
 
 from repro.control.scenario import RAMP_SLO, compare_policies
-from repro.obs import Timer
 from repro.reporting.tables import format_table
 
 STATICS = ("queue", "reject", "degrade")
 
 
-def run():
-    with Timer() as timer:
-        outcomes = compare_policies(scale=1.0, seed=0)
-    return outcomes, timer.elapsed
-
-
-def test_control_plane_holds_the_slo(benchmark):
-    outcomes, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_control_plane_holds_the_slo():
+    outcomes = compare_policies(scale=1.0, seed=0)
     adaptive = outcomes["adaptive"]
     best_static = max(outcomes[p].throughput for p in STATICS)
 
@@ -68,4 +61,4 @@ def test_control_plane_holds_the_slo(benchmark):
             *decision_lines,
         ]
     )
-    report("control_plane", text, elapsed=elapsed)
+    report("control_plane", text)

@@ -26,8 +26,8 @@ def run():
     return rows
 
 
-def test_degree_optimization_reproduction(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_degree_optimization_reproduction():
+    rows = run()
     crossover = crossover_population()
     derivative_rows = [
         (n, round(delay_derivative(n, 2), 3), round(delay_derivative(n, 3), 3))

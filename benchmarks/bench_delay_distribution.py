@@ -32,8 +32,8 @@ def run():
     return rows, hists
 
 
-def test_delay_distribution(benchmark):
-    rows, hists = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_delay_distribution():
+    rows, hists = run()
     for row in rows:
         _, _, minimum, p50, p90, p99, maximum, mean = row
         assert minimum <= p50 <= p90 <= p99 <= maximum

@@ -9,8 +9,8 @@ from repro.cluster.protocol import ClusteredStreamingProtocol
 from repro.cluster.supertree import build_supertree
 
 
-def test_figure1_reproduction(benchmark):
-    tree = benchmark.pedantic(build_supertree, args=(9, 3), rounds=1, iterations=1)
+def test_figure1_reproduction():
+    tree = build_supertree(9, 3)
     tree.verify()
     # Paper figure: S feeds S_1..S_3; S_1 feeds S_4, S_5; S_2 feeds S_6, S_7;
     # S_3 feeds S_8, S_9 (0-indexed here).
@@ -27,7 +27,7 @@ def test_figure1_reproduction(benchmark):
     report("figure1_supertree", "\n".join(lines))
 
 
-def test_figure1_end_to_end(benchmark):
+def test_figure1_end_to_end():
     """Stream through the full Figure 1 system (K=9, D=3, d=4)."""
 
     def run():
@@ -36,7 +36,7 @@ def test_figure1_end_to_end(benchmark):
         )
         return analyze_clustered(protocol, num_packets=8)
 
-    qos = benchmark.pedantic(run, rounds=1, iterations=1)
+    qos = run()
     assert qos.measured_max_delay <= qos.predicted_max_delay
     report(
         "figure1_end_to_end",

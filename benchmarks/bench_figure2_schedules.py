@@ -28,10 +28,8 @@ def _render(construction, trace):
     return lines, rx, tx
 
 
-def test_figure2_reproduction(benchmark):
-    (p_s, t_s), (p_g, t_g) = benchmark.pedantic(
-        lambda: (run("structured"), run("greedy")), rounds=1, iterations=1
-    )
+def test_figure2_reproduction():
+    (p_s, t_s), (p_g, t_g) = run("structured"), run("greedy")
     lines = ["Figure 2 — per-node schedules (node id 6, N=15, d=3)"]
     for name, trace in (("structured", t_s), ("greedy", t_g)):
         rendered, rx, tx = _render(name, trace)

@@ -29,12 +29,8 @@ def _render(name, trees):
     return lines
 
 
-def test_figure3_reproduction(benchmark):
-    structured, greedy = benchmark.pedantic(
-        lambda: (build_structured_trees(15, 3), build_greedy_trees(15, 3)),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure3_reproduction():
+    structured, greedy = build_structured_trees(15, 3), build_greedy_trees(15, 3)
     assert [t.layout for t in structured] == PAPER_STRUCTURED
     assert [t.layout for t in greedy] == PAPER_GREEDY
     text = "\n".join(
@@ -45,7 +41,7 @@ def test_figure3_reproduction(benchmark):
     report("figure3_constructions", text)
 
 
-def test_construction_scales(benchmark):
+def test_construction_scales():
     """Construction cost at realistic cluster sizes (not in the paper;
     establishes that both constructions are cheap enough for churn)."""
 
@@ -54,4 +50,4 @@ def test_construction_scales(benchmark):
             for builder in (build_structured_trees, build_greedy_trees):
                 MultiTreeForest(n, 3, builder(n, 3)).verify()
 
-    benchmark.pedantic(build, rounds=1, iterations=1)
+    build()

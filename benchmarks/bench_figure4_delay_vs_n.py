@@ -12,7 +12,6 @@ from conftest import report
 
 from repro.core.engine import simulate
 from repro.core.metrics import collect_metrics
-from repro.obs import Timer
 from repro.reporting.series import ascii_plot, series_table
 from repro.trees import MultiTreeProtocol
 from repro.trees.analysis import worst_case_delay
@@ -29,13 +28,10 @@ def sweep(populations, degrees):
     return series
 
 
-def test_figure4_reproduction(benchmark):
+def test_figure4_reproduction():
     populations = figure4_populations(2000, step=50, start=10)
     degrees = degree_sweep()
-    with Timer() as timer:
-        series = benchmark.pedantic(
-            sweep, args=(populations, degrees), rounds=1, iterations=1
-        )
+    series = sweep(populations, degrees)
 
     # Paper-shape checks: monotone-ish growth, degree ordering at the tail.
     tail = {name: values[-1] for name, values in series.items()}
@@ -57,10 +53,10 @@ def test_figure4_reproduction(benchmark):
             series_table("N", populations[::4], {k: v[::4] for k, v in series.items()}),
         ]
     )
-    report("figure4_delay_vs_n", text, elapsed=timer.elapsed)
+    report("figure4_delay_vs_n", text)
 
 
-def test_figure4_simulation_cross_check(benchmark):
+def test_figure4_simulation_cross_check():
     """Spot-check the analytic curve against full packet-level simulation."""
 
     def check():
@@ -78,7 +74,7 @@ def test_figure4_simulation_cross_check(benchmark):
                 results.append((n, d, analytic, measured.max_startup_delay))
         return results
 
-    rows = benchmark.pedantic(check, rounds=1, iterations=1)
+    rows = check()
     text = "\n".join(
         ["Figure 4 cross-check — analytic (paper rule) vs simulated (optimal start)"]
         + [f"  N={n:4d} d={d}: analytic={a:3d}  simulated={m:3d}" for n, d, a, m in rows]

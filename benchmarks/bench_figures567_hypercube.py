@@ -18,7 +18,7 @@ from repro.hypercube.cube import CubeExchange, slot_pairs
 from repro.hypercube.protocol import HypercubeProtocol
 
 
-def test_figure5_doubling_ladder(benchmark):
+def test_figure5_doubling_ladder():
     def ladder():
         cube = CubeExchange(3)
         for t in range(30):
@@ -29,7 +29,7 @@ def test_figure5_doubling_ladder(benchmark):
                 counts[p] = counts.get(p, 0) + 1
         return counts
 
-    counts = benchmark.pedantic(ladder, rounds=1, iterations=1)
+    counts = ladder()
     newest = max(counts)
     profile = [counts[newest - i] for i in range(4)]
     assert profile == [1, 2, 4, 7]
@@ -48,13 +48,13 @@ def test_figure5_doubling_ladder(benchmark):
     )
 
 
-def test_figure6_buffer_occupancy(benchmark):
+def test_figure6_buffer_occupancy():
     def measure():
         protocol = HypercubeProtocol(7)
         trace = simulate(protocol, protocol.slots_for_packets(20))
         return collect_metrics(trace, num_packets=20)
 
-    metrics = benchmark.pedantic(measure, rounds=1, iterations=1)
+    metrics = measure()
     assert metrics.max_buffer <= 2
     lines = [
         "Figure 6 — O(1) buffer space (N=7, k=3):",
@@ -68,13 +68,13 @@ def test_figure6_buffer_occupancy(benchmark):
     report("figure6_buffers", "\n".join(lines))
 
 
-def test_figure7_pairing_pattern(benchmark):
+def test_figure7_pairing_pattern():
     def measure():
         protocol = HypercubeProtocol(7)
         trace = simulate(protocol, 6)
         return communication_pairs(trace.transmissions)
 
-    pairs_by_slot = benchmark.pedantic(measure, rounds=1, iterations=1)
+    pairs_by_slot = measure()
     lines = ["Figure 7 — hypercube pairing (IDs 0..7, dimension = slot mod 3):"]
     for slot in range(3):
         expected = {frozenset(p) for p in slot_pairs(3, slot)}

@@ -10,8 +10,8 @@ at least **5x** faster per session than the reference interpreter
 (:func:`~repro.exec.replay.bernoulli_mask` +
 :func:`~repro.exec.replay.replay_arrivals` + per-node
 :func:`~repro.core.metrics.summarize_lossy_playback`) replaying the first
-10k sessions of the same workload — both timings land in
-``results/fleet_scale.json``.
+10k sessions of the same workload.  The kernel side of that ratio sums the
+run's ``session.replay`` spans (:class:`~repro.service.FleetTelemetry`).
 
 The older amortization claim still holds and stays pinned: the shared
 content-addressed schedule cache turns 1000 session admissions into 8
@@ -33,6 +33,10 @@ Two further acceptance tests cover the telemetry layer (docs/TELEMETRY.md):
 * **run-until-converged** — with ``convergence=ConvergenceCriterion(...)``
   the runner executes sessions in batches and must stop well before the
   full scenario once the p99 startup-delay CI is tight.
+
+The result files state each bound these tests assert and record no time:
+the two timed bounds (the 5x floor and the 2x ceiling) put their measured
+numbers in their assert messages.
 """
 
 from __future__ import annotations
@@ -45,7 +49,13 @@ from repro.exec.executor import ExecutorPolicy
 from repro.exec.replay import bernoulli_mask, replay_arrivals
 from repro.obs import Timer
 from repro.obs.convergence import ConvergenceCriterion
-from repro.service import CapacityModel, FleetRunner, FleetSpec, SessionSpec
+from repro.service import (
+    CapacityModel,
+    FleetRunner,
+    FleetSpec,
+    FleetTelemetry,
+    SessionSpec,
+)
 
 NUM_SESSIONS = 1000
 NUM_PACKETS = 8
@@ -76,8 +86,8 @@ def _reference_replay(sessions, decisions) -> float:
     """Replay and score sessions one at a time on the reference interpreter.
 
     Schedules compile before the timed loop, so the loop holds the same
-    work the kernel's shard timings cover: the loss mask, the replay, and
-    the per-node delay/buffer scoring.
+    work the kernel's ``session.replay`` spans cover: the loss mask, the
+    replay, and the per-node delay/buffer scoring.
     """
     schedules = {}
     for session, decision in zip(sessions, decisions):
@@ -113,8 +123,8 @@ def test_batched_kernel_at_100k_sessions():
         aggregation="sketch",
         sketch_error=0.01,
     )
-    with Timer() as batch_timer:
-        batched = FleetRunner(policy=SERIAL).run(fleet)
+    telemetry = FleetTelemetry()
+    batched = FleetRunner(policy=SERIAL, telemetry=telemetry).run(fleet)
     # The reference interpreter replays the workload's first 10k sessions;
     # the subset keeps the bench bounded and per-session rates comparable
     # (every session replays one of the same 8 compiled schedules).
@@ -123,12 +133,13 @@ def test_batched_kernel_at_100k_sessions():
         batched.decisions[:REFERENCE_SESSIONS],
     )
 
-    batch_rate = batch_timer.elapsed / BATCH_SESSIONS
-    # The 5x floor is on the replay kernel itself: shard timings cover
-    # exactly the replay+scoring work, so their sum isolates the kernel
-    # from admission control (which the reference loop does not do and
-    # would otherwise dilute the ratio).
-    batch_replay = sum(row["elapsed_s"] for row in batched.shard_timings)
+    # The 5x floor is on the replay kernel itself: the session.replay
+    # spans cover exactly the replay+scoring work of each unit, so their
+    # sum isolates the kernel from admission control (which the reference
+    # loop does not do and would otherwise dilute the ratio).
+    replays = [s for s in telemetry.spans.finished if s.name == "session.replay"]
+    assert sum(s.attrs["sessions"] for s in replays) == BATCH_SESSIONS
+    batch_replay = sum(s.dur_s for s in replays)
     batch_replay_rate = batch_replay / BATCH_SESSIONS
     reference_rate = reference_s / REFERENCE_SESSIONS
     speedup = reference_rate / batch_replay_rate
@@ -151,16 +162,12 @@ def test_batched_kernel_at_100k_sessions():
         f"batched fleet kernel ({BATCH_SESSIONS} sessions, "
         f"{len(CONFIGS)} configs, P={NUM_PACKETS}, sketch aggregation):",
         "",
-        f"  batched fleet run:      {batch_timer.elapsed:7.3f}s "
-        f"wall for {BATCH_SESSIONS} sessions "
-        f"({batch_rate * 1e6:6.0f}us/session, "
-        f"{batched.executor_info['units']} kernel calls, "
-        f"replay {batch_replay_rate * 1e6:.0f}us/session)",
-        f"  reference interpreter:  {reference_s:7.3f}s "
-        f"for the first {REFERENCE_SESSIONS} sessions "
-        f"(replay {reference_rate * 1e6:.0f}us/session)",
-        f"  replay-kernel speedup: {speedup:.1f}x "
-        f"(acceptance floor {MIN_SPEEDUP:.0f}x)",
+        f"  batched fleet run: {batched.executor_info['units']} kernel calls, "
+        "no per-session SLO kept",
+        f"  reference interpreter: the first {REFERENCE_SESSIONS} sessions, "
+        "one at a time",
+        f"  asserted: replay per session >= {MIN_SPEEDUP:.0f}x faster in the "
+        "kernel than in the reference interpreter",
         "",
         f"  fleet SLOs at 100k: startup_p50={report_100k.startup_p50} "
         f"startup_p99={report_100k.startup_p99} "
@@ -168,22 +175,7 @@ def test_batched_kernel_at_100k_sessions():
         f"buffer_p99={report_100k.buffer_p99} "
         f"goodput={report_100k.goodput_mean:.3f}",
     ]
-    report(
-        "fleet_scale",
-        "\n".join(lines),
-        elapsed=batch_timer.elapsed,
-        phases={
-            "sessions": BATCH_SESSIONS,
-            "batch_s": round(batch_timer.elapsed, 6),
-            "reference_sessions": REFERENCE_SESSIONS,
-            "reference_s": round(reference_s, 6),
-            "batch_us_per_session": round(batch_rate * 1e6, 2),
-            "batch_replay_us_per_session": round(batch_replay_rate * 1e6, 2),
-            "reference_replay_us_per_session": round(reference_rate * 1e6, 2),
-            "speedup": round(speedup, 2),
-            "kernel_calls": batched.executor_info["units"],
-        },
-    )
+    report("fleet_scale", "\n".join(lines))
 
 
 def test_fleet_scale_amortizes_compiles():
@@ -224,19 +216,21 @@ def test_fleet_scale_amortizes_compiles():
         f"hit rate {fleet_report.cache_hit_rate:.4f} below {MIN_HIT_RATE}"
     )
     assert ratio < MAX_RATIO, (
-        f"fleet took {ratio:.2f}x the isolated runs (ceiling {MAX_RATIO}x)"
+        f"fleet took {ratio:.2f}x the isolated runs (ceiling {MAX_RATIO}x): "
+        f"{fleet_timer.elapsed:.3f}s vs {isolated_total:.3f}s"
     )
 
     lines = [
         f"fleet scale ({NUM_SESSIONS} sessions, {len(CONFIGS)} configs, "
         f"P={NUM_PACKETS}, serial executor):",
         "",
-        f"  one fleet run:               {fleet_timer.elapsed:7.3f}s "
-        f"({fleet_report.cache_misses} compiles, "
-        f"hit rate {fleet_report.cache_hit_rate:.3f})",
-        f"  8 isolated per-config runs:  {isolated_total:7.3f}s "
-        f"({len(CONFIGS)} compiles, private caches)",
-        f"  ratio: {ratio:.2f}x (acceptance ceiling {MAX_RATIO:.0f}x)",
+        f"  one fleet run: {fleet_report.cache_misses} compiles, "
+        f"hit rate {fleet_report.cache_hit_rate:.3f} "
+        f"(asserted >= {MIN_HIT_RATE})",
+        f"  {len(CONFIGS)} isolated per-config runs: {len(CONFIGS)} compiles, "
+        "private caches",
+        f"  asserted: the fleet run takes < {MAX_RATIO:.0f}x the isolated "
+        "runs' total wall time",
         "",
         f"  fleet SLOs: startup_p50={fleet_report.startup_p50} "
         f"startup_p99={fleet_report.startup_p99} "
@@ -244,18 +238,7 @@ def test_fleet_scale_amortizes_compiles():
         f"buffer_p99={fleet_report.buffer_p99} "
         f"goodput={fleet_report.goodput_mean:.3f}",
     ]
-    report(
-        "fleet_scale_amortize",
-        "\n".join(lines),
-        elapsed=fleet_timer.elapsed + isolated_total,
-        phases={
-            "fleet_s": round(fleet_timer.elapsed, 6),
-            "isolated_s": round(isolated_total, 6),
-            "ratio": round(ratio, 4),
-            "cache_hit_rate": round(fleet_report.cache_hit_rate, 4),
-            "sessions": NUM_SESSIONS,
-        },
-    )
+    report("fleet_scale_amortize", "\n".join(lines))
 
 
 SKETCH_SESSIONS = 10_000
@@ -276,10 +259,8 @@ def test_sketch_aggregation_matches_exact_at_10k_sessions():
             sketch_error=SKETCH_ERROR,
         )
 
-    with Timer() as exact_timer:
-        exact = FleetRunner(policy=SERIAL).run(fleet_spec("exact")).report
-    with Timer() as sketch_timer:
-        sketch = FleetRunner(policy=SERIAL).run(fleet_spec("sketch")).report
+    exact = FleetRunner(policy=SERIAL).run(fleet_spec("exact")).report
+    sketch = FleetRunner(policy=SERIAL).run(fleet_spec("sketch")).report
 
     # Bounded memory: sketch mode never materializes per-session SLOs.
     assert sketch.sessions == ()
@@ -309,10 +290,8 @@ def test_sketch_aggregation_matches_exact_at_10k_sessions():
         f"sketch aggregation at {SKETCH_SESSIONS} sessions "
         f"(alpha={SKETCH_ERROR}, serial executor):",
         "",
-        f"  exact pooled percentiles:  {exact_timer.elapsed:7.3f}s "
-        f"({len(exact.sessions)} SLOs materialized)",
-        f"  sketch streaming:          {sketch_timer.elapsed:7.3f}s "
-        "(0 SLOs materialized)",
+        f"  exact pooled percentiles: {len(exact.sessions)} SLOs materialized",
+        "  sketch streaming:         0 SLOs materialized",
         "",
         "  field        exact  sketch  drift (bound = alpha*exact + 1)",
     ]
@@ -321,17 +300,7 @@ def test_sketch_aggregation_matches_exact_at_10k_sessions():
             f"  {name:<12} {getattr(exact, name):>5} "
             f"{getattr(sketch, name):>6}  {drifts[name]:.0f}"
         )
-    report(
-        "fleet_sketch_10k",
-        "\n".join(lines),
-        elapsed=sketch_timer.elapsed,
-        phases={
-            "exact_s": round(exact_timer.elapsed, 6),
-            "sketch_s": round(sketch_timer.elapsed, 6),
-            "sessions": SKETCH_SESSIONS,
-            "sketch_error": SKETCH_ERROR,
-        },
-    )
+    report("fleet_sketch_10k", "\n".join(lines))
 
 
 def test_run_until_converged_stops_early():
@@ -349,8 +318,7 @@ def test_run_until_converged_stops_early():
         sketch_error=SKETCH_ERROR,
         convergence=criterion,
     )
-    with Timer() as timer:
-        result = FleetRunner(policy=SERIAL).run(fleet)
+    result = FleetRunner(policy=SERIAL).run(fleet)
 
     state = result.convergence
     executed = result.executor_info["tasks"]
@@ -369,19 +337,11 @@ def test_run_until_converged_stops_early():
         f"{criterion.rel_half_width}, batches of {criterion.check_every}):",
         "",
         f"  executed {executed} of {SKETCH_SESSIONS} sessions in "
-        f"{result.executor_info['batches']} batches ({timer.elapsed:.3f}s)",
+        f"{result.executor_info['batches']} batches "
+        f"(asserted < {SKETCH_SESSIONS // 2})",
         f"  p99 estimate {state.estimate:.0f} in "
         f"[{state.ci_lower:.0f}, {state.ci_upper:.0f}] "
         f"(half-width {state.half_width:.2f} <= "
         f"target {state.target_half_width:.2f})",
     ]
-    report(
-        "fleet_converged_early_stop",
-        "\n".join(lines),
-        elapsed=timer.elapsed,
-        phases={
-            "executed": executed,
-            "total": SKETCH_SESSIONS,
-            "batches": result.executor_info["batches"],
-        },
-    )
+    report("fleet_converged_early_stop", "\n".join(lines))

@@ -52,8 +52,8 @@ def run():
     return all_tree, all_cube, mixed
 
 
-def test_mixed_cluster_deployments(benchmark):
-    all_tree, all_cube, mixed = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_mixed_cluster_deployments():
+    all_tree, all_cube, mixed = run()
     # Scheme signatures survive the backbone: hypercube clusters keep tiny
     # buffers; tree clusters buffer more.
     for scheme, _, _, max_buffer in all_cube:

@@ -31,8 +31,8 @@ def run():
     return rows
 
 
-def test_prop1_reproduction(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_prop1_reproduction():
+    rows = run()
     text = format_table(
         ["N", "k", "delay", "claim k+1", "buffer", "claim", "neighbors", "claim k"],
         rows,

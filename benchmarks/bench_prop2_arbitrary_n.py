@@ -38,8 +38,8 @@ def run():
     return rows
 
 
-def test_prop2_reproduction(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_prop2_reproduction():
+    rows = run()
     # Delay grows clearly sub-quadratically in log N but super-logarithmically
     # at cube boundaries; neighbors stay within O(log N).
     delays = [r[2] for r in rows]

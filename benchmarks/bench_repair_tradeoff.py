@@ -26,7 +26,6 @@ from pathlib import Path
 
 from conftest import report
 
-from repro.obs import Timer
 from repro.repair import REPAIR_SCHEMES, repair_experiment
 from repro.reporting.tables import format_rows
 
@@ -71,9 +70,8 @@ def sweep_rows() -> list[dict[str, object]]:
     return rows
 
 
-def test_repair_tradeoff(benchmark):
-    with Timer() as timer:
-        rows = benchmark.pedantic(sweep_rows, rounds=1, iterations=1)
+def test_repair_tradeoff():
+    rows = sweep_rows()
 
     # ARQ vs FEC, measurably: retransmission repairs over the NACK round
     # trip (slow for packets no receiver holds), parity decodes locally.
@@ -91,11 +89,10 @@ def test_repair_tradeoff(benchmark):
             "measured against the paper's loss-free operating point"
         ),
     )
-    report("repair_tradeoff", text, elapsed=timer.elapsed)
+    report("repair_tradeoff", text)
 
     _RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
-        "wall_clock_s": round(timer.elapsed, 6),
         "config": {
             "num_nodes": NUM_NODES,
             "degree": DEGREE,

@@ -78,8 +78,8 @@ def run():
     return rows
 
 
-def test_structured_vs_unstructured(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_structured_vs_unstructured():
+    rows = run()
     text = format_table(
         ["scheme", "N", "lag p50", "lag p99", "lag max",
          "undelivered", "provable bound"],

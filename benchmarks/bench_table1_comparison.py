@@ -52,8 +52,8 @@ def run_all():
     return rows
 
 
-def test_table1_reproduction(benchmark):
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_table1_reproduction():
+    rows = run_all()
     by_scheme = {}
     for scheme, n, max_d, avg_d, buf, neigh in rows:
         by_scheme.setdefault(scheme, []).append((n, max_d, avg_d, buf, neigh))

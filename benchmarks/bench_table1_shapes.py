@@ -82,8 +82,8 @@ def run():
     return rows
 
 
-def test_table1_shapes(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table1_shapes():
+    rows = run()
     expected = {
         ("multi-tree d=2", "max delay"): "log",
         ("multi-tree d=2", "max buffer"): "log",

@@ -37,8 +37,8 @@ def run():
     return rows
 
 
-def test_theorem2_reproduction(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_theorem2_reproduction():
+    rows = run()
     text = format_table(
         ["N", "d", "tree shape", "measured T", "bound h*d"],
         rows,

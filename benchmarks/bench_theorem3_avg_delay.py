@@ -22,8 +22,8 @@ def run():
     return rows
 
 
-def test_theorem3_reproduction(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_theorem3_reproduction():
+    rows = run()
     text = format_table(
         ["N", "d", "measured avg", "Thm 3 lower bound", "ratio"],
         rows,

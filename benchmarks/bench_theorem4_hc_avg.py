@@ -18,8 +18,8 @@ def run():
     return populations, measured, bounds
 
 
-def test_theorem4_reproduction(benchmark):
-    populations, measured, bounds = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_theorem4_reproduction():
+    populations, measured, bounds = run()
     rows = [
         (n, round(avg, 2), round(b, 2))
         for n, avg, b in list(zip(populations, measured, bounds))[::12]

@@ -3,107 +3,28 @@
 Every bench regenerates one of the paper's tables or figures.  Reproduced
 output is registered via :func:`report` and (a) written to
 ``benchmarks/results/<name>.txt`` and (b) echoed into the terminal summary, so
-``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures the
-reproductions alongside the timing table.
+``pytest benchmarks/ | tee bench_output.txt`` captures every reproduction.
 
-Benches that measure their own wall-clock (via :class:`repro.obs.Timer` or a
-:class:`repro.obs.PhaseProfiler`) pass ``elapsed=`` / ``phases=`` to
-:func:`report`; the harness then also writes ``results/<name>.json`` with the
-machine-readable timing row, so the BENCH trajectory keeps a numeric history
-alongside the text reproduction.  Benches that do not time themselves still
-get a JSON row: the harness times each test's call phase with
-:class:`repro.obs.Timer` and backfills ``wall_clock_s`` (scope ``"test"``)
-for every report the test registered.
-
-Every timing additionally appends one line to
-``results/bench_history.jsonl`` (:func:`repro.reporting.append_bench_history`)
-with the previously recorded wall time as the baseline — a run slower than
-1.5x its predecessor is flagged ``regression: true`` in the history, and
-``repro report`` renders the ledger.
+The result files hold reproduced outputs only, never a wall time, so a
+bench rerun leaves them unchanged unless a reproduced figure changed.  The
+benches that assert a speed bound measure it with :class:`repro.obs.Timer`
+and keep the measured numbers in their assert messages; speed claims are
+made with ``perfbench/``, the fingerprinted and calibrated harness.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.obs import Timer
-from repro.reporting.ledger import append_bench_history
-
 _RESULTS_DIR = Path(__file__).parent / "results"
-_HISTORY_PATH = _RESULTS_DIR / "bench_history.jsonl"
 _REGISTRY: list[tuple[str, str]] = []
-_PENDING_TIMING: list[str] = []
 
 
-def _previous_wall(name: str) -> float | None:
-    """The last recorded wall time for ``name`` (the regression baseline)."""
-    path = _RESULTS_DIR / f"{name}.json"
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
-        return None
-    wall = payload.get("wall_clock_s")
-    return float(wall) if isinstance(wall, (int, float)) else None
-
-
-def report(
-    name: str,
-    text: str,
-    *,
-    elapsed: float | None = None,
-    phases: dict | None = None,
-) -> None:
-    """Register one reproduced table/figure for the terminal summary.
-
-    Args:
-        name: result file stem (``results/<name>.txt`` / ``.json``).
-        text: the reproduced table/figure text.
-        elapsed: wall-clock seconds for the bench body (``Timer.elapsed``).
-        phases: per-phase timing snapshot (``PhaseProfiler.snapshot()``).
-    """
+def report(name: str, text: str) -> None:
+    """Write ``results/<name>.txt`` and register it for the terminal summary."""
     _REGISTRY.append((name, text))
     _RESULTS_DIR.mkdir(exist_ok=True)
     (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    if elapsed is not None or phases is not None:
-        baseline = _previous_wall(name)
-        payload: dict = {"name": name, "timing_scope": "bench"}
-        if elapsed is not None:
-            payload["wall_clock_s"] = round(elapsed, 6)
-        if phases is not None:
-            payload["phases"] = phases
-        (_RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=1) + "\n")
-        if elapsed is not None:
-            append_bench_history(
-                _HISTORY_PATH, name, round(elapsed, 6), baseline_s=baseline
-            )
-    else:
-        _PENDING_TIMING.append(name)
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    """Backfill wall-clock timing for reports that did not time themselves."""
-    _PENDING_TIMING.clear()
-    with Timer() as timer:
-        yield
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    for name in _PENDING_TIMING:
-        baseline = _previous_wall(name)
-        payload = {
-            "name": name,
-            "timing_scope": "test",
-            "wall_clock_s": round(timer.elapsed, 6),
-        }
-        (_RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=1) + "\n")
-        append_bench_history(
-            _HISTORY_PATH, name, round(timer.elapsed, 6), baseline_s=baseline
-        )
-    _PENDING_TIMING.clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

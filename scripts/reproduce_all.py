@@ -35,7 +35,7 @@ def main() -> int:
             print("test suite failed; aborting", file=sys.stderr)
             return code
 
-    code = run([sys.executable, "-m", "pytest", "benchmarks/", "--benchmark-only", "-q"])
+    code = run([sys.executable, "-m", "pytest", "benchmarks/", "-q"])
     if code != 0:
         print("benchmark harness failed; aborting", file=sys.stderr)
         return code

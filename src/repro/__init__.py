@@ -17,9 +17,10 @@ The package implements, from scratch, everything the paper describes:
   NACK retransmission, XOR parity) the paper's loss-free model leaves out;
 * :mod:`repro.obs` — the instrumentation layer: metrics registry (with
   mergeable bounded-memory quantile sketches), structured event tracing
-  (with deterministic sampling), per-phase profiling hooks, tumbling-window
-  time series, online SLO-convergence detection, and pipeline span tracing
-  (all opt-in, zero overhead when off);
+  (with deterministic sampling), span tracing (engine phases and the fleet
+  pipeline, aggregated into per-phase self-time tables), tumbling-window
+  time series, and online SLO-convergence detection (all opt-in, zero
+  overhead when off);
 * :mod:`repro.exec` — the compiled-schedule execution layer: schedule
   compiler, content-addressed cache, engine-free replay, the vectorized
   batch-replay kernel (:func:`replay_batch` — one NumPy pass scores a whole
@@ -147,7 +148,6 @@ from repro.obs import (
     EventTracer,
     Instrumentation,
     MetricsRegistry,
-    PhaseProfiler,
     QuantileSketch,
     SpanTracer,
     TimeSeries,
@@ -174,7 +174,7 @@ from repro.service import (
 from repro.theory import optimal_degree, table1
 from repro.trees import DynamicForest, MultiTreeForest, MultiTreeProtocol, analyze
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AbrSessionSpec",
@@ -210,7 +210,6 @@ __all__ = [
     "MultiTreeForest",
     "MultiTreeProtocol",
     "ParityScheme",
-    "PhaseProfiler",
     "PlaybackBuffer",
     "QoEMetrics",
     "QuantileSketch",

@@ -17,7 +17,7 @@ but :mod:`ast`, as one pass over each module of the project model
   ``monotonic`` (and ``_ns``) read or ``from time import`` of one, or a
   ``datetime.now``/``utcnow``/``today`` / ``date.today`` call, outside
   ``repro/obs/``: timing is an observability concern and lives behind
-  :mod:`repro.obs.profile`.
+  :mod:`repro.obs.spans`.
 * **REP003 bare-assert** — ``assert`` in library code; ``python -O`` strips
   asserts, so invariants must raise :class:`~repro.core.errors.ReproError`.
 * **REP004 unordered-iteration** — ``for`` loops over a set display, a
@@ -162,8 +162,8 @@ def _source_reason(qualname: str, call: ast.Call) -> tuple[str, str] | None:
     module, _, leaf = qualname.rpartition(".")
     if module == "time" and leaf in _CLOCK_FNS:
         return "REP002", (
-            f"time.{leaf}() outside repro/obs/; use repro.obs.profile "
-            "(Timer/PhaseProfiler)"
+            f"time.{leaf}() outside repro/obs/; use repro.obs.spans "
+            "(Timer/SpanTracer)"
         )
     owner = module.rpartition(".")[2]
     if leaf in _DATETIME_FNS and owner in ("datetime", "date"):

@@ -22,7 +22,7 @@ an inline ``# repro-lint: disable=`` pragma with a justifying comment — the
 baseline exists for rule rollouts and currently ships empty; CI fails on
 any non-baselined finding.
 
-Timings come from :class:`repro.obs.profile.Timer` (the sanctioned clock)
+Timings come from :class:`repro.obs.spans.Timer` (the sanctioned clock)
 and are reported with the findings (``repro lint --format json``).
 """
 
@@ -38,7 +38,7 @@ from repro.check.analyzers import ANALYZER_RULES, run_analyzers
 from repro.check.lint import LINT_RULES, run_lint_rules
 from repro.check.model import LintViolation, build_project_model
 from repro.core.errors import ReproError
-from repro.obs.profile import Timer
+from repro.obs.spans import Timer
 
 __all__ = [
     "ALL_RULES",

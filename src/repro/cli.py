@@ -24,11 +24,9 @@ Commands:
 * ``lint``     — the project lint: per-file determinism/error-discipline
   rules (REP001-REP004) and the project-model analyzer passes
   (REP005-REP007), see ``docs/CHECKS.md``;
-* ``runs``     — list experiment runs recorded in the JSONL run ledger
-  (``repro.run`` appends one line per run when ``$REPRO_LEDGER`` or
-  ``--ledger`` names a file);
-* ``report``   — summarize the run ledger and the benchmark timing history
-  (``results/bench_history.jsonl``), flagging bench regressions.
+* ``runs``     — summarize the JSONL run ledger (runs by kind, total
+  recorded time) and list the recent runs (``repro.run`` appends one line
+  per run when ``$REPRO_LEDGER`` or ``--ledger`` names a file).
 
 ``repro --version`` prints the package version (from installed metadata when
 available, else the source tree's ``repro.__version__``).
@@ -38,8 +36,8 @@ The experiment commands (``simulate``, ``sweep``, ``churn``, ``repair``,
 ``repro.run`` with an :class:`~repro.experiments.ExperimentSpec` — so the CLI
 and the library take the same code path, including the compiled-schedule
 cache.  ``simulate``, ``churn``, and ``repair`` accept ``--profile``
-(per-phase wall-clock table) and ``--trace-events PATH`` (JSONL event
-stream) — the observability layer of :mod:`repro.obs`.
+(per-phase table of the engine's phase spans) and ``--trace-events PATH``
+(JSONL event stream) — the observability layer of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from repro.core.engine import simulate
 from repro.core.errors import ReproError
 from repro.core.metrics import collect_metrics
 from repro.experiments import ExperimentSpec, run
-from repro.obs import Instrumentation, format_profile_table
+from repro.obs import Instrumentation, SpanTracer, span_rows
 from repro.reporting.export import (
     write_arrivals_csv,
     write_trace_json,
@@ -94,13 +92,18 @@ def _make_instrumentation(args) -> Instrumentation | None:
     )
 
 
+def _profile_table(spans: SpanTracer) -> str:
+    """The per-phase table ``--profile`` and ``repro stats`` print."""
+    return format_rows(span_rows(spans.finished), title="per-phase timings")
+
+
 def _report_instrumentation(instr: Instrumentation | None, args) -> None:
     if instr is None:
         return
     instr.close()
-    if instr.profiler is not None:
+    if instr.spans is not None:
         print()
-        print(format_profile_table(instr.profiler))
+        print(_profile_table(instr.spans))
     if instr.tracer is not None:
         total = sum(instr.tracer.counts.values())
         print(f"events: {total} -> {args.trace_events}")
@@ -473,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     runs = sub.add_parser(
-        "runs", help="list recorded experiment runs from the JSONL run ledger"
+        "runs",
+        help="summarize and list recorded experiment runs from the JSONL "
+        "run ledger",
     )
     runs.add_argument(
         "--ledger", metavar="PATH", default=None,
@@ -486,21 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument(
         "--json", action="store_true",
         help="print the raw records as JSON instead of a table",
-    )
-
-    report = sub.add_parser(
-        "report",
-        help="summarize the run ledger and the benchmark timing history",
-    )
-    report.add_argument(
-        "--ledger", metavar="PATH", default=None,
-        help="run ledger to read (default: $REPRO_LEDGER, else "
-        "results/ledger.jsonl)",
-    )
-    report.add_argument(
-        "--bench-history", metavar="PATH",
-        default="benchmarks/results/bench_history.jsonl",
-        help="benchmark history ledger to read",
     )
 
     verify = sub.add_parser(
@@ -735,7 +725,7 @@ def _cmd_stats(args) -> int:
     ]
     print(format_rows(event_rows, title="event counts:"))
     print()
-    print(format_profile_table(instr.profiler))
+    print(_profile_table(instr.spans))
     if args.json:
         print(f"stats JSON -> {write_metrics_json(instr, args.json)}")
     return 0
@@ -974,18 +964,31 @@ def _ledger_path(args) -> str:
 def _cmd_runs(args) -> int:
     import json
     import time
+    from collections import Counter
 
     from repro.reporting.ledger import RunLedger
 
     path = _ledger_path(args)
     records = [r for r in RunLedger(path) if r.get("record") == "run"]
+    if not records:
+        print("[]" if args.json else f"no runs recorded in {path}")
+        return 0
+    if not args.json:
+        kinds = Counter(r.get("spec", {}).get("kind", "?") for r in records)
+        total_s = sum(
+            r["timing_s"] for r in records
+            if isinstance(r.get("timing_s"), (int, float))
+        )
+        print(f"run ledger {path}: {len(records)} run(s), "
+              f"{total_s:.2f}s recorded wall time")
+        print("  by kind: " + ", ".join(
+            f"{kind}={count}" for kind, count in sorted(kinds.items())
+        ))
+        print()
     if args.last:
         records = records[len(records) - args.last:]
     if args.json:
         print(json.dumps(records, indent=1))
-        return 0
-    if not records:
-        print(f"no runs recorded in {path}")
         return 0
     rows = []
     for record in records:
@@ -1005,59 +1008,6 @@ def _cmd_runs(args) -> int:
             }
         )
     print(format_rows(rows, title=f"{len(records)} run(s) from {path}:"))
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from collections import Counter
-
-    from repro.reporting.ledger import RunLedger, bench_history_records
-
-    path = _ledger_path(args)
-    records = [r for r in RunLedger(path) if r.get("record") == "run"]
-    if records:
-        kinds = Counter(r.get("spec", {}).get("kind", "?") for r in records)
-        total_s = sum(
-            r["timing_s"] for r in records
-            if isinstance(r.get("timing_s"), (int, float))
-        )
-        print(f"run ledger {path}: {len(records)} run(s), "
-              f"{total_s:.2f}s recorded wall time")
-        print("  by kind: " + ", ".join(
-            f"{kind}={count}" for kind, count in sorted(kinds.items())
-        ))
-    else:
-        print(f"run ledger {path}: empty")
-    history = bench_history_records(args.bench_history)
-    if not history:
-        print(f"bench history {args.bench_history}: empty")
-        return 0
-    latest: dict[str, dict] = {}
-    for record in history:
-        latest[record.get("name", "?")] = record
-    rows = []
-    for name in sorted(latest):
-        record = latest[name]
-        rows.append(
-            {
-                "benchmark": name,
-                "wall_s": record.get("wall_clock_s", ""),
-                "baseline_s": record.get("baseline_s", ""),
-                "speedup": round(record["speedup"], 3)
-                if isinstance(record.get("speedup"), (int, float)) else "",
-                "regression": "YES" if record.get("regression") else "",
-            }
-        )
-    print()
-    print(format_rows(
-        rows,
-        title=f"bench history {args.bench_history}: "
-        f"{len(history)} entries, latest per benchmark:",
-    ))
-    regressions = [r for r in rows if r["regression"]]
-    if regressions:
-        print(f"{len(regressions)} benchmark(s) regressed past the "
-              "1.5x threshold")
     return 0
 
 
@@ -1223,7 +1173,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "lint": _cmd_lint,
     "runs": _cmd_runs,
-    "report": _cmd_report,
     "verify": _cmd_verify,
 }
 

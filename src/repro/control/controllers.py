@@ -32,9 +32,8 @@ ledger's decision log (``repro.control.log``).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.control.policy import ControlDecision, ControlPolicy
 from repro.exec.cache import ScheduleCache
@@ -47,6 +46,7 @@ from repro.obs.names import (
     CONTROL_REPAIR_SWAPS,
 )
 from repro.obs.registry import active_registry
+from repro.obs.spans import SpanTracer, span_scope
 from repro.theory import theorem2_bound
 from repro.trees.live import fleet_repair
 
@@ -392,11 +392,6 @@ class ControlPlane:
         return dict(self.degree.overrides)
 
     # ----------------------------------------------------------------- hooks
-    def _span(self, name: str, **attrs: Any) -> ContextManager:
-        if self.spans is not None:
-            return self.spans.span(name, **attrs)
-        return nullcontext()
-
     def _recompile(self, spec: Any, degree: int) -> str:
         """Invalidate and recompile one kind's schedule token (re-cache)."""
         schedule = compile_schedule(
@@ -433,7 +428,7 @@ class ControlPlane:
         registry = active_registry()
         registry.counter(CONTROL_EPOCHS).inc()
         made: list[ControlDecision] = []
-        with self._span("control.decide", epoch=obs.epoch):
+        with span_scope(self.spans, "control.decide", epoch=obs.epoch):
             degree_move = self.degree.decide(obs, kinds)
             if degree_move is not None:
                 made.append(degree_move)

@@ -24,6 +24,7 @@ from repro.core.protocol import StreamingProtocol
 from repro.core.validation import SlotValidator
 from repro.obs import events as ev
 from repro.obs.instrumentation import Instrumentation
+from repro.obs.spans import span_scope
 
 __all__ = ["CapacityHook", "SimConfig", "SimTrace", "SlottedEngine", "simulate"]
 
@@ -119,9 +120,10 @@ class SimConfig:
         instrumentation: optional :class:`~repro.obs.Instrumentation` bundle.
             When set, the engine emits structured events (``slot_start``,
             ``tx_sent``, ``tx_dropped``, ``tx_delivered``,
-            ``repair_injected``, ``run_start``/``run_end``), times its phases
-            (``schedule``, ``repair_merge``, ``validate``, ``deliver``,
-            ``repair_hook``), and bumps run counters.  ``None`` (the default)
+            ``repair_injected``, ``run_start``/``run_end``), opens one span
+            per phase (``schedule``, ``repair_merge``, ``validate``,
+            ``capacity_hook``, ``deliver``, ``repair_hook``) on its
+            ``spans`` tracer, and bumps run counters.  ``None`` (the default)
             keeps the hot loop instrumentation-free.
         compiled_schedule: optional
             :class:`~repro.exec.compiler.CompiledSchedule` replayed in place
@@ -216,25 +218,6 @@ class SimTrace:
         return self.source_states[node]
 
 
-class _NullScope:
-    """Reusable no-op scope so the uninstrumented slot loop stays branch-free."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
-
-
-def _null_phase(name: str) -> _NullScope:
-    return _NULL_SCOPE
-
-
 class _EngineView:
     """The :class:`~repro.core.protocol.HoldingsView` handed to protocols.
 
@@ -293,13 +276,12 @@ class SlottedEngine:
         config = self.config
         instr = config.instrumentation
         registry = instr.registry if instr is not None else None
-        profiler = instr.profiler if instr is not None else None
+        spans = instr.spans if instr is not None else None
         emit = (
             instr.tracer.emit
             if instr is not None and instr.tracer is not None
             else None
         )
-        phase = profiler.phase if profiler is not None else _null_phase
         protocol.reset()
         receivers = {nid: NodeState(nid) for nid in protocol.node_ids}
         sources = {nid: NodeState(nid) for nid in protocol.source_ids}
@@ -335,13 +317,13 @@ class SlottedEngine:
             view._slot = slot
             if emit is not None:
                 emit(ev.SLOT_START, slot)
-            with phase("schedule"):
+            with span_scope(spans, "schedule"):
                 if compiled is not None:
                     batch = compiled.batch(slot)
                 else:
                     batch = list(protocol.transmissions(slot, view))
             if pending_repairs:
-                with phase("repair_merge"):
+                with span_scope(spans, "repair_merge"):
                     merged = self._merge_repairs(slot, batch, pending_repairs, holds)
                 injected.extend(merged)
                 if emit is not None:
@@ -351,7 +333,7 @@ class SlottedEngine:
                 batch.extend(merged)
                 pending_repairs = []
             if config.validate:
-                with phase("validate"):
+                with span_scope(spans, "validate"):
                     batch = validator.validate_slot(
                         slot,
                         batch,
@@ -360,7 +342,7 @@ class SlottedEngine:
                         is_source=lambda n: n in source_ids,
                     )
             if capacity_hook is not None:
-                with phase("capacity_hook"):
+                with span_scope(spans, "capacity_hook"):
                     cuts = capacity_hook(slot, batch)
                 if cuts:
                     cut_list = list(cuts)
@@ -384,7 +366,7 @@ class SlottedEngine:
                     batch = kept
 
             dropped_this_slot: list[Transmission] = []
-            with phase("deliver"):
+            with span_scope(spans, "deliver"):
                 for tx in batch:
                     sender_state = receivers.get(tx.sender) or sources.get(tx.sender)
                     if sender_state is None:
@@ -432,7 +414,7 @@ class SlottedEngine:
                     arrived_this_slot.append(tx)
 
             if repair_hook is not None:
-                with phase("repair_hook"):
+                with span_scope(spans, "repair_hook"):
                     repairs = repair_hook(slot, arrived_this_slot, dropped_this_slot)
                 if repairs:
                     pending_repairs = list(repairs)

@@ -6,9 +6,8 @@ this subpackage compiles them once into flat arrays
 and optionally on disk (:mod:`repro.exec.cache`), replays them without the
 engine for sweep workers (:mod:`repro.exec.replay`), scores whole batches
 of sessions per pass with the vectorized NumPy kernel
-(:mod:`repro.exec.batch` — the v2 execution primitive; ``replay_point`` is
-its batch-of-1 shim), and fans grids out across processes with per-worker
-payload shipping (:mod:`repro.exec.executor`).  The unified experiment
+(:mod:`repro.exec.batch` — the v2 execution primitive), and fans grids
+out across processes with per-worker payload shipping (:mod:`repro.exec.executor`).  The unified experiment
 facade (:mod:`repro.experiments`) builds on all five.
 """
 
@@ -31,10 +30,9 @@ from repro.exec.executor import (
     SweepExecutor,
     default_workers,
     replay_batch_task,
-    replay_sweep_task,
     worker_payload,
 )
-from repro.exec.replay import bernoulli_mask, replay_arrivals, replay_point
+from repro.exec.replay import bernoulli_mask, replay_arrivals
 
 __all__ = [
     "CACHE_VERSION",
@@ -55,8 +53,6 @@ __all__ = [
     "replay_arrivals",
     "replay_batch",
     "replay_batch_task",
-    "replay_point",
-    "replay_sweep_task",
     "spawn_seeds",
     "worker_payload",
 ]

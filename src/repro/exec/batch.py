@@ -43,9 +43,10 @@ whole batch:
   nothing arrived.  (Over the sorted arrivals ``a_(i)`` this is
   ``max(0, max_i(i - #{available p <= a_(i) - start}))``.)
 
-Results are slot-for-slot identical to
-:func:`~repro.exec.replay.replay_point` — including the loss model: a
-dropped index never delivers, and a transmission whose sender does not hold
+Results are slot-for-slot identical to the reference interpreter
+(:func:`~repro.exec.replay.replay_arrivals` scored by
+:func:`~repro.core.metrics.collect_repair_metrics`) — including the loss
+model: a dropped index never delivers, and a transmission whose sender does not hold
 its packet at send time is a silent no-op (the paper's zero-slack
 permanent-loss behavior).  The identity is property-tested against both the
 scalar path and the engine in ``tests/test_exec_properties.py``.
@@ -477,9 +478,7 @@ class BatchMetrics:
         )
 
     def rows(self) -> list[dict[str, Any]]:
-        """Flat sweep rows (``seed``, ``drop_rate``, the metrics columns) —
-        the same shape :func:`~repro.exec.executor.replay_sweep_task`
-        returns for one point."""
+        """Flat sweep rows: ``seed``, ``drop_rate``, the metrics columns."""
         out: list[dict[str, Any]] = []
         for i in range(self.num_sessions):
             row: dict[str, Any] = {
@@ -505,9 +504,8 @@ def replay_batch(
 
     The batch primitive behind ``ExperimentSpec(kind="sweep")`` and the
     fleet runner: session ``i`` replays ``schedule`` under the drop mask of
-    ``(seeds[i], drop_rates[i])`` and is scored exactly like
-    :func:`~repro.exec.replay.replay_point` — same loss model, same
-    metrics, bit-for-bit.  Bumps ``sweep.batch_sessions`` /
+    ``(seeds[i], drop_rates[i])`` and is scored exactly like the reference
+    interpreter — same loss model, same metrics, bit-for-bit.  Bumps ``sweep.batch_sessions`` /
     ``sweep.batched_tx`` (sessions x transmissions up to the horizon) on
     the active registry.
 

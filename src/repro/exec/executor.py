@@ -6,9 +6,7 @@
   worker through the pool initializer instead of once per task;
 * every task runs against an isolated :class:`~repro.obs.MetricsRegistry`
   whose snapshot rides back with the result and is merged into the caller's
-  registry — metrics aggregate exactly as in a serial run.  Each snapshot is
-  tagged with its **shard id** (the task index) and wall-clock ``elapsed_s``,
-  exposed after the run as :attr:`SweepExecutor.last_shards`;
+  registry — metrics aggregate exactly as in a serial run;
 * task order is preserved and per-task seeds travel inside the task tuples,
   so a grid is deterministic regardless of worker count;
 * results can be **streamed**: ``map(..., on_result=fn, collect=False)``
@@ -19,13 +17,16 @@
   span context to workers through the initializer; spans recorded with
   :func:`~repro.obs.spans.worker_span` ride back on the snapshots and are
   adopted into the parent trace;
-* any pool-level failure (broken workers, unpicklable payloads, fork limits)
+* a pool-level failure (broken workers, unpicklable payloads, fork limits)
   **degrades gracefully to the serial path** — the sweep completes either
   way (tasks already processed before the pool broke are not re-delivered
   to ``on_result`` or re-merged), and the fallback is visible as
   ``executor.fallbacks`` plus an
   ``executor.fallback_errors{error=<ExceptionType>}`` counter on the active
-  registry (the formatted exception also lands in ``last_run``).
+  registry (the formatted exception also lands in ``last_run``);
+* an exception raised by the task function itself is not a pool failure:
+  the worker returns it tagged, and the parent re-raises it at once,
+  exactly as the serial path would, with no fallback recorded.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from functools import partial
 from typing import Any
 
 from repro.core.errors import ReproError
-from repro.obs.profile import Timer
 from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.spans import SpanTracer, drain_worker_spans, install_span_context
 
@@ -47,7 +47,6 @@ __all__ = [
     "SweepExecutor",
     "worker_payload",
     "default_workers",
-    "replay_sweep_task",
     "replay_batch_task",
 ]
 
@@ -104,28 +103,38 @@ def worker_payload() -> Any:
     return _PAYLOAD
 
 
-def _snapshotting_task(
-    worker: Callable[[Any], Any], item: tuple[int, Any]
-) -> tuple[Any, dict]:
-    """Run one indexed task against a fresh registry.
+def _snapshotting_task(worker: Callable[[Any], Any], task: Any) -> tuple[Any, dict]:
+    """Run one task against a fresh registry.
 
-    Returns ``(result, snapshot)`` where the snapshot is tagged with the
-    shard id (the task index), the task's wall-clock ``elapsed_s``, and any
-    spans recorded via :func:`~repro.obs.spans.worker_span` during the task.
-    ``MetricsRegistry.merge`` ignores the extra keys, so the tag rides along
-    for free.
+    Returns ``(result, snapshot)`` where the snapshot also carries any spans
+    recorded via :func:`~repro.obs.spans.worker_span` during the task.
+    ``MetricsRegistry.merge`` ignores the extra key, so it rides along for
+    free.
     """
-    shard, task = item
     registry = MetricsRegistry()
-    with Timer() as timer, use_registry(registry):
+    with use_registry(registry):
         result = worker(task)
     snapshot = registry.snapshot()
-    snapshot["shard"] = shard
-    snapshot["elapsed_s"] = timer.elapsed
     spans = drain_worker_spans()
     if spans:
         snapshot["spans"] = spans
     return result, snapshot
+
+
+class _TaskFailed(Exception):
+    """A task function's exception, *returned* by :func:`_tagged_task`.
+
+    Returning it keeps a task error apart from a pool failure: the pool
+    delivers it like any result, and the parent re-raises the original.
+    """
+
+
+def _tagged_task(worker: Callable[[Any], Any], task: Any) -> Any:
+    """Pool-side wrapper: ``worker(task)``, or its exception tagged."""
+    try:
+        return worker(task)
+    except Exception as exc:
+        return _TaskFailed(exc)
 
 
 class SweepExecutor:
@@ -151,9 +160,6 @@ class SweepExecutor:
         self.spans = spans
         #: Filled by :meth:`map`: how the last sweep actually executed.
         self.last_run: dict[str, object] = {}
-        #: Filled by :meth:`map` when snapshotting: one row per shard
-        #: (``{"shard": index, "elapsed_s": wall seconds}``) in merge order.
-        self.last_shards: list[dict[str, object]] = []
 
     # ------------------------------------------------------------------ paths
     def _run_serial(
@@ -193,8 +199,13 @@ class SweepExecutor:
             initializer=_init_worker,
             initargs=(payload, span_context),
         ) as pool:
-            stream = pool.map(run, items, chunksize=self.policy.chunksize)
+            stream = pool.map(
+                partial(_tagged_task, run), items, chunksize=self.policy.chunksize
+            )
             for index, raw in enumerate(stream):
+                if isinstance(raw, _TaskFailed):
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise raw
                 process(index, raw)
 
     # -------------------------------------------------------------------- api
@@ -223,7 +234,6 @@ class SweepExecutor:
                 bounded-memory aggregation over huge grids.
         """
         tasks = list(tasks)
-        self.last_shards = []
         if not tasks:
             self.last_run = {"mode": "empty", "workers": 0, "fallback": False}
             return []
@@ -234,12 +244,10 @@ class SweepExecutor:
             or (policy.mode == "auto" and (workers == 1 or len(tasks) <= 2))
         )
         merge_registry = self.registry
-        if merge_registry is not None:
-            run: Callable[[Any], Any] = partial(_snapshotting_task, worker)
-            items: Sequence[Any] = list(enumerate(tasks))
-        else:
-            run = worker
-            items = tasks
+        run: Callable[[Any], Any] = (
+            partial(_snapshotting_task, worker)
+            if merge_registry is not None else worker
+        )
         results: list[Any] = []
         state = {"done": 0}
 
@@ -249,10 +257,6 @@ class SweepExecutor:
                 merge_registry.merge(snapshot)
                 if self.spans is not None and snapshot.get("spans"):
                     self.spans.adopt(snapshot["spans"])
-                self.last_shards.append({
-                    "shard": snapshot.get("shard", index),
-                    "elapsed_s": snapshot.get("elapsed_s", 0.0),
-                })
             else:
                 result = raw
             if on_result is not None:
@@ -263,12 +267,16 @@ class SweepExecutor:
 
         fallback = False
         if serial:
-            self._run_serial(run, items, payload, process)
+            self._run_serial(run, tasks, payload, process)
             mode = "serial"
         else:
             try:
-                self._run_parallel(run, items, payload, workers, process)
+                self._run_parallel(run, tasks, payload, workers, process)
                 mode = "parallel"
+            except _TaskFailed as failed:
+                # The task itself raised: the pool is fine, so fail fast
+                # with the task's own exception, as the serial path would.
+                raise failed.args[0] from None
             except Exception as exc:
                 # Pool infrastructure failed (broken worker, unpicklable
                 # payload, no fork available): finish the sweep serially,
@@ -285,7 +293,7 @@ class SweepExecutor:
                 ).inc()
                 fallback = True
                 fallback_error = f"{type(exc).__name__}: {exc}"
-                self._run_serial(run, items, payload, process, start=state["done"])
+                self._run_serial(run, tasks, payload, process, start=state["done"])
                 mode = "serial"
         self.last_run = {
             "mode": mode,
@@ -298,27 +306,6 @@ class SweepExecutor:
         return results
 
 
-def replay_sweep_task(task: tuple[int, float, int]) -> dict[str, Any]:
-    """Sweep worker: replay the payload schedule at one ``(seed, drop_rate)``.
-
-    Task tuple: ``(seed, drop_rate, num_packets)``.  The compiled schedule
-    arrives via :func:`worker_payload`; returns the point's flat metrics row
-    (plus the task coordinates) so results are picklable and table-ready.
-    """
-    from repro.exec.replay import replay_point
-
-    schedule = worker_payload()
-    if schedule is None:
-        raise ReproError("replay_sweep_task needs a CompiledSchedule payload")
-    seed, drop_rate, num_packets = task
-    metrics = replay_point(
-        schedule, num_packets=num_packets, seed=seed, drop_rate=drop_rate
-    )
-    row: dict[str, Any] = {"seed": seed, "drop_rate": drop_rate}
-    row.update(metrics.row())
-    return row
-
-
 def replay_batch_task(
     task: tuple[tuple[int, ...], float, int]
 ) -> list[dict[str, Any]]:
@@ -327,8 +314,8 @@ def replay_batch_task(
     Task tuple: ``(seeds, drop_rate, num_packets)`` — every seed in the
     block replays the payload schedule at the same rate in one
     :func:`~repro.exec.batch.replay_batch` pass.  Returns the block's flat
-    metrics rows (same shape :func:`replay_sweep_task` produces per point,
-    in seed order) so batched and scalar sweeps are drop-in comparable.
+    metrics rows (``seed``, ``drop_rate``, the metrics columns), in seed
+    order, so results are picklable and table-ready.
     """
     from repro.exec.batch import replay_batch
 

@@ -24,12 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.core.metrics import RepairMetrics
-from repro.exec.batch import Seed, bernoulli_masks, replay_batch
+from repro.exec.batch import Seed, bernoulli_masks
 from repro.exec.compiler import CompiledSchedule
-from repro.obs.registry import active_registry
 
-__all__ = ["replay_arrivals", "bernoulli_mask", "replay_point"]
+__all__ = ["replay_arrivals", "bernoulli_mask"]
 
 
 def bernoulli_mask(
@@ -116,42 +114,3 @@ def replay_arrivals(
             trace[p] = a
     return have
 
-
-def replay_point(
-    schedule: CompiledSchedule,
-    *,
-    num_packets: int,
-    seed: Seed = 0,
-    drop_rate: float = 0.0,
-    num_slots: int | None = None,
-) -> RepairMetrics:
-    """One sweep point: replay under ``(seed, drop_rate)`` and score it.
-
-    Since v2.0 this is a documented **batch-of-1 shim** over
-    :func:`~repro.exec.batch.replay_batch` — the vectorized kernel is the
-    execution path; this wrapper exists for single-point ergonomics
-    (ad-hoc scoring, the scalar comparator in tests) and keeps the
-    historical per-point counters.  Returns loss-aware
-    :class:`~repro.core.metrics.RepairMetrics` (which degrade to the plain
-    playback metrics when nothing is dropped) and bumps ``sweep.points`` /
-    ``sweep.replayed_tx`` on the active registry; the underlying kernel
-    call additionally bumps the batch counters.
-    """
-    horizon = schedule.num_slots if num_slots is None else num_slots
-    batch = replay_batch(
-        schedule,
-        (seed,),
-        drop_rate,
-        num_packets=num_packets,
-        num_slots=horizon,
-        keep_node_columns=False,
-    )
-    metrics = batch.metrics(0)
-    registry = active_registry()
-    scheme = schedule.key.scheme if schedule.key is not None else "ad-hoc"
-    registry.counter("sweep.points", scheme=scheme).inc()
-    registry.counter("sweep.replayed_tx", scheme=scheme).inc(schedule.starts[horizon])
-    registry.histogram("sweep.max_delay", scheme=scheme).observe(
-        metrics.max_effective_delay
-    )
-    return metrics

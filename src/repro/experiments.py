@@ -423,7 +423,6 @@ def _run_fleet(spec: ExperimentSpec, instr) -> tuple:
         "decisions": result.decisions,
         "fleet": fleet,
         "sessions": result.sessions,
-        "shard_timings": result.shard_timings,
     }
     if result.telemetry is not None:
         artifacts["telemetry"] = result.telemetry
@@ -432,8 +431,8 @@ def _run_fleet(spec: ExperimentSpec, instr) -> tuple:
         provenance["convergence"] = result.convergence.row()
     if result.control_decisions:
         # Controlled runs surface the decision log and the per-epoch
-        # observation rows next to shard_timings, so ledger consumers can
-        # replay the control plane's moves without re-running the fleet.
+        # observation rows, so ledger consumers can replay the control
+        # plane's moves without re-running the fleet.
         artifacts["control_decisions"] = tuple(
             decision.to_dict() for decision in result.control_decisions
         )
@@ -538,7 +537,7 @@ def run(
             :class:`~repro.reporting.ledger.RunLedger`, a path, or None to
             use the ledger named by ``$REPRO_LEDGER`` (no recording when
             that is unset).  Every recorded run becomes one append-only
-            JSONL line readable via ``repro runs`` / ``repro report``.
+            JSONL line readable via ``repro runs``.
     """
     if not isinstance(spec, ExperimentSpec):
         raise ReproError(f"run() takes an ExperimentSpec, got {type(spec).__name__}")

@@ -1,4 +1,4 @@
-"""repro.obs — the instrumentation layer: metrics, events, profiling.
+"""repro.obs — the instrumentation layer: metrics, events, spans.
 
 Three zero-dependency pieces, usable separately or bundled:
 
@@ -8,8 +8,11 @@ Three zero-dependency pieces, usable separately or bundled:
 * :mod:`repro.obs.events` — a structured event tracer with a fixed typed
   vocabulary and pluggable sinks (JSONL, in-memory ring buffer), plus replay
   helpers that rebuild arrival maps from a stream;
-* :mod:`repro.obs.profile` — per-phase wall-clock timers
-  (``perf_counter``-based scopes) aggregated per run and per sweep.
+* :mod:`repro.obs.spans` — named, timed spans with trace/span/parent ids
+  (one per engine phase; the fleet pipeline and its pool workers record
+  theirs, Chrome-trace exportable), aggregated into per-name self-time
+  rows, plus :class:`Timer`, the one stopwatch.  No other module in
+  ``src`` reads a duration clock.
 
 The fleet-telemetry extensions (see ``docs/TELEMETRY.md``) build on top:
 
@@ -18,10 +21,7 @@ The fleet-telemetry extensions (see ``docs/TELEMETRY.md``) build on top:
 * :mod:`repro.obs.timeseries` — tumbling-window counter/gauge/sketch
   series keyed by arrival slot;
 * :mod:`repro.obs.convergence` — online SLO-convergence detection
-  (order-statistics CI half-width on a tracked quantile);
-* :mod:`repro.obs.spans` — trace/span/parent-id span tracing across the
-  compile -> cache -> replay -> aggregate pipeline, Chrome-trace
-  exportable.
+  (order-statistics CI half-width on a tracked quantile).
 
 :class:`Instrumentation` bundles the original trio; pass it through
 ``repro.run(spec, instrumentation=...)`` (any experiment family),
@@ -64,7 +64,6 @@ from repro.obs.convergence import (
     ConvergenceState,
 )
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.profile import PhaseProfiler, PhaseStats, Timer, format_profile_table
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -85,8 +84,11 @@ from repro.obs.spans import (
     SPAN_SCHEMA,
     Span,
     SpanTracer,
+    Timer,
     drain_worker_spans,
     install_span_context,
+    span_rows,
+    span_scope,
     wall_time_s,
     worker_span,
 )
@@ -113,8 +115,6 @@ __all__ = [
     "MetricsRegistry",
     "PARITY_RECOVERED",
     "PLAYBACK_STALL",
-    "PhaseProfiler",
-    "PhaseStats",
     "QuantileSketch",
     "REPAIR_INJECTED",
     "REPAIR_SCHEDULED",
@@ -140,10 +140,11 @@ __all__ = [
     "arrivals_from_events",
     "count_events",
     "drain_worker_spans",
-    "format_profile_table",
     "global_registry",
     "install_span_context",
     "read_events_jsonl",
+    "span_rows",
+    "span_scope",
     "use_registry",
     "wall_time_s",
     "worker_span",

@@ -1,4 +1,4 @@
-"""The bundle instrumented components accept: registry + tracer + profiler.
+"""The bundle instrumented components accept: registry + tracer + spans.
 
 An :class:`Instrumentation` is what flows through the system
 (``repro.run(spec, instrumentation=...)``, ``SimConfig.instrumentation``,
@@ -13,25 +13,27 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.events import EventTracer, JsonlSink, RingBufferSink
-from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import SpanTracer
 
 __all__ = ["Instrumentation"]
 
 
 @dataclass
 class Instrumentation:
-    """Optional registry/tracer/profiler trio handed to instrumented code.
+    """Optional registry/tracer/spans trio handed to instrumented code.
 
     Attributes:
         registry: counters/gauges/histograms aggregation point.
         tracer: structured event stream (``None`` = no events).
-        profiler: per-phase wall-clock timers (``None`` = no timing).
+        spans: records one span per engine phase (``None`` = no timing);
+            :func:`~repro.obs.spans.span_rows` turns them into the
+            per-phase table.
     """
 
     registry: MetricsRegistry | None = None
     tracer: EventTracer | None = None
-    profiler: PhaseProfiler | None = None
+    spans: SpanTracer | None = None
 
     @classmethod
     def collecting(
@@ -43,14 +45,14 @@ class Instrumentation:
         sample_rate: float = 1.0,
         sample_seed: int = 0,
     ) -> "Instrumentation":
-        """A fully wired bundle: registry, tracer (JSONL and/or ring), profiler.
+        """A fully wired bundle: registry, tracer (JSONL and/or ring), spans.
 
         Args:
             events_path: write the event stream here as JSONL (``None`` = no
                 file sink).
             ring_capacity: keep this many recent events in memory (``None`` =
                 no ring sink).
-            profile: attach a :class:`PhaseProfiler`.
+            profile: attach a :class:`~repro.obs.spans.SpanTracer`.
             sample_rate: forward only this (deterministic, seeded) fraction
                 of events to the sinks; per-name counts stay exact.
             sample_seed: seed of the sampling RNG.
@@ -66,7 +68,7 @@ class Instrumentation:
                 EventTracer(*sinks, sample_rate=sample_rate, seed=sample_seed)
                 if sinks else None
             ),
-            profiler=PhaseProfiler() if profile else None,
+            spans=SpanTracer() if profile else None,
         )
 
     def ring_events(self) -> list:

@@ -89,12 +89,6 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("engine.repairs.injected", "counter", ("protocol",),
                "repair transmissions injected"),
     # --- sweep/replay (repro.exec, repro.workloads)
-    MetricSpec("sweep.points", "counter", ("scheme",),
-               "sweep grid points replayed"),
-    MetricSpec("sweep.replayed_tx", "counter", ("scheme",),
-               "transmissions replayed across the sweep"),
-    MetricSpec("sweep.max_delay", "histogram", ("scheme",),
-               "per-point maximum playback delay"),
     MetricSpec("sweep.batch_sessions", "counter", ("scheme",),
                "sessions replayed through the batch kernel"),
     MetricSpec("sweep.batched_tx", "counter", ("scheme",),

@@ -1,9 +1,10 @@
-"""Span tracing across the compile -> cache -> replay -> aggregate pipeline.
+"""Span tracing: engine phases and the resolve -> admit -> replay ->
+aggregate fleet pipeline.
 
 A :class:`SpanTracer` records named, timed spans with ``trace_id`` /
 ``span_id`` / ``parent_id`` linkage.  Nested :meth:`SpanTracer.span`
 scopes parent automatically through a per-tracer stack.  Spans carry a
-wall-clock start (`for cross-process alignment in Chrome's trace viewer)
+wall-clock start (for cross-process alignment in Chrome's trace viewer)
 and a ``perf_counter``-measured duration (monotonic, immune to clock
 steps), plus free-form ``attrs``.
 
@@ -19,26 +20,35 @@ Span ids embed the process id, so ids minted concurrently in pool
 workers never collide.  Export to Chrome's ``chrome://tracing`` /
 Perfetto JSON via :func:`repro.reporting.export.write_chrome_trace_json`.
 
-This module (like the rest of ``repro/obs/``) is the project's sanctioned
-home for wall-clock reads — :func:`wall_time_s` re-exports ``time.time``
-so other layers can timestamp ledger records without tripping lint rule
-REP002.
+**Aggregation.**  :func:`span_rows` folds spans into one row per name
+(calls, total, self time, mean, max, share): the table ``--profile`` and
+``repro stats`` print, and the metrics-JSON ``profile`` key.  The engine
+opens one span per phase through :func:`span_scope`, the shared
+span-or-no-op scope.
+
+This is the only module in ``src`` that reads ``perf_counter``: spans
+record durations and :class:`Timer` is the one stopwatch.
+:func:`wall_time_s` re-exports ``time.time`` so other layers can
+timestamp ledger records without tripping lint rule REP002.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, ContextManager, Iterable, Iterator
 
 __all__ = [
     "Span",
     "SpanTracer",
     "SPAN_SCHEMA",
+    "Timer",
     "drain_worker_spans",
     "install_span_context",
+    "span_rows",
+    "span_scope",
     "wall_time_s",
     "worker_span",
 ]
@@ -53,6 +63,28 @@ SPAN_SCHEMA = (
 def wall_time_s() -> float:
     """Current wall-clock time in seconds (the sanctioned REP002 read)."""
     return time.time()
+
+
+class Timer:
+    """One-shot stopwatch, for code that asserts on one measured interval::
+
+        with Timer() as t:
+            work()
+        assert t.elapsed < bound
+    """
+
+    __slots__ = ("start", "elapsed")
+
+    def __init__(self) -> None:
+        self.start = 0.0
+        self.elapsed = 0.0
+
+    def __enter__(self) -> Timer:
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.elapsed = time.perf_counter() - self.start
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +190,62 @@ class SpanTracer:
 
     def __len__(self) -> int:
         return len(self.finished)
+
+
+#: Reusable no-op scope :func:`span_scope` hands out without a tracer.
+_NO_SPAN = nullcontext()
+
+
+def span_scope(
+    tracer: SpanTracer | None, name: str, **attrs: Any
+) -> ContextManager[Any]:
+    """``tracer.span(name, **attrs)``, or a shared no-op scope when
+    ``tracer`` is None — so uninstrumented code pays one ``None`` check."""
+    if tracer is None:
+        return _NO_SPAN
+    return tracer.span(name, **attrs)
+
+
+def span_rows(spans: Iterable[Span]) -> list[dict[str, Any]]:
+    """One row per span name, slowest self time first.
+
+    Each row holds ``name``, ``calls``, ``total_s`` (summed durations),
+    ``self_s`` (summed durations minus each span's direct children),
+    ``mean_us``, ``max_us`` and ``share_pct`` — the name's percentage of the
+    summed self time, so the shares of all rows add up to 100.
+    """
+    spans = list(spans)
+    children_s: dict[str, float] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            children_s[span.parent_id] = (
+                children_s.get(span.parent_id, 0.0) + span.dur_s
+            )
+    # name -> [calls, total, self, max]
+    stats: dict[str, list[float]] = {}
+    for span in spans:
+        row = stats.get(span.name)
+        if row is None:
+            row = stats[span.name] = [0, 0.0, 0.0, 0.0]
+        row[0] += 1
+        row[1] += span.dur_s
+        row[2] += span.dur_s - children_s.get(span.span_id, 0.0)
+        row[3] = max(row[3], span.dur_s)
+    self_total = sum(row[2] for row in stats.values()) or 1.0
+    return [
+        {
+            "name": name,
+            "calls": int(calls),
+            "total_s": round(total, 6),
+            "self_s": round(own, 6),
+            "mean_us": round(total / calls * 1e6, 2),
+            "max_us": round(peak * 1e6, 2),
+            "share_pct": round(100 * own / self_total, 1),
+        }
+        for name, (calls, total, own, peak) in sorted(
+            stats.items(), key=lambda item: -item[1][2]
+        )
+    ]
 
 
 # -------------------------------------------------------- worker-side state

@@ -5,14 +5,12 @@
 * :mod:`repro.reporting.export` — JSON/CSV trace, report, and Chrome-trace
   span export;
 * :mod:`repro.reporting.ledger` — the append-only JSONL run ledger behind
-  ``repro runs`` / ``repro report`` and ``results/bench_history.jsonl``.
+  ``repro runs``.
 """
 
 from repro.reporting.ledger import (
     LEDGER_ENV_VAR,
     RunLedger,
-    append_bench_history,
-    bench_history_records,
     default_ledger,
     run_record,
 )
@@ -22,9 +20,7 @@ from repro.reporting.tables import format_rows, format_table
 __all__ = [
     "LEDGER_ENV_VAR",
     "RunLedger",
-    "append_bench_history",
     "ascii_plot",
-    "bench_history_records",
     "default_ledger",
     "format_rows",
     "format_table",

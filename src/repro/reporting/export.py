@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.core.engine import SimTrace
 from repro.core.errors import ReproError
 from repro.core.metrics import SchemeMetrics
+from repro.obs.spans import span_rows
 
 __all__ = [
     "trace_to_dict",
@@ -227,15 +228,19 @@ def instrumentation_to_dict(instrumentation) -> dict:
     """Serializable view of an :class:`~repro.obs.Instrumentation` bundle.
 
     Keys present only for the parts that were attached: ``metrics`` (registry
-    snapshot), ``profile`` (per-phase count/total/min/max), ``event_counts``
+    snapshot), ``profile`` (phase name -> its :func:`~repro.obs.spans.span_rows`
+    stats: calls, total, self time, mean, max, share), ``event_counts``
     (per-name tallies — the cheap summary; the full stream lives in the
     tracer's JSONL sink, not here).
     """
     payload: dict = {}
     if instrumentation.registry is not None:
         payload["metrics"] = instrumentation.registry.snapshot()
-    if instrumentation.profiler is not None:
-        payload["profile"] = instrumentation.profiler.snapshot()
+    if instrumentation.spans is not None:
+        payload["profile"] = {
+            row.pop("name"): row
+            for row in span_rows(instrumentation.spans.finished)
+        }
     if instrumentation.tracer is not None:
         payload["event_counts"] = dict(instrumentation.tracer.counts)
     return payload

@@ -3,14 +3,8 @@
 A reproduction's history is part of its evidence.  :class:`RunLedger` keeps
 one line of JSON per :func:`repro.run` invocation — what ran (kind, scheme,
 sizes, seed), how it ran (cache traffic, executor mode, fallbacks), how long
-it took, and when — so "what did we run last week, and has it gotten slower?"
-is a ``repro runs`` / ``repro report`` away instead of an archaeology dig.
-
-The same machinery backs the benchmark history
-(:func:`append_bench_history`): ``benchmarks/conftest.py`` appends every
-bench-timed measurement to ``results/bench_history.jsonl`` with a regression
-flag when a benchmark ran slower than its previously recorded wall time by
-more than the threshold factor.
+it took, and when — so "what did we run last week?" is a ``repro runs``
+away instead of an archaeology dig.
 
 Design constraints:
 
@@ -28,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.core.errors import ReproError
 from repro.obs.spans import wall_time_s
@@ -37,8 +31,6 @@ __all__ = [
     "LEDGER_ENV_VAR",
     "LEDGER_VERSION",
     "RunLedger",
-    "append_bench_history",
-    "bench_history_records",
     "default_ledger",
     "run_record",
 ]
@@ -47,9 +39,6 @@ LEDGER_VERSION = 1
 
 #: Environment variable naming the default ledger path for ``repro.run``.
 LEDGER_ENV_VAR = "REPRO_LEDGER"
-
-#: Wall-time factor over the previous recording that flags a bench regression.
-DEFAULT_REGRESSION_THRESHOLD = 1.5
 
 
 class RunLedger:
@@ -166,52 +155,3 @@ def run_record(spec: Any, result: Any) -> dict[str, Any]:
         "provenance": result.provenance,
     }
 
-
-def append_bench_history(
-    path: str | Path,
-    name: str,
-    wall_clock_s: float,
-    *,
-    baseline_s: float | None = None,
-    threshold: float = DEFAULT_REGRESSION_THRESHOLD,
-) -> dict[str, Any]:
-    """Append one benchmark timing to the bench history ledger.
-
-    Args:
-        path: the JSONL history file (``results/bench_history.jsonl``).
-        name: benchmark name (the per-bench result stem).
-        wall_clock_s: this run's wall time.
-        baseline_s: the previously recorded wall time, when known; a run
-            slower than ``threshold * baseline_s`` is flagged
-            ``regression: true`` (recorded, never raised — history is
-            evidence, not a gate).
-        threshold: the slowdown factor that counts as a regression.
-
-    Returns the stamped record.
-    """
-    if wall_clock_s < 0:
-        raise ReproError(f"wall_clock_s must be >= 0, got {wall_clock_s}")
-    if threshold <= 1:
-        raise ReproError(f"regression threshold must be > 1, got {threshold}")
-    record: dict[str, Any] = {
-        "record": "bench",
-        "name": name,
-        "wall_clock_s": wall_clock_s,
-    }
-    if baseline_s is not None and baseline_s > 0:
-        record["baseline_s"] = baseline_s
-        record["speedup"] = baseline_s / wall_clock_s if wall_clock_s else float("inf")
-        record["regression"] = wall_clock_s > threshold * baseline_s
-    return RunLedger(path).append(record)
-
-
-def bench_history_records(
-    path: str | Path, *, name: str | None = None
-) -> list[dict[str, Any]]:
-    """Bench records from a history ledger, optionally for one benchmark."""
-    records: Iterable[dict[str, Any]] = (
-        r for r in RunLedger(path) if r.get("record") == "bench"
-    )
-    if name is not None:
-        records = (r for r in records if r.get("name") == name)
-    return list(records)

@@ -49,9 +49,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Any, ContextManager
+from typing import Any
 
 from repro.exec.cache import ScheduleCache
 from repro.exec.compiler import compile_schedule
@@ -71,7 +70,7 @@ from repro.obs.names import (
 )
 from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.sketch import DEFAULT_RELATIVE_ERROR
-from repro.obs.spans import SpanTracer, worker_span
+from repro.obs.spans import SpanTracer, span_scope, worker_span
 from repro.obs.timeseries import TimeSeries
 from repro.service.admission import AdmissionDecision, SessionManager
 from repro.service.slo import (
@@ -106,8 +105,7 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
 
     Returns ``(task_index, SessionSLO)`` pairs in member order; the task
     index is fleet-global so the runner can attribute results (telemetry
-    windows, shard timings) to the right session no matter how sessions
-    were grouped.
+    windows) to the right session no matter how sessions were grouped.
     """
     token, drop_rate, num_packets, horizon, members = unit
     with worker_span("session.replay", sessions=len(members), label=members[0][2]):
@@ -217,10 +215,6 @@ class FleetRunResult:
             plus ``tasks`` = sessions actually run and ``units`` = executor
             tasks after batch grouping; convergence runs add the
             ``batches`` executed, controlled runs the ``epochs``).
-        shard_timings: per-session wall-clock rows ``{"shard": task index,
-            "elapsed_s": seconds}`` sorted by task index (a unit's wall
-            clock is split evenly over its members; task indices are
-            fleet-global across windows).
         telemetry: the :class:`FleetTelemetry` bundle the run recorded into
             (``None`` when telemetry was off).
         convergence: the final detector state when ``FleetSpec.convergence``
@@ -238,7 +232,6 @@ class FleetRunResult:
     decisions: tuple[AdmissionDecision, ...]
     sessions: tuple[ResolvedSession, ...]
     executor_info: dict
-    shard_timings: tuple[dict, ...] = ()
     telemetry: FleetTelemetry | None = None
     convergence: ConvergenceState | None = None
     control_decisions: tuple[Any, ...] = ()
@@ -416,12 +409,6 @@ class FleetRunner:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _span(self, name: str, **attrs: Any) -> ContextManager:
-        """A pipeline span scope when telemetry traces, else a no-op."""
-        if self.telemetry is not None and self.telemetry.spans is not None:
-            return self.telemetry.spans.span(name, **attrs)
-        return nullcontext()
-
     # ------------------------------------------------------------------ build
     def _compile(
         self, spec: SessionSpec, degree: int, schedules: dict[str, Any]
@@ -474,7 +461,7 @@ class FleetRunner:
         schedules: dict[str, Any] = {}
         tokens: dict[int, str] = {}
         compile_memo: dict[tuple, tuple[str, Any]] = {}
-        with self._span("fleet.resolve"):
+        with span_scope(spans, "fleet.resolve"):
             sessions = fleet.resolve()
         by_id = {s.session_id: s for s in sessions}
 
@@ -535,7 +522,6 @@ class FleetRunner:
         # are the group key, and a task's index is its position here.
         tasks: list[tuple] = []
         task_arrivals: list[int] = []
-        shard_timings: list[dict] = []
         epoch_delays: list[int] = []
         last_run: dict | None = None
         executed = 0
@@ -598,13 +584,6 @@ class FleetRunner:
                 fleet_unit_task, units, payload=schedules,
                 on_result=on_result, collect=False,
             )
-            # One timing row per session: a unit's wall clock is split
-            # evenly over its members, keyed by fleet-global task index.
-            for row in executor.last_shards:
-                members = units[int(row["shard"])][-1]  # type: ignore[call-overload]
-                share = float(row["elapsed_s"]) / len(members)  # type: ignore[arg-type]
-                for member in members:
-                    shard_timings.append({"shard": member[0], "elapsed_s": share})
             last_run = dict(executor.last_run)
             executed = hi
             units_run += len(units)
@@ -634,7 +613,7 @@ class FleetRunner:
             for number, chunk in enumerate(epochs, 1):
                 if control is not None and chunk:
                     chunk = control.step(chunk)
-                with self._span("fleet.admit", sessions=len(chunk)):
+                with span_scope(spans, "fleet.admit", sessions=len(chunk)):
                     made = manager.admit_chunk(chunk, duration_of)
                     if number == len(epochs):
                         made += manager.finalize(duration_of)
@@ -644,7 +623,7 @@ class FleetRunner:
                     if decision.admitted:
                         add_task(decision)
                 epoch_delays.clear()
-                with self._span("fleet.execute", tasks=len(tasks) - base):
+                with span_scope(spans, "fleet.execute", tasks=len(tasks) - base):
                     stopped = execute(base)
                 if control is not None:
                     control.close(chunk, made, epoch_delays)
@@ -658,14 +637,13 @@ class FleetRunner:
                 # arrivals, so the prefix is self-consistent.
                 cutoff = tasks[executed - 1][4][1]
                 decisions = [d for d in decisions if d.session_id <= cutoff]
-            shard_timings.sort(key=lambda row: row["shard"])
             for decision in decisions:
                 aggregator.add_decision(decision)
                 if telemetry is not None:
                     telemetry.record_decision(
                         decision, by_id[decision.session_id].arrival_slot
                     )
-            with self._span("fleet.aggregate", sessions=executed):
+            with span_scope(spans, "fleet.aggregate", sessions=executed):
                 report = aggregator.report(
                     cache_hits=self.cache_hits,
                     cache_misses=self.cache_misses,
@@ -683,7 +661,6 @@ class FleetRunner:
             decisions=tuple(decisions),
             sessions=sessions,
             executor_info=executor_info,
-            shard_timings=tuple(shard_timings),
             telemetry=telemetry,
             convergence=detector.state() if detector is not None else None,
             control_decisions=(

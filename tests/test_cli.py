@@ -129,6 +129,18 @@ class TestRepairCommand:
         assert out.count("none") == 1
 
 
+def _profile_phases(out: str) -> set[str]:
+    """Names in the first column of the printed per-phase table."""
+    lines = out.split("per-phase timings\n", 1)[1].splitlines()
+    assert lines[0].split()[0] == "name"
+    names = set()
+    for line in lines[2:]:  # after the header and its rule
+        if not line.strip() or line.startswith("events:"):
+            break
+        names.add(line.split()[0])
+    return names
+
+
 class TestStatsCommand:
     def test_stats_prints_all_sections(self, capsys):
         assert main(["stats", "--scheme", "multi-tree", "-n", "15", "-p", "9"]) == 0
@@ -137,8 +149,7 @@ class TestStatsCommand:
         assert "engine.tx.sent" in out
         assert "event counts:" in out
         assert "tx_delivered" in out
-        assert "per-phase timings" in out
-        assert "deliver" in out
+        assert {"schedule", "validate", "deliver"} <= _profile_phases(out)
 
     def test_stats_lossy(self, capsys):
         assert main(
@@ -158,7 +169,7 @@ class TestStatsCommand:
         payload = json.loads(path.read_text())
         assert payload["metrics"]["counters"]
         assert payload["event_counts"]["run_start"] == 1
-        assert "deliver" in payload["profile"]
+        assert payload["profile"]["deliver"]["calls"] > 0
 
     def test_stats_drop_rate_rejects_static_schemes(self):
         with pytest.raises(SystemExit):
@@ -173,7 +184,7 @@ class TestInstrumentationFlags:
              "--profile", "--trace-events", str(events)]
         ) == 0
         out = capsys.readouterr().out
-        assert "per-phase timings" in out
+        assert {"schedule", "validate", "deliver"} <= _profile_phases(out)
         assert "events:" in out
         assert events.stat().st_size > 0
 
@@ -193,7 +204,8 @@ class TestInstrumentationFlags:
             ["repair", "--scheme", "multi-tree", "-n", "7", "-p", "12",
              "--mode", "retransmit", "--loss", "0.05", "--profile"]
         ) == 0
-        assert "per-phase timings" in capsys.readouterr().out
+        phases = _profile_phases(capsys.readouterr().out)
+        assert {"schedule", "deliver", "repair_hook"} <= phases
 
     def test_churn_trace_events(self, tmp_path, capsys):
         events = tmp_path / "churn.jsonl"
@@ -240,7 +252,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 4.0.0"
+        assert capsys.readouterr().out.strip() == "repro 5.0.0"
 
 
 class TestLintCommand:
@@ -455,32 +467,24 @@ class TestRunsAndReportCommands:
         assert main(["runs", "--ledger", str(ledger), "--last", "2"]) == 0
         assert "2 run(s)" in capsys.readouterr().out
 
-    def test_report_renders_runs_and_bench_history(self, tmp_path, capsys):
-        from repro.reporting.ledger import append_bench_history
-
+    def test_runs_summarizes_by_kind(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
-        history = tmp_path / "bench_history.jsonl"
         assert main([*self.FLEET, "--ledger", str(ledger)]) == 0
-        append_bench_history(history, "fleet_scale", 2.0)
-        append_bench_history(history, "fleet_scale", 4.0, baseline_s=2.0)
+        assert main([*self.FLEET, "--ledger", str(ledger)]) == 0
         capsys.readouterr()
-        assert main([
-            "report", "--ledger", str(ledger), "--bench-history", str(history),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "1 run(s)" in out
-        assert "by kind: fleet=1" in out
-        assert "fleet_scale" in out
-        assert "YES" in out  # the 4.0s run regressed past 1.5x of 2.0s
-        assert "1 benchmark(s) regressed" in out
+        assert main(["runs", "--ledger", str(ledger), "--last", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The summary covers the whole ledger, ahead of the --last table.
+        assert lines[0].startswith(f"run ledger {ledger}: 2 run(s), ")
+        assert lines[0].endswith("s recorded wall time")
+        assert lines[1] == "  by kind: fleet=2"
+        assert any(line.startswith("1 run(s) from") for line in lines)
 
-    def test_report_empty_everything(self, tmp_path, capsys):
-        assert main([
-            "report", "--ledger", str(tmp_path / "a.jsonl"),
-            "--bench-history", str(tmp_path / "b.jsonl"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "empty" in out
+    def test_report_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 class TestControlCommand:

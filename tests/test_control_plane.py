@@ -536,7 +536,6 @@ class TestControlledRunner:
         )
         result = run(spec)
         artifacts = result.artifacts
-        assert "shard_timings" in artifacts
         assert artifacts["control_decisions"]  # JSON-safe decision rows
         for row in artifacts["control_decisions"]:
             ControlDecision.from_dict(row)

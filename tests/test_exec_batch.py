@@ -2,8 +2,8 @@
 
 The slot-for-slot identity against the scalar path and the engine is
 property-tested in ``test_exec_properties.py``; here we pin the kernel's
-contract surface — validation, chunking, mask determinism, counters, the
-``BatchMetrics`` accessors, and the ``replay_point`` batch-of-1 shim.
+contract surface — validation, chunking, mask determinism, counters, and
+the ``BatchMetrics`` accessors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.exec import (
     compile_schedule,
     replay_arrivals,
     replay_batch,
-    replay_point,
     spawn_seeds,
 )
 from repro.obs import MetricsRegistry
@@ -375,24 +374,3 @@ class TestMeasuredPrefixView:
         again = replay_batch(schedule, (2, 3, 4), (0.0, 0.0, 0.0), num_packets=6)
         assert again.metrics(0) == again.metrics(2) == clean
         assert again.node_delays is not None and (again.node_delays >= 0).all()
-
-
-class TestReplayPointShim:
-    def test_shim_equals_batch_of_one(self, schedule):
-        for seed, rate in ((0, 0.0), (9, 0.25), (123, 0.6)):
-            point = replay_point(
-                schedule, num_packets=6, seed=seed, drop_rate=rate
-            )
-            batch = replay_batch(schedule, (seed,), rate, num_packets=6)
-            assert point == batch.metrics(0), (seed, rate)
-
-    def test_shim_keeps_historical_counters(self, schedule):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            replay_point(schedule, num_packets=6, seed=1, drop_rate=0.1)
-        points = registry.counter("sweep.points", scheme="multi-tree")
-        assert points.value == 1
-        tx = registry.counter("sweep.replayed_tx", scheme="multi-tree")
-        assert tx.value == schedule.size
-        hist = registry.histogram("sweep.max_delay", scheme="multi-tree")
-        assert hist.count == 1

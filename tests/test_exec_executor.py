@@ -1,4 +1,5 @@
-"""Sweep executor: determinism across serial/parallel, fallback, policy."""
+"""Sweep executor: determinism across serial/parallel, fallback, task
+errors, policy."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from repro.exec.compiler import compile_schedule
 from repro.exec.executor import (
     ExecutorPolicy,
     SweepExecutor,
-    replay_sweep_task,
+    replay_batch_task,
     worker_payload,
 )
 from repro.obs import MetricsRegistry
@@ -21,7 +22,19 @@ def _schedule(n=31, d=2, packets=10):
 
 
 def _grid(packets=10):
-    return [(seed, rate, packets) for rate in (0.0, 0.05) for seed in range(4)]
+    """Four blocks of two seeds each, at two drop rates."""
+    return [
+        (seeds, rate, packets)
+        for rate in (0.0, 0.05) for seeds in ((0, 1), (2, 3))
+    ]
+
+
+def _sessions(registry):
+    return sum(
+        row["value"]
+        for row in registry.snapshot()["counters"]
+        if row["name"] == "sweep.batch_sessions"
+    )
 
 
 def double_task(task):
@@ -31,6 +44,13 @@ def double_task(task):
 
 def payload_echo_task(task):
     return (task, worker_payload())
+
+
+def failing_task(task):
+    (x,) = task
+    if x == 3:
+        raise ReproError(f"task {x} is broken")
+    return x
 
 
 def span_recording_task(task):
@@ -63,31 +83,27 @@ class TestSerialParallelEquality:
     def test_rows_identical_for_fixed_grid(self):
         schedule = _schedule()
         serial = SweepExecutor(ExecutorPolicy(mode="serial")).map(
-            replay_sweep_task, _grid(), payload=schedule
+            replay_batch_task, _grid(), payload=schedule
         )
         parallel = SweepExecutor(
             ExecutorPolicy(mode="parallel", max_workers=2, chunksize=2)
-        ).map(replay_sweep_task, _grid(), payload=schedule)
+        ).map(replay_batch_task, _grid(), payload=schedule)
         assert serial == parallel
-        assert [r["seed"] for r in serial] == [s for _ in (0.0, 0.05) for s in range(4)]
+        rows = [row for block in serial for row in block]
+        assert [r["seed"] for r in rows] == [s for _ in (0.0, 0.05) for s in range(4)]
 
     def test_registry_snapshots_identical(self):
         schedule = _schedule()
         serial_reg, parallel_reg = MetricsRegistry(), MetricsRegistry()
         a = SweepExecutor(ExecutorPolicy(mode="serial"), registry=serial_reg).map(
-            replay_sweep_task, _grid(), payload=schedule
+            replay_batch_task, _grid(), payload=schedule
         )
         b = SweepExecutor(
             ExecutorPolicy(mode="parallel", max_workers=2), registry=parallel_reg
-        ).map(replay_sweep_task, _grid(), payload=schedule)
+        ).map(replay_batch_task, _grid(), payload=schedule)
         assert a == b
         assert serial_reg.snapshot() == parallel_reg.snapshot()
-        points = sum(
-            row["value"]
-            for row in serial_reg.snapshot()["counters"]
-            if row["name"] == "sweep.points"
-        )
-        assert points == len(_grid())
+        assert _sessions(serial_reg) == 2 * len(_grid())
 
 
 class TestExecutionPaths:
@@ -187,18 +203,15 @@ class TestStreamingResults:
         merged_at_callback = []
 
         def on_result(index, result):
-            rows = registry.snapshot()["counters"]
-            points = sum(
-                row["value"] for row in rows if row["name"] == "sweep.points"
-            )
-            merged_at_callback.append(points)
+            merged_at_callback.append(_sessions(registry))
 
         SweepExecutor(ExecutorPolicy(mode="serial"), registry=registry).map(
-            replay_sweep_task, _grid(), payload=schedule,
+            replay_batch_task, _grid(), payload=schedule,
             on_result=on_result, collect=False,
         )
-        # By the time the callback sees task i, i+1 snapshots are merged.
-        assert merged_at_callback == list(range(1, len(_grid()) + 1))
+        # By the time the callback sees task i, i+1 snapshots (two
+        # sessions each) are merged.
+        assert merged_at_callback == [2 * i for i in range(1, len(_grid()) + 1)]
 
     def test_fallback_never_duplicates_callbacks(self):
         registry = MetricsRegistry()
@@ -214,40 +227,32 @@ class TestStreamingResults:
         )
         assert executor.last_run["fallback"] is True
         assert seen == list(range(6))  # each task delivered exactly once
-        assert [row["shard"] for row in executor.last_shards] == list(range(6))
 
 
-class TestShardTimings:
-    def test_last_shards_tagged_with_ids(self):
-        registry = MetricsRegistry()
-        executor = SweepExecutor(ExecutorPolicy(mode="serial"), registry=registry)
-        executor.map(replay_sweep_task, _grid(), payload=_schedule())
-        assert [row["shard"] for row in executor.last_shards] == list(
-            range(len(_grid()))
-        )
-        assert all(row["elapsed_s"] >= 0 for row in executor.last_shards)
+class TestTaskErrors:
+    """A task's own exception is not a pool failure: it surfaces at once."""
 
-    def test_parallel_shards_keep_task_order(self):
+    def test_parallel_task_error_raises_without_fallback(self):
         registry = MetricsRegistry()
         executor = SweepExecutor(
-            ExecutorPolicy(mode="parallel", max_workers=2), registry=registry
+            ExecutorPolicy(mode="parallel", max_workers=2, chunksize=1),
+            registry=registry,
         )
-        executor.map(replay_sweep_task, _grid(), payload=_schedule())
-        assert [row["shard"] for row in executor.last_shards] == list(
-            range(len(_grid()))
-        )
+        seen = []
+        with pytest.raises(ReproError, match="task 3 is broken"):
+            executor.map(
+                failing_task, [(i,) for i in range(8)],
+                on_result=lambda index, result: seen.append(index),
+            )
+        names = {row["name"] for row in registry.snapshot()["counters"]}
+        assert "executor.fallbacks" not in names
+        assert "executor.fallback_errors" not in names
+        assert seen == [0, 1, 2]  # nothing past the failing task is folded
 
-    def test_no_registry_means_no_shards(self):
+    def test_serial_task_error_raises(self):
         executor = SweepExecutor(ExecutorPolicy(mode="serial"))
-        executor.map(double_task, [(1,), (2,), (3,)])
-        assert executor.last_shards == []
-
-    def test_last_shards_reset_between_runs(self):
-        registry = MetricsRegistry()
-        executor = SweepExecutor(ExecutorPolicy(mode="serial"), registry=registry)
-        executor.map(replay_sweep_task, _grid(), payload=_schedule())
-        executor.map(double_task, [])
-        assert executor.last_shards == []
+        with pytest.raises(ReproError, match="task 3 is broken"):
+            executor.map(failing_task, [(i,) for i in range(8)])
 
 
 class TestWorkerSpanAdoption:
@@ -273,9 +278,11 @@ class TestWorkerSpanAdoption:
 
 
 class TestReplaySweepTask:
+    """The one sweep task, :func:`replay_batch_task`."""
+
     def test_requires_payload(self):
         with pytest.raises(ReproError):
-            replay_sweep_task((0, 0.0, 5))
+            replay_batch_task(((0,), 0.0, 5))
 
     def test_lossfree_point_matches_paper_metrics(self):
         from repro.core.engine import simulate
@@ -286,7 +293,7 @@ class TestReplaySweepTask:
         schedule = _schedule(n=15, d=3, packets=8)
         _init_worker(schedule)
         try:
-            row = replay_sweep_task((0, 0.0, 8))
+            (row,) = replay_batch_task(((0,), 0.0, 8))
         finally:
             _init_worker(None)
         protocol = build_protocol("multi-tree", 15, 3)

@@ -10,7 +10,7 @@ import pytest
 from repro.core.engine import SimConfig, simulate
 from repro.core.errors import ReproError
 from repro.core.metrics import collect_repair_metrics, summarize_lossy_playback
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, span_rows
 from repro.obs.events import (
     CHURN_APPLIED,
     GAP_DETECTED,
@@ -84,8 +84,23 @@ class TestEngineEvents:
         protocol = MultiTreeProtocol(15, 3)
         instr = Instrumentation.collecting(ring_capacity=None, profile=True)
         simulate(protocol, protocol.slots_for_packets(6), instrumentation=instr)
-        phases = set(instr.profiler.snapshot())
+        phases = {row["name"] for row in span_rows(instr.spans.finished)}
         assert {"schedule", "validate", "deliver"} <= phases
+
+    def test_profile_records_one_phase_span_per_slot(self):
+        protocol = MultiTreeProtocol(15, 3)
+        num_slots = protocol.slots_for_packets(6)
+        instr = Instrumentation.collecting(ring_capacity=None, profile=True)
+        simulate(protocol, num_slots, instrumentation=instr)
+        calls = {row["name"]: row["calls"] for row in span_rows(instr.spans.finished)}
+        assert calls["schedule"] == calls["validate"] == calls["deliver"] == num_slots
+        # No repair or capacity hook attached: their phases never open.
+        assert set(calls) == {"schedule", "validate", "deliver"}
+
+    def test_no_profile_records_no_spans(self):
+        instr = Instrumentation.collecting(ring_capacity=None, profile=False)
+        assert instr.spans is None
+        simulate(MultiTreeProtocol(15, 3), 20, instrumentation=instr)
 
     def test_instrumented_run_matches_uninstrumented(self):
         bare = simulate(MultiTreeProtocol(15, 3), 20)

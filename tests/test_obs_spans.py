@@ -10,8 +10,11 @@ from repro.obs.spans import (
     SPAN_SCHEMA,
     Span,
     SpanTracer,
+    Timer,
     drain_worker_spans,
     install_span_context,
+    span_rows,
+    span_scope,
     worker_span,
 )
 from repro.reporting.export import spans_to_chrome_trace, write_chrome_trace_json
@@ -111,6 +114,87 @@ class TestWorkerSpans:
             pass
         install_span_context({"trace_id": "b", "parent_id": None})
         assert drain_worker_spans() == []
+
+
+def _span(name, span_id, dur_s, parent_id=None) -> Span:
+    return Span(
+        name=name, trace_id="t", span_id=span_id, parent_id=parent_id,
+        start_s=0.0, dur_s=dur_s, pid=1,
+    )
+
+
+class TestSpanRows:
+    def test_self_time_subtracts_direct_children(self):
+        rows = span_rows([
+            _span("grandchild", "s3", 0.25, parent_id="s2"),
+            _span("child", "s2", 1.0, parent_id="s1"),
+            _span("parent", "s1", 3.0),
+        ])
+        by_name = {row["name"]: row for row in rows}
+        assert by_name["parent"]["self_s"] == pytest.approx(2.0)
+        assert by_name["parent"]["total_s"] == pytest.approx(3.0)
+        # Only direct children count: the grandchild comes off the child.
+        assert by_name["child"]["self_s"] == pytest.approx(0.75)
+        assert by_name["grandchild"]["self_s"] == pytest.approx(0.25)
+
+    def test_sorted_by_self_time(self):
+        rows = span_rows([
+            _span("child", "s2", 2.5, parent_id="s1"),
+            _span("parent", "s1", 3.0),
+            _span("leaf", "s3", 1.0),
+        ])
+        assert [row["name"] for row in rows] == ["child", "leaf", "parent"]
+        assert [row["self_s"] for row in rows] == pytest.approx([2.5, 1.0, 0.5])
+
+    def test_shares_sum_to_100(self):
+        rows = span_rows([
+            _span("deliver", "s1", 0.3),
+            _span("deliver", "s2", 0.4),
+            _span("schedule", "s3", 0.2),
+            _span("validate", "s4", 0.1),
+        ])
+        assert sum(row["share_pct"] for row in rows) == pytest.approx(100.0)
+        deliver = rows[0]
+        assert deliver["name"] == "deliver"
+        assert deliver["calls"] == 2
+        assert deliver["mean_us"] == pytest.approx(350_000.0)
+        assert deliver["max_us"] == pytest.approx(400_000.0)
+        assert deliver["share_pct"] == pytest.approx(70.0)
+
+    def test_empty_tracer_yields_no_rows(self):
+        assert span_rows(SpanTracer().finished) == []
+
+    def test_recorded_spans_aggregate(self):
+        tracer = SpanTracer()
+        for _ in range(3):
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    pass
+        rows = {row["name"]: row for row in span_rows(tracer.finished)}
+        assert rows["outer"]["calls"] == rows["inner"]["calls"] == 3
+        assert rows["outer"]["self_s"] <= rows["outer"]["total_s"]
+
+
+class TestSpanScope:
+    def test_no_tracer_is_a_shared_no_op(self):
+        with span_scope(None, "schedule") as span_id:
+            assert span_id is None
+        assert span_scope(None, "a") is span_scope(None, "b")
+
+    def test_opens_a_span_on_the_tracer(self):
+        tracer = SpanTracer()
+        with span_scope(tracer, "control.decide", epoch=3) as span_id:
+            assert tracer.current_span_id == span_id
+        (span,) = tracer.finished
+        assert span.name == "control.decide"
+        assert span.attrs == {"epoch": 3}
+
+
+class TestTimer:
+    def test_measures_elapsed(self):
+        with Timer() as t:
+            sum(range(1000))
+        assert t.elapsed > 0.0
 
 
 class TestChromeExport:

@@ -96,7 +96,11 @@ class TestInstrumentationExport:
         assert any(
             row["name"] == "engine.tx.sent" for row in embedded["metrics"]["counters"]
         )
-        assert "deliver" in embedded["profile"]
+        deliver = embedded["profile"]["deliver"]
+        assert deliver["calls"] == run.num_slots  # one deliver span per slot
+        assert set(deliver) == {
+            "calls", "total_s", "self_s", "mean_us", "max_us", "share_pct",
+        }
 
     def test_trace_to_dict_without_instrumentation_unchanged(self, trace):
         assert "instrumentation" not in trace_to_dict(trace)

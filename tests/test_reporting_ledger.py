@@ -1,4 +1,4 @@
-"""Tests for the run ledger and bench history (repro.reporting.ledger)."""
+"""Tests for the run ledger (repro.reporting.ledger)."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from repro.reporting.ledger import (
     LEDGER_ENV_VAR,
     LEDGER_VERSION,
     RunLedger,
-    append_bench_history,
-    bench_history_records,
     default_ledger,
     run_record,
 )
@@ -141,36 +139,3 @@ class TestRunRecord:
         assert record["spec"]["aggregation"] == "exact"
         assert "run_until_converged" not in record["spec"]
 
-
-class TestBenchHistory:
-    def test_validation(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        with pytest.raises(ReproError):
-            append_bench_history(path, "b", -1.0)
-        with pytest.raises(ReproError):
-            append_bench_history(path, "b", 1.0, threshold=1.0)
-
-    def test_first_entry_has_no_baseline(self, tmp_path):
-        record = append_bench_history(tmp_path / "h.jsonl", "fleet_scale", 2.5)
-        assert record["record"] == "bench"
-        assert record["wall_clock_s"] == 2.5
-        assert "baseline_s" not in record
-        assert "regression" not in record
-
-    def test_regression_flagged_over_threshold(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        ok = append_bench_history(path, "b", 1.2, baseline_s=1.0)
-        assert ok["regression"] is False
-        bad = append_bench_history(path, "b", 2.0, baseline_s=1.0)
-        assert bad["regression"] is True
-        assert bad["speedup"] == pytest.approx(0.5)
-
-    def test_records_filter_by_name(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        append_bench_history(path, "a", 1.0)
-        append_bench_history(path, "b", 2.0)
-        append_bench_history(path, "a", 1.1)
-        RunLedger(path).append({"record": "run"})  # ignored by the filter
-        assert len(bench_history_records(path)) == 3
-        names = [r["wall_clock_s"] for r in bench_history_records(path, name="a")]
-        assert names == [1.0, 1.1]

@@ -11,13 +11,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# Benches the smoke test leaves out of its copy: together they take about a
+# minute (a million-session stream, a 100k-session fleet and the timed
+# speedup floors).  A full `reproduce_all.py` run, and CI's
+# bench-reproductions job, still run them.
+_SLOW_BENCHES = (
+    "bench_fleet_million.py",
+    "bench_fleet_scale.py",
+    "bench_compiled_speedup.py",
+)
+
+
 def test_reproduce_all_skip_tests(tmp_path):
     # The driver rewrites benchmarks/results/* and REPRODUCTION.txt under its
     # own root, so run a copy of it and leave the tracked files alone.
     shutil.copy2(ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
-    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".benchmarks")
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", *_SLOW_BENCHES)
     for name in ("scripts", "benchmarks"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
+    # Start from no results, so every section must come from this run.
+    results = tmp_path / "benchmarks" / "results"
+    shutil.rmtree(results)
+    results.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
@@ -41,5 +56,6 @@ def test_reproduce_all_skip_tests(tmp_path):
         "theorem2_worst_delay",
         "prop1_special_n",
         "ablation_churn",
+        "abr_tradeoff",
     ):
         assert f"### {name}" in text

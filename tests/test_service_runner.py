@@ -14,6 +14,7 @@ from repro.service import (
     FleetRunner,
     FleetSLOReport,
     FleetSpec,
+    FleetTelemetry,
     SessionSpec,
 )
 
@@ -167,29 +168,27 @@ class TestRunUntilConverged:
         # Decisions (and the report) cover exactly the executed prefix.
         assert result.report.num_sessions == len(result.decisions)
         assert result.report.num_sessions >= executed
-        assert [row["shard"] for row in result.shard_timings] == list(
-            range(executed)
-        )
 
     def test_non_converged_run_has_no_state(self):
         result = FleetRunner(policy=SERIAL).run(_small_fleet())
         assert result.convergence is None
 
 
-class TestShardTimings:
-    def test_one_row_per_admitted_session(self):
-        result = FleetRunner(policy=SERIAL).run(_small_fleet())
-        assert len(result.shard_timings) == 30
-        assert [row["shard"] for row in result.shard_timings] == list(range(30))
-        assert all(row["elapsed_s"] >= 0 for row in result.shard_timings)
+class TestReplaySpans:
+    def test_replay_spans_cover_every_admitted_session(self):
+        telemetry = FleetTelemetry()
+        result = FleetRunner(policy=SERIAL, telemetry=telemetry).run(_small_fleet())
+        replays = [s for s in telemetry.spans.finished if s.name == "session.replay"]
+        assert result.executor_info["units"] == len(replays)
+        assert sum(s.attrs["sessions"] for s in replays) == 30
+        assert all(s.dur_s >= 0 for s in replays)
 
-    def test_facade_exposes_shard_timings(self):
+    def test_result_records_no_wall_time(self):
         result = run(
             ExperimentSpec(kind="fleet", fleet=_small_fleet(), executor=SERIAL)
         )
-        timings = result.artifacts["shard_timings"]
-        assert len(timings) == 30
-        assert timings[0]["shard"] == 0
+        assert not hasattr(result, "shard_timings")
+        assert "shard_timings" not in result.artifacts
 
 
 class TestFleetTelemetry:
