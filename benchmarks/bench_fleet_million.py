@@ -4,12 +4,14 @@ The v2.0 scaling demonstration: compile one schedule, spawn a million
 per-session seed sequences from one master seed
 (:func:`~repro.exec.batch.spawn_seeds`), and stream chunked
 :func:`~repro.exec.batch.replay_batch` calls, each scored by
-:func:`~repro.service.score_batch_sessions`, straight into a sketch-mode
+:func:`~repro.service.score_batch_sessions` into one
+:class:`~repro.service.SessionColumns` and folded, one ``np.bincount`` per
+pooled population, straight into a sketch-mode
 :class:`~repro.service.FleetAggregator`.  Nothing in the pipeline scales
 with the full population: the kernel's working set is capped by its element
-budget, each chunk's metric columns are dropped after scoring, and the
-aggregator holds three quantile sketches instead of a million
-:class:`~repro.service.SessionSLO` objects.
+budget, each chunk's columns are dropped after the fold, and the
+aggregator holds three quantile sketches; no
+:class:`~repro.service.SessionSLO` is ever built.
 
 The chunk decomposition is also a correctness claim — a session's score is
 a function of ``(schedule, seed, drop_rate)`` alone, so slicing the million

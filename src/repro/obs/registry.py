@@ -21,9 +21,12 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Counter",
@@ -115,6 +118,27 @@ class Histogram:
             self.sum += value
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """``observe(v)`` for each of ``values`` in order, in one update: the
+        bucketing equals ``bisect_left``, the sum is a strict left fold, and
+        min/max stay Python scalars."""
+        import numpy as np  # only the bulk path needs NumPy
+
+        column = np.asarray(values)
+        if column.size == 0:
+            return
+        counts = np.bincount(
+            np.searchsorted(self.buckets, column, side="left"),
+            minlength=len(self.bucket_counts),
+        ).tolist()
+        low, high = column.min().item(), column.max().item()
+        with self._lock:
+            self.bucket_counts[:] = [a + b for a, b in zip(self.bucket_counts, counts)]
+            self.count += column.size
+            self.sum = float(np.add.accumulate(np.concatenate(([self.sum], column)))[-1])
+            self.min = low if self.min is None else min(self.min, low)
+            self.max = high if self.max is None else max(self.max, high)
 
     @property
     def mean(self) -> float:

@@ -15,7 +15,7 @@ concurrent sessions sharing source fan-out and backbone capacity:
   process pool while amortizing schedule compilation through the shared
   :class:`~repro.exec.cache.ScheduleCache`;
 * :mod:`repro.service.slo` — per-session and fleet SLOs
-  (:func:`score_batch_sessions`, :class:`SessionSLO`,
+  (:func:`score_batch_sessions` → :class:`SessionColumns`, :class:`SessionSLO`,
   :class:`FleetSLOReport` with exact pooled percentiles, and the streaming
   :class:`FleetAggregator` whose sketch mode bounds memory at fleet scale).
 
@@ -35,6 +35,7 @@ from repro.service.runner import FleetRunner, FleetRunResult, FleetTelemetry
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
+    SessionColumns,
     SessionSLO,
     pooled_percentile,
     score_batch_sessions,
@@ -60,6 +61,7 @@ __all__ = [
     "FleetSpec",
     "FleetTelemetry",
     "ResolvedSession",
+    "SessionColumns",
     "SessionManager",
     "SessionSLO",
     "SessionSpec",

@@ -26,7 +26,9 @@ Each session lands on exactly one **terminal** status, counted once in
 registry (a queued-then-rejected session is one ``rejected``, not a
 ``queued`` plus a ``rejected``).  Queue transit is observable separately:
 ``fleet.queue.entered`` counts every session that waited and the
-``fleet.queue.depth`` gauge tracks the instantaneous queue length.  Every
+``fleet.queue.depth`` gauge tracks the queue length; all three are written
+once per :meth:`~SessionManager.admit_chunk` / :meth:`~SessionManager.finalize`
+call.  Every
 decision also emits a ``session_*`` trace event when a tracer is attached
 and is returned as an immutable :class:`AdmissionDecision` for the SLO
 report.
@@ -35,7 +37,7 @@ report.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -157,29 +159,36 @@ class SessionManager:
         self._active: _Active | None = None
         self._queue: deque[ResolvedSession] = deque()
         self._last_slot = 0
+        # Pending registry writes: terminal statuses (``queued`` is transit,
+        # never terminal), sessions parked and the net queue-depth change.
+        self._statuses: Counter[str] = Counter()
+        self._entered = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------ hooks
-    def _count(self, status: str) -> None:
-        """Count one session's single terminal status.
-
-        ``queued`` is a *transit* state, never terminal — a parked session
-        still ends as exactly one of admitted/degraded/rejected, so the
-        ``fleet.sessions`` totals always sum to the offered load.
-        """
-        active_registry().counter(FLEET_SESSIONS, status=status).inc()
-
     def _park(self, session: ResolvedSession, slot: int) -> None:
         self._queue.append(session)
-        registry = active_registry()
-        registry.counter(FLEET_QUEUE_ENTERED).inc()
-        registry.gauge(FLEET_QUEUE_DEPTH).add(1)
+        self._entered += 1
+        self._depth += 1
         self._emit(SESSION_QUEUED, slot, session=session.session_id)
 
     def _unpark(self) -> None:
         self._queue.popleft()
-        active_registry().gauge(FLEET_QUEUE_DEPTH).add(-1)
+        self._depth -= 1
 
-    def _emit(self, name: str, slot: int, **fields: Any) -> None:
+    def _flush(self) -> None:
+        """Write the pending counts to the active registry."""
+        registry = active_registry()
+        for status, count in self._statuses.items():
+            registry.counter(FLEET_SESSIONS, status=status).inc(count)
+        if self._entered:
+            registry.counter(FLEET_QUEUE_ENTERED).inc(self._entered)
+        if self._entered or self._depth:
+            registry.gauge(FLEET_QUEUE_DEPTH).add(self._depth)
+        self._statuses.clear()
+        self._entered = self._depth = 0
+
+    def _emit(self, name: str, slot: int, **fields: object) -> None:
         if self.tracer is not None:
             self.tracer.emit(name, slot, **fields)
 
@@ -207,7 +216,7 @@ class SessionManager:
             active.admit(slot + duration, fanout, backbone)
             degraded = degree != spec.degree
             status = "degraded" if degraded else "admitted"
-            self._count(status)
+            self._statuses[status] += 1
             wait = slot - session.arrival_slot
             if degraded:
                 self._emit(
@@ -232,7 +241,7 @@ class SessionManager:
     def _reject(
         self, session: ResolvedSession, slot: int, reason: str
     ) -> AdmissionDecision:
-        self._count("rejected")
+        self._statuses["rejected"] += 1
         self._emit(
             SESSION_REJECTED, slot,
             session=session.session_id, reason=reason,
@@ -319,28 +328,31 @@ class SessionManager:
         if self._active is None:
             raise ReproError("call start() before admit_chunk()")
         made: list[AdmissionDecision] = []
-        for session in arrivals:
-            slot = session.arrival_slot
-            if slot < self._last_slot:
-                raise ReproError("arrivals must be sorted by arrival_slot")
-            self._last_slot = slot
-            self._active.release_until(slot)
-            self._drain_queue(slot, duration_of, made)
-            if self._queue:
-                # FIFO: a newcomer may not overtake a waiting session.
+        try:
+            for session in arrivals:
+                slot = session.arrival_slot
+                if slot < self._last_slot:
+                    raise ReproError("arrivals must be sorted by arrival_slot")
+                self._last_slot = slot
+                self._active.release_until(slot)
+                self._drain_queue(slot, duration_of, made)
+                if self._queue:
+                    # FIFO: a newcomer may not overtake a waiting session.
+                    if self.policy == "queue":
+                        self._park(session, slot)
+                    else:
+                        made.append(self._reject(session, slot, "capacity"))
+                    continue
+                decision = self._try_admit(session, slot, duration_of)
+                if decision is not None:
+                    made.append(decision)
+                    continue
                 if self.policy == "queue":
                     self._park(session, slot)
                 else:
                     made.append(self._reject(session, slot, "capacity"))
-                continue
-            decision = self._try_admit(session, slot, duration_of)
-            if decision is not None:
-                made.append(decision)
-                continue
-            if self.policy == "queue":
-                self._park(session, slot)
-            else:
-                made.append(self._reject(session, slot, "capacity"))
+        finally:
+            self._flush()
         return made
 
     def finalize(
@@ -355,13 +367,16 @@ class SessionManager:
         if self._active is None:
             raise ReproError("call start() before finalize()")
         made: list[AdmissionDecision] = []
-        self._drain_queue(2**62, duration_of, made)
-        while self._queue:
-            head = self._queue[0]
-            made.append(self._reject(
-                head, head.arrival_slot + self.max_queue_slots, "queue_timeout"
-            ))
-            self._unpark()
+        try:
+            self._drain_queue(2**62, duration_of, made)
+            while self._queue:
+                head = self._queue[0]
+                made.append(self._reject(
+                    head, head.arrival_slot + self.max_queue_slots, "queue_timeout"
+                ))
+                self._unpark()
+        finally:
+            self._flush()
         active = self._active
         self.peak_fanout = active.peak_fanout
         self.peak_backbone = active.peak_backbone

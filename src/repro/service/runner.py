@@ -21,8 +21,9 @@
    session's loss mask is deterministic in its own seed, so results do not
    depend on the grouping or the worker count, and per-worker metric
    snapshots merge back into the caller's registry;
-4. **aggregate** per-session SLOs and admission decisions into the fleet
-   report (exact pooled percentiles, reject rate, cache hit-rate).
+4. **aggregate** each unit's :class:`~repro.service.slo.SessionColumns`
+   and the admission decisions into the fleet report (exact pooled
+   percentiles, reject rate, cache hit-rate).
 
 Every mode runs one **epoch loop**: an epoch admits a chunk of arrivals and
 executes the sessions admitted during it as one window.  A static run is a
@@ -32,7 +33,8 @@ the open-loop steady-state mode.  ``FleetSpec.controller`` splits the
 arrivals into control epochs with a ``ControlPlane.step`` hook at the start
 of each (``docs/CONTROL.md``).
 
-Aggregation is **streaming**: each unit's SLOs fold into a
+Aggregation is **streaming**, one kernel unit at a time: each unit's
+:class:`~repro.service.slo.SessionColumns` fold into a
 :class:`~repro.service.slo.FleetAggregator` through the executor's
 ``on_result`` callback the moment its shard completes — with
 ``FleetSpec.aggregation="sketch"`` nothing per-session is ever
@@ -52,6 +54,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.core.errors import ReproError
 from repro.exec.cache import ScheduleCache
 from repro.exec.compiler import compile_schedule
 from repro.exec.batch import replay_batch
@@ -76,7 +79,7 @@ from repro.service.admission import AdmissionDecision, SessionManager
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
-    SessionSLO,
+    SessionColumns,
     pooled_percentile,
     score_batch_sessions,
 )
@@ -90,7 +93,7 @@ __all__ = [
 ]
 
 
-def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
+def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[list[int], SessionColumns]:
     """Executor worker: score one execution unit.
 
     Unit tuple: ``(token, drop_rate, num_packets, horizon, members)``.
@@ -101,48 +104,52 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
     status, seed, wait_slots, abr_profile)``.  A member with an
     ``abr_profile`` additionally plays a deterministic ABR session (one
     chunk per measured packet) against that bandwidth profile, seeded by
-    the session seed, and its SLO carries the resulting QoE metrics.
+    the session seed, and its row of the ``qoe`` column carries the
+    resulting QoE metrics.
 
-    Returns ``(task_index, SessionSLO)`` pairs in member order; the task
-    index is fleet-global so the runner can attribute results (telemetry
-    windows) to the right session no matter how sessions were grouped.
+    Returns ``(task_indices, SessionColumns)``, rows in member order; the
+    task indices are fleet-global so the runner can attribute results
+    (telemetry windows) to the right session no matter how sessions were
+    grouped.  Any failure is re-raised as a :class:`ReproError` naming the unit.
     """
     token, drop_rate, num_packets, horizon, members = unit
-    with worker_span("session.replay", sessions=len(members), label=members[0][2]):
-        batch = replay_batch(
-            worker_payload()[token],
-            [member[4] for member in members],
-            drop_rate,
-            num_packets=num_packets,
-            num_slots=horizon,
-            keep_node_columns=True,
-        )
-        slos = score_batch_sessions(
-            batch,
-            session_ids=[member[1] for member in members],
-            labels=[member[2] for member in members],
-            wait_slots=[member[5] for member in members],
-            statuses=[member[3] for member in members],
-        )
-        registry = active_registry()
-        for label, count in Counter(member[2] for member in members).items():
-            registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc(count)
-        startup_hist = registry.histogram(FLEET_STARTUP_DELAY)
-        rebuffer_hist = registry.histogram(FLEET_REBUFFER_RATIO)
-        out: list[tuple[int, SessionSLO]] = []
-        for member, slo in zip(members, slos):
-            if member[6] is not None:
-                slo = _with_qoe(slo, member[6], member[4], num_packets)
-            startup_hist.observe(slo.startup_delay)
-            rebuffer_hist.observe(slo.rebuffer_ratio)
-            out.append((member[0], slo))
-    return out
+    try:
+        with worker_span("session.replay", sessions=len(members), label=members[0][2]):
+            batch = replay_batch(
+                worker_payload()[token],
+                [member[4] for member in members],
+                drop_rate,
+                num_packets=num_packets,
+                num_slots=horizon,
+                keep_node_columns=True,
+            )
+            columns = score_batch_sessions(
+                batch,
+                session_ids=[member[1] for member in members],
+                labels=[member[2] for member in members],
+                wait_slots=[member[5] for member in members],
+                statuses=[member[3] for member in members],
+            )
+            if any(member[6] is not None for member in members):
+                columns = replace(columns, qoe=tuple(
+                    None if member[6] is None else _with_qoe(member[6], member[4], num_packets)
+                    for member in members
+                ))
+            registry = active_registry()
+            for label, count in Counter(member[2] for member in members).items():
+                registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc(count)
+            registry.histogram(FLEET_STARTUP_DELAY).observe_many(columns.startup_delay)
+            registry.histogram(FLEET_REBUFFER_RATIO).observe_many(columns.rebuffer_ratio)
+    except Exception as exc:
+        raise ReproError(
+            f"fleet unit {str(token)[:12]} ({len(members)} sessions, ids "
+            f"{members[0][1]}..{members[-1][1]}) failed: {type(exc).__name__}: {exc}"
+        ) from exc
+    return [member[0] for member in members], columns
 
 
-def _with_qoe(
-    slo: SessionSLO, profile: str, seed: int, num_packets: int
-) -> SessionSLO:
-    """``slo`` with the QoE of its ABR playback session attached."""
+def _with_qoe(profile: str, seed: int, num_packets: int) -> dict:
+    """The QoE dict of one ABR session's playback against ``profile``."""
     from repro.abr import AbrSessionSpec, build_profile, collect_qoe, run_session
 
     spec = AbrSessionSpec(num_chunks=num_packets)
@@ -151,7 +158,7 @@ def _with_qoe(
     )
     qoe = collect_qoe(run_session(spec, trace))
     active_registry().counter(FLEET_ABR_SESSIONS, tier=qoe.tier).inc()
-    return replace(slo, qoe=qoe.to_dict())
+    return qoe.to_dict()
 
 
 class FleetTelemetry:
@@ -182,12 +189,16 @@ class FleetTelemetry:
         if decision.admitted and decision.wait_slots > 0:
             self.series.observe(FLEET_QUEUE_WAIT, arrival_slot, decision.wait_slots)
 
-    def record_session(self, slo: SessionSLO, arrival_slot: int) -> None:
-        """Window one completed session's SLO at its arrival slot."""
-        self.series.count(FLEET_SESSIONS_COMPLETED, arrival_slot)
-        self.series.observe(FLEET_STARTUP_DELAY, arrival_slot, slo.startup_delay)
-        self.series.observe(FLEET_REBUFFER_RATIO, arrival_slot, slo.rebuffer_ratio)
-        self.series.gauge(FLEET_GOODPUT, arrival_slot, slo.goodput)
+    def record_sessions(self, columns: SessionColumns, arrival_slots: Sequence[int]) -> None:
+        """Window each completed session of a unit at its arrival slot."""
+        for slot, startup, rebuffer, goodput in zip(
+            arrival_slots, columns.startup_delay.tolist(),
+            columns.rebuffer_ratio.tolist(), columns.goodput.tolist(),
+        ):
+            self.series.count(FLEET_SESSIONS_COMPLETED, slot)
+            self.series.observe(FLEET_STARTUP_DELAY, slot, startup)
+            self.series.observe(FLEET_REBUFFER_RATIO, slot, rebuffer)
+            self.series.gauge(FLEET_GOODPUT, slot, goodput)
 
     def rows(self) -> list[dict[str, Any]]:
         """Flat (window, series) rows for table rendering."""
@@ -548,17 +559,17 @@ class FleetRunner:
             ))
             task_arrivals.append(session.arrival_slot)
 
-        def on_result(index: int, pairs: list[tuple[int, SessionSLO]]) -> None:
-            aggregator.add_sessions([slo for _, slo in pairs])
+        def on_result(index: int, result: tuple[list[int], SessionColumns]) -> None:
+            task_indices, columns = result
+            aggregator.add_sessions(columns)
+            delays = columns.startup_delay.tolist()
             if control is not None:
-                epoch_delays.extend(slo.startup_delay for _, slo in pairs)
-            if telemetry is None and detector is None:
-                return
-            for task_index, slo in pairs:
-                if telemetry is not None:
-                    telemetry.record_session(slo, task_arrivals[task_index])
-                if detector is not None:
-                    detector.add(slo.startup_delay)
+                epoch_delays.extend(delays)
+            if telemetry is not None:
+                telemetry.record_sessions(columns, [task_arrivals[i] for i in task_indices])
+            if detector is not None:
+                for delay in delays:
+                    detector.add(delay)
 
         def execute_window(lo: int, hi: int) -> None:
             """Run ``tasks[lo:hi]`` (non-empty) through the executor.

@@ -5,23 +5,23 @@ peak; a service tracks the same quantities as *distributions over sessions*
 plus the smoothness metrics the throughput-smoothness literature argues users
 actually feel (rebuffer/skip behavior), and the admission metrics the
 capacity literature adds (reject rate, queue wait).  One scorer and one fold
-compute them:
+compute them, one kernel unit at a time:
 
 * :func:`score_batch_sessions` turns a batched kernel result
   (:func:`~repro.exec.replay_batch` with ``keep_node_columns=True``) into
-  one :class:`SessionSLO` per session — startup delay (including any
-  admission queue wait), rebuffer ratio, per-node playback-delay and buffer
-  percentiles, goodput — carrying compact ``(value, count)`` distributions
-  so fleet-level percentiles pool *exactly* across sessions;
+  :class:`SessionColumns` — NumPy columns of startup delay (queue wait
+  included), rebuffer ratio, per-node delay/buffer percentiles and goodput,
+  plus the per-node matrices that pool *exactly* across sessions;
+  :meth:`SessionColumns.slos` builds the :class:`SessionSLO` rows;
 * :class:`FleetAggregator` folds admission decisions
-  (:meth:`~FleetAggregator.add_decision`) and batches of session SLOs
-  (:meth:`~FleetAggregator.add_sessions`) into mergeable
-  :class:`~repro.obs.sketch.QuantileSketch` populations, so fleet
-  percentiles never require materializing per-session results.
-  ``relative_error=0`` keeps every sketch in exact mode (reports identical
-  to Counter-based pooling); ``relative_error>0`` bounds memory at fleet
-  scale with the sketch's documented error guarantee (see
-  ``docs/TELEMETRY.md``);
+  (:meth:`~FleetAggregator.add_decision`) and scored units
+  (:meth:`~FleetAggregator.add_sessions`, one ``np.bincount`` per pooled
+  population) into mergeable :class:`~repro.obs.sketch.QuantileSketch`
+  populations, so fleet percentiles never require materializing
+  per-session results.  ``relative_error=0`` keeps every sketch in exact
+  mode (reports identical to Counter-based pooling); ``relative_error>0``
+  bounds memory at fleet scale with the sketch's documented error
+  guarantee (see ``docs/TELEMETRY.md``);
 * :class:`FleetSLOReport` is the fleet report (p50/p95/p99 over the pooled
   per-node populations, reject rate, schedule-cache amortization) and
   round-trips through ``reporting/export.py``.
@@ -42,6 +42,7 @@ from repro.obs.sketch import QuantileSketch
 
 __all__ = [
     "pooled_percentile",
+    "SessionColumns",
     "SessionSLO",
     "FleetSLOReport",
     "FleetAggregator",
@@ -152,6 +153,63 @@ def _row_histograms(
     return [tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
+@dataclass(frozen=True, slots=True)
+class SessionColumns:
+    """One scored kernel unit: row ``i`` of every column is session ``i``.
+
+    Columns mirror the :class:`SessionSLO` fields of the same names;
+    ``node_delays`` / ``node_buffers`` are the kernel's ``(B, num_nodes)``
+    columns, not copied.  ``loss_free``: every drop rate is 0, so every row
+    is the kernel's one broadcast row and only row 0 is scored and folded.
+    ``qoe``: per-row ABR QoE dicts, or ``None`` without ABR rows.
+    """
+
+    session_ids: tuple[int, ...]
+    labels: tuple[str, ...]
+    statuses: tuple[str, ...]
+    wait_slots: np.ndarray
+    startup_delay: np.ndarray
+    rebuffer_ratio: np.ndarray
+    goodput: np.ndarray
+    delay_p50: np.ndarray
+    delay_p95: np.ndarray
+    delay_p99: np.ndarray
+    buffer_p50: np.ndarray
+    buffer_p99: np.ndarray
+    node_delays: np.ndarray
+    node_buffers: np.ndarray
+    num_packets: int
+    loss_free: bool
+    qoe: tuple[dict | None, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    def slos(self) -> list[SessionSLO]:
+        """One :class:`SessionSLO` per row, in row order."""
+        total = len(self)
+        rows = 1 if self.loss_free else total  # loss-free rows share one tuple
+        histograms = [
+            _row_histograms(matrix[:rows]) * (total // rows)
+            for matrix in (self.node_delays, self.node_buffers)
+        ]
+        columns = [
+            column.tolist() for column in (
+                self.wait_slots, self.startup_delay, self.rebuffer_ratio,
+                self.delay_p50, self.delay_p95, self.delay_p99,
+                self.buffer_p50, self.buffer_p99, self.goodput,
+            )
+        ]
+        shape = (self.node_delays.shape[1], self.num_packets)
+        return [
+            SessionSLO(*row[:12], *shape, *row[12:])
+            for row in zip(
+                self.session_ids, self.labels, self.statuses, *columns,
+                *histograms, self.qoe or (None,) * total,
+            )
+        ]
+
+
 def score_batch_sessions(
     batch: BatchMetrics,
     *,
@@ -159,7 +217,7 @@ def score_batch_sessions(
     labels: Sequence[str],
     wait_slots: Sequence[int] | None = None,
     statuses: Sequence[str] | None = None,
-) -> list[SessionSLO]:
+) -> SessionColumns:
     """Score every session of a batched kernel result in one column pass.
 
     Session ``i``'s SLO is computed from row ``i`` of the batch's
@@ -169,10 +227,9 @@ def score_batch_sessions(
     worst node's playback delay plus ``wait_slots[i]`` (the admission queue
     wait, charged to startup only), the rebuffer ratio is the missed share
     of the ``num_nodes * num_packets`` measured pairs, and goodput is the
-    available pairs per node per slot of ``batch.num_slots``.  Histograms
-    and nearest-rank percentiles come from whole-matrix NumPy reductions
-    instead of one Python ``Counter`` pass per session, which is what keeps
-    fleet-scale SLO scoring off the profile.
+    available pairs per node per slot of ``batch.num_slots``.  Every field
+    is a whole-column NumPy reduction; a loss-free batch sorts its one
+    broadcast row only.
 
     Args:
         batch: a :func:`~repro.exec.replay_batch` result run with
@@ -191,45 +248,39 @@ def score_batch_sessions(
             f"batch has {total} sessions but got {len(session_ids)} ids "
             f"and {len(labels)} labels"
         )
-    waits = tuple(wait_slots) if wait_slots is not None else (0,) * total
+    waits = np.asarray((0,) * total if wait_slots is None else wait_slots, dtype=np.int64)
     kinds = tuple(statuses) if statuses is not None else ("admitted",) * total
     if len(waits) != total or len(kinds) != total:
         raise ReproError("wait_slots/statuses must align with the batch")
     num_nodes = batch.num_nodes
-    num_packets = batch.num_packets
+    loss_free = not any(batch.drop_rates)
+    rows = 1 if loss_free else total
+    sorted_delays = np.sort(batch.node_delays[:rows], axis=1)
+    sorted_buffers = np.sort(batch.node_buffers[:rows], axis=1)
 
-    delay_counts = _row_histograms(batch.node_delays)
-    buffer_counts = _row_histograms(batch.node_buffers)
-    sorted_delays = np.sort(batch.node_delays, axis=1)
-    sorted_buffers = np.sort(batch.node_buffers, axis=1)
-
-    def rank(q: float) -> int:
+    def percentile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
         # pooled_percentile's nearest rank over a population of num_nodes.
-        return max(1, -(-int(q * num_nodes) // 100)) - 1
+        rank = max(1, -(-int(q * num_nodes) // 100)) - 1
+        return np.broadcast_to(sorted_rows[:, rank].astype(np.int64), (total,))
 
-    d50, d95, d99 = (sorted_delays[:, rank(q)] for q in (50, 95, 99))
-    b50, b99 = (sorted_buffers[:, rank(q)] for q in (50, 99))
-    return [
-        SessionSLO(
-            session_id=session_ids[i],
-            label=labels[i],
-            status=kinds[i],
-            wait_slots=waits[i],
-            startup_delay=int(sorted_delays[i, -1]) + waits[i],
-            rebuffer_ratio=int(batch.residual[i]) / (num_nodes * num_packets),
-            delay_p50=int(d50[i]),
-            delay_p95=int(d95[i]),
-            delay_p99=int(d99[i]),
-            buffer_p50=int(b50[i]),
-            buffer_p99=int(b99[i]),
-            goodput=int(batch.available[i]) / (num_nodes * batch.num_slots),
-            num_nodes=num_nodes,
-            num_packets=num_packets,
-            delay_counts=delay_counts[i],
-            buffer_counts=buffer_counts[i],
-        )
-        for i in range(total)
-    ]
+    return SessionColumns(
+        session_ids=tuple(session_ids),
+        labels=tuple(labels),
+        statuses=kinds,
+        wait_slots=waits,
+        startup_delay=batch.max_delay + waits,
+        rebuffer_ratio=batch.residual / (num_nodes * batch.num_packets),
+        goodput=batch.available / (num_nodes * batch.num_slots),
+        delay_p50=percentile(sorted_delays, 50),
+        delay_p95=percentile(sorted_delays, 95),
+        delay_p99=percentile(sorted_delays, 99),
+        buffer_p50=percentile(sorted_buffers, 50),
+        buffer_p99=percentile(sorted_buffers, 99),
+        node_delays=batch.node_delays,
+        node_buffers=batch.node_buffers,
+        num_packets=batch.num_packets,
+        loss_free=loss_free,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,11 +376,16 @@ class FleetSLOReport:
         return cls(sessions=tuple(sessions), qoe_tiers=qoe_tiers, **payload)
 
 
+def _left_fold(running: float, column: np.ndarray) -> float:
+    """``running + column[0] + column[1] + ...`` in order (not pairwise)."""
+    return float(np.add.accumulate(np.concatenate(([running], column)))[-1])
+
+
 class FleetAggregator:
     """Streaming fleet-SLO aggregation with bounded memory.
 
-    Feed admission decisions (:meth:`add_decision`) and batches of session
-    SLOs (:meth:`add_sessions`) as they arrive — e.g. from the executor's
+    Feed admission decisions (:meth:`add_decision`) and scored units
+    (:meth:`add_sessions`) as they arrive — e.g. from the executor's
     ``on_result`` streaming callback — then :meth:`report` at any point.
 
     Args:
@@ -391,40 +447,32 @@ class FleetAggregator:
         if decision.admitted and decision.wait_slots > 0:
             self._queued += 1
 
-    def add_sessions(self, slos: Sequence[SessionSLO]) -> None:
-        """Fold a batch of session SLOs into the pooled populations.
-
-        Pools the sessions' compact histograms into plain ``Counter``s
-        first and folds each distinct value into the quantile sketches
-        once, so a fleet-sized batch costs sketch updates proportional to
-        its distinct delay/buffer values rather than to sessions x nodes.
-        The scalar tallies accumulate in session order, so float sums
-        (``rebuffer_mean``, ``goodput_mean``) depend only on the order
-        sessions arrive in, not on how they are split into batches.
-        """
-        startup_pool: Counter[int] = Counter()
-        delay_pool: Counter[int] = Counter()
-        buffer_pool: Counter[int] = Counter()
-        for slo in slos:
-            startup_pool[slo.startup_delay] += 1
-            for value, count in slo.delay_counts:
-                delay_pool[value] += count
-            for value, count in slo.buffer_counts:
-                buffer_pool[value] += count
-            self._slos += 1
-            self._rebuffer_sum += slo.rebuffer_ratio
-            self._rebuffer_max = max(self._rebuffer_max, slo.rebuffer_ratio)
-            self._goodput_sum += slo.goodput
-            if slo.qoe is not None:
-                self._tiers[slo.qoe["tier"]] += 1
-            if self.keep_sessions:
-                self._sessions.append(slo)
-        for value, count in startup_pool.items():
-            self._startup.add(value, count)
-        for value, count in delay_pool.items():
-            self._delay.add(value, count)
-        for value, count in buffer_pool.items():
-            self._buffer.add(value, count)
+    def add_sessions(self, columns: SessionColumns) -> None:
+        """Fold one scored unit: one ``np.bincount`` per population (row 0
+        times the unit size if loss-free), float tallies as a strict left
+        fold in session order (independent of the split into units), and
+        with ``keep_sessions`` the unit's :class:`SessionSLO` rows."""
+        if not isinstance(columns, SessionColumns):
+            raise ReproError(f"add_sessions takes SessionColumns, got {type(columns).__name__}")
+        total = len(columns)
+        rows = 1 if columns.loss_free else total
+        for sketch, values, times in (
+            (self._startup, columns.startup_delay, 1),
+            (self._delay, columns.node_delays[:rows], total // rows),
+            (self._buffer, columns.node_buffers[:rows], total // rows),
+        ):
+            counts = np.bincount(values.ravel())
+            present = np.flatnonzero(counts)
+            for value, count in zip(present.tolist(), (counts[present] * times).tolist()):
+                sketch.add(value, count)
+        self._slos += total
+        self._rebuffer_sum = _left_fold(self._rebuffer_sum, columns.rebuffer_ratio)
+        self._rebuffer_max = max(self._rebuffer_max, float(columns.rebuffer_ratio.max()))
+        self._goodput_sum = _left_fold(self._goodput_sum, columns.goodput)
+        if columns.qoe is not None:
+            self._tiers.update(qoe["tier"] for qoe in columns.qoe if qoe is not None)
+        if self.keep_sessions:
+            self._sessions.extend(columns.slos())
 
     def report(
         self, *, cache_hits: int = 0, cache_misses: int = 0

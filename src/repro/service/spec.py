@@ -17,7 +17,9 @@ spec always describes the same fleet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
@@ -42,6 +44,18 @@ __all__ = [
 
 ARRIVAL_PROCESSES = ("poisson", "uniform", "trace")
 ADMISSION_POLICIES = ("reject", "queue", "degrade")
+
+
+def _check_fields(spec: Any, ints: tuple[str, ...] = ()) -> None:
+    """Reject NaN in any field, and a bool or non-int in the ``ints`` fields."""
+    for name in (f.name for f in fields(spec)):
+        value = getattr(spec, name)
+        nan = isinstance(value, float) and math.isnan(value)
+        if nan or name in ints and value is not None and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer))
+        ):
+            problem = "must not be NaN" if nan else "must be an int"
+            raise ReproError(f"{type(spec).__name__}.{name} {problem}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +97,7 @@ class SessionSpec:
     abr_profile: str | None = None
 
     def __post_init__(self) -> None:
+        _check_fields(self, ("num_nodes", "degree", "latency", "num_packets"))
         if self.scheme not in COMPILABLE_SCHEMES:
             raise ReproError(
                 f"fleet sessions replay compiled schedules; scheme "
@@ -95,8 +110,8 @@ class SessionSpec:
             raise ReproError(f"num_packets must be >= 1, got {self.num_packets}")
         if not 0 <= self.drop_rate <= 1:
             raise ReproError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
-        if self.weight <= 0:
-            raise ReproError(f"session weight must be > 0, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ReproError(f"session weight must be finite and > 0, got {self.weight}")
         if self.repair_epsilon is not None:
             # Delegate the ε range check (and its error message) to the
             # repair subsystem's own policy.
@@ -164,6 +179,7 @@ class CapacityModel:
     backbone: float = 8192.0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.source_fanout <= 0:
             raise ReproError(
                 f"source_fanout budget must be > 0, got {self.source_fanout}"
@@ -265,14 +281,20 @@ class FleetSpec:
         object.__setattr__(self, "arrival_slots", tuple(self.arrival_slots))
         if not self.sessions:
             raise ReproError("a fleet needs at least one SessionSpec")
+        for kind in self.sessions:
+            if not isinstance(kind, SessionSpec):
+                raise ReproError(f"FleetSpec.sessions entries must be SessionSpec, got {kind!r}")
         if (
             not isinstance(self.seed, (int, np.integer))
             or isinstance(self.seed, bool)
             or self.seed < 0
         ):
             raise ReproError(f"fleet seed must be an int >= 0, got {self.seed!r}")
+        _check_fields(self, ("num_sessions", "horizon", "max_queue_slots", "min_degree"))
         if self.num_sessions < 1:
             raise ReproError(f"num_sessions must be >= 1, got {self.num_sessions}")
+        if not self.arrival_rate > 0:
+            raise ReproError(f"arrival_rate must be > 0, got {self.arrival_rate}")
         if self.arrival not in ARRIVAL_PROCESSES:
             raise ReproError(
                 f"unknown arrival process {self.arrival!r}; "
@@ -348,19 +370,16 @@ class FleetSpec:
         rng = np.random.default_rng(self.seed)
         weights = np.array([s.weight for s in self.sessions], dtype=float)
         weights /= weights.sum()
-        kinds = rng.choice(len(self.sessions), size=self.num_sessions, p=weights)
-        seeds = rng.integers(0, 2**31 - 1, size=self.num_sessions)
-        churned = rng.random(self.num_sessions) < self.churn_rate
-        fractions = rng.uniform(0.5, 0.95, size=self.num_sessions)
+        # Convert each drawn column to Python scalars once, not per session.
+        kinds = rng.choice(len(self.sessions), size=self.num_sessions, p=weights).tolist()
+        seeds = rng.integers(0, 2**31 - 1, size=self.num_sessions).tolist()
+        churned = (rng.random(self.num_sessions) < self.churn_rate).tolist()
+        fractions = rng.uniform(0.5, 0.95, size=self.num_sessions).tolist()
         return tuple(
-            ResolvedSession(
-                session_id=i,
-                spec=self.sessions[int(kinds[i])],
-                arrival_slot=arrivals[i],
-                seed=int(seeds[i]),
-                leave_fraction=float(fractions[i]) if churned[i] else None,
+            ResolvedSession(i, self.sessions[kind], arrival, seed, fraction if churn else None)
+            for i, (kind, arrival, seed, churn, fraction) in enumerate(
+                zip(kinds, arrivals, seeds, churned, fractions)
             )
-            for i in range(self.num_sessions)
         )
 
     def describe(self) -> str:

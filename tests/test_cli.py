@@ -252,7 +252,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 5.0.0"
+        assert capsys.readouterr().out.strip() == "repro 6.0.0"
 
 
 class TestLintCommand:

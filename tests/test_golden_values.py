@@ -9,11 +9,19 @@ convention fails loudly here first.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import fields
+
 import pytest
 
+from repro.control.scenario import ramp_fleet
 from repro.core.engine import simulate
 from repro.core.metrics import collect_metrics
+from repro.exec.cache import ScheduleCache
+from repro.exec.executor import ExecutorPolicy
 from repro.hypercube.cascade import cascade_plan, expected_average_delay, expected_worst_delay
+from repro.obs.registry import MetricsRegistry
+from repro.service import CapacityModel, FleetRunner, FleetSpec, SessionSpec
 from repro.trees import MultiTreeProtocol
 from repro.trees.analysis import (
     all_playback_delays,
@@ -93,3 +101,137 @@ class TestTheoryGolden:
         assert optimal_degree(321) == 2
         assert optimal_degree(322) == 3
         assert optimal_degree(10**6) == 3
+
+
+def _fleet_report(spec):
+    return FleetRunner(
+        cache=ScheduleCache(capacity=64, disk=False),
+        policy=ExecutorPolicy(mode="serial"),
+        registry=MetricsRegistry(),
+    ).run(spec).report
+
+
+def _golden_fleets():
+    lossy = SessionSpec(num_nodes=31, degree=3, num_packets=8, drop_rate=0.05)
+    abr = SessionSpec(
+        num_nodes=15, degree=2, num_packets=8, abr_profile="sinusoid", weight=0.2
+    )
+    clean = SessionSpec(scheme="hypercube", num_nodes=32, degree=3, num_packets=8)
+    return {
+        # Exact aggregation: churn, a binding queue budget, a lossy kind and
+        # an ABR kind.
+        "exact": FleetSpec(
+            sessions=(lossy, abr), num_sessions=400, churn_rate=0.3,
+            capacity=CapacityModel(source_fanout=30), seed=11,
+        ),
+        # Sketch aggregation over a lossy and a loss-free kind.
+        "sketch": FleetSpec(
+            sessions=(lossy, clean), num_sessions=1500, aggregation="sketch",
+            arrival_rate=16.0, seed=12,
+        ),
+        # The control plane's ramp: loss-free units, one per epoch.
+        "ramp": ramp_fleet("adaptive", scale=1),
+    }
+
+
+#: Every scalar field of each golden fleet's report (floats as ``repr``)
+#: and the SHA-256 of ``repr(report.sessions)``.
+FLEET_GOLDEN = {
+    "exact": (
+        {
+            "num_sessions": 400,
+            "admitted": 306,
+            "degraded": 0,
+            "queued": 168,
+            "rejected": 94,
+            "reject_rate": "0.235",
+            "startup_p50": 31,
+            "startup_p95": 68,
+            "startup_p99": 70,
+            "startup_max": 72,
+            "rebuffer_mean": "0.1057563527202996",
+            "rebuffer_max": "0.34838709677419355",
+            "delay_p50": 5,
+            "delay_p95": 7,
+            "delay_p99": 8,
+            "buffer_p50": 3,
+            "buffer_p99": 5,
+            "goodput_mean": "0.18957072359245555",
+            "cache_hits": 304,
+            "cache_misses": 2,
+            "cache_hit_rate": "0.9934640522875817",
+            "qoe_tiers": (("standard", 44),),
+        },
+        "b7d48c0d871e39312523b8def944a5a22c4056710550981351b4974d6b48faa1",
+    ),
+    "sketch": (
+        {
+            "num_sessions": 1500,
+            "admitted": 1238,
+            "degraded": 0,
+            "queued": 750,
+            "rejected": 262,
+            "reject_rate": "0.17466666666666666",
+            "startup_p50": 24,
+            "startup_p95": 63,
+            "startup_p99": 71,
+            "startup_max": 72,
+            "rebuffer_mean": "0.06028193235707955",
+            "rebuffer_max": "0.33064516129032256",
+            "delay_p50": 6,
+            "delay_p95": 7,
+            "delay_p99": 8,
+            "buffer_p50": 2,
+            "buffer_p99": 4,
+            "goodput_mean": "0.34019857797803515",
+            "cache_hits": 1236,
+            "cache_misses": 2,
+            "cache_hit_rate": "0.9983844911147012",
+            "qoe_tiers": (),
+        },
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+    "ramp": (
+        {
+            "num_sessions": 240,
+            "admitted": 240,
+            "degraded": 0,
+            "queued": 39,
+            "rejected": 0,
+            "reject_rate": "0.0",
+            "startup_p50": 13,
+            "startup_p95": 17,
+            "startup_p99": 17,
+            "startup_max": 19,
+            "rebuffer_mean": "0.0",
+            "rebuffer_max": "0.0",
+            "delay_p50": 8,
+            "delay_p95": 11,
+            "delay_p99": 12,
+            "buffer_p50": 2,
+            "buffer_p99": 5,
+            "goodput_mean": "0.2857142857142855",
+            "cache_hits": 239,
+            "cache_misses": 1,
+            "cache_hit_rate": "0.9958333333333333",
+            "qoe_tiers": (),
+        },
+        "adbd6e998ba4302a8f0021c1bfe327cc073587f0cf2f91a9ef16215bd74fb722",
+    ),
+}
+
+
+class TestFleetGolden:
+    """Fleet reports are byte-identical across refactors of the SLO path."""
+
+    @pytest.mark.parametrize("name", sorted(FLEET_GOLDEN))
+    def test_report_pinned(self, name):
+        report = _fleet_report(_golden_fleets()[name])
+        scalars, digest = FLEET_GOLDEN[name]
+        got = {}
+        for field in fields(report):
+            value = getattr(report, field.name)
+            if field.name != "sessions":
+                got[field.name] = repr(value) if isinstance(value, float) else value
+        assert got == scalars
+        assert hashlib.sha256(repr(report.sessions).encode()).hexdigest() == digest

@@ -6,8 +6,9 @@ import pytest
 
 import repro
 from repro.core.errors import ReproError
-from repro.exec.executor import ExecutorPolicy
+from repro.exec.executor import ExecutorPolicy, SweepExecutor
 from repro.experiments import ExperimentSpec, run
+from repro.obs.registry import MetricsRegistry
 from repro.reporting.export import read_fleet_report_json, write_fleet_report_json
 from repro.service import (
     CapacityModel,
@@ -17,6 +18,7 @@ from repro.service import (
     FleetTelemetry,
     SessionSpec,
 )
+from repro.service.runner import fleet_unit_task
 
 SERIAL = ExecutorPolicy(mode="serial")
 
@@ -121,6 +123,40 @@ class TestFleetRunner:
         assert report.admitted == 1
         assert report.rejected == 2
         assert report.reject_rate == pytest.approx(2 / 3)
+
+
+class TestUnitErrors:
+    """A unit's own failure is a ReproError that names the unit."""
+
+    TOKEN = "0123456789abcdef" * 4
+    UNIT = (TOKEN, 0.05, 6, 20, (
+        (0, 17, "k", "admitted", 5, 0, None),
+        (1, 23, "k", "admitted", 6, 2, None),
+    ))
+
+    @pytest.mark.parametrize(
+        "policy",
+        [SERIAL, ExecutorPolicy(mode="parallel", max_workers=2, chunksize=1)],
+        ids=["serial", "parallel"],
+    )
+    def test_missing_token_names_the_unit(self, policy):
+        registry = MetricsRegistry()
+        executor = SweepExecutor(policy, registry=registry)
+        with pytest.raises(ReproError) as info:
+            executor.map(fleet_unit_task, [self.UNIT], payload={})
+        message = str(info.value)
+        assert "fleet unit 0123456789ab (" in message
+        assert "2 sessions" in message
+        assert "ids 17..23" in message
+        assert "KeyError" in message
+        names = {row["name"] for row in registry.snapshot()["counters"]}
+        assert "executor.fallbacks" not in names
+
+    def test_cause_is_chained(self):
+        executor = SweepExecutor(SERIAL)
+        with pytest.raises(ReproError) as info:
+            executor.map(fleet_unit_task, [self.UNIT], payload={})
+        assert isinstance(info.value.__cause__, KeyError)
 
 
 class TestSketchAggregation:

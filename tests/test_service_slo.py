@@ -63,8 +63,38 @@ def _score(batch, *, session_id=0, wait=0, status="admitted"):
     (slo,) = score_batch_sessions(
         batch, session_ids=[session_id], labels=["k"],
         wait_slots=[wait], statuses=[status],
-    )
+    ).slos()
     return slo
+
+
+def _unit(delays, *, first_id=0, waits=None, num_nodes=1):
+    """One scored unit of hand-built sessions, each ``num_nodes`` nodes at
+    one delay and buffer 1; a lossy batch, so rows may differ."""
+    total = len(delays)
+    node_delays = np.repeat(np.array(delays, dtype=np.int32)[:, None], num_nodes, axis=1)
+    node_buffers = np.ones_like(node_delays)
+    batch = BatchMetrics(
+        num_sessions=total,
+        num_nodes=num_nodes,
+        num_packets=1,
+        num_slots=10,
+        seeds=tuple(range(total)),
+        drop_rates=(0.01,) * total,
+        residual=np.zeros(total, dtype=np.int64),
+        available=np.full(total, num_nodes, dtype=np.int64),
+        max_delay=node_delays.max(axis=1).astype(np.int64),
+        avg_delay=node_delays.mean(axis=1),
+        max_buffer=node_buffers.max(axis=1).astype(np.int64),
+        avg_buffer=node_buffers.mean(axis=1),
+        node_delays=node_delays,
+        node_buffers=node_buffers,
+    )
+    return score_batch_sessions(
+        batch,
+        session_ids=list(range(first_id, first_id + total)),
+        labels=["k"] * total,
+        wait_slots=waits,
+    )
 
 
 class TestPooledPercentile:
@@ -197,6 +227,13 @@ def _reference_slo(schedule, seed, rate, *, num_packets, horizon, wait,
     )
 
 
+#: SessionSLO fields that SessionColumns holds as NumPy columns.
+COLUMN_FIELDS = (
+    "wait_slots", "startup_delay", "rebuffer_ratio", "goodput",
+    "delay_p50", "delay_p95", "delay_p99", "buffer_p50", "buffer_p99",
+)
+
+
 class TestScoreBatchMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -242,27 +279,24 @@ class TestScoreBatchMatchesReference:
             )
             for i, (seed, wait) in enumerate(sessions)
         ]
-        assert scored == expected
+        for name in COLUMN_FIELDS:
+            assert getattr(scored, name).tolist() == [
+                getattr(slo, name) for slo in expected
+            ], name
+        assert scored.slos() == expected
 
 
-def _fold(decisions, slo_batches, **cache):
+def _fold(decisions, units, **cache):
     aggregator = FleetAggregator()
     for decision in decisions:
         aggregator.add_decision(decision)
-    for slos in slo_batches:
-        aggregator.add_sessions(slos)
+    for columns in units:
+        aggregator.add_sessions(columns)
     return aggregator.report(**cache)
 
 
 class TestAggregateFleet:
     """``FleetAggregator.add_sessions`` in exact mode."""
-
-    def _slo(self, session_id, *, delay=2, wait=0):
-        return _score(
-            _columns([delay], [1], residual=0, available=1,
-                     num_packets=1, num_slots=10),
-            session_id=session_id, wait=wait,
-        )
 
     def test_admission_tallies(self):
         decisions = [
@@ -271,8 +305,10 @@ class TestAggregateFleet:
             _decision(2, "degraded"),
             _decision(3, "rejected"),
         ]
-        slos = [self._slo(0), self._slo(1, wait=4), self._slo(2)]
-        report = _fold(decisions, [slos], cache_hits=2, cache_misses=1)
+        report = _fold(
+            decisions, [_unit([2, 2, 2], waits=[0, 4, 0])],
+            cache_hits=2, cache_misses=1,
+        )
         assert report.num_sessions == 4
         assert report.admitted == 2
         assert report.degraded == 1
@@ -284,13 +320,10 @@ class TestAggregateFleet:
     def test_percentiles_pool_across_sessions(self):
         # 50 nodes at delay 2 in one session, 1 node at delay 9 in another:
         # the pooled p99 must see the tail node, a mean-of-percentiles won't.
-        fast = _score(
-            _columns([2] * 50, [1] * 50, residual=0, available=50,
-                     num_packets=1, num_slots=10),
-        )
-        slow = self._slo(1, delay=9)
+        fast = _unit([2], num_nodes=50)
+        slow = _unit([9], first_id=1)
         decisions = [_decision(0, "admitted"), _decision(1, "admitted")]
-        report = _fold(decisions, [[fast, slow]])
+        report = _fold(decisions, [fast, slow])
         assert report.delay_p50 == 2
         assert report.delay_p99 == 9
         assert report.startup_max == 9
@@ -299,11 +332,19 @@ class TestAggregateFleet:
         # The runner folds one executor unit at a time; how sessions are
         # split into add_sessions calls must not change the report.
         decisions = [_decision(i, "admitted") for i in range(6)]
-        slos = [self._slo(i, delay=2 + i % 3, wait=i % 2) for i in range(6)]
-        whole = _fold(decisions, [slos])
+        delays = [2 + i % 3 for i in range(6)]
+        waits = [i % 2 for i in range(6)]
+        whole = _fold(decisions, [_unit(delays, waits=waits)])
         assert (whole.startup_p50, whole.startup_max) == (3, 5)
-        assert _fold(decisions, [slos[:2], slos[2:]]) == whole
-        assert _fold(decisions, [[slo] for slo in slos]) == whole
+        halves = [
+            _unit(delays[:2], waits=waits[:2]),
+            _unit(delays[2:], first_id=2, waits=waits[2:]),
+        ]
+        assert _fold(decisions, halves) == whole
+        singles = [
+            _unit([delays[i]], first_id=i, waits=[waits[i]]) for i in range(6)
+        ]
+        assert _fold(decisions, singles) == whole
 
     def test_empty_fleet_raises(self):
         with pytest.raises(ReproError):
@@ -315,6 +356,120 @@ class TestAggregateFleet:
 
     def test_dict_round_trip_through_json(self):
         decisions = [_decision(0, "admitted"), _decision(1, "rejected")]
-        report = _fold(decisions, [[self._slo(0)]], cache_hits=1)
+        report = _fold(decisions, [_unit([2])], cache_hits=1)
         payload = json.loads(json.dumps(report.to_dict()))
         assert FleetSLOReport.from_dict(payload) == report
+
+    def test_list_of_slos_is_rejected(self):
+        slo = _score(_columns([2], [1], residual=0, available=1,
+                              num_packets=1, num_slots=10))
+        with pytest.raises(ReproError, match="SessionColumns"):
+            FleetAggregator().add_sessions([slo])
+
+
+def _lossy_batch(rate=0.2, sessions=12):
+    schedule = compile_schedule("multi-tree", 31, 3, num_packets=8)
+    return replay_batch(
+        schedule, list(range(100, 100 + sessions)), rate, num_packets=8,
+        keep_node_columns=True,
+    )
+
+
+class TestColumnarPath:
+    """The columns, the records built from them and the per-unit fold."""
+
+    def test_slos_equal_per_row_reference(self):
+        # Per row: a Counter over the node columns and pooled_percentile,
+        # the scalar definition of every SessionSLO field.
+        batch = _lossy_batch()
+        waits = [i % 3 for i in range(batch.num_sessions)]
+        columns = score_batch_sessions(
+            batch, session_ids=list(range(batch.num_sessions)),
+            labels=["k"] * batch.num_sessions, wait_slots=waits,
+        )
+        assert not columns.loss_free
+        cells = batch.num_nodes * batch.num_packets
+        for i, slo in enumerate(columns.slos()):
+            delays = Counter(batch.node_delays[i].tolist())
+            buffers = Counter(batch.node_buffers[i].tolist())
+            assert slo == SessionSLO(
+                session_id=i, label="k", status="admitted", wait_slots=waits[i],
+                startup_delay=max(delays) + waits[i],
+                rebuffer_ratio=int(batch.residual[i]) / cells,
+                delay_p50=pooled_percentile(delays, 50),
+                delay_p95=pooled_percentile(delays, 95),
+                delay_p99=pooled_percentile(delays, 99),
+                buffer_p50=pooled_percentile(buffers, 50),
+                buffer_p99=pooled_percentile(buffers, 99),
+                goodput=int(batch.available[i]) / (batch.num_nodes * batch.num_slots),
+                num_nodes=batch.num_nodes, num_packets=batch.num_packets,
+                delay_counts=tuple(sorted(delays.items())),
+                buffer_counts=tuple(sorted(buffers.items())),
+            )
+
+    @pytest.mark.parametrize(
+        ("relative_error", "exact_limit"), [(0.0, 4096), (0.01, 2)],
+        ids=["exact", "bucketed"],
+    )
+    def test_loss_free_multiplicity_fold_equals_full_fold(self, relative_error, exact_limit):
+        batch = _lossy_batch(rate=0.0, sessions=9)
+        columns = score_batch_sessions(
+            batch, session_ids=list(range(9)), labels=["k"] * 9,
+            wait_slots=[0, 3, 1, 0, 7, 2, 0, 0, 5],
+        )
+        assert columns.loss_free
+        full = replace(columns, loss_free=False)
+        assert columns.slos() == full.slos()
+        reports = []
+        for unit in (columns, full):
+            aggregator = FleetAggregator(
+                relative_error=relative_error, exact_limit=exact_limit
+            )
+            for i in range(9):
+                aggregator.add_decision(_decision(i, "admitted"))
+            aggregator.add_sessions(unit)
+            reports.append(aggregator.report())
+        assert reports[0] == reports[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=1, allow_nan=False),
+                st.floats(min_value=0, max_value=1e3, allow_nan=False),
+            ),
+            min_size=1, max_size=30,
+        ),
+        st.data(),
+    )
+    def test_float_tallies_are_a_left_fold_under_any_split(self, rows, data):
+        total = len(rows)
+        cuts = sorted(data.draw(
+            st.sets(st.integers(min_value=1, max_value=total), max_size=5),
+            label="cuts",
+        ) | {total})
+        base = _unit([1] * total)
+        aggregator = FleetAggregator()
+        lo = 0
+        for hi in cuts:
+            part = slice(lo, hi)
+            aggregator.add_sessions(replace(
+                base,
+                session_ids=base.session_ids[part], labels=base.labels[part],
+                statuses=base.statuses[part], wait_slots=base.wait_slots[part],
+                startup_delay=base.startup_delay[part],
+                rebuffer_ratio=np.array([r for r, _ in rows[part]]),
+                goodput=np.array([g for _, g in rows[part]]),
+                node_delays=base.node_delays[part],
+                node_buffers=base.node_buffers[part],
+            ))
+            lo = hi
+        aggregator.add_decision(_decision(0, "admitted"))
+        rebuffer = goodput = 0.0
+        for r, g in rows:
+            rebuffer += r
+            goodput += g
+        report = aggregator.report()
+        assert report.rebuffer_mean == rebuffer / total
+        assert report.goodput_mean == goodput / total
+        assert report.rebuffer_max == max(r for r, _ in rows)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ReproError
+from repro.exec.executor import ExecutorPolicy
 from repro.obs.convergence import ConvergenceCriterion
+from repro.obs.registry import MetricsRegistry
+from repro.service.runner import FleetRunner
 from repro.service.spec import (
     ADMISSION_POLICIES,
     ARRIVAL_PROCESSES,
@@ -189,3 +195,115 @@ class TestFleetSpec:
     def test_constant_vocabularies(self):
         assert ARRIVAL_PROCESSES == ("poisson", "uniform", "trace")
         assert ADMISSION_POLICIES == ("reject", "queue", "degrade")
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+#: ``(class, bad keyword arguments, text the error must name)``.
+BAD_FIELDS = [
+    (FleetSpec, {"arrival_rate": NAN}, "FleetSpec.arrival_rate"),
+    (FleetSpec, {"churn_rate": NAN}, "FleetSpec.churn_rate"),
+    (FleetSpec, {"num_sessions": 1.5}, "FleetSpec.num_sessions"),
+    (FleetSpec, {"num_sessions": True}, "FleetSpec.num_sessions"),
+    (FleetSpec, {"max_queue_slots": 2.0}, "FleetSpec.max_queue_slots"),
+    (FleetSpec, {"arrival_rate": 0.0}, "arrival_rate"),
+    (FleetSpec, {"sessions": ({"scheme": "chain"},)}, "SessionSpec"),
+    (SessionSpec, {"weight": NAN}, "SessionSpec.weight"),
+    (SessionSpec, {"weight": INF}, "weight"),
+    (SessionSpec, {"drop_rate": NAN}, "SessionSpec.drop_rate"),
+    (SessionSpec, {"num_nodes": 31.0}, "SessionSpec.num_nodes"),
+    (SessionSpec, {"degree": True}, "SessionSpec.degree"),
+    (CapacityModel, {"source_fanout": NAN}, "CapacityModel.source_fanout"),
+    (CapacityModel, {"backbone": NAN}, "CapacityModel.backbone"),
+]
+
+
+class TestSpecBoundary:
+    """Malformed specs fail at construction with a typed, named error."""
+
+    @pytest.mark.parametrize(
+        ("cls", "kwargs", "names"), BAD_FIELDS,
+        ids=[f"{cls.__name__}-{kwargs}" for cls, kwargs, _ in BAD_FIELDS],
+    )
+    def test_bad_field_raises_repro_error_naming_it(self, cls, kwargs, names):
+        with pytest.raises(ReproError, match=re.escape(names)):
+            cls(**kwargs)
+
+    def test_nan_error_shows_the_value(self):
+        with pytest.raises(ReproError, match="got nan"):
+            FleetSpec(arrival_rate=NAN)
+
+    def test_unlimited_budgets_still_run(self):
+        spec = FleetSpec(
+            num_sessions=5, capacity=CapacityModel(source_fanout=INF, backbone=INF)
+        )
+        report = FleetRunner(policy=ExecutorPolicy(mode="serial"),
+                             registry=MetricsRegistry()).run(spec).report
+        assert report.admitted == 5
+
+
+#: Values the spec boundary has to type: NaN, infinities, bools, floats
+#: for ints, zero and negatives.
+ODD_VALUES = (NAN, INF, -INF, True, False, -1, 0, 2.5, 3.0)
+
+_SESSION = st.fixed_dictionaries({
+    "scheme": st.sampled_from(["multi-tree", "hypercube", "single-tree", "chain"]),
+    "num_nodes": st.integers(min_value=1, max_value=63),
+    "degree": st.integers(min_value=1, max_value=4),
+    "num_packets": st.integers(min_value=1, max_value=8),
+    "drop_rate": st.floats(min_value=0, max_value=0.3),
+    "weight": st.floats(min_value=0.1, max_value=5),
+})
+_FLEET = st.fixed_dictionaries({
+    "num_sessions": st.integers(min_value=1, max_value=50),
+    "arrival": st.sampled_from(["poisson", "uniform"]),
+    "arrival_rate": st.floats(min_value=0.1, max_value=16),
+    "churn_rate": st.floats(min_value=0, max_value=1),
+    "max_queue_slots": st.integers(min_value=0, max_value=64),
+    "min_degree": st.integers(min_value=2, max_value=3),
+    "policy": st.sampled_from(["reject", "queue", "degrade"]),
+    "aggregation": st.sampled_from(["exact", "sketch"]),
+})
+_CAPACITY = st.fixed_dictionaries({
+    "source_fanout": st.floats(min_value=4, max_value=100),
+    "backbone": st.floats(min_value=64, max_value=1e4),
+})
+
+
+class TestSpecBoundaryProperty:
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_runs_or_raises_repro_error(self, data):
+        kinds = data.draw(st.lists(_SESSION, min_size=1, max_size=3), label="kinds")
+        fleet = data.draw(_FLEET, label="fleet")
+        capacity = data.draw(_CAPACITY, label="capacity")
+        # Corrupt up to two numeric fields anywhere in the spec.
+        numeric = [
+            (fields, key) for fields in (*kinds, fleet, capacity)
+            for key, value in fields.items() if not isinstance(value, str)
+        ]
+        picks = data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(numeric) - 1), max_size=2,
+        ), label="corrupted")
+        for pick in picks:
+            fields, key = numeric[pick]
+            fields[key] = data.draw(st.sampled_from(ODD_VALUES), label=key)
+        try:
+            spec = FleetSpec(
+                sessions=tuple(SessionSpec(**kind) for kind in kinds),
+                capacity=CapacityModel(**capacity),
+                **fleet,
+            )
+            result = FleetRunner(
+                policy=ExecutorPolicy(mode="serial"), registry=MetricsRegistry()
+            ).run(spec)
+        except ReproError:
+            return
+        report = result.report
+        assert report.admitted + report.degraded + report.rejected == spec.num_sessions
+        assert not math.isnan(report.rebuffer_mean)
