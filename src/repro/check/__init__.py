@@ -9,12 +9,13 @@ Two pillars, both engine-free:
   multi-tree scheme, the hypercube's 2-packet buffer, Prop 2's delay bound)
   without running a single simulated slot.  Exposed as ``repro check`` and
   as ``compile_schedule(..., verify=True)`` (verify-on-miss: a fresh compile
-  must pass before it may enter the schedule cache).
+  must pass before it may enter the schedule cache).  The same
+  invariants certify a finished engine trace's transmission log post hoc
+  (:func:`~repro.check.schedule.check_trace`, behind ``repro verify``).
 * :mod:`repro.check.model` — the project model, the one reader behind
-  ``repro lint``: it walks the paths, parses each file once (cached by
-  content hash), and indexes ASTs, symbol tables, the import graph, an
-  approximate call graph and each file's pragmas.  A file it cannot read
-  or parse is a ``REP000`` finding.
+  ``repro lint``: it walks the paths, parses each file once, and indexes
+  ASTs, symbol tables, the import graph and each file's pragmas.  A file
+  it cannot read or parse is a ``REP000`` finding.
 * :mod:`repro.check.lint` — the per-file rules, one pass over each
   module's tree (stdlib :mod:`ast` only) enforcing the project's
   determinism and error-handling discipline: seeded RNG only (REP001),
@@ -24,13 +25,13 @@ Two pillars, both engine-free:
   and REP002 share one import-resolving classifier of nondeterministic
   calls.
 * :mod:`repro.check.analyzers` — the passes that need the whole model:
-  process-pool shared-state mutation (REP005), metric/event-name drift
-  against :mod:`repro.obs.names` (REP006), and frozen-spec mutation
-  (REP007).
+  shared-state mutation in any function a pool worker may run (REP005),
+  metric/event-name drift against :mod:`repro.obs.names` (REP006), and
+  frozen-spec mutation (REP007).
 
 All lint layers run through :func:`repro.check.project.lint_project`
-(``repro lint``): one model build, every rule over it, one pragma filter,
-minus the committed baseline (``.repro-lint-baseline.json``).
+(``repro lint``): one model build, every rule over it, one pragma filter;
+any finding left fails the gate.
 
 ``docs/CHECKS.md`` catalogues every invariant and lint rule with its paper
 reference and rationale.
@@ -54,11 +55,8 @@ from repro.check.model import (
 )
 from repro.check.project import (
     ALL_RULES,
-    DEFAULT_BASELINE_PATH,
     ProjectLintReport,
     lint_project,
-    load_baseline,
-    save_baseline,
 )
 from repro.check.schedule import (
     DEFAULT_GRID_DEGREES,
@@ -66,13 +64,13 @@ from repro.check.schedule import (
     CheckReport,
     check_config,
     check_schedule,
+    check_trace,
     smoke_grid,
 )
 
 __all__ = [
     "ALL_RULES",
     "ANALYZER_RULES",
-    "DEFAULT_BASELINE_PATH",
     "DEFAULT_GRID_DEGREES",
     "DEFAULT_GRID_NODES",
     "CheckReport",
@@ -88,13 +86,12 @@ __all__ = [
     "build_project_model",
     "check_config",
     "check_schedule",
+    "check_trace",
     "format_violations",
     "lint_file",
     "lint_paths",
     "lint_project",
     "lint_source",
-    "load_baseline",
     "run_analyzers",
-    "save_baseline",
     "smoke_grid",
 ]

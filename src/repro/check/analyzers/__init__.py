@@ -2,10 +2,11 @@
 
 Where the per-file rules of :mod:`repro.check.lint` look at one module's
 tree at a time, the passes in this package consume the whole-project model
-(:mod:`repro.check.model`): the process-safety pass chases the call graph
-from pool-worker entry points, the metric-name pass resolves emitted names
-against the declared registry in :mod:`repro.obs.names`, and the
-frozen-spec pass knows every ``@dataclass(frozen=True)`` in the tree.
+(:mod:`repro.check.model`): the process-safety pass knows every
+module-level binding and mutable container of each module, the
+metric-name pass resolves emitted names against the declared registry in
+:mod:`repro.obs.names`, and the frozen-spec pass knows every
+``@dataclass(frozen=True)`` in the tree.
 
 Each pass is one module exposing ``RULE`` (its id), ``DESCRIPTION``, and
 ``analyze(model) -> list[LintViolation]``.  :func:`run_analyzers` runs a

@@ -7,6 +7,10 @@ pass reports every broken rule instead of stopping at the first (the engine's
 :class:`~repro.core.validation.SlotValidator` is the raising, in-band
 counterpart).
 
+The same invariants certify a finished engine trace: :func:`repro.check.check_trace`
+lowers its transmission log into a schedule and runs the structural rules
+plus :func:`check_arrivals`, the one trace-only rule.
+
 The rules and the paper claims they certify are catalogued in
 ``docs/CHECKS.md``; :data:`RULES` is the machine-readable index.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.core.playback import buffer_peak, earliest_safe_start
@@ -35,6 +39,7 @@ __all__ = [
     "check_playability",
     "check_delay_bound",
     "check_buffer_bound",
+    "check_arrivals",
 ]
 
 #: rule id -> one-line description (docs/CHECKS.md holds the full catalogue).
@@ -59,6 +64,8 @@ RULES: dict[str, str] = {
     "bound (multi-tree: h*d, Theorem 2; hypercube cascade: (k1+1)^2, Prop 2)",
     "buffer-bound": "peak buffer respects the scheme's theorem bound "
     "(multi-tree: h*d packets, Theorem 2; hypercube: 2 packets, Thm 1/§3)",
+    "arrivals": "(traces only) each receiver's recorded arrivals are exactly "
+    "the first in-horizon deliveries of the transmission log",
 }
 
 
@@ -347,3 +354,30 @@ def check_buffer_bound(facts: ScheduleFacts) -> Iterator[Violation]:
                 "buffer-bound", None, node, None,
                 f"peak buffer {peak} packets exceeds the scheme bound {bound:g}",
             )
+
+
+# ---------------------------------------------------------------- trace-only
+def check_arrivals(
+    facts: ScheduleFacts, recorded: Mapping[int, Mapping[int, int]], horizon: int
+) -> Iterator[Violation]:
+    """Recorded per-node arrivals agree with the logged deliveries.
+
+    ``recorded`` maps each receiver to its packet -> arrival slot trace;
+    logged deliveries arriving at or after ``horizon`` were still in flight
+    when the run ended, so no node records them.
+    """
+    logged: dict[int, dict[int, int]] = {node: {} for node in recorded}
+    for (node, packet), arrival in facts.first_arrival.items():
+        if arrival < horizon and node in logged:
+            logged[node][packet] = arrival
+    for node in sorted(recorded):
+        trace, log = recorded[node], logged[node]
+        for packet in sorted(trace.keys() | log.keys()):
+            at, logged_at = trace.get(packet), log.get(packet)
+            if at != logged_at:
+                yield Violation(
+                    "arrivals", at if at is not None else logged_at, node, packet,
+                    ("not recorded" if at is None else f"recorded at slot {at}")
+                    + ", but the log delivers it "
+                    + ("never" if logged_at is None else f"at slot {logged_at}"),
+                )

@@ -11,10 +11,8 @@ walk each module's tree, and the analyzer passes
   frozen-dataclass detection), and functions (methods keyed by qualname);
 * the **import graph**: per module, ``import X as y`` aliases and
   ``from X import a as b`` bindings, resolvable across the project
-  (including re-export chains through ``__init__`` modules);
-* an approximate **call-graph resolver** (:meth:`ProjectModel.resolve_function`)
-  good enough to chase ``worker()``-style calls from a pool entry point
-  into other modules;
+  (including re-export chains through ``__init__`` modules) by the
+  module-alias and string-constant resolvers the metric-name pass uses;
 * the file's ``# repro-lint: disable=`` pragmas (:class:`Suppressions`),
   applied to every rule's findings by :meth:`ProjectModel.unsuppressed`.
 
@@ -22,29 +20,19 @@ A file that cannot be read, is not UTF-8, or does not parse becomes a
 ``REP000`` :class:`LintViolation` in :attr:`ProjectModel.errors` instead of
 a module, so it is reported under any rule selection.
 
-The model is **content-addressed and cached**: :func:`build_project_model`
-keys each module on the SHA-256 of its bytes and reuses the pickled
-per-module entry when unchanged, so repeat runs re-parse only edited files
-(``REPRO_MODEL_CACHE`` or ``cache_path`` names the pickle; a corrupt or
-version-skewed cache is silently rebuilt).
-
-Everything here is stdlib-only (:mod:`ast`, :mod:`hashlib`,
-:mod:`pickle`) and engine-free, like the rest of ``repro/check/``.
+Everything here is stdlib-only (:mod:`ast`) and engine-free, like the
+rest of ``repro/check/``.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import os
-import pickle
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "MODEL_CACHE_VERSION",
     "ClassInfo",
     "FunctionInfo",
     "LintViolation",
@@ -55,9 +43,6 @@ __all__ = [
     "module_name_for",
     "read_module",
 ]
-
-#: Bump when ModuleInfo's shape changes so stale pickles self-invalidate.
-MODEL_CACHE_VERSION = 1
 
 #: Module-level bindings of these shapes are "mutable containers" for the
 #: shared-state pass: list/dict/set displays and the builtin container
@@ -180,7 +165,6 @@ class ModuleInfo:
 
     name: str  # dotted ("repro.exec.executor")
     path: str  # as given to the builder (reported in findings)
-    sha256: str
     tree: ast.Module = field(repr=False)
     #: ``import X as y`` -> {"y": "X"}; ``from P import M`` where ``P.M`` is
     #: a project module also lands here ({"M": "P.M"}).
@@ -254,11 +238,11 @@ def _is_mutable_binding(value: ast.expr) -> bool:
     return False
 
 
-def _index_module(name: str, path: str, source: str, sha: str) -> ModuleInfo:
+def _index_module(name: str, path: str, source: str) -> ModuleInfo:
     """Parse one module and extract its symbol table."""
     tree = ast.parse(source, filename=path)
     info = ModuleInfo(
-        name=name, path=path, sha256=sha, tree=tree,
+        name=name, path=path, tree=tree,
         suppressions=Suppressions.from_source(source),
     )
 
@@ -324,9 +308,7 @@ def _index_module(name: str, path: str, source: str, sha: str) -> ModuleInfo:
     return info
 
 
-def read_module(
-    path: str, source: str | bytes, sha256: str = ""
-) -> ModuleInfo | LintViolation:
+def read_module(path: str, source: str | bytes) -> ModuleInfo | LintViolation:
     """Index one file's source, or report why it cannot be: ``REP000``.
 
     ``source`` as bytes must be UTF-8.  This is the one-module indexer
@@ -340,7 +322,7 @@ def read_module(
             f"file is not UTF-8: {exc.reason} at byte {exc.start}",
         )
     try:
-        return _index_module(module_name_for(Path(path)), path, text, sha256)
+        return _index_module(module_name_for(Path(path)), path, text)
     except SyntaxError as exc:
         return LintViolation(
             "REP000", path, exc.lineno or 0, exc.offset or 0,
@@ -387,28 +369,6 @@ class ProjectModel:
         ]
 
     # -------------------------------------------------------------- resolvers
-    def resolve_function(
-        self, module: ModuleInfo, name: str, *, _depth: int = 0
-    ) -> tuple[ModuleInfo, FunctionInfo] | None:
-        """Resolve ``name`` (as referenced in ``module``) to its definition.
-
-        Chases ``from X import name`` chains across the project, including
-        one-hop re-exports through package ``__init__`` modules.  Returns
-        None for builtins, third-party callables, and anything dynamic.
-        """
-        if _depth > 8:
-            return None
-        fn = module.functions.get(name)
-        if fn is not None and fn.owner is None:
-            return module, fn
-        origin = module.from_imports.get(name)
-        if origin is not None:
-            source_module, original = origin
-            target = self.modules.get(source_module)
-            if target is not None:
-                return self.resolve_function(target, original, _depth=_depth + 1)
-        return None
-
     def resolve_module_alias(
         self, module: ModuleInfo, name: str
     ) -> ModuleInfo | None:
@@ -466,62 +426,17 @@ def _iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
             yield p
 
 
-def _load_cache(cache_path: Path) -> dict[str, tuple[str, ModuleInfo]]:
-    try:
-        with open(cache_path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return {}
-    if not isinstance(payload, dict):
-        return {}
-    if payload.get("version") != MODEL_CACHE_VERSION:
-        return {}
-    entries = payload.get("entries")
-    return entries if isinstance(entries, dict) else {}
-
-
-def _store_cache(
-    cache_path: Path, entries: dict[str, tuple[str, ModuleInfo]]
-) -> None:
-    tmp = cache_path.with_suffix(cache_path.suffix + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            pickle.dump({"version": MODEL_CACHE_VERSION, "entries": entries}, fh)
-        os.replace(tmp, cache_path)
-    except OSError:  # read-only checkout: the cache is best-effort
-        tmp.unlink(missing_ok=True)
-
-
-def build_project_model(
-    paths: Sequence[str | Path] = ("src",),
-    *,
-    cache_path: str | Path | None = None,
-) -> ProjectModel:
+def build_project_model(paths: Sequence[str | Path] = ("src",)) -> ProjectModel:
     """Read and index every ``.py`` file under ``paths`` once.
 
     Args:
         paths: files or directories (directories recurse, sorted).
-        cache_path: pickle cache location; defaults to the
-            ``REPRO_MODEL_CACHE`` environment variable when set.  Cached
-            entries are reused when a file's SHA-256 is unchanged.
 
     A file that cannot be read or indexed lands in
     :attr:`ProjectModel.errors` as a ``REP000`` finding.
     """
-    if cache_path is None:
-        env = os.environ.get("REPRO_MODEL_CACHE", "")
-        cache_path = env or None
-    cache: dict[str, tuple[str, ModuleInfo]] = {}
-    cache_file: Path | None = None
-    if cache_path is not None:
-        cache_file = Path(cache_path)
-        cache = _load_cache(cache_file)
-
     files: list[ModuleInfo] = []
     errors: list[LintViolation] = []
-    fresh_entries: dict[str, tuple[str, ModuleInfo]] = {}
-    dirty = False
     for file in _iter_python_files(paths):
         key = str(file)
         try:
@@ -531,19 +446,9 @@ def build_project_model(
                 "REP000", key, 0, 0, f"file cannot be read: {exc.strerror or exc}"
             ))
             continue
-        sha = hashlib.sha256(raw).hexdigest()
-        cached = cache.get(key)
-        if cached is not None and cached[0] == sha:
-            info = cached[1]
+        indexed = read_module(key, raw)
+        if isinstance(indexed, LintViolation):
+            errors.append(indexed)
         else:
-            indexed = read_module(key, raw, sha)
-            if isinstance(indexed, LintViolation):
-                errors.append(indexed)
-                continue
-            info = indexed
-            dirty = True
-        fresh_entries[key] = (sha, info)
-        files.append(info)
-    if cache_file is not None and (dirty or fresh_entries.keys() != cache.keys()):
-        _store_cache(cache_file, fresh_entries)
+            files.append(indexed)
     return ProjectModel(files, errors)

@@ -7,9 +7,12 @@ over one precomputed fact table, and the findings come back as structured
 :class:`~repro.check.invariants.Violation` records inside a
 :class:`CheckReport`.
 
-Three entry points, one per layer:
+Four entry points:
 
 * :func:`check_schedule` — check an in-memory compiled schedule;
+* :func:`check_trace` — check a finished engine trace post hoc (``repro
+  verify``): its transmission log is lowered into a schedule and run
+  through the structural invariants, plus the trace-only ``arrivals`` rule;
 * :func:`check_config` — compile (through the content-addressed cache) and
   check one ``(scheme, N, d, P)`` configuration;
 * :func:`smoke_grid` — sweep :data:`~repro.exec.compiler.COMPILABLE_SCHEMES`
@@ -23,22 +26,26 @@ findings through the normal observability path.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ReproError
-from repro.core.protocol import StreamingProtocol
+from repro.core.packet import Transmission
+from repro.core.protocol import HoldingsView, StreamingProtocol
 from repro.exec.cache import ScheduleCache
 from repro.exec.compiler import (
     COMPILABLE_SCHEMES,
     CompiledSchedule,
     build_protocol,
+    compile_protocol,
     compile_schedule,
 )
 from repro.check.invariants import (
-    RULES,
     ScheduleFacts,
     Violation,
+    check_arrivals,
     check_buffer_bound,
     check_causality,
     check_coverage,
@@ -51,11 +58,15 @@ from repro.check.invariants import (
 )
 from repro.obs.registry import active_registry
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import SimTrace
+
 __all__ = [
     "DEFAULT_GRID_NODES",
     "DEFAULT_GRID_DEGREES",
     "CheckReport",
     "check_schedule",
+    "check_trace",
     "check_config",
     "smoke_grid",
 ]
@@ -64,12 +75,19 @@ __all__ = [
 DEFAULT_GRID_NODES: tuple[int, ...] = (15, 127, 1023)
 DEFAULT_GRID_DEGREES: tuple[int, ...] = (2, 3)
 
-#: Evaluation order of the invariants (structural first, then global).
-_INVARIANTS: tuple[Callable[[ScheduleFacts], Iterator[Violation]], ...] = (
+Invariant = Callable[[ScheduleFacts], Iterator[Violation]]
+
+#: The per-slot communication-model rules a trace log is held to too.
+_MODEL_INVARIANTS: tuple[Invariant, ...] = (
     check_well_formed,
     check_send_capacity,
     check_recv_capacity,
     check_causality,
+)
+
+#: Evaluation order of the schedule invariants (structural first, then global).
+_INVARIANTS: tuple[Invariant, ...] = (
+    *_MODEL_INVARIANTS,
     check_duplicate_delivery,
     check_coverage,
     check_playability,
@@ -89,6 +107,7 @@ class CheckReport:
         violations: retained findings, at most ``max_per_rule`` per rule in
             rule evaluation order (``counts`` holds the untruncated totals).
         counts: total findings per rule id, including truncated ones.
+        num_invariants: how many invariants were evaluated.
     """
 
     description: str
@@ -98,6 +117,7 @@ class CheckReport:
     num_packets: int
     violations: tuple[Violation, ...]
     counts: dict[str, int] = field(default_factory=dict)
+    num_invariants: int = len(_INVARIANTS)
 
     @property
     def ok(self) -> bool:
@@ -114,7 +134,7 @@ class CheckReport:
             f"{self.num_slots} slots, P={self.num_packets}"
         )
         if self.ok:
-            return f"{head} — OK ({len(_INVARIANTS)} invariants hold)"
+            return f"{head} — OK ({self.num_invariants} invariants hold)"
         parts = ", ".join(f"{rule}={n}" for rule, n in sorted(self.counts.items()))
         return f"{head} — {self.num_violations} violations ({parts})"
 
@@ -184,24 +204,10 @@ def check_schedule(
             mode=key.mode if key.scheme == "multi-tree" else "prerecorded",
             latency=key.latency,
         )
-    if max_per_rule < 1:
-        raise ReproError(f"max_per_rule must be >= 1, got {max_per_rule}")
     if num_packets is None:
         num_packets = _derive_num_packets(protocol, schedule.num_slots)
     elif num_packets < 0:
         raise ReproError(f"num_packets must be non-negative, got {num_packets}")
-
-    facts = ScheduleFacts(schedule, protocol, num_packets)
-    kept: list[Violation] = []
-    counts: Counter[str] = Counter()
-    for invariant in _INVARIANTS:
-        for violation in invariant(facts):
-            counts[violation.rule] += 1
-            if counts[violation.rule] <= max_per_rule:
-                kept.append(violation)
-    registry = active_registry()
-    for rule, n in counts.items():
-        registry.counter("check.violations", rule=rule).inc(n)
 
     key = schedule.key
     description = (
@@ -209,14 +215,118 @@ def check_schedule(
         if key is not None
         else protocol.describe()
     )
+    return _evaluate(
+        description, ScheduleFacts(schedule, protocol, num_packets),
+        _INVARIANTS, max_per_rule,
+    )
+
+
+class _LoggedProtocol(StreamingProtocol):
+    """A finished trace's transmission log, replayed as a protocol."""
+
+    def __init__(
+        self,
+        trace: SimTrace,
+        send_capacity: Callable[[int], int],
+        recv_capacity: Callable[[int], int],
+    ) -> None:
+        self._trace = trace
+        self._send_capacity = send_capacity
+        self._recv_capacity = recv_capacity
+        self._by_slot: dict[int, list[Transmission]] = {}
+        for tx in trace.transmissions:
+            self._by_slot.setdefault(tx.slot, []).append(tx)
+
+    @property
+    def node_ids(self) -> list[int]:
+        return sorted(self._trace.nodes)
+
+    @property
+    def source_ids(self) -> frozenset[int]:
+        return frozenset(self._trace.source_states)
+
+    def transmissions(self, slot: int, view: HoldingsView) -> Iterable[Transmission]:
+        return self._by_slot.get(slot, ())
+
+    def send_capacity(self, node: int) -> int:
+        return self._send_capacity(node)
+
+    def recv_capacity(self, node: int) -> int:
+        return self._recv_capacity(node)
+
+
+def check_trace(
+    trace: SimTrace,
+    *,
+    send_capacity: Callable[[int], int],
+    recv_capacity: Callable[[int], int],
+    max_per_rule: int = 25,
+) -> CheckReport:
+    """Verify a finished trace's transmission log against the §2 model.
+
+    The log is lowered into a schedule by :func:`compile_protocol` (the
+    engine's own holdings semantics) and held to the well-formed,
+    send-capacity, recv-capacity and causality invariants, with the
+    trace's source states as the sources.  The trace-only ``arrivals``
+    rule then requires each receiver's recorded arrivals to be exactly the
+    log's first in-horizon deliveries.  ``duplicate-delivery`` is not
+    checked: runs with ``strict_duplicates=False`` deliver duplicates
+    legitimately.  A logged delivery to a node the trace does not know
+    raises :class:`ReproError`.
+
+    Args:
+        trace: the engine's :class:`~repro.core.engine.SimTrace` or one
+            rebuilt by :func:`repro.reporting.export.trace_from_dict`.
+        send_capacity / recv_capacity: per-node capacities of the model.
+        max_per_rule: findings retained per rule (totals are always exact).
+    """
+    protocol = _LoggedProtocol(trace, send_capacity, recv_capacity)
+    # Cover every logged slot, so no transmission escapes the replay.
+    last_slot = max((tx.slot for tx in trace.transmissions), default=-1)
+    schedule = compile_protocol(protocol, max(trace.num_slots, last_slot + 1))
+    facts = ScheduleFacts(schedule, protocol, max(schedule.packets, default=-1) + 1)
+    recorded = {node: state.arrivals for node, state in trace.nodes.items()}
+    return _evaluate(
+        f"trace N={len(trace.nodes)}", facts,
+        (*_MODEL_INVARIANTS,
+         partial(check_arrivals, recorded=recorded, horizon=trace.num_slots)),
+        max_per_rule,
+    )
+
+
+def _evaluate(
+    description: str,
+    facts: ScheduleFacts,
+    invariants: Sequence[Invariant],
+    max_per_rule: int,
+) -> CheckReport:
+    """Run ``invariants`` over ``facts``: exact counts, truncated findings.
+
+    Every finding is also counted on the active registry as
+    ``check.violations{rule=...}``.
+    """
+    if max_per_rule < 1:
+        raise ReproError(f"max_per_rule must be >= 1, got {max_per_rule}")
+    kept: list[Violation] = []
+    counts: Counter[str] = Counter()
+    for invariant in invariants:
+        for violation in invariant(facts):
+            counts[violation.rule] += 1
+            if counts[violation.rule] <= max_per_rule:
+                kept.append(violation)
+    registry = active_registry()
+    for rule, n in counts.items():
+        registry.counter("check.violations", rule=rule).inc(n)
+    schedule = facts.schedule
     return CheckReport(
         description=description,
         num_slots=schedule.num_slots,
         num_transmissions=schedule.size,
         num_nodes=schedule.num_nodes,
-        num_packets=num_packets,
+        num_packets=facts.num_packets,
         violations=tuple(kept),
         counts=dict(counts),
+        num_invariants=len(invariants),
     )
 
 
@@ -270,7 +380,3 @@ def smoke_grid(
                     )
                 )
     return reports
-
-
-def _rule_catalogue() -> str:  # pragma: no cover - doc helper
-    return "\n".join(f"{rule}: {text}" for rule, text in RULES.items())

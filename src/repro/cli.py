@@ -460,20 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules", metavar="IDS", default=None,
         help="comma-separated rule ids to run (default: all)",
     )
-    lint.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline of grandfathered findings to subtract "
-        "(default: .repro-lint-baseline.json when present)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    lint.add_argument(
-        "--model-cache", metavar="PATH", default=None,
-        help="pickle cache for the project model "
-        "(default: $REPRO_MODEL_CACHE when set)",
-    )
 
     runs = sub.add_parser(
         "runs",
@@ -589,12 +575,9 @@ def _spec_base(args, **overrides) -> ExperimentSpec:
 
 def _cmd_simulate(args) -> int:
     instr = _make_instrumentation(args)
-    try:
-        result = run(
-            _spec_base(args, drop_rate=args.drop_rate), instrumentation=instr
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    result = run(
+        _spec_base(args, drop_rate=args.drop_rate), instrumentation=instr
+    )
     title = result.provenance["description"]
     if args.drop_rate > 0:
         title += f" under loss {args.drop_rate} (seed {args.seed})"
@@ -621,10 +604,7 @@ def _cmd_sweep(args) -> int:
         drop_rates=tuple(args.drop),
         executor=ExecutorPolicy(max_workers=args.workers, mode=args.mode),
     )
-    try:
-        result = run(spec)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    result = run(spec)
     print(format_rows(
         list(result.rows),
         title=f"{result.provenance['description']}: "
@@ -708,12 +688,9 @@ def _cmd_stats(args) -> int:
     from repro.reporting.export import write_metrics_json
 
     instr = Instrumentation.collecting(profile=True)
-    try:
-        result = run(
-            _spec_base(args, drop_rate=args.drop_rate), instrumentation=instr
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    result = run(
+        _spec_base(args, drop_rate=args.drop_rate), instrumentation=instr
+    )
     instr.close()
     print(format_rows([result.row], title=result.provenance["description"]))
     print()
@@ -767,24 +744,21 @@ def _cmd_fleet(args) -> int:
     from repro.service import CapacityModel, FleetSpec
 
     configs = args.config or _DEFAULT_FLEET_CONFIGS
-    try:
-        fleet = FleetSpec(
-            sessions=tuple(_parse_session_config(c) for c in configs),
-            num_sessions=args.sessions,
-            arrival=args.arrival,
-            arrival_rate=args.arrival_rate,
-            capacity=CapacityModel(
-                source_fanout=args.fanout_budget, backbone=args.backbone_budget
-            ),
-            policy=args.policy,
-            churn_rate=args.churn_rate,
-            seed=args.seed,
-            aggregation=args.aggregation,
-            sketch_error=args.sketch_error,
-            convergence=ConvergenceCriterion() if args.until_converged else None,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    fleet = FleetSpec(
+        sessions=tuple(_parse_session_config(c) for c in configs),
+        num_sessions=args.sessions,
+        arrival=args.arrival,
+        arrival_rate=args.arrival_rate,
+        capacity=CapacityModel(
+            source_fanout=args.fanout_budget, backbone=args.backbone_budget
+        ),
+        policy=args.policy,
+        churn_rate=args.churn_rate,
+        seed=args.seed,
+        aggregation=args.aggregation,
+        sketch_error=args.sketch_error,
+        convergence=ConvergenceCriterion() if args.until_converged else None,
+    )
     if args.dry_run:
         print(fleet.describe())
         rows = [
@@ -817,11 +791,8 @@ def _cmd_fleet(args) -> int:
 
         telemetry = FleetTelemetry()
         runner = FleetRunner(policy=spec.executor, telemetry=telemetry)
-        try:
-            with Timer() as timer:
-                fleet_result = runner.run(fleet)
-        except ReproError as exc:
-            raise SystemExit(str(exc)) from exc
+        with Timer() as timer:
+            fleet_result = runner.run(fleet)
         report = fleet_result.report
         provenance = {
             "kind": "fleet",
@@ -847,10 +818,7 @@ def _cmd_fleet(args) -> int:
             ledger.append(run_record(spec, result))
         convergence = fleet_result.convergence
     else:
-        try:
-            result = run(spec, ledger=args.ledger)
-        except ReproError as exc:
-            raise SystemExit(str(exc)) from exc
+        result = run(spec, ledger=args.ledger)
         report = result.artifacts["report"]
         convergence = result.artifacts.get("convergence")
     print(format_rows([report.row()], title=result.provenance["description"]))
@@ -896,19 +864,16 @@ def _cmd_control(args) -> int:
     from repro.reporting.ledger import RunLedger, default_ledger
 
     slo = args.slo if args.slo is not None else RAMP_SLO
-    try:
-        if args.policy == "all":
-            outcomes = compare_policies(
-                scale=args.scale, seed=args.seed, slo=slo
+    if args.policy == "all":
+        outcomes = compare_policies(
+            scale=args.scale, seed=args.seed, slo=slo
+        )
+    else:
+        outcomes = {
+            args.policy: run_ramp(
+                args.policy, scale=args.scale, seed=args.seed, slo=slo
             )
-        else:
-            outcomes = {
-                args.policy: run_ramp(
-                    args.policy, scale=args.scale, seed=args.seed, slo=slo
-                )
-            }
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+        }
     rows = [outcome.row() for outcome in outcomes.values()]
     num_offered = len(next(iter(outcomes.values())).result.decisions)
     print(format_rows(
@@ -1030,10 +995,7 @@ def _cmd_abr(args) -> int:
         abr_chunks=args.chunks,
         abr_chunk_slots=args.chunk_slots,
     )
-    try:
-        result = run(spec)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    result = run(spec)
     report = result.artifacts["report"]
     print(format_rows(list(result.rows), title=result.provenance["description"]))
     counts = report.tier_counts()
@@ -1054,19 +1016,16 @@ def _cmd_check(args) -> int:
 
     from repro.check import check_config, smoke_grid
 
-    try:
-        if args.grid:
-            reports = smoke_grid()
-        else:
-            reports = [
-                check_config(
-                    args.scheme, args.nodes, args.degree,
-                    num_packets=args.packets, construction=args.construction,
-                    mode=args.mode, max_per_rule=args.max_per_rule,
-                )
-            ]
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    if args.grid:
+        reports = smoke_grid()
+    else:
+        reports = [
+            check_config(
+                args.scheme, args.nodes, args.degree,
+                num_packets=args.packets, construction=args.construction,
+                mode=args.mode, max_per_rule=args.max_per_rule,
+            )
+        ]
     for report in reports:
         print(report.summary())
         for violation in report.violations:
@@ -1084,34 +1043,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_lint(args) -> int:
     import json
-    import os
 
     from repro.check import format_violations
-    from repro.check.project import (
-        DEFAULT_BASELINE_PATH,
-        lint_project,
-        save_baseline,
-    )
+    from repro.check.project import lint_project
 
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    baseline = args.baseline
-    if baseline is None and os.path.exists(DEFAULT_BASELINE_PATH):
-        baseline = DEFAULT_BASELINE_PATH
-    report = lint_project(
-        args.paths,
-        rules=rules,
-        baseline_path=None if args.write_baseline else baseline,
-        model_cache=args.model_cache,
-    )
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE_PATH
-        count = save_baseline(target, report.violations)
-        print(f"baseline -> {target} ({count} finding{'s' if count != 1 else ''})")
-        return 0
-
+    report = lint_project(args.paths, rules=rules)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -1121,7 +1060,6 @@ def _cmd_lint(args) -> int:
         ) or "none"
         print(
             f"rules: {counts} | files: {report.files_scanned} | "
-            f"baselined: {report.baselined} | "
             f"model {report.model_build_s * 1e3:.0f} ms, "
             f"analyze {report.analyze_s * 1e3:.0f} ms"
         )
@@ -1131,7 +1069,7 @@ def _cmd_lint(args) -> int:
 def _cmd_verify(args) -> int:
     from collections import Counter
 
-    from repro.core.trace_checks import audit_trace
+    from repro.check import check_trace
     from repro.reporting.export import read_trace_json, trace_from_dict
 
     trace = trace_from_dict(read_trace_json(args.path))
@@ -1145,15 +1083,17 @@ def _cmd_verify(args) -> int:
     def send_capacity(node: int) -> int:
         return source_cap if node == 0 else 1
 
-    audit = audit_trace(trace, send_capacity=send_capacity)
-    if audit.ok:
+    report = check_trace(
+        trace, send_capacity=send_capacity, recv_capacity=lambda node: 1
+    )
+    if report.ok:
         print(
-            f"OK: {audit.num_transmissions} transmissions respect the "
+            f"OK: {report.num_transmissions} transmissions respect the "
             f"communication model (source capacity {source_cap})"
         )
         return 0
-    print(f"{len(audit.violations)} violations found:")
-    for violation in audit.violations:
+    print(report.summary())
+    for violation in report.violations:
         print(f"  - {violation}")
     return 1
 
@@ -1179,7 +1119,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        # The one error boundary: a domain error is one line and status 1.
+        raise SystemExit(str(exc)) from exc
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,7 +49,6 @@ from repro.core.playback import (
     summarize_playback,
 )
 from repro.core.protocol import HoldingsView, StreamingProtocol
-from repro.core.trace_checks import TraceAudit, audit_trace
 
 __all__ = [
     "BufferStart",
@@ -76,10 +75,8 @@ __all__ = [
     "SimTrace",
     "SlottedEngine",
     "StreamingProtocol",
-    "TraceAudit",
     "Transmission",
     "WindowStart",
-    "audit_trace",
     "buffer_occupancy_series",
     "buffer_peak",
     "collect_metrics",

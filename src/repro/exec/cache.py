@@ -324,5 +324,7 @@ def default_cache() -> ScheduleCache:
     """The process-wide cache used when callers do not supply one."""
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = ScheduleCache()
+        # Each process builds its own default on first use; workers never
+        # hand it back, they return results.
+        _DEFAULT = ScheduleCache()  # repro-lint: disable=REP005 -- per-process cache
     return _DEFAULT

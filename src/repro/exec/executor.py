@@ -172,7 +172,9 @@ class SweepExecutor:
     ) -> None:
         global _PAYLOAD
         previous = _PAYLOAD
-        _PAYLOAD = payload
+        # The serial path plays the pool initializer in this process, and
+        # restores the slot on the way out.
+        _PAYLOAD = payload  # repro-lint: disable=REP005 -- per-process init slot
         if self.spans is not None:
             install_span_context(self.spans.context())
         try:
@@ -183,7 +185,7 @@ class SweepExecutor:
         finally:
             if self.spans is not None:
                 install_span_context(None)
-            _PAYLOAD = previous
+            _PAYLOAD = previous  # repro-lint: disable=REP005 -- per-process init slot
 
     def _run_parallel(
         self,

@@ -15,8 +15,8 @@ declarative API:
   primary metrics object, timing, and provenance (including schedule-cache
   hit/miss and how the executor actually ran).
 
-``run`` uses the compiled-schedule fast path (:mod:`repro.exec`) whenever the
-spec allows it and the scheme's loss-free schedule is deterministic; since
+``run`` replays loss-free stream runs of a deterministic scheme through a
+compiled schedule from the shared cache (:mod:`repro.exec`); since
 v2.0 sweeps execute batch-first through the vectorized kernel
 (:func:`repro.exec.replay_batch`), one kernel call per block of seeds per
 drop rate.  The v1 legacy wrappers (``run_repair_experiment``,
@@ -29,15 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.engine import simulate as _engine_simulate
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, check_fields
 from repro.core.metrics import collect_metrics, collect_repair_metrics
 from repro.exec.cache import default_cache
-from repro.exec.compiler import (
-    COMPILABLE_SCHEMES,
-    build_protocol,
-    compile_protocol,
-    compile_schedule,
-)
+from repro.exec.compiler import COMPILABLE_SCHEMES, build_protocol, compile_schedule
 from repro.exec.executor import ExecutorPolicy, SweepExecutor, replay_batch_task
 from repro.obs import Instrumentation, Timer
 
@@ -49,6 +44,12 @@ __all__ = [
 ]
 
 EXPERIMENT_KINDS = ("stream", "repair", "churn", "sweep", "fleet", "abr")
+
+#: Fields that must hold a real int (a bool or a float is a typed error).
+_INT_FIELDS = (
+    "num_nodes", "degree", "latency", "num_packets", "seed", "extra", "group",
+    "grace", "churn_events", "abr_chunks", "abr_chunk_slots",
+)
 
 _SCHEMES = (
     "multi-tree",
@@ -64,6 +65,11 @@ _SCHEMES = (
 class ExperimentSpec:
     """Declarative description of one experiment.
 
+    Construction checks the fields at this boundary: a bool or non-int in
+    an int field, a negative ``seed`` or ``churn_events``, NaN in a float
+    field, or an unknown kind or scheme raises :class:`ReproError` naming
+    the field and the value.
+
     Attributes:
         kind: ``stream`` (one simulated run), ``repair`` (loss-repair
             tradeoff point), ``churn`` (stream through scheduled churn),
@@ -76,11 +82,11 @@ class ExperimentSpec:
         num_nodes / degree / construction / mode / latency: configuration of
             the scheme (construction/mode/latency apply to multi-tree).
         num_packets: measured stream prefix.
-        seed: RNG seed (fault injection, gossip, churn traces).
+        seed: RNG seed, an int >= 0 (fault injection, gossip, churn traces).
         drop_rate: Bernoulli per-transmission drop probability.
         repair_mode / epsilon / slack_mode / extra / group / grace: repair
             experiment knobs (see :mod:`repro.repair.session`).
-        churn_events: number of random churn events (kind ``churn``).
+        churn_events: number (>= 0) of random churn events (kind ``churn``).
         lazy_churn: use the lazy repair variant.
         seeds / drop_rates: sweep grid axes (kind ``sweep``); empty tuples
             fall back to ``(seed,)`` / ``(drop_rate,)``.
@@ -91,13 +97,7 @@ class ExperimentSpec:
             (:data:`repro.abr.TRACE_PROFILES`), prebuffer targets in chunks,
             and the video shape; empty tuples fall back to the subsystem
             defaults.
-        compiled: replay a compiled schedule when the scheme allows it.
-        cache: consult the content-addressed schedule cache.
-        verify: statically model-check freshly compiled schedules
-            (:mod:`repro.check`) before they may enter the cache.
         executor: :class:`~repro.exec.executor.ExecutorPolicy` for sweeps.
-        validate: engine validation override (None = engine default).
-        record_transmissions: keep the full transmission log.
         profile / trace_events: instrumentation policy — per-phase profiling
             and/or a JSONL event stream (ignored when an explicit
             ``instrumentation`` bundle is passed to :func:`run`).
@@ -134,17 +134,13 @@ class ExperimentSpec:
     abr_chunks: int = 32
     abr_chunk_slots: int = 4
     # --- execution policy
-    compiled: bool = True
-    cache: bool = True
-    verify: bool = False
     executor: ExecutorPolicy = field(default_factory=ExecutorPolicy)
-    validate: bool | None = None
-    record_transmissions: bool = True
     # --- instrumentation policy
     profile: bool = False
     trace_events: str | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self, _INT_FIELDS)
         if self.kind not in EXPERIMENT_KINDS:
             raise ReproError(
                 f"unknown experiment kind {self.kind!r}; choose from {EXPERIMENT_KINDS}"
@@ -157,6 +153,12 @@ class ExperimentSpec:
             raise ReproError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.num_packets < 1:
             raise ReproError(f"num_packets must be >= 1, got {self.num_packets}")
+        if self.seed < 0:
+            raise ReproError(f"ExperimentSpec.seed must be >= 0, got {self.seed}")
+        if self.churn_events < 0:
+            raise ReproError(
+                f"ExperimentSpec.churn_events must be >= 0, got {self.churn_events}"
+            )
         if not 0 <= self.drop_rate <= 1:
             raise ReproError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
         if self.abr_chunks < 1:
@@ -255,32 +257,15 @@ def _build_plain_protocol(spec: ExperimentSpec):
 
 
 def _compiled_for(spec: ExperimentSpec, num_slots: int, provenance: dict):
-    """Compile (through the cache when enabled) or return None if ineligible."""
-    if not spec.compiled or spec.scheme not in COMPILABLE_SCHEMES:
+    """Compile through the shared cache, or None for a randomized scheme."""
+    if spec.scheme not in COMPILABLE_SCHEMES:
         return None
-    if spec.cache:
-        schedule = compile_schedule(
-            spec.scheme, spec.num_nodes, spec.degree,
-            num_slots=num_slots, construction=spec.construction,
-            mode=spec.mode, latency=spec.latency,
-            cache=default_cache(), provenance=provenance, verify=spec.verify,
-        )
-    else:
-        protocol = build_protocol(
-            spec.scheme, spec.num_nodes, spec.degree,
-            construction=spec.construction, mode=spec.mode, latency=spec.latency,
-        )
-        schedule = compile_protocol(protocol, num_slots)
-        provenance["cache"] = "bypassed"
-        if spec.verify:
-            from repro.check.schedule import check_schedule
-
-            report = check_schedule(schedule, protocol=protocol)
-            if not report.ok:
-                raise ReproError(
-                    "compiled schedule failed static verification — "
-                    + report.summary()
-                )
+    schedule = compile_schedule(
+        spec.scheme, spec.num_nodes, spec.degree,
+        num_slots=num_slots, construction=spec.construction,
+        mode=spec.mode, latency=spec.latency,
+        cache=default_cache(), provenance=provenance,
+    )
     provenance["compiled"] = True
     return schedule
 
@@ -288,7 +273,6 @@ def _compiled_for(spec: ExperimentSpec, num_slots: int, provenance: dict):
 # --------------------------------------------------------------------- kinds
 def _run_stream(spec: ExperimentSpec, instr) -> tuple:
     provenance = _base_provenance(spec)
-    validate = True if spec.validate is None else spec.validate
     if spec.drop_rate > 0:
         from repro.repair.session import make_lossy_protocol
         from repro.workloads.faults import bernoulli_drop
@@ -302,8 +286,6 @@ def _run_stream(spec: ExperimentSpec, instr) -> tuple:
         num_slots = protocol.slots_for_packets(spec.num_packets)
         trace = _engine_simulate(
             protocol, num_slots,
-            validate=validate,
-            record_transmissions=spec.record_transmissions,
             drop_rule=bernoulli_drop(spec.drop_rate, seed=spec.seed),
             instrumentation=instr,
         )
@@ -316,12 +298,13 @@ def _run_stream(spec: ExperimentSpec, instr) -> tuple:
         schedule = _compiled_for(spec, num_slots, provenance)
         trace = _engine_simulate(
             protocol, num_slots,
-            validate=validate,
-            record_transmissions=spec.record_transmissions,
             instrumentation=instr,
             compiled_schedule=schedule,
         )
-        metrics = collect_metrics(trace, num_packets=spec.num_packets)
+        try:
+            metrics = collect_metrics(trace, num_packets=spec.num_packets)
+        except ValueError as exc:  # a best-effort scheme (gossip) left gaps
+            raise ReproError(f"{protocol.describe()}: {exc}") from exc
     provenance["description"] = protocol.describe()
     provenance["num_slots"] = num_slots
     return (metrics.row(),), metrics, trace, {"protocol": protocol}, provenance
@@ -376,7 +359,7 @@ def _run_churn(spec: ExperimentSpec, instr) -> tuple:
 
 
 def _run_fleet(spec: ExperimentSpec, instr) -> tuple:
-    from repro.service import FleetRunner, FleetSpec, SessionSpec
+    from repro.service import FleetRunner, FleetSpec, FleetTelemetry, SessionSpec
 
     provenance = _base_provenance(spec)
     fleet = spec.fleet
@@ -402,10 +385,16 @@ def _run_fleet(spec: ExperimentSpec, instr) -> tuple:
             f"spec.fleet must be a repro.service.FleetSpec, "
             f"got {type(fleet).__name__}"
         )
+    telemetry = None
+    if instr is not None and instr.spans is not None:
+        # The fleet pipeline records its spans through a telemetry bundle.
+        telemetry = FleetTelemetry(trace=False)
+        telemetry.spans = instr.spans
     runner = FleetRunner(
         policy=spec.executor,
         registry=instr.registry if instr is not None else None,
         tracer=instr.tracer if instr is not None else None,
+        telemetry=telemetry,
     )
     result = runner.run(fleet)
     report = result.report
@@ -456,7 +445,7 @@ def _run_sweep(spec: ExperimentSpec, instr) -> tuple:
         construction=spec.construction, mode=spec.mode, latency=spec.latency,
     )
     num_slots = protocol.slots_for_packets(spec.num_packets)
-    schedule = _compiled_for(spec.with_(compiled=True), num_slots, provenance)
+    schedule = _compiled_for(spec, num_slots, provenance)
     registry = instr.registry if instr is not None else None
     executor = SweepExecutor(spec.executor, registry=registry)
     # Batch-first execution (v2): one vectorized kernel call scores a whole

@@ -47,7 +47,8 @@ class SlackPolicy:
     Attributes:
         epsilon: fraction of throughput sacrificed for repair in ``thin``
             mode; the repair period is ``k = round(1/epsilon)`` (so ``ε``
-            must be in ``(0, 0.5]``).  Ignored in ``capacity`` mode.
+            must be in ``(0, 0.5]``).  In ``capacity`` mode it only sizes
+            the trailing repair margin (four periods), so it must be ``> 0``.
         mode: ``"thin"`` (insert repair slots, rate ``1 - ε``) or
             ``"capacity"`` (receivers get ``1 + extra`` receive/send budget).
         extra: additional per-slot capacity granted to every receiver in
@@ -65,6 +66,8 @@ class SlackPolicy:
             raise ReproError(
                 f"thin-mode epsilon must be in (0, 0.5], got {self.epsilon}"
             )
+        if not self.epsilon > 0:
+            raise ReproError(f"epsilon must be > 0, got {self.epsilon}")
         if self.mode == CAPACITY and self.extra < 1:
             raise ReproError(f"capacity-mode extra must be >= 1, got {self.extra}")
 

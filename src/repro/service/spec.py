@@ -18,12 +18,11 @@ spec always describes the same fleet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, check_fields
 from repro.exec.compiler import COMPILABLE_SCHEMES
 from repro.obs.convergence import ConvergenceCriterion
 from repro.repair.slack import SlackPolicy
@@ -44,18 +43,6 @@ __all__ = [
 
 ARRIVAL_PROCESSES = ("poisson", "uniform", "trace")
 ADMISSION_POLICIES = ("reject", "queue", "degrade")
-
-
-def _check_fields(spec: Any, ints: tuple[str, ...] = ()) -> None:
-    """Reject NaN in any field, and a bool or non-int in the ``ints`` fields."""
-    for name in (f.name for f in fields(spec)):
-        value = getattr(spec, name)
-        nan = isinstance(value, float) and math.isnan(value)
-        if nan or name in ints and value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, np.integer))
-        ):
-            problem = "must not be NaN" if nan else "must be an int"
-            raise ReproError(f"{type(spec).__name__}.{name} {problem}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +84,7 @@ class SessionSpec:
     abr_profile: str | None = None
 
     def __post_init__(self) -> None:
-        _check_fields(self, ("num_nodes", "degree", "latency", "num_packets"))
+        check_fields(self, ("num_nodes", "degree", "latency", "num_packets"))
         if self.scheme not in COMPILABLE_SCHEMES:
             raise ReproError(
                 f"fleet sessions replay compiled schedules; scheme "
@@ -179,7 +166,7 @@ class CapacityModel:
     backbone: float = 8192.0
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self)
         if self.source_fanout <= 0:
             raise ReproError(
                 f"source_fanout budget must be > 0, got {self.source_fanout}"
@@ -290,7 +277,7 @@ class FleetSpec:
             or self.seed < 0
         ):
             raise ReproError(f"fleet seed must be an int >= 0, got {self.seed!r}")
-        _check_fields(self, ("num_sessions", "horizon", "max_queue_slots", "min_degree"))
+        check_fields(self, ("num_sessions", "horizon", "max_queue_slots", "min_degree"))
         if self.num_sessions < 1:
             raise ReproError(f"num_sessions must be >= 1, got {self.num_sessions}")
         if not self.arrival_rate > 0:

@@ -197,9 +197,11 @@ def _first_arrivals_cached(tree: StreamTree, latency: int) -> dict[int, int]:
     cached = _FIRST_ARRIVAL_CACHE.get(key)
     if cached is None:
         cached = first_arrival_slots(tree, latency=latency)
+        # A per-process memo of a pure function: a worker's entries only
+        # save that worker recomputation, so divergence is harmless.
         if len(_FIRST_ARRIVAL_CACHE) > 256:  # bound memory across sweeps
-            _FIRST_ARRIVAL_CACHE.clear()
-        _FIRST_ARRIVAL_CACHE[key] = cached
+            _FIRST_ARRIVAL_CACHE.clear()  # repro-lint: disable=REP005 -- per-process memo
+        _FIRST_ARRIVAL_CACHE[key] = cached  # repro-lint: disable=REP005 -- per-process memo
     return cached
 
 

@@ -47,7 +47,7 @@ class TestExports:
         assert len(names) == len(set(names)), f"duplicates in {module_name}.__all__"
 
     def test_version(self):
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
     def test_star_import_is_clean(self):
         namespace: dict = {}

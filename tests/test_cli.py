@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.cli import build_parser, main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import _parse_session_config, build_parser, main
 
 
 class TestParser:
@@ -85,7 +93,30 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(json_path), "--source-capacity", "1"]) == 1
         out = capsys.readouterr().out
-        assert "violations found" in out
+        assert "violations (send-capacity=" in out
+        assert "send-capacity [slot 0, node 0]" in out
+
+    @pytest.mark.parametrize("tamper, rule", [
+        ("forged_forward", "causality"),
+        ("moved_arrival", "arrivals"),
+    ])
+    def test_verify_names_the_rule_on_a_tampered_trace(
+        self, tmp_path, capsys, tamper, rule
+    ):
+        json_path = tmp_path / "t.json"
+        main(["simulate", "-n", "12", "-p", "6", "--json", str(json_path)])
+        capsys.readouterr()
+        payload = json.loads(json_path.read_text())
+        if tamper == "forged_forward":
+            # A receiver forwards a packet before it could hold it.
+            tx = next(t for t in payload["transmissions"] if t["sender"] != 0)
+            tx["slot"] = 0
+        else:
+            payload["arrivals"]["5"]["0"] += 1
+        json_path.write_text(json.dumps(payload))
+        assert main(["verify", str(json_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"  - {rule} [" in out
 
     def test_figure4_parallel_matches_serial(self, capsys):
         assert main(["figure4", "--max-nodes", "150", "--step", "70"]) == 0
@@ -247,16 +278,40 @@ class TestSimulateLossFlags:
         assert "max_delay" in capsys.readouterr().out
 
 
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["churn", "-n", "15", "-d", "0"],
+        ["analyze", "--scheme", "multi-tree", "-n", "15", "-d", "0"],
+        ["repair", "-n", "15", "-d", "0", "--loss", "0.05"],
+        ["table1", "-n", "15", "-d", "0"],
+        ["simulate", "-n", "15", "--seed", "-1", "--drop-rate", "0.05"],
+        ["churn", "-n", "15", "--seed", "-1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_domain_error_is_one_line_and_status_1(self, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+
+
 class TestVersionFlag:
     def test_version_prints_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 6.0.0"
+        assert capsys.readouterr().out.strip() == "repro 7.0.0"
 
 
 class TestLintCommand:
-    @pytest.mark.parametrize("flag", ["--stats", "--no-analyzers"])
+    @pytest.mark.parametrize("flag", [
+        "--stats", "--no-analyzers",
+        "--baseline=x.json", "--write-baseline", "--model-cache=x.pickle",
+    ])
     def test_removed_flags_are_usage_errors(self, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["lint", "src", flag])
@@ -318,6 +373,28 @@ class TestFleetCommand:
             main(["fleet", "--config", "multi-tree:31"])
         with pytest.raises(SystemExit):
             main(["fleet", "--config", "multi-tree:lots:3"])
+
+    _CONFIG_FIELD = st.one_of(
+        st.sampled_from([
+            "multi-tree", "hypercube", "chain", "single-tree", "gossip", "",
+            "0", "1", "3", "15", "-1", "2.5", "nan", "inf", "-inf", "1e400",
+            "0.05", "1.5", "True", " 3", "99999999999999999999",
+        ]),
+        st.text(max_size=4),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_CONFIG_FIELD, max_size=7).map(":".join))
+    def test_config_parses_or_exits_with_bad_config(self, text):
+        try:
+            spec = _parse_session_config(text)
+        except SystemExit as exc:
+            assert str(exc).startswith(f"bad --config {text!r}: ")
+            return
+        scheme, nodes, degree, *_ = text.split(":")
+        assert (spec.scheme, spec.num_nodes, spec.degree) == (
+            scheme, int(nodes), int(degree)
+        )
 
     def test_churn_marked_in_dry_run(self, capsys):
         assert main(

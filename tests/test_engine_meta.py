@@ -1,4 +1,4 @@
-"""Meta-validation: the online validator and the post-hoc auditor agree.
+"""Meta-validation: the online validator and the post-hoc checker agree.
 
 Random synthetic protocols — some valid, some deliberately broken — are run
 through both checkers.  Agreement across random instances is strong evidence
@@ -12,11 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import check_trace
 from repro.core.engine import simulate
 from repro.core.errors import ConstraintViolation
 from repro.core.packet import Transmission
 from repro.core.protocol import StreamingProtocol
-from repro.core.trace_checks import audit_trace
+
+
+def audit(trace):
+    """The post-hoc check under the unit-capacity model these protocols use."""
+    return check_trace(
+        trace, send_capacity=lambda node: 1, recv_capacity=lambda node: 1
+    )
 
 
 class RandomForwardProtocol(StreamingProtocol):
@@ -83,8 +90,8 @@ class TestAgreementOnValidProtocols:
     def test_validator_accepts_and_audit_confirms(self, seed):
         protocol = RandomForwardProtocol(8, seed)
         trace = simulate(protocol, 20, strict_duplicates=False)
-        audit = audit_trace(trace)
-        assert audit.ok, audit.violations
+        report = audit(trace)
+        assert report.ok, report.violations
 
 
 class TestAgreementOnCheaters:
@@ -93,17 +100,18 @@ class TestAgreementOnCheaters:
         protocol = RandomForwardProtocol(8, seed=1, cheat=cheat)
         with pytest.raises(ConstraintViolation):
             simulate(protocol, 20, strict_duplicates=False)
-        # Re-run unvalidated; the post-hoc auditor must catch it instead.
+        # Re-run unvalidated; the post-hoc checker must catch it instead.
         protocol = RandomForwardProtocol(8, seed=1, cheat=cheat)
         trace = simulate(protocol, 20, validate=False)
-        assert not audit_trace(trace).ok
+        rule = {"unheld": "causality", "double_send": "send-capacity"}[cheat]
+        assert set(audit(trace).counts) == {rule}
 
     def test_double_receive_cheat(self):
         # Forcing a receiver that already received this slot.
         protocol = RandomForwardProtocol(8, seed=2, cheat="double_receive")
         trace = simulate(protocol, 20, validate=False)
-        audit = audit_trace(trace)
+        report = audit(trace)
         # The cheat may or may not trigger depending on draws; when it does,
-        # the audit flags it; when not, the trace is genuinely valid.
-        if not audit.ok:
-            assert any("received" in v for v in audit.violations)
+        # the check flags it; when not, the trace is genuinely valid.
+        if not report.ok:
+            assert "recv-capacity" in report.counts

@@ -3,7 +3,11 @@ equality with the legacy entry points, and their deprecation."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.engine import simulate as engine_simulate
@@ -47,22 +51,97 @@ class TestSpecValidation:
             run({"kind": "stream"})
 
 
+NAN, INF = math.nan, math.inf
+
+
+class TestSpecBoundary:
+    @pytest.mark.parametrize("fields, name, value", [
+        ({"num_nodes": 2.5}, "num_nodes", 2.5),
+        ({"num_packets": 2.5}, "num_packets", 2.5),
+        ({"degree": 2.5}, "degree", 2.5),
+        ({"kind": "churn", "churn_events": 2.5}, "churn_events", 2.5),
+        ({"seed": -1, "drop_rate": 0.05}, "seed", -1),
+        ({"seed": -1, "scheme": "gossip"}, "seed", -1),
+        ({"kind": "churn", "seed": -1}, "seed", -1),
+        ({"kind": "repair", "seed": -1}, "seed", -1),
+        ({"seed": 1.5, "drop_rate": 0.05}, "seed", 1.5),
+        ({"num_nodes": True}, "num_nodes", True),
+        ({"kind": "churn", "churn_events": -3}, "churn_events", -3),
+        ({"kind": "repair", "epsilon": NAN}, "epsilon", NAN),
+    ])
+    def test_bad_field_is_a_typed_error_naming_it(self, fields, name, value):
+        with pytest.raises(ReproError) as excinfo:
+            ExperimentSpec(**fields)
+        message = str(excinfo.value)
+        assert f"ExperimentSpec.{name} " in message and repr(value) in message
+
+    def test_best_effort_gap_is_a_typed_error(self):
+        # Gossip may leave a receiver without the measured prefix.
+        spec = ExperimentSpec(scheme="gossip", num_nodes=12, num_packets=1, seed=242)
+        with pytest.raises(ReproError, match="arrival trace incomplete"):
+            run(spec)
+
+    _SPEC = st.fixed_dictionaries({
+        "kind": st.sampled_from(["stream", "sweep", "repair", "churn"]),
+        "scheme": st.sampled_from(
+            ["multi-tree", "hypercube", "grouped-hypercube", "chain",
+             "single-tree", "gossip"]
+        ),
+        "num_nodes": st.integers(min_value=1, max_value=15),
+        "degree": st.integers(min_value=1, max_value=4),
+        "num_packets": st.integers(min_value=1, max_value=8),
+        "seed": st.integers(min_value=0, max_value=2**40),
+        "drop_rate": st.sampled_from([0.0, 0.05, 0.2]),
+        # A repair run spans four slack periods of 1/epsilon slots, so
+        # epsilon comes from a grid, as N and P are kept small.
+        "epsilon": st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 0.9]),
+        "slack_mode": st.sampled_from(["thin", "capacity"]),
+        "group": st.integers(min_value=1, max_value=6),
+        "churn_events": st.integers(min_value=0, max_value=5),
+        "repair_mode": st.sampled_from(["none", "retransmit", "parity"]),
+        "seeds": st.lists(st.integers(min_value=0, max_value=50), max_size=3),
+        "drop_rates": st.lists(st.floats(min_value=0, max_value=0.5), max_size=2),
+    })
+    _ODD = (NAN, INF, -INF, True, False, -1, -3, 0, 2.5)
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_runs_or_raises_repro_error(self, data):
+        fields = data.draw(self._SPEC, label="spec")
+        # Corrupt up to two numeric fields (or grid entries).
+        numeric = sorted(k for k, v in fields.items() if not isinstance(v, str))
+        for key in data.draw(st.lists(st.sampled_from(numeric), max_size=2)):
+            odd = data.draw(st.sampled_from(self._ODD), label=key)
+            fields[key] = (odd,) if key in ("seeds", "drop_rates") else odd
+        try:
+            result = run(ExperimentSpec(**fields, executor=ExecutorPolicy(mode="serial")))
+        except ReproError:
+            return
+        assert result.rows
+
+
 class TestStreamKind:
-    def test_matches_direct_engine_run(self):
-        spec = ExperimentSpec(scheme="multi-tree", num_nodes=15, degree=3, num_packets=12)
+    @pytest.mark.parametrize(
+        "scheme, protocol",
+        [
+            ("multi-tree", lambda: repro.MultiTreeProtocol(15, 3)),
+            ("hypercube", lambda: repro.HypercubeCascadeProtocol(15)),
+        ],
+        ids=["multi-tree", "hypercube"],
+    )
+    def test_matches_direct_engine_run(self, scheme, protocol):
+        """The compiled replay equals the object protocol's engine run."""
+        spec = ExperimentSpec(scheme=scheme, num_nodes=15, degree=3, num_packets=12)
         result = run(spec)
-        protocol = repro.MultiTreeProtocol(15, 3)
+        protocol = protocol()
         trace = engine_simulate(protocol, protocol.slots_for_packets(12))
         assert result.row == collect_metrics(trace, num_packets=12).row()
         assert result.trace.all_arrivals() == trace.all_arrivals()
+        assert result.trace.transmissions == trace.transmissions
         assert result.provenance["compiled"] is True
-
-    def test_compiled_off_matches_compiled_on(self):
-        spec = ExperimentSpec(scheme="hypercube", num_nodes=15, num_packets=10)
-        compiled = run(spec)
-        plain = run(spec.with_(compiled=False))
-        assert compiled.row == plain.row
-        assert plain.provenance["compiled"] is False
 
     def test_second_run_hits_schedule_cache(self):
         spec = ExperimentSpec(scheme="multi-tree", num_nodes=21, degree=2, num_packets=9)

@@ -28,6 +28,13 @@ class TestSlackPolicy:
             SlackPolicy(mode=CAPACITY, extra=0)
         assert SlackPolicy(mode=CAPACITY, extra=2).extra == 2
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan")])
+    def test_capacity_epsilon_sizes_the_margin_so_must_be_positive(self, epsilon):
+        # The trailing margin is four periods of round(1/epsilon) slots.
+        with pytest.raises(ReproError, match="epsilon"):
+            SlackPolicy(mode=CAPACITY, epsilon=epsilon)
+        assert SlackPolicy(mode=CAPACITY, epsilon=0.9).period == 2
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ReproError):
             SlackPolicy(mode="magic")

@@ -204,15 +204,19 @@ class TestVersionedEnvelopes:
 
 class TestTraceFromDict:
     def test_round_trip_rebuild(self, trace, tmp_path):
-        from repro.core.trace_checks import audit_trace
+        from repro.check import check_trace
         from repro.reporting.export import trace_from_dict
 
         rebuilt = trace_from_dict(trace_to_dict(trace))
         assert rebuilt.arrivals(1) == dict(trace.arrivals(1))
         assert len(rebuilt.transmissions) == len(trace.transmissions)
         assert rebuilt.source_states[0].packets_sent == trace.source_states[0].packets_sent
-        audit = audit_trace(rebuilt, send_capacity=lambda n: 3 if n == 0 else 1)
-        assert audit.ok, audit.violations
+        report = check_trace(
+            rebuilt,
+            send_capacity=lambda n: 3 if n == 0 else 1,
+            recv_capacity=lambda n: 1,
+        )
+        assert report.ok, report.violations
 
     def test_rebuild_from_json_file(self, trace, tmp_path):
         from repro.reporting.export import read_trace_json, trace_from_dict

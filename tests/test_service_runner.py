@@ -360,6 +360,17 @@ class TestFacade:
         with pytest.raises(ReproError):
             run(ExperimentSpec(kind="fleet", fleet={"num_sessions": 5}))
 
+    def test_profile_records_pipeline_spans(self):
+        spec = ExperimentSpec(kind="fleet", fleet=_small_fleet(), executor=SERIAL)
+        plain = run(spec)
+        profiled = run(spec.with_(profile=True))
+        names = {span.name for span in profiled.instrumentation.spans.finished}
+        assert {
+            "fleet.resolve", "fleet.admit", "fleet.execute", "fleet.aggregate",
+            "session.replay",
+        } <= names
+        assert profiled.metrics == plain.metrics
+
     def test_top_level_exports(self):
         for name in (
             "FleetSpec", "SessionSpec", "FleetRunner", "FleetSLOReport",

@@ -1,13 +1,13 @@
-"""Tests for post-hoc trace auditing and the ASCII tree renderer."""
+"""Tests for post-hoc trace checking and the ASCII tree renderer."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.check import check_trace
 from repro.cluster.supertree import build_supertree
 from repro.core.engine import simulate
 from repro.core.packet import Transmission
-from repro.core.trace_checks import audit_trace
 from repro.hypercube.protocol import HypercubeProtocol
 from repro.reporting.treeviz import render_forest, render_supertree, render_tree
 from repro.trees import MultiTreeProtocol
@@ -15,18 +15,32 @@ from repro.trees.dynamics import DynamicForest
 from repro.trees.forest import MultiTreeForest
 
 
+def unit(node):
+    return 1
+
+
+def check(trace, protocol=None, **kwargs):
+    """``check_trace`` under ``protocol``'s capacities (1 per node by default)."""
+    return check_trace(
+        trace,
+        send_capacity=protocol.send_capacity if protocol else unit,
+        recv_capacity=protocol.recv_capacity if protocol else unit,
+        **kwargs,
+    )
+
+
 class TestAudit:
     def test_valid_multi_tree_trace_passes(self):
         protocol = MultiTreeProtocol(15, 3)
         trace = simulate(protocol, protocol.slots_for_packets(9))
-        audit = audit_trace(trace, send_capacity=protocol.send_capacity)
-        assert audit.ok, audit.violations
-        assert audit.num_transmissions == len(trace.transmissions)
+        report = check(trace, protocol)
+        assert report.ok, report.violations
+        assert report.num_transmissions == len(trace.transmissions)
 
     def test_valid_hypercube_trace_passes(self):
         protocol = HypercubeProtocol(15)
         trace = simulate(protocol, 30)
-        assert audit_trace(trace).ok
+        assert check(trace).ok
 
     @pytest.mark.parametrize(
         "factory",
@@ -34,12 +48,12 @@ class TestAudit:
         ids=["multi-tree", "hypercube"],
     )
     def test_unvalidated_honest_trace_passes(self, factory):
-        """validate=False skips in-run checks; the post-hoc audit still holds."""
+        """validate=False skips in-run checks; the post-hoc check still holds."""
         protocol = factory()
         trace = simulate(protocol, 24, validate=False)
-        audit = audit_trace(trace, send_capacity=protocol.send_capacity)
-        assert audit.ok, audit.violations
-        assert audit.num_transmissions == len(trace.transmissions)
+        report = check(trace, protocol)
+        assert report.ok, report.violations
+        assert report.num_transmissions == len(trace.transmissions)
 
     def test_unvalidated_cheater_is_caught(self):
         from repro.core.protocol import StreamingProtocol
@@ -56,23 +70,36 @@ class TestAudit:
                 ]
 
         trace = simulate(Cheater(), 3, validate=False)
-        audit = audit_trace(trace)
-        assert not audit.ok
-        assert any("had not received" in v for v in audit.violations)
+        report = check(trace)
+        assert not report.ok
+        assert set(report.counts) == {"causality"}
+        assert report.violations[0].node == 1
 
     def test_send_capacity_violation_detected(self):
         protocol = MultiTreeProtocol(15, 3)
         trace = simulate(protocol, protocol.slots_for_packets(6))
-        # Audit with the wrong capacity model: the capacity-3 source trips it.
-        audit = audit_trace(trace, send_capacity=lambda n: 1)
-        assert not audit.ok
-        assert any("node 0 sent" in v for v in audit.violations)
+        # Check with the wrong capacity model: the capacity-3 source trips it.
+        report = check(trace)
+        assert not report.ok
+        assert set(report.counts) == {"send-capacity"}
+        assert {v.node for v in report.violations} == {0}
 
     def test_violation_cap(self):
         protocol = MultiTreeProtocol(30, 3)
         trace = simulate(protocol, protocol.slots_for_packets(9))
-        audit = audit_trace(trace, send_capacity=lambda n: 1, max_violations=5)
-        assert len(audit.violations) == 5
+        report = check(trace, max_per_rule=5)
+        assert len(report.violations) == 5
+        assert report.counts["send-capacity"] > 5
+
+    def test_tampered_arrival_is_caught(self):
+        protocol = MultiTreeProtocol(15, 3)
+        trace = simulate(protocol, protocol.slots_for_packets(9))
+        assert check(trace, protocol).ok
+        trace.nodes[5].arrivals[0] += 1
+        report = check(trace, protocol)
+        assert set(report.counts) == {"arrivals"}
+        (violation,) = report.violations
+        assert (violation.node, violation.packet) == (5, 0)
 
 
 class TestTreeViz:
