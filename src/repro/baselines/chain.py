@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
+from repro.baselines.single_tree import tree_timetable
 from repro.core.errors import ConstructionError
 from repro.core.packet import Transmission
 from repro.core.protocol import HoldingsView, StreamingProtocol
@@ -75,6 +78,12 @@ class ChainProtocol(StreamingProtocol):
                     Transmission(slot=slot, sender=node, receiver=node + 1, packet=packet)
                 )
         return out
+
+    def timetable(self, num_slots: int) -> tuple[np.ndarray, ...]:
+        """The first ``num_slots`` slots as int columns, in
+        :meth:`transmissions` order: the chain is the 1-ary BFS tree, node
+        ``i`` sending packet ``slot - i`` (see :func:`tree_timetable`)."""
+        return tree_timetable(self._num_nodes, 1, num_slots)
 
     def packet_available_slot(self, packet: int) -> int:
         return packet  # live-capable: the chain never outruns generation

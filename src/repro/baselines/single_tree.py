@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
+import numpy as np
+
 from repro.core.errors import ConstructionError
 from repro.core.packet import Transmission
 from repro.core.protocol import HoldingsView, StreamingProtocol
@@ -29,6 +31,7 @@ __all__ = [
     "single_tree_depth",
     "single_tree_worst_delay",
     "sustainable_rate",
+    "tree_timetable",
     "wasted_upload_fraction",
 ]
 
@@ -64,6 +67,36 @@ def wasted_upload_fraction(num_nodes: int, fanout: int) -> float:
     """Fraction of nodes (the leaves) contributing no upload capacity."""
     interior = sum(1 for p in range(1, num_nodes + 1) if fanout * p + 1 <= num_nodes)
     return 1 - interior / num_nodes
+
+
+def tree_timetable(
+    num_nodes: int, fanout: int, num_slots: int
+) -> tuple[np.ndarray, ...]:
+    """A BFS-filled ``fanout``-ary tree's first ``num_slots`` slots as int
+    columns ``(slots, senders, receivers, packets, latencies, trees)``.
+
+    The tree is a static edge list: receiver ``c``'s parent ``(c - 1) //
+    fanout`` (0 is the source) sends it packet ``slot - depth(parent)`` in
+    every slot where that is ``>= 0``.  Broadcasting the edges against the
+    slots and keeping those rows gives :meth:`SingleTreeProtocol.transmissions`'
+    order — slot, then receiver (a parent's children are consecutive).  The
+    chain is the ``fanout = 1`` case.
+    """
+    receivers = np.arange(1, num_nodes + 1)
+    parents = (receivers - 1) // fanout
+    level_starts = [1]  # first position of each level >= 1
+    while level_starts[-1] <= num_nodes:
+        level_starts.append(fanout * level_starts[-1] + 1)
+    depth = np.searchsorted(level_starts, parents, side="right")
+    ti, ei = np.nonzero(np.arange(num_slots)[:, None] >= depth)
+    return (
+        ti,
+        parents[ei],
+        receivers[ei],
+        ti - depth[ei],
+        np.ones(len(ti), dtype=np.int64),
+        np.full(len(ti), -1, dtype=np.int64),
+    )
 
 
 class SingleTreeProtocol(StreamingProtocol):
@@ -119,6 +152,11 @@ class SingleTreeProtocol(StreamingProtocol):
                     Transmission(slot=slot, sender=node, receiver=child, packet=packet)
                 )
         return out
+
+    def timetable(self, num_slots: int) -> tuple[np.ndarray, ...]:
+        """The first ``num_slots`` slots as int columns, in
+        :meth:`transmissions` order (see :func:`tree_timetable`)."""
+        return tree_timetable(self._num_nodes, self.fanout, num_slots)
 
     def packet_available_slot(self, packet: int) -> int:
         return packet

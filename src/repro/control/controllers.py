@@ -37,7 +37,7 @@ from typing import Any, Callable, Mapping
 
 from repro.control.policy import ControlDecision, ControlPolicy
 from repro.exec.cache import ScheduleCache
-from repro.exec.compiler import compile_schedule
+from repro.exec.compiler import compile_schedule, schedule_key
 from repro.obs.events import CONTROL_DECISION, EventTracer
 from repro.obs.names import (
     CONTROL_DECISIONS,
@@ -394,20 +394,17 @@ class ControlPlane:
     # ----------------------------------------------------------------- hooks
     def _recompile(self, spec: Any, degree: int) -> str:
         """Invalidate and recompile one kind's schedule token (re-cache)."""
-        schedule = compile_schedule(
-            spec.scheme, spec.num_nodes, degree,
-            num_packets=spec.num_packets,
-            construction=spec.construction, mode=spec.mode,
-            latency=spec.latency, cache=self.cache,
+        config: dict[str, Any] = {
+            "num_packets": spec.num_packets, "construction": spec.construction,
+            "mode": spec.mode, "latency": spec.latency,
+        }
+        self.cache.invalidate(
+            schedule_key(spec.scheme, spec.num_nodes, degree, **config)
         )
-        if schedule.key is not None:
-            self.cache.invalidate(schedule.key)
         provenance: dict[str, Any] = {}
         compile_schedule(
             spec.scheme, spec.num_nodes, degree,
-            num_packets=spec.num_packets,
-            construction=spec.construction, mode=spec.mode,
-            latency=spec.latency, cache=self.cache, provenance=provenance,
+            cache=self.cache, provenance=provenance, **config,
         )
         token = str(provenance["cache_token"])
         self.recompiled_tokens.append(token)

@@ -56,9 +56,16 @@ class ScheduleError(ReproError):
     """Invalid parameters or broken invariants in a transmission schedule."""
 
 
+def _not_int(value: Any) -> bool:
+    """True for a bool or non-int (``None`` passes: optional values default to it)."""
+    return value is not None and (
+        isinstance(value, bool) or not isinstance(value, Integral)
+    )
+
+
 def check_fields(spec: Any, ints: tuple[str, ...] = ()) -> None:
     """Reject NaN in any field of dataclass ``spec``, and a bool or non-int
-    in the ``ints`` fields (``None`` passes: optional fields default to it).
+    in the ``ints`` fields.
 
     The shared boundary check of the frozen spec dataclasses; not in
     ``__all__``, which lists only the exception classes.
@@ -66,8 +73,14 @@ def check_fields(spec: Any, ints: tuple[str, ...] = ()) -> None:
     for name in (f.name for f in fields(spec)):
         value = getattr(spec, name)
         nan = isinstance(value, float) and math.isnan(value)
-        if nan or name in ints and value is not None and (
-            isinstance(value, bool) or not isinstance(value, Integral)
-        ):
+        if nan or name in ints and _not_int(value):
             problem = "must not be NaN" if nan else "must be an int"
             raise ReproError(f"{type(spec).__name__}.{name} {problem}, got {value!r}")
+
+
+def check_ints(owner: str, **values: Any) -> None:
+    """:func:`check_fields`' int rule for keyword arguments: reject a bool or
+    non-int value, naming it as ``owner.name``."""
+    for name, value in values.items():
+        if _not_int(value):
+            raise ReproError(f"{owner}.{name} must be an int, got {value!r}")

@@ -1,14 +1,17 @@
-"""Schedule compiler: lower a protocol's per-slot scheduling into flat arrays.
+"""Schedule compiler: lower a scheme's timetable into flat arrays.
 
 For a fixed ``(scheme, construction, N, d, D, T_c)`` the paper's schedules are
 deterministic, yet every experiment re-derives them — walking tree positions
 or stepping the hypercube exchange — once per run even though a sweep replays
 the identical schedule across dozens of seeds and drop rates.  The compiler
-runs the protocol's scheduling loop **once**, against the same holdings
-semantics the engine uses, and records every transmission into contiguous
-``array('i')`` columns (sender, receiver, packet, arrival slot, latency,
-tree) with a per-slot offset index.  The result is a small, picklable
-:class:`CompiledSchedule` that
+lowers each schedule **once** into contiguous ``array('i')`` columns (sender,
+receiver, packet, arrival slot, latency, tree) with a per-slot offset index.
+:func:`compile_schedule` takes the columns from the protocol's closed-form
+``timetable`` (the §2.2.3 round robin over a slot × position grid, the §3
+exchange as an int-bitset replay); :func:`compile_protocol` is the generic
+lowering that steps any protocol's own scheduling loop against the engine's
+holdings semantics, and the oracle the closed forms are tested against.  The
+result is a small, picklable :class:`CompiledSchedule` that
 
 * replays through the engine's fast path slot-for-slot identically to the
   object-based scheduling (``SimConfig.compiled_schedule``),
@@ -27,12 +30,26 @@ from array import array
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any, cast
 
-from repro.core.errors import ReproError, ScheduleError
+import numpy as np
+
+from repro.core.errors import ReproError, ScheduleError, check_ints
 from repro.core.packet import Transmission
 from repro.exec.cache import ScheduleCache, ScheduleKey, default_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines import ChainProtocol, SingleTreeProtocol
     from repro.core.protocol import StreamingProtocol
+    from repro.hypercube import GroupedHypercubeProtocol, HypercubeCascadeProtocol
+    from repro.trees import MultiTreeProtocol
+
+    #: The protocols :func:`build_protocol` returns; each has ``timetable``.
+    CompilableProtocol = (
+        MultiTreeProtocol
+        | HypercubeCascadeProtocol
+        | GroupedHypercubeProtocol
+        | ChainProtocol
+        | SingleTreeProtocol
+    )
 
 __all__ = [
     "COMPILABLE_SCHEMES",
@@ -40,6 +57,7 @@ __all__ = [
     "compile_protocol",
     "compile_schedule",
     "build_protocol",
+    "schedule_key",
 ]
 
 #: Schemes with a deterministic loss-free schedule the compiler can lower.
@@ -294,6 +312,37 @@ def compile_protocol(
     )
 
 
+def _column(values: np.ndarray) -> array:
+    column = array("i")
+    column.frombytes(np.ascontiguousarray(values, dtype=np.intc).tobytes())
+    return column
+
+
+def _lower_timetable(
+    protocol: CompilableProtocol, num_slots: int, key: ScheduleKey
+) -> CompiledSchedule:
+    """The :class:`CompiledSchedule` of ``protocol.timetable(num_slots)``:
+    equal to :func:`compile_protocol`'s, without stepping the protocol."""
+    slots, senders, receivers, packets, latencies, trees = protocol.timetable(
+        num_slots
+    )
+    starts = np.zeros(num_slots + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slots, minlength=num_slots), out=starts[1:])
+    return CompiledSchedule(
+        key=key,
+        num_slots=num_slots,
+        node_ids=tuple(protocol.node_ids),
+        source_ids=tuple(sorted(protocol.source_ids)),
+        starts=_column(starts),
+        senders=_column(senders),
+        receivers=_column(receivers),
+        packets=_column(packets),
+        arrivals=_column(slots + latencies - 1),
+        latencies=_column(latencies),
+        trees=_column(trees),
+    )
+
+
 def build_protocol(
     scheme: str,
     num_nodes: int,
@@ -302,7 +351,7 @@ def build_protocol(
     construction: str = "structured",
     mode: str = "prerecorded",
     latency: int = 1,
-) -> StreamingProtocol:
+) -> CompilableProtocol:
     """Instantiate the protocol object a :class:`ScheduleKey` describes."""
     if scheme == "multi-tree":
         from repro.trees import MultiTreeProtocol
@@ -360,6 +409,68 @@ def _normalized_key(
     )
 
 
+def _resolve(
+    scheme: str,
+    num_nodes: int,
+    degree: int,
+    num_slots: int | None,
+    num_packets: int | None,
+    construction: str,
+    mode: str,
+    latency: int,
+) -> tuple[ScheduleKey, CompilableProtocol | None]:
+    """Validate a request and derive its key (and the protocol built to
+    derive a ``num_packets`` horizon, else None)."""
+    if (num_slots is None) == (num_packets is None):
+        raise ReproError("pass exactly one of num_slots / num_packets")
+    check_ints(
+        "compile_schedule", num_nodes=num_nodes, degree=degree,
+        num_slots=num_slots, num_packets=num_packets, latency=latency,
+    )
+    protocol: CompilableProtocol | None = None
+    if num_slots is None:
+        if num_packets is None:  # unreachable: guarded by the check above
+            raise ReproError("pass exactly one of num_slots / num_packets")
+        if num_packets < 0:
+            raise ReproError(
+                f"compile_schedule.num_packets must be non-negative, got {num_packets}"
+            )
+        protocol = build_protocol(
+            scheme, num_nodes, degree,
+            construction=construction, mode=mode, latency=latency,
+        )
+        num_slots = protocol.slots_for_packets(num_packets)
+    elif num_slots < 0:
+        raise ReproError(
+            f"compile_schedule.num_slots must be non-negative, got {num_slots}"
+        )
+    key = _normalized_key(
+        scheme, num_nodes, degree, num_slots, construction, mode, latency
+    )
+    return key, protocol
+
+
+def schedule_key(
+    scheme: str,
+    num_nodes: int,
+    degree: int = 3,
+    *,
+    num_slots: int | None = None,
+    num_packets: int | None = None,
+    construction: str = "structured",
+    mode: str = "prerecorded",
+    latency: int = 1,
+) -> ScheduleKey:
+    """The cache key :func:`compile_schedule` files these arguments under,
+    derived without compiling (a ``num_packets`` horizon still builds the
+    protocol for its ``slots_for_packets``)."""
+    key, _ = _resolve(
+        scheme, num_nodes, degree, num_slots, num_packets,
+        construction, mode, latency,
+    )
+    return key
+
+
 def compile_schedule(
     scheme: str,
     num_nodes: int,
@@ -378,8 +489,13 @@ def compile_schedule(
 
     Exactly one of ``num_slots`` / ``num_packets`` must be given;
     ``num_packets`` derives the horizon from the scheme's
-    ``slots_for_packets`` bound.  ``provenance``, when passed, receives the
+    ``slots_for_packets`` bound.  A bool or non-int argument, or a negative
+    horizon, raises :class:`~repro.core.errors.ReproError` before any
+    protocol is built.  ``provenance``, when passed, receives the
     cache outcome (``memory``/``disk``/``miss``) and the content token.
+
+    A miss lowers the protocol's closed-form ``timetable``, which equals
+    :func:`compile_protocol`'s stepped lowering of the same protocol.
 
     ``verify=True`` enables verify-on-miss: a freshly compiled schedule is
     statically model-checked (:func:`repro.check.check_schedule`) and a
@@ -387,20 +503,9 @@ def compile_schedule(
     artifact may enter the cache if any invariant is violated.  Cache hits
     skip re-verification — they were certified when first stored.
     """
-    if (num_slots is None) == (num_packets is None):
-        raise ReproError("pass exactly one of num_slots / num_packets")
-    protocol: StreamingProtocol | None = None
-    if num_slots is None:
-        if num_packets is None:  # unreachable: guarded by the check above
-            raise ReproError("pass exactly one of num_slots / num_packets")
-        protocol = build_protocol(
-            scheme, num_nodes, degree,
-            construction=construction, mode=mode, latency=latency,
-        )
-        num_slots = protocol.slots_for_packets(num_packets)
-    horizon: int = num_slots
-    key = _normalized_key(
-        scheme, num_nodes, degree, horizon, construction, mode, latency
+    key, protocol = _resolve(
+        scheme, num_nodes, degree, num_slots, num_packets,
+        construction, mode, latency,
     )
     cache = cache if cache is not None else default_cache()
 
@@ -409,7 +514,7 @@ def compile_schedule(
             scheme, num_nodes, degree,
             construction=construction, mode=mode, latency=latency,
         )
-        schedule = compile_protocol(built, horizon, key=key)
+        schedule = _lower_timetable(built, key.num_slots, key)
         if verify:
             # Import lazily: repro.check depends on this module.
             from repro.check.schedule import check_schedule

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.errors import ConstructionError, ScheduleError
 from repro.core.packet import Transmission
 from repro.core.protocol import HoldingsView, StreamingProtocol
@@ -124,6 +126,97 @@ class _CascadeLane:
         return out
 
 
+def _exchange_rows(k: int, num_slots: int) -> np.ndarray:
+    """A ``k``-cube's loss-free exchange over local slots ``0..num_slots-1``.
+
+    Rows ``(slot, sender, receiver, packet)`` in cube-local vertices, in the
+    order :class:`_CascadeLane` emits them: the slot's injection (sender
+    vertex 0, the feeder) first, then :meth:`CubeExchange.step`'s pairs by
+    ascending low vertex, low→high before high→low.  An int-bitset replay of
+    the greedy exchange: bit ``p`` of ``held[v]`` says vertex ``v`` may
+    forward packet ``p``, so the newest packet ``a`` holds that ``b`` lacks
+    is ``(held[a] & ~held[b]).bit_length() - 1``.  A slot's pairs are
+    disjoint, so each pair commits its receptions at once.  The exchange
+    depends only on ``k``: every cube of that dimension shares these rows.
+    """
+    size = 1 << k
+    lows = [[v for v in range(1, size) if not v >> j & 1] for j in range(k)]
+    held = [0] * size
+    rows: list[int] = []
+    for slot in range(num_slots):
+        port = 1 << slot % k
+        rows += (slot, 0, port, slot)
+        for low in lows[slot % k]:
+            high = low | port
+            a = held[low]
+            b = held[high]
+            lacks = a & ~b
+            if lacks:
+                packet = lacks.bit_length() - 1
+                rows += (slot, low, high, packet)
+                held[high] = b | 1 << packet
+            lacks = b & ~a
+            if lacks:
+                packet = lacks.bit_length() - 1
+                rows += (slot, high, low, packet)
+                held[low] = a | 1 << packet
+        held[port] |= 1 << slot
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def _cascade_timetable(
+    lanes: Sequence[_CascadeLane], num_slots: int
+) -> tuple[np.ndarray, ...]:
+    """The lanes' first ``num_slots`` slots as int columns
+    ``(slots, senders, receivers, packets, latencies, trees)``.
+
+    Each cube's rows are its dimension's :func:`_exchange_rows` shifted by
+    the cube's offset and mapped to global ids; the feeder (vertex 0) is the
+    source for a lane's first cube and the upstream cube's current port
+    otherwise.  A stable sort by slot interleaves cubes and lanes in the
+    order the per-slot loop emits them.
+    """
+    spans: dict[int, int] = {}
+    for lane in lanes:
+        for cube in lane.plan:
+            spans[cube.k] = max(spans.get(cube.k, 0), num_slots - cube.offset)
+    tables = {k: _exchange_rows(k, span) for k, span in spans.items() if span > 0}
+    parts: list[np.ndarray] = []
+    for lane in lanes:
+        ids = np.asarray(lane.id_map, dtype=np.int64)
+        upstream: np.ndarray | None = None
+        for index, cube in enumerate(lane.plan):
+            span = num_slots - cube.offset
+            if span <= 0:
+                break  # offsets grow along the lane
+            table = tables[cube.k]
+            rows = table[: np.searchsorted(table[:, 0], span)].copy()
+            vertex_ids = np.empty(1 << cube.k, dtype=np.int64)
+            vertex_ids[0] = SOURCE_ID
+            vertex_ids[1:] = ids[cube.first_node - 1 : cube.first_node - 1 + cube.num_receivers]
+            fed = rows[:, 1] == 0
+            rows[:, 0] += cube.offset
+            rows[:, 1:3] = vertex_ids[rows[:, 1:3]]
+            if upstream is not None:
+                before = lane.plan[index - 1]
+                port = 1 << (rows[fed, 0] - before.offset) % before.k
+                rows[fed, 1] = upstream[port]
+            parts.append(rows)
+            upstream = vertex_ids
+    rows = np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64)
+    if len(parts) > 1:
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    slots, senders, receivers, packets = rows.T
+    return (
+        slots,
+        senders,
+        receivers,
+        packets,
+        np.ones(len(rows), dtype=np.int64),
+        np.full(len(rows), -1, dtype=np.int64),
+    )
+
+
 class HypercubeCascadeProtocol(StreamingProtocol):
     """The Section 3.2 scheme for arbitrary ``N`` (source capacity 1).
 
@@ -165,6 +258,12 @@ class HypercubeCascadeProtocol(StreamingProtocol):
         return self._lane.transmissions(
             slot, SOURCE_ID, view, loss_aware=self.loss_aware
         )
+
+    def timetable(self, num_slots: int) -> tuple[np.ndarray, ...]:
+        """The loss-free schedule's first ``num_slots`` slots as int columns
+        ``(slots, senders, receivers, packets, latencies, trees)``, in
+        :meth:`transmissions` order (see :func:`_cascade_timetable`)."""
+        return _cascade_timetable([self._lane], num_slots)
 
     def packet_available_slot(self, packet: int) -> int:
         # The hypercube source emits packet t during slot t — inherently live.
@@ -248,6 +347,11 @@ class GroupedHypercubeProtocol(StreamingProtocol):
         for lane in self._lanes:
             out.extend(lane.transmissions(slot, SOURCE_ID))
         return out
+
+    def timetable(self, num_slots: int) -> tuple[np.ndarray, ...]:
+        """The first ``num_slots`` slots as int columns, lanes interleaved per
+        slot in lane order (see :func:`_cascade_timetable`)."""
+        return _cascade_timetable(self._lanes, num_slots)
 
     def send_capacity(self, node: int) -> int:
         return self.degree if node == SOURCE_ID else 1

@@ -477,12 +477,12 @@ class FleetRunner:
         by_id = {s.session_id: s for s in sessions}
 
         def duration_of(session: ResolvedSession, degree: int) -> int:
-            # Memoize per configuration for the run: the shared cache makes
-            # repeat compiles cheap, but compile_schedule still rebuilds the
-            # protocol to derive the horizon before it can consult the
-            # cache — at fleet scale that dominates admission.  A memo hit
-            # is the same outcome as a shared-cache hit, so the fleet
-            # hit-rate (one lookup per admission) is unchanged.
+            # Memoize per configuration for the run: compile_schedule
+            # rebuilds the protocol to derive the horizon before it can
+            # consult the shared cache, so even a cache hit would cost a
+            # protocol build per admission.  A memo hit is the same outcome
+            # as a shared-cache hit, so the fleet hit-rate (one lookup per
+            # admission) is unchanged.
             spec = session.spec
             key = (
                 spec.scheme, spec.num_nodes, degree, spec.num_packets,

@@ -11,10 +11,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.packet import Transmission
 from repro.core.protocol import HoldingsView, StreamingProtocol
 from repro.trees.forest import SOURCE_ID, MultiTreeForest
-from repro.trees.schedule import PRERECORDED, LIVE_PREBUFFERED, ScheduleParams, slot_transmissions
+from repro.trees.schedule import (
+    LIVE_PREBUFFERED,
+    PRERECORDED,
+    ScheduleParams,
+    slot_transmissions,
+    timetable_columns,
+)
 
 __all__ = ["MultiTreeProtocol"]
 
@@ -67,6 +75,12 @@ class MultiTreeProtocol(StreamingProtocol):
     # --------------------------------------------------------------- schedule
     def transmissions(self, slot: int, view: HoldingsView) -> Iterable[Transmission]:
         return slot_transmissions(self.forest, slot, self.params)
+
+    def timetable(self, num_slots: int) -> tuple[np.ndarray, ...]:
+        """The first ``num_slots`` slots' transmissions as int columns
+        ``(slots, senders, receivers, packets, latencies, trees)``, in
+        :meth:`transmissions` order (see :func:`timetable_columns`)."""
+        return timetable_columns(self.forest, num_slots, self.params)
 
     def send_capacity(self, node: int) -> int:
         return self.degree if node == SOURCE_ID else 1

@@ -29,11 +29,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import ScheduleError
 from repro.core.packet import Transmission
 from repro.trees import positions as pos
 from repro.trees.forest import SOURCE_ID, MultiTreeForest
 from repro.trees.tree import StreamTree
+from repro.trees.vectorized import first_arrival_slots_np
 
 __all__ = [
     "StreamMode",
@@ -42,6 +45,7 @@ __all__ = [
     "first_arrival_slots",
     "arrival_trace",
     "slot_transmissions",
+    "timetable_columns",
     "pipelined_live_collisions",
     "ScheduleParams",
 ]
@@ -187,6 +191,46 @@ def slot_transmissions(
                 )
             )
     return out
+
+
+def timetable_columns(
+    forest: MultiTreeForest, num_slots: int, params: ScheduleParams
+) -> tuple[np.ndarray, ...]:
+    """Every transmission of slots ``0..num_slots-1``, as int columns.
+
+    The closed form of :func:`slot_transmissions` over the whole horizon:
+    ``(slots, senders, receivers, packets, latencies, trees)`` in the order
+    the per-slot calls emit — slot, then tree, then the source's send before
+    the interior positions' in position order.  Each tree is a
+    ``(slot, 1 + interior)`` grid: in slot ``t = m*d + r`` column ``q``
+    sends to position ``d*q + 1 + r`` the newest packet it received before
+    ``t`` — ``k + floor((t - 1 - a0(q)) / d) * d`` once ``t > a0(q)``.  Column
+    0 is the source, which holds every packet (``a0 = -1`` gives ``k + m*d``).
+    Sends to dummy positions are dropped.
+    """
+    d = forest.degree
+    shift = _shift(params, d)
+    interior = forest.trees[0].interior
+    layout = np.array([tree.layout for tree in forest.trees], dtype=np.int64)
+    index = np.array([tree.index for tree in forest.trees], dtype=np.int64)
+    first = first_arrival_slots_np(layout.shape[1], d, latency=params.latency)
+    a0 = np.concatenate(([-1], first[:interior]))
+    senders_of = np.concatenate(
+        (np.full((d, 1), SOURCE_ID, dtype=np.int64), layout[:, :interior]), axis=1
+    )
+    t = np.arange(max(num_slots - shift, 0))
+    child = d * np.arange(interior + 1) + (t % d)[:, None]  # 0-based position
+    receivers = layout[np.arange(d)[:, None], child[:, None, :]]  # (t, tree, q)
+    sends = (t[:, None] > a0)[:, None, :] & (receivers <= forest.num_nodes)
+    ti, ki, qi = np.nonzero(sends)
+    return (
+        ti + shift,
+        senders_of[ki, qi],
+        receivers[ti, ki, qi],
+        index[ki] + (ti - 1 - a0[qi]) // d * d,
+        np.full(len(ti), params.latency, dtype=np.int64),
+        index[ki],
+    )
 
 
 _FIRST_ARRIVAL_CACHE: dict[tuple[int, int, tuple[int, ...], int], dict[int, int]] = {}

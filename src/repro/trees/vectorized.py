@@ -27,21 +27,24 @@ __all__ = [
 ]
 
 
-def first_arrival_slots_np(size: int, degree: int) -> np.ndarray:
+def first_arrival_slots_np(size: int, degree: int, *, latency: int = 1) -> np.ndarray:
     """First-packet arrival slot for positions ``1..size`` of a d-ary tree.
 
     Position-indexed (entry ``i`` is position ``i + 1``); depends only on the
-    tree *shape*, not on which node occupies which position.
+    tree *shape*, not on which node occupies which position.  The vectorized
+    form of :func:`repro.trees.schedule.first_arrival_slots`, link
+    ``latency`` included.
     """
     if size < 1:
         raise ConstructionError(f"size must be >= 1, got {size}")
     if degree < 1:
         raise ConstructionError(f"degree must be >= 1, got {degree}")
     d = degree
+    lag = latency - 1  # a send in slot s arrives at the end of slot s + lag
     arrivals = np.empty(size, dtype=np.int64)
-    # Level 1: positions 1..d receive at slots 0..d-1 (child index order).
+    # Level 1: positions 1..d are sent to in slots 0..d-1 (child index order).
     top = min(d, size)
-    arrivals[:top] = np.arange(top)
+    arrivals[:top] = np.arange(top) + lag
     level_start = 1  # first position of the current parent level
     level_len = top
     while True:
@@ -55,7 +58,7 @@ def first_arrival_slots_np(size: int, degree: int) -> np.ndarray:
         parent_rep = np.repeat(parents, d)[:child_count]
         child_index = np.tile(np.arange(d), level_len)[:child_count]
         send = parent_rep + 1 + (child_index - parent_rep - 1) % d
-        arrivals[child_start - 1 : child_start - 1 + child_count] = send
+        arrivals[child_start - 1 : child_start - 1 + child_count] = send + lag
         level_start = child_start
         level_len = child_count
     return arrivals

@@ -10,6 +10,7 @@ to reason about exactly (node ``i`` receives packet ``p`` at slot
 
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.baselines import ChainProtocol
@@ -295,13 +296,14 @@ class TestReportAndWiring:
     def test_verify_on_miss_rejects_bad_compiles(self, monkeypatch):
         # A protocol whose relay double-sends violates send-capacity; with
         # verify=True the fresh compile must be rejected *before* caching.
+        # compile_schedule lowers the closed-form timetable, so the fault is
+        # planted there: every row sent by node 1 appears twice.
         class DoubleSendChain(ChainProtocol):
-            def transmissions(self, slot, view):
-                out = list(super().transmissions(slot, view))
-                for tx in list(out):
-                    if tx.sender == 1:
-                        out.append(tx)
-                return out
+            def timetable(self, num_slots):
+                columns = super().timetable(num_slots)
+                relay = np.flatnonzero(columns[1] == 1)
+                rows = np.sort(np.concatenate((np.arange(len(columns[0])), relay)))
+                return tuple(column[rows] for column in columns)
 
         import repro.exec.compiler as compiler_module
 

@@ -19,6 +19,7 @@ from repro.control import (
 )
 from repro.core.errors import ReproError
 from repro.exec.cache import ScheduleCache
+from repro.exec.compiler import compile_schedule, schedule_key
 from repro.obs import EventTracer, MetricsRegistry, RingBufferSink
 from repro.obs.convergence import ConvergenceCriterion
 from repro.obs.registry import use_registry
@@ -347,6 +348,13 @@ class TestControlPlane:
         with use_registry(registry):
             plane, _ = self._plane(registry, churn_threshold=0.25)
             spec = SessionSpec(num_nodes=13, degree=3, num_packets=4)
+            # A running fleet has the kind cached at the candidate degrees,
+            # so the repair's invalidation drops a live entry.
+            for degree in plane.policy.degree_candidates:
+                compile_schedule(
+                    spec.scheme, spec.num_nodes, degree,
+                    num_packets=spec.num_packets, cache=plane.cache,
+                )
             kinds = {spec.label: spec}
             made = plane.step(
                 _obs(
@@ -366,7 +374,26 @@ class TestControlPlane:
         }
         assert counters[("control.recompiled_tokens", "")] == 1
         assert counters[("schedule_cache.invalidate", "")] == 1
+        assert counters[("schedule_cache.miss", "")] == 3  # 2 warm + 1 repair
         assert counters[("control.repair_swaps", "")] >= 1
+
+    def test_recompile_on_a_fresh_cache_compiles_once(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            plane, _ = self._plane(registry)
+            spec = SessionSpec(num_nodes=13, degree=3, num_packets=4)
+            token = plane._recompile(spec, 3)
+        counters = {
+            (row["name"], row["labels"]): row["value"]
+            for row in registry.rows() if row["kind"] == "counter"
+        }
+        assert counters[("schedule_cache.miss", "")] == 1
+        assert ("schedule_cache.invalidate", "") not in counters  # nothing to drop
+        assert counters[("control.recompiled_tokens", "")] == 1
+        assert plane.recompiled_tokens == [token]
+        assert token == schedule_key(
+            spec.scheme, spec.num_nodes, 3, num_packets=spec.num_packets
+        ).token()
 
     def test_quiet_epoch_makes_no_decisions(self):
         registry = MetricsRegistry()

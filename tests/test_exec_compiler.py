@@ -5,6 +5,8 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import SimConfig, simulate
 from repro.core.errors import ReproError
@@ -14,6 +16,7 @@ from repro.exec.compiler import (
     build_protocol,
     compile_protocol,
     compile_schedule,
+    schedule_key,
 )
 from repro.exec.replay import replay_arrivals
 
@@ -85,6 +88,40 @@ class TestCompileEquivalence:
         assert replay_arrivals(clone) == replay_arrivals(compiled)
 
 
+class TestClosedFormLowering:
+    """compile_schedule lowers each scheme's closed-form timetable; the
+    stepped loop of compile_protocol is the oracle it must equal."""
+
+    @given(
+        scheme=st.sampled_from(COMPILABLE_SCHEMES),
+        n=st.integers(1, 200),
+        d=st.integers(1, 6),
+        construction=st.sampled_from(("structured", "greedy")),
+        mode=st.sampled_from(("prerecorded", "live_prebuffered")),
+        latency=st.integers(1, 3),
+        packets=st.integers(0, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lowering_equals_the_stepped_loop(
+        self, scheme, n, d, construction, mode, latency, packets, data
+    ):
+        config = {"construction": construction, "mode": mode, "latency": latency}
+        full = build_protocol(scheme, n, d, **config).slots_for_packets(packets)
+        horizon = data.draw(st.integers(0, full), label="horizon")
+        provenance: dict = {}
+        lowered = compile_schedule(
+            scheme, n, d, num_slots=horizon, cache=ScheduleCache(),
+            provenance=provenance, **config,
+        )
+        key = schedule_key(scheme, n, d, num_slots=horizon, **config)
+        stepped = compile_protocol(
+            build_protocol(scheme, n, d, **config), horizon, key=key
+        )
+        assert lowered == stepped
+        assert provenance["cache_token"] == stepped.key.token()
+
+
 class TestCompileScheduleFrontDoor:
     def test_num_packets_derives_horizon(self):
         protocol = build_protocol("multi-tree", 15, 3)
@@ -101,6 +138,35 @@ class TestCompileScheduleFrontDoor:
                 "multi-tree", 15, 3, num_slots=10, num_packets=10,
                 cache=ScheduleCache(),
             )
+
+    @pytest.mark.parametrize(
+        "scheme,n,kwargs,named",
+        [
+            ("multi-tree", 15, {"num_packets": -2}, "num_packets"),
+            ("hypercube", 15, {"num_packets": -1}, "num_packets"),
+            ("chain", 5, {"num_packets": -3}, "num_packets"),
+            ("multi-tree", 15.0, {"num_packets": 4}, "num_nodes"),
+            ("multi-tree", 15, {"num_packets": 2.5}, "num_packets"),
+            ("multi-tree", 15, {"num_packets": True}, "num_packets"),
+            ("multi-tree", 15, {"num_packets": 4, "degree": 3.0}, "degree"),
+            ("multi-tree", 15, {"num_slots": 9.0}, "num_slots"),
+            ("multi-tree", 15, {"num_slots": -1}, "num_slots"),
+            ("multi-tree", 15, {"num_packets": 4, "latency": False}, "latency"),
+        ],
+    )
+    def test_malformed_arguments_raise_named_repro_errors(
+        self, scheme, n, kwargs, named
+    ):
+        with pytest.raises(ReproError, match=named):
+            compile_schedule(scheme, n, cache=ScheduleCache(), **kwargs)
+
+    def test_zero_packets_compiles(self):
+        compiled = compile_schedule(
+            "multi-tree", 15, 3, num_packets=0, cache=ScheduleCache()
+        )
+        assert compiled.num_slots == build_protocol(
+            "multi-tree", 15, 3
+        ).slots_for_packets(0)
 
     def test_gossip_is_not_compilable(self):
         assert "gossip" not in COMPILABLE_SCHEMES

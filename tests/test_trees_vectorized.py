@@ -20,17 +20,17 @@ from repro.trees.vectorized import (
 
 
 class TestFirstArrivals:
-    @given(st.integers(1, 400), st.integers(1, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_recurrence(self, size, degree):
+    @given(st.integers(1, 1000), st.integers(1, 6), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_recurrence(self, size, degree, latency):
         from repro.trees.tree import StreamTree
 
         # Build a shape-only tree (identity layout) to reuse the scalar code.
         interior = max(0, -(-size // degree) - 1)
         padded = degree * (interior + 1)
         tree = StreamTree(0, degree, list(range(1, padded + 1)), interior)
-        scalar = first_arrival_slots(tree)
-        vectorized = first_arrival_slots_np(padded, degree)
+        scalar = first_arrival_slots(tree, latency=latency)
+        vectorized = first_arrival_slots_np(padded, degree, latency=latency)
         for position in range(1, padded + 1):
             assert scalar[position] == vectorized[position - 1]
 
