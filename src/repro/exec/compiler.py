@@ -394,10 +394,11 @@ def _normalized_key(
             f"scheme {scheme!r} is not compilable; choose from {COMPILABLE_SCHEMES}"
         )
     if scheme != "multi-tree":
-        # These schemes have exactly one construction/mode; pin the key fields
-        # so equivalent requests share a cache entry.
+        # These schemes have one construction/mode and ignore latency; pin
+        # the key fields so equivalent requests share a cache entry.
         construction = "cascade" if "hypercube" in scheme else scheme
         mode = "-"
+        latency = 1
     return ScheduleKey(
         scheme=scheme,
         construction=construction,
@@ -427,6 +428,8 @@ def _resolve(
         "compile_schedule", num_nodes=num_nodes, degree=degree,
         num_slots=num_slots, num_packets=num_packets, latency=latency,
     )
+    if latency < 1:
+        raise ReproError(f"compile_schedule.latency must be >= 1, got {latency}")
     protocol: CompilableProtocol | None = None
     if num_slots is None:
         if num_packets is None:  # unreachable: guarded by the check above
@@ -489,25 +492,36 @@ def compile_schedule(
 
     Exactly one of ``num_slots`` / ``num_packets`` must be given;
     ``num_packets`` derives the horizon from the scheme's
-    ``slots_for_packets`` bound.  A bool or non-int argument, or a negative
-    horizon, raises :class:`~repro.core.errors.ReproError` before any
-    protocol is built.  ``provenance``, when passed, receives the
+    ``slots_for_packets`` bound.  A bool or non-int argument, a negative
+    horizon or a latency below 1 raises :class:`~repro.core.errors.ReproError`
+    before any protocol is built.  ``provenance``, when passed, receives the
     cache outcome (``memory``/``disk``/``miss``) and the content token.
 
     A miss lowers the protocol's closed-form ``timetable``, which equals
     :func:`compile_protocol`'s stepped lowering of the same protocol.
 
-    ``verify=True`` enables verify-on-miss: a freshly compiled schedule is
-    statically model-checked (:func:`repro.check.check_schedule`) and a
-    :class:`~repro.core.errors.ScheduleError` is raised **before** the
-    artifact may enter the cache if any invariant is violated.  Cache hits
-    skip re-verification — they were certified when first stored.
+    ``verify=True`` certifies whatever the call returns, hit or miss, with
+    :func:`repro.check.check_schedule`: a failing miss raises
+    :class:`~repro.core.errors.ScheduleError` before it may enter the
+    cache, and a failing hit is dropped from the cache, then raises.
     """
     key, protocol = _resolve(
         scheme, num_nodes, degree, num_slots, num_packets,
         construction, mode, latency,
     )
     cache = cache if cache is not None else default_cache()
+
+    def _certify(schedule: CompiledSchedule, built: CompilableProtocol | None) -> None:
+        # Import lazily: repro.check depends on this module.
+        from repro.check.schedule import check_schedule
+
+        report = check_schedule(schedule, protocol=built, num_packets=num_packets)
+        if not report.ok:
+            findings = "\n  ".join(str(v) for v in report.violations[:10])
+            raise ScheduleError(
+                f"compiled schedule failed static verification — "
+                f"{report.summary()}\n  {findings}"
+            )
 
     def _build() -> CompiledSchedule:
         built = protocol if protocol is not None else build_protocol(
@@ -516,18 +530,15 @@ def compile_schedule(
         )
         schedule = _lower_timetable(built, key.num_slots, key)
         if verify:
-            # Import lazily: repro.check depends on this module.
-            from repro.check.schedule import check_schedule
-
-            report = check_schedule(
-                schedule, protocol=built, num_packets=num_packets
-            )
-            if not report.ok:
-                findings = "\n  ".join(str(v) for v in report.violations[:10])
-                raise ScheduleError(
-                    f"compiled schedule failed static verification — "
-                    f"{report.summary()}\n  {findings}"
-                )
+            _certify(schedule, built)
         return schedule
 
-    return cast(CompiledSchedule, cache.get_or_compile(key, _build, provenance))
+    outcome: dict[str, Any] = provenance if provenance is not None else {}
+    schedule = cast(CompiledSchedule, cache.get_or_compile(key, _build, outcome))
+    if verify and outcome["cache"] != "miss":
+        try:
+            _certify(schedule, protocol)
+        except ScheduleError:
+            cache.invalidate(key)
+            raise
+    return schedule

@@ -4,9 +4,9 @@
 
 * a picklable **payload** (typically a compiled schedule) is shipped once per
   worker through the pool initializer instead of once per task;
-* every task runs against an isolated :class:`~repro.obs.MetricsRegistry`
-  whose snapshot rides back with the result and is merged into the caller's
-  registry — metrics aggregate exactly as in a serial run;
+* serial tasks write straight into the caller's
+  :class:`~repro.obs.MetricsRegistry`; a pool worker runs each task against
+  a fresh registry whose snapshot rides back and merges into the caller's;
 * task order is preserved and per-task seeds travel inside the task tuples,
   so a grid is deterministic regardless of worker count;
 * results can be **streamed**: ``map(..., on_result=fn, collect=False)``
@@ -15,12 +15,12 @@
   SLOs into quantile sketches this way with bounded memory;
 * a :class:`~repro.obs.spans.SpanTracer` handed to the executor ships its
   span context to workers through the initializer; spans recorded with
-  :func:`~repro.obs.spans.worker_span` ride back on the snapshots and are
-  adopted into the parent trace;
+  :func:`~repro.obs.spans.worker_span` ride back on the snapshots (serial
+  runs drain them after each task) and are adopted into the parent trace;
 * a pool-level failure (broken workers, unpicklable payloads, fork limits)
   **degrades gracefully to the serial path** — the sweep completes either
-  way (tasks already processed before the pool broke are not re-delivered
-  to ``on_result`` or re-merged), and the fallback is visible as
+  way (the serial path resumes at the first task the pool did not deliver,
+  so none is re-run or re-delivered), and the fallback is visible as
   ``executor.fallbacks`` plus an
   ``executor.fallback_errors{error=<ExceptionType>}`` counter on the active
   registry (the formatted exception also lands in ``last_run``);
@@ -83,6 +83,9 @@ class ExecutorPolicy:
             )
 
     def resolved_workers(self) -> int:
+        """Worker processes the policy fans out to (serial runs one)."""
+        if self.mode == "serial":
+            return 1
         return self.max_workers or default_workers()
 
 
@@ -104,7 +107,7 @@ def worker_payload() -> Any:
 
 
 def _snapshotting_task(worker: Callable[[Any], Any], task: Any) -> tuple[Any, dict]:
-    """Run one task against a fresh registry.
+    """Pool-side: run one task against a fresh registry.
 
     Returns ``(result, snapshot)`` where the snapshot also carries any spans
     recorded via :func:`~repro.obs.spans.worker_span` during the task.
@@ -142,8 +145,9 @@ class SweepExecutor:
 
     Args:
         policy: fan-out policy (worker count, chunk size, mode).
-        registry: when given, worker metric snapshots are merged into it;
-            None skips all snapshotting.
+        registry: the registry tasks report into: serial tasks write into
+            it and pool snapshots merge into it.  None: serial tasks write
+            into the active registry and pool workers ship no snapshots.
         spans: when given, the tracer's span context is shipped to workers
             and spans they record are adopted into this trace.
     """
@@ -164,38 +168,46 @@ class SweepExecutor:
     # ------------------------------------------------------------------ paths
     def _run_serial(
         self,
-        run: Callable[[Any], Any],
+        worker: Callable[[Any], Any],
         items: Sequence[Any],
         payload: Any,
         process: Callable[[int, Any], None],
         start: int = 0,
     ) -> None:
+        """Run ``items[start:]`` in this process, in the caller's registry."""
         global _PAYLOAD
         previous = _PAYLOAD
         # The serial path plays the pool initializer in this process, and
         # restores the slot on the way out.
         _PAYLOAD = payload  # repro-lint: disable=REP005 -- per-process init slot
-        if self.spans is not None:
-            install_span_context(self.spans.context())
+        spans = self.spans
+        if spans is not None:
+            install_span_context(spans.context())
+        registry = self.registry if self.registry is not None else active_registry()
         try:
-            for index, item in enumerate(items):
-                raw = run(item)
-                if index >= start:
-                    process(index, raw)
+            with use_registry(registry):
+                for index in range(start, len(items)):
+                    result = worker(items[index])
+                    if spans is not None:
+                        spans.adopt(drain_worker_spans())
+                    process(index, result)
         finally:
-            if self.spans is not None:
+            if spans is not None:
                 install_span_context(None)
             _PAYLOAD = previous  # repro-lint: disable=REP005 -- per-process init slot
 
     def _run_parallel(
         self,
-        run: Callable[[Any], Any],
+        worker: Callable[[Any], Any],
         items: Sequence[Any],
         payload: Any,
         workers: int,
         process: Callable[[int, Any], None],
     ) -> None:
+        """Run ``items`` on a pool; merge each snapshot before ``process``."""
+        registry = self.registry
         span_context = self.spans.context() if self.spans is not None else None
+        run = partial(_snapshotting_task, worker) if registry is not None else worker
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
@@ -208,6 +220,11 @@ class SweepExecutor:
                 if isinstance(raw, _TaskFailed):
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise raw
+                if registry is not None:
+                    raw, snapshot = raw
+                    registry.merge(snapshot)
+                    if self.spans is not None and snapshot.get("spans"):
+                        self.spans.adopt(snapshot["spans"])
                 process(index, raw)
 
     # -------------------------------------------------------------------- api
@@ -230,7 +247,8 @@ class SweepExecutor:
                 via :func:`worker_payload` — shipped once per worker.
             on_result: streaming callback invoked as ``on_result(index,
                 result)`` for each task, in task order, as results arrive —
-                snapshots are merged *before* the callback sees the result.
+                the task's metrics are in the registry *before* the
+                callback sees the result.
             collect: when False, results are not retained and :meth:`map`
                 returns ``[]`` — combine with ``on_result`` for
                 bounded-memory aggregation over huge grids.
@@ -245,35 +263,24 @@ class SweepExecutor:
             policy.mode == "serial"
             or (policy.mode == "auto" and (workers == 1 or len(tasks) <= 2))
         )
-        merge_registry = self.registry
-        run: Callable[[Any], Any] = (
-            partial(_snapshotting_task, worker)
-            if merge_registry is not None else worker
-        )
         results: list[Any] = []
-        state = {"done": 0}
+        done = 0
 
-        def process(index: int, raw: Any) -> None:
-            if merge_registry is not None:
-                result, snapshot = raw
-                merge_registry.merge(snapshot)
-                if self.spans is not None and snapshot.get("spans"):
-                    self.spans.adopt(snapshot["spans"])
-            else:
-                result = raw
+        def process(index: int, result: Any) -> None:
+            nonlocal done
             if on_result is not None:
                 on_result(index, result)
             if collect:
                 results.append(result)
-            state["done"] += 1
+            done = index + 1
 
         fallback = False
         if serial:
-            self._run_serial(run, tasks, payload, process)
+            self._run_serial(worker, tasks, payload, process)
             mode = "serial"
         else:
             try:
-                self._run_parallel(run, tasks, payload, workers, process)
+                self._run_parallel(worker, tasks, payload, workers, process)
                 mode = "parallel"
             except _TaskFailed as failed:
                 # The task itself raised: the pool is fine, so fail fast
@@ -283,9 +290,9 @@ class SweepExecutor:
                 # Pool infrastructure failed (broken worker, unpicklable
                 # payload, no fork available): finish the sweep serially,
                 # and log what broke the pool through the registry so the
-                # degradation is diagnosable, not silent.  Tasks processed
-                # before the break are re-run (tasks are pure) but NOT
-                # re-processed — no duplicate merges or callbacks.
+                # degradation is diagnosable, not silent.  The serial path
+                # resumes at the first task the pool did not deliver, so
+                # no task's metrics or callback count twice.
                 registry = (
                     self.registry if self.registry is not None else active_registry()
                 )
@@ -295,7 +302,7 @@ class SweepExecutor:
                 ).inc()
                 fallback = True
                 fallback_error = f"{type(exc).__name__}: {exc}"
-                self._run_serial(run, tasks, payload, process, start=state["done"])
+                self._run_serial(worker, tasks, payload, process, start=done)
                 mode = "serial"
         self.last_run = {
             "mode": mode,

@@ -455,7 +455,7 @@ def _run_sweep(spec: ExperimentSpec, instr) -> tuple:
     # each task's rows come back in seed order.
     seeds = spec.seeds or (spec.seed,)
     rates = spec.drop_rates or (spec.drop_rate,)
-    block = max(1, -(-len(seeds) // max(1, spec.executor.resolved_workers())))
+    block = max(1, -(-len(seeds) // spec.executor.resolved_workers()))
     blocks = [seeds[i : i + block] for i in range(0, len(seeds), block)]
     tasks = [
         (tuple(seed_block), rate, spec.num_packets)

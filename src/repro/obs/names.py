@@ -157,9 +157,9 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec(FLEET_SESSIONS_REPLAYED, "counter", ("label",),
                "fleet sessions replayed, by compile label"),
     MetricSpec(FLEET_STARTUP_DELAY, "histogram", (),
-               "per-session startup delay"),
+               "per-session startup delay (FleetTelemetry series)"),
     MetricSpec(FLEET_REBUFFER_RATIO, "histogram", (),
-               "per-session rebuffer ratio"),
+               "per-session rebuffer ratio (FleetTelemetry series)"),
     MetricSpec(FLEET_CACHE_HIT_RATE, "gauge", (),
                "fleet-window schedule-cache hit rate"),
     MetricSpec(FLEET_GOODPUT, "gauge", (),

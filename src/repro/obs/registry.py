@@ -3,10 +3,11 @@
 The registry is the aggregation point of the instrumentation layer
 (:mod:`repro.obs`): engine runs, repair coordinators, and sweep workers
 increment named instruments; a :meth:`MetricsRegistry.snapshot` is a plain
-picklable dict that crosses process boundaries (``workloads/parallel.py``
-ships worker snapshots back to the parent) and serializes alongside traces
-(``reporting/export.py``).  :meth:`MetricsRegistry.merge` folds a snapshot
-back in: counters and histograms add, quantile sketches merge bucket-wise
+picklable dict that crosses process boundaries (a pool worker's snapshot
+rides back to the parent through :class:`~repro.exec.SweepExecutor`) and
+serializes alongside traces (``reporting/export.py``).
+:meth:`MetricsRegistry.merge` folds a snapshot back in: counters and
+histograms add, quantile sketches merge bucket-wise
 (:class:`repro.obs.sketch.QuantileSketch`), gauges keep the maximum (the
 only order-independent choice when merging concurrent workers).
 
@@ -21,12 +22,9 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Counter",
@@ -118,27 +116,6 @@ class Histogram:
             self.sum += value
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
-
-    def observe_many(self, values: np.ndarray) -> None:
-        """``observe(v)`` for each of ``values`` in order, in one update: the
-        bucketing equals ``bisect_left``, the sum is a strict left fold, and
-        min/max stay Python scalars."""
-        import numpy as np  # only the bulk path needs NumPy
-
-        column = np.asarray(values)
-        if column.size == 0:
-            return
-        counts = np.bincount(
-            np.searchsorted(self.buckets, column, side="left"),
-            minlength=len(self.bucket_counts),
-        ).tolist()
-        low, high = column.min().item(), column.max().item()
-        with self._lock:
-            self.bucket_counts[:] = [a + b for a, b in zip(self.bucket_counts, counts)]
-            self.count += column.size
-            self.sum = float(np.add.accumulate(np.concatenate(([self.sum], column)))[-1])
-            self.min = low if self.min is None else min(self.min, low)
-            self.max = high if self.max is None else max(self.max, high)
 
     @property
     def mean(self) -> float:
@@ -374,7 +351,8 @@ def active_registry() -> MetricsRegistry:
     """The registry instrumented code should write to.
 
     Defaults to :func:`global_registry`; :func:`use_registry` swaps it for the
-    current thread (sweep workers isolate per-task snapshots this way).
+    current thread (pool workers isolate per-task snapshots this way, and a
+    serial sweep installs the caller's registry).
     """
     return getattr(_ACTIVE, "registry", None) or _GLOBAL
 

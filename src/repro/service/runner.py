@@ -19,8 +19,9 @@
    cache hit rate means almost every session lands in a large unit).  ABR
    members of a unit additionally play one QoE session each.  Every
    session's loss mask is deterministic in its own seed, so results do not
-   depend on the grouping or the worker count, and per-worker metric
-   snapshots merge back into the caller's registry;
+   depend on the grouping or the worker count.  A serial unit writes its
+   kernel counters straight into the caller's registry; a pool worker's
+   snapshot merges back into it;
 4. **aggregate** each unit's :class:`~repro.service.slo.SessionColumns`
    and the admission decisions into the fleet report (exact pooled
    percentiles, reject rate, cache hit-rate).
@@ -110,7 +111,9 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[list[int], SessionColumns]:
     Returns ``(task_indices, SessionColumns)``, rows in member order; the
     task indices are fleet-global so the runner can attribute results
     (telemetry windows) to the right session no matter how sessions were
-    grouped.  Any failure is re-raised as a :class:`ReproError` naming the unit.
+    grouped.  Apart from the kernel's own counters the unit writes no
+    metric: the runner folds its columns into the report.  Any failure is
+    re-raised as a :class:`ReproError` naming the unit.
     """
     token, drop_rate, num_packets, horizon, members = unit
     try:
@@ -135,11 +138,6 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[list[int], SessionColumns]:
                     None if member[6] is None else _with_qoe(member[6], member[4], num_packets)
                     for member in members
                 ))
-            registry = active_registry()
-            for label, count in Counter(member[2] for member in members).items():
-                registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc(count)
-            registry.histogram(FLEET_STARTUP_DELAY).observe_many(columns.startup_delay)
-            registry.histogram(FLEET_REBUFFER_RATIO).observe_many(columns.rebuffer_ratio)
     except Exception as exc:
         raise ReproError(
             f"fleet unit {str(token)[:12]} ({len(members)} sessions, ids "
@@ -156,9 +154,7 @@ def _with_qoe(profile: str, seed: int, num_packets: int) -> dict:
     trace = build_profile(
         profile, max(64, num_packets * spec.chunk_slots), seed=seed
     )
-    qoe = collect_qoe(run_session(spec, trace))
-    active_registry().counter(FLEET_ABR_SESSIONS, tier=qoe.tier).inc()
-    return qoe.to_dict()
+    return collect_qoe(run_session(spec, trace)).to_dict()
 
 
 class FleetTelemetry:
@@ -527,7 +523,7 @@ class FleetRunner:
             keep_sessions=not sketch_mode,
         )
         executor = SweepExecutor(self.policy, registry=registry, spans=spans)
-        workers = max(1, self.policy.resolved_workers())
+        workers = self.policy.resolved_workers()
         # One ``(token, drop_rate, num_packets, horizon, unit member)`` task
         # per admitted session, in decision order; the first four fields
         # are the group key, and a task's index is its position here.
@@ -660,6 +656,10 @@ class FleetRunner:
                     cache_misses=self.cache_misses,
                 )
             registry.gauge(FLEET_CACHE_HIT_RATE).set(report.cache_hit_rate)
+            for label, count in Counter(task[4][2] for task in tasks[:executed]).items():
+                registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc(count)
+            for tier, count in report.qoe_tiers:
+                registry.counter(FLEET_ABR_SESSIONS, tier=tier).inc(count)
         executor_info = last_run or {"mode": "empty", "workers": 0, "fallback": False}
         if detector is not None:
             executor_info["batches"] = windows

@@ -10,12 +10,12 @@ pickle under ``spawn`` as well as ``fork``).  The v1 ``parallel_sweep``
 wrapper was removed in v2.0 — construct a ``SweepExecutor`` directly, or
 use ``repro.run(ExperimentSpec(kind="sweep", ...))`` for replay sweeps.
 
-Instrumentation crosses the process boundary as before: each task runs
-against a fresh :class:`~repro.obs.MetricsRegistry` installed as the
-thread-local :func:`~repro.obs.active_registry`, its picklable snapshot rides
-back with the result, and the parent merges every snapshot into the registry
-the caller passed — so worker counters (cells evaluated, delay histograms)
-aggregate exactly as if the sweep had run in-process.
+Instrumentation reaches the caller's registry either way: a serial map
+runs each cell with that registry as :func:`~repro.obs.active_registry`,
+and a pool worker runs each cell against a fresh
+:class:`~repro.obs.MetricsRegistry` whose picklable snapshot rides back
+and merges into it — so worker counters (cells evaluated, delay
+histograms) aggregate exactly as if the sweep had run in-process.
 """
 
 from __future__ import annotations

@@ -322,6 +322,52 @@ class TestReportAndWiring:
         )
         assert schedule.num_slots == ChainProtocol(5).slots_for_packets(4)
 
+    def _planted_chain(self):
+        """A chain N=5 P=4 schedule, and a copy under the same key in which
+        relay 1 -> 2 forwards packet 2 where it should forward packet 1."""
+        good = compile_schedule("chain", 5, num_packets=4, cache=ScheduleCache(disk=False))
+        packets = array("i", good.packets)
+        assert (good.senders[4], good.receivers[4], packets[4]) == (1, 2, 1)
+        packets[4] += 1
+        bad = CompiledSchedule(
+            key=good.key, num_slots=good.num_slots, node_ids=good.node_ids,
+            source_ids=good.source_ids, starts=good.starts, senders=good.senders,
+            receivers=good.receivers, packets=packets, arrivals=good.arrivals,
+            latencies=good.latencies, trees=good.trees,
+        )
+        assert check_schedule(bad).counts == {
+            "causality": 2, "duplicate-delivery": 1, "coverage": 1,
+        }
+        return good, bad
+
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+    def test_verify_certifies_cache_hits(self, tmp_path, disk):
+        good, bad = self._planted_chain()
+        cache = ScheduleCache(disk_dir=tmp_path) if disk else ScheduleCache(disk=False)
+        cache.put(bad.key, bad)
+        if disk:
+            cache.clear()  # the plant is served from the disk layer
+        with pytest.raises(ScheduleError, match="static verification"):
+            compile_schedule("chain", 5, num_packets=4, cache=cache, verify=True)
+        assert cache.get(bad.key) is None  # the failing hit was dropped
+        assert not list(tmp_path.glob("*.pkl"))
+        provenance: dict = {}
+        fresh = compile_schedule(
+            "chain", 5, num_packets=4, cache=cache, verify=True, provenance=provenance
+        )
+        assert provenance["cache"] == "miss"
+        assert fresh == good
+
+    def test_verify_certifies_an_unverified_compile(self):
+        cache = ScheduleCache(disk=False)
+        first = compile_schedule("chain", 5, num_packets=4, cache=cache)
+        provenance: dict = {}
+        again = compile_schedule(
+            "chain", 5, num_packets=4, cache=cache, verify=True, provenance=provenance
+        )
+        assert again is first
+        assert provenance["cache"] == "memory"
+
     def test_derived_num_packets_matches_request(self):
         # check_config compiles via num_packets and checks the same prefix.
         report = check_config("chain", 5, num_packets=7, cache=ScheduleCache(disk=False))

@@ -201,6 +201,55 @@ class TestKeyIdentity:
         assert len(cache) == 2
 
 
+class TestLatencyKey:
+    """``latency`` is validated for every scheme and keyed only where the
+    schedule depends on it (multi-tree)."""
+
+    IGNORING = ("hypercube", "grouped-hypercube", "chain", "single-tree")
+
+    @pytest.mark.parametrize("scheme", COMPILABLE_SCHEMES)
+    @pytest.mark.parametrize("latency", [0, -7])
+    def test_latency_below_one_rejected_before_any_protocol(
+        self, monkeypatch, scheme, latency
+    ):
+        import repro.exec.compiler as compiler_module
+
+        def no_protocol(*args, **kwargs):
+            raise AssertionError("a protocol was built for a bad latency")
+
+        monkeypatch.setattr(compiler_module, "build_protocol", no_protocol)
+        with pytest.raises(ReproError, match=r"compile_schedule\.latency must be >= 1"):
+            compile_schedule(
+                scheme, 15, 3, num_packets=4, latency=latency, cache=ScheduleCache()
+            )
+        with pytest.raises(ReproError, match=r"compile_schedule\.latency"):
+            schedule_key(scheme, 15, 3, num_slots=20, latency=latency)
+
+    @pytest.mark.parametrize("scheme", IGNORING)
+    def test_ignored_latency_is_pinned_to_one(self, scheme):
+        cache = ScheduleCache()
+        first = compile_schedule(scheme, 15, 3, num_packets=4, cache=cache)
+        provenance: dict = {}
+        again = compile_schedule(
+            scheme, 15, 3, num_packets=4, latency=3, cache=cache,
+            provenance=provenance,
+        )
+        assert again is first
+        assert provenance["cache"] == "memory"
+        assert len(cache) == 1
+        assert first.key.latency == 1
+        assert schedule_key(scheme, 15, 3, num_packets=4, latency=5) == first.key
+        assert set(first.latencies) == {1}
+
+    def test_multi_tree_keys_its_latency(self):
+        cache = ScheduleCache()
+        one = compile_schedule("multi-tree", 15, 3, num_packets=4, cache=cache)
+        two = compile_schedule("multi-tree", 15, 3, num_packets=4, latency=2, cache=cache)
+        assert (one.key.latency, two.key.latency) == (1, 2)
+        assert one.key.token() != two.key.token()
+        assert set(two.latencies) == {2}
+
+
 class TestEngineFastPathGuards:
     def test_short_compiled_schedule_rejected(self):
         compiled = compile_protocol(build_protocol("multi-tree", 7, 2), 5)

@@ -53,6 +53,19 @@ def failing_task(task):
     return x
 
 
+#: Task indices :func:`counting_task` ran, in call order (in-process only).
+CALLS: list[int] = []
+
+
+def counting_task(task):
+    from repro.obs import active_registry
+
+    (x,) = task
+    CALLS.append(x)
+    active_registry().counter("test.tasks").inc()
+    return x
+
+
 def span_recording_task(task):
     from repro.obs.spans import worker_span
 
@@ -77,6 +90,17 @@ class TestPolicy:
     def test_resolved_workers_positive(self):
         assert ExecutorPolicy().resolved_workers() >= 1
         assert ExecutorPolicy(max_workers=7).resolved_workers() == 7
+
+    def test_serial_policy_has_one_worker(self, monkeypatch):
+        def no_core_count():
+            raise AssertionError("a serial policy read the host's core count")
+
+        monkeypatch.setattr("os.cpu_count", no_core_count)
+        assert ExecutorPolicy(mode="serial").resolved_workers() == 1
+        assert ExecutorPolicy(mode="serial", max_workers=7).resolved_workers() == 1
+        executor = SweepExecutor(ExecutorPolicy(mode="serial"))
+        assert executor.map(double_task, [(i,) for i in range(5)]) == [0, 2, 4, 6, 8]
+        assert executor.last_run["workers"] == 1
 
 
 class TestSerialParallelEquality:
@@ -227,6 +251,75 @@ class TestStreamingResults:
         )
         assert executor.last_run["fallback"] is True
         assert seen == list(range(6))  # each task delivered exactly once
+
+
+class TestOneRegistry:
+    """A serial map writes into the caller's registry: no per-task registry,
+    snapshot or merge."""
+
+    @pytest.fixture
+    def no_snapshots(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a serial map snapshotted or merged a registry")
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", forbidden)
+        monkeypatch.setattr(MetricsRegistry, "merge", forbidden)
+        monkeypatch.setattr("repro.exec.executor._snapshotting_task", forbidden)
+
+    @pytest.mark.parametrize("passed", [True, False], ids=["passed", "active"])
+    def test_serial_tasks_write_into_the_callers_registry(self, no_snapshots, passed):
+        from repro.obs import use_registry
+
+        registry = MetricsRegistry()
+        executor = SweepExecutor(
+            ExecutorPolicy(mode="serial"), registry=registry if passed else None
+        )
+        seen = []
+        # A passed registry wins over the active one.
+        with use_registry(MetricsRegistry() if passed else registry):
+            executor.map(
+                counting_task, [(i,) for i in range(4)],
+                on_result=lambda index, result: seen.append(
+                    registry.counter("test.tasks").value
+                ),
+            )
+        # Each task's metrics are in the registry before its callback.
+        assert seen == [1, 2, 3, 4]
+
+
+class TestPoolFailureFallback:
+    """A pool that breaks after ``k`` tasks: the serial fallback resumes at
+    task ``k`` and runs no processed task again."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_fallback_resumes_at_first_unprocessed_task(self, monkeypatch, k):
+        from repro.exec.executor import _snapshotting_task
+
+        def breaks_after_k(self, worker, items, payload, workers, process):
+            for index in range(k):
+                result, snapshot = _snapshotting_task(worker, items[index])
+                self.registry.merge(snapshot)
+                process(index, result)
+            raise OSError("the pool broke")
+
+        monkeypatch.setattr(SweepExecutor, "_run_parallel", breaks_after_k)
+        CALLS.clear()
+        registry = MetricsRegistry()
+        executor = SweepExecutor(
+            ExecutorPolicy(mode="parallel", max_workers=2), registry=registry
+        )
+        seen = []
+        results = executor.map(
+            counting_task, [(i,) for i in range(6)],
+            on_result=lambda index, result: seen.append(index),
+        )
+        assert results == list(range(6))
+        assert seen == list(range(6))  # on_result once per index
+        assert CALLS == list(range(6))  # every task ran exactly once
+        assert registry.counter("test.tasks").value == 6
+        assert registry.counter("executor.fallbacks").value == 1
+        assert executor.last_run["fallback"] is True
+        assert executor.last_run["fallback_error"] == "OSError: the pool broke"
 
 
 class TestTaskErrors:

@@ -208,6 +208,20 @@ class TestSweepKind:
         assert serial.provenance["executor"]["mode"] == "serial"
         assert parallel.provenance["executor"]["mode"] in ("parallel", "serial")
 
+    def test_serial_sweep_ignores_the_host_core_count(self, monkeypatch):
+        spec = ExperimentSpec(
+            kind="sweep", scheme="multi-tree", num_nodes=15, degree=3,
+            num_packets=10, seeds=range(6), drop_rates=(0.0, 0.05),
+            executor=ExecutorPolicy(mode="serial"),
+        )
+        plain = run(spec)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        many_cores = run(spec)
+        assert many_cores.rows == plain.rows
+        # A serial sweep runs one seed block per rate on every host.
+        assert many_cores.provenance["executor"]["tasks"] == 2
+        assert plain.provenance["executor"]["tasks"] == 2
+
     def test_lossfree_sweep_matches_stream_metrics(self):
         stream = run(ExperimentSpec(scheme="multi-tree", num_nodes=15, num_packets=10))
         sweep = run(ExperimentSpec(

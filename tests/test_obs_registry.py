@@ -5,10 +5,7 @@ from __future__ import annotations
 import pickle
 import threading
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
@@ -78,59 +75,6 @@ class TestHistogram:
             reg.histogram("x", buckets=(5, 5))
         with pytest.raises(ValueError):
             reg.histogram("y", buckets=(5, 1))
-
-
-def _state(histogram):
-    return (
-        list(histogram.bucket_counts), histogram.count, histogram.sum.hex(),
-        histogram.min, type(histogram.min), histogram.max, type(histogram.max),
-    )
-
-
-class TestObserveMany:
-    """``observe_many(v)`` equals a loop of ``observe`` over ``v``."""
-
-    #: Values on, between and beyond the default bucket bounds.
-    EDGES = [0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 1001, 3, 7]
-
-    def _pair(self, buckets=DEFAULT_BUCKETS):
-        reg = MetricsRegistry()
-        return reg.histogram("loop", buckets=buckets), reg.histogram("bulk", buckets=buckets)
-
-    @pytest.mark.parametrize(
-        "values",
-        [EDGES, [float(v) for v in EDGES], [0.1, 0.2, 0.3, 1e-17, 0.7, 2.0000001]],
-        ids=["ints", "floats", "fractions"],
-    )
-    def test_equals_observe_loop(self, values):
-        loop, bulk = self._pair()
-        for value in values:
-            loop.observe(value)
-        bulk.observe_many(np.array(values))
-        assert _state(bulk) == _state(loop)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.lists(st.integers(min_value=0, max_value=2000), max_size=20),
-                st.lists(st.floats(min_value=0, max_value=2000), max_size=20),
-            ),
-            max_size=4,
-        )
-    )
-    def test_equals_observe_loop_across_calls(self, batches):
-        loop, bulk = self._pair((0.5, 1, 2.5, 5, 100))
-        for batch in batches:
-            for value in batch:
-                loop.observe(value)
-            bulk.observe_many(np.array(batch))
-        assert _state(bulk) == _state(loop)
-
-    def test_empty_is_a_no_op(self):
-        _, bulk = self._pair()
-        bulk.observe_many(np.array([], dtype=np.int64))
-        assert (bulk.count, bulk.min, bulk.max) == (0, None, None)
 
 
 class TestSnapshotMerge:

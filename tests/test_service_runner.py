@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
 import repro
@@ -123,6 +126,116 @@ class TestFleetRunner:
         assert report.admitted == 1
         assert report.rejected == 2
         assert report.reject_rate == pytest.approx(2 / 3)
+
+
+def _instruments(snapshot, kind):
+    """``{(name, labels): row}`` for one instrument kind of a snapshot."""
+    return {
+        (row["name"], tuple(sorted(row["labels"].items()))): row
+        for row in snapshot[kind]
+    }
+
+
+def assert_registries_agree(a, b):
+    """Equal counters and gauges; equal histogram buckets, count, min and
+    max; histogram sums equal up to summation order."""
+    for kind in ("counters", "gauges", "sketches"):
+        assert _instruments(a, kind) == _instruments(b, kind), kind
+    left, right = _instruments(a, "histograms"), _instruments(b, "histograms")
+    assert left.keys() == right.keys()
+    for key, row in left.items():
+        other = right[key]
+        for field in ("buckets", "bucket_counts", "count", "min", "max"):
+            assert row[field] == other[field], (key, field)
+        assert math.isclose(row["sum"], other["sum"]), key
+
+
+class TestOneAggregation:
+    """The report is the one fold of per-session outcomes; a serial run
+    writes into one registry."""
+
+    FLEET = _small_fleet(
+        sessions=(
+            SessionSpec(num_nodes=15, degree=3, num_packets=6, drop_rate=0.05, weight=2.0),
+            SessionSpec(scheme="chain", num_nodes=8, num_packets=6, drop_rate=0.02),
+            SessionSpec(num_nodes=15, num_packets=6, drop_rate=0.05, abr_profile="onoff"),
+        ),
+        num_sessions=80,
+        churn_rate=0.3,
+        policy="queue",
+        capacity=CapacityModel(source_fanout=12.0, backbone=1e6),
+    )
+
+    def _run(self, policy, fleet=FLEET):
+        registry = MetricsRegistry()
+        result = FleetRunner(policy=policy, registry=registry).run(fleet)
+        return result, registry.snapshot()
+
+    def test_serial_and_parallel_registries_agree(self):
+        serial, serial_snapshot = self._run(SERIAL)
+        parallel, parallel_snapshot = self._run(
+            ExecutorPolicy(mode="parallel", max_workers=2)
+        )
+        assert parallel.executor_info["mode"] == "parallel"
+        assert serial.report.queued and serial.report.rejected  # the queue binds
+        assert parallel.report == serial.report
+        assert_registries_agree(serial_snapshot, parallel_snapshot)
+
+    def test_units_write_no_fleet_histograms(self):
+        result, snapshot = self._run(SERIAL)
+        histograms = {row["name"] for row in snapshot["histograms"]}
+        assert "fleet.startup_delay" not in histograms
+        assert "fleet.rebuffer_ratio" not in histograms
+        replayed = [
+            row for row in snapshot["counters"]
+            if row["name"] == "fleet.sessions_replayed"
+        ]
+        labels = {row["labels"]["label"]: row["value"] for row in replayed}
+        assert sum(labels.values()) == result.executor_info["tasks"]
+        assert labels == dict(Counter(slo.label for slo in result.report.sessions))
+        tiers = {
+            row["labels"]["tier"]: row["value"]
+            for row in snapshot["counters"] if row["name"] == "fleet.abr_sessions"
+        }
+        assert tiers and tiers == dict(result.report.qoe_tiers)
+
+    def test_early_stop_counts_executed_sessions_only(self):
+        from repro.obs.convergence import ConvergenceCriterion
+
+        fleet = _small_fleet(
+            num_sessions=400,
+            aggregation="sketch",
+            convergence=ConvergenceCriterion(
+                quantile=99.0, rel_half_width=0.2, min_count=32, check_every=32
+            ),
+        )
+        result, snapshot = self._run(SERIAL, fleet)
+        assert result.executor_info["tasks"] < 400
+        replayed = sum(
+            row["value"] for row in snapshot["counters"]
+            if row["name"] == "fleet.sessions_replayed"
+        )
+        assert replayed == result.executor_info["tasks"]
+
+    def test_serial_run_never_snapshots_or_merges(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a serial fleet run snapshotted or merged a registry")
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", forbidden)
+        monkeypatch.setattr(MetricsRegistry, "merge", forbidden)
+        registry = MetricsRegistry()
+        result = FleetRunner(policy=SERIAL, registry=registry).run(self.FLEET)
+        assert result.executor_info["units"] > 1
+        assert result.report.qoe_tiers
+        for tier, count in result.report.qoe_tiers:
+            assert registry.counter("fleet.abr_sessions", tier=tier).value == count
+
+    def test_serial_run_ignores_the_host_core_count(self, monkeypatch):
+        plain = FleetRunner(policy=SERIAL).run(self.FLEET)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        many_cores = FleetRunner(policy=SERIAL).run(self.FLEET)
+        assert many_cores.report == plain.report
+        assert many_cores.executor_info["units"] == plain.executor_info["units"]
 
 
 class TestUnitErrors:
