@@ -7,11 +7,13 @@ per-session seed sequences from one master seed
 :func:`~repro.service.score_batch_sessions` into one
 :class:`~repro.service.SessionColumns` and folded, one ``np.bincount`` per
 pooled population, straight into a sketch-mode
-:class:`~repro.service.FleetAggregator`.  Nothing in the pipeline scales
+:class:`~repro.service.FleetAggregator`, beside the chunk's all-admitted
+:class:`~repro.service.DecisionTable`.  Nothing in the pipeline scales
 with the full population: the kernel's working set is capped by its element
 budget, each chunk's columns are dropped after the fold, and the
 aggregator holds three quantile sketches; no
-:class:`~repro.service.SessionSLO` is ever built.
+:class:`~repro.service.SessionSLO` and no per-session decision is ever
+built.
 
 The chunk decomposition is also a correctness claim — a session's score is
 a function of ``(schedule, seed, drop_rate)`` alone, so slicing the million
@@ -24,11 +26,11 @@ The bench asserts no speed bound, so it records no time; perfbench's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import numpy as np
 from conftest import report
 
 from repro.exec import compile_schedule, replay_batch, spawn_seeds
+from repro.service import DecisionTable
 from repro.service.slo import FleetAggregator, score_batch_sessions
 
 NUM_SESSIONS = 1_000_000
@@ -38,13 +40,10 @@ DROP_RATE = 0.01
 SKETCH_ERROR = 0.01
 
 
-@dataclass(frozen=True, slots=True)
-class _Decision:
-    """Minimal stand-in for SessionDecision (every seed is admitted)."""
-
-    status: str = "admitted"
-    admitted: bool = True
-    wait_slots: int = 0
+def _admitted(session_ids: np.ndarray) -> DecisionTable:
+    """Every session admitted at slot 0 with no wait (status code 0)."""
+    zeros = np.zeros(len(session_ids), dtype=np.int64)
+    return DecisionTable(session_ids, zeros, zeros, zeros, zeros, zeros, zeros, zeros)
 
 
 def test_million_sessions_bounded_memory():
@@ -53,7 +52,6 @@ def test_million_sessions_bounded_memory():
     aggregator = FleetAggregator(
         relative_error=SKETCH_ERROR, keep_sessions=False
     )
-    decision = _Decision()
 
     for lo in range(0, NUM_SESSIONS, CHUNK):
         chunk_seeds = seeds[lo : lo + CHUNK]
@@ -64,8 +62,7 @@ def test_million_sessions_bounded_memory():
             num_packets=NUM_PACKETS,
             keep_node_columns=True,
         )
-        for _ in range(batch.num_sessions):
-            aggregator.add_decision(decision)
+        aggregator.add_decisions(_admitted(np.arange(lo, lo + batch.num_sessions)))
         aggregator.add_sessions(
             score_batch_sessions(
                 batch,

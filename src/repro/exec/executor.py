@@ -112,7 +112,8 @@ def _snapshotting_task(worker: Callable[[Any], Any], task: Any) -> tuple[Any, di
     Returns ``(result, snapshot)`` where the snapshot also carries any spans
     recorded via :func:`~repro.obs.spans.worker_span` during the task.
     ``MetricsRegistry.merge`` ignores the extra key, so it rides along for
-    free.
+    free; a parent with a span tracer but no registry adopts the spans and
+    drops the metrics.
     """
     registry = MetricsRegistry()
     with use_registry(registry):
@@ -147,9 +148,10 @@ class SweepExecutor:
         policy: fan-out policy (worker count, chunk size, mode).
         registry: the registry tasks report into: serial tasks write into
             it and pool snapshots merge into it.  None: serial tasks write
-            into the active registry and pool workers ship no snapshots.
+            into the active registry and pool workers' metrics are dropped.
         spans: when given, the tracer's span context is shipped to workers
-            and spans they record are adopted into this trace.
+            and spans they record are adopted into this trace, with or
+            without a registry.
     """
 
     def __init__(
@@ -206,8 +208,10 @@ class SweepExecutor:
     ) -> None:
         """Run ``items`` on a pool; merge each snapshot before ``process``."""
         registry = self.registry
-        span_context = self.spans.context() if self.spans is not None else None
-        run = partial(_snapshotting_task, worker) if registry is not None else worker
+        spans = self.spans
+        span_context = spans.context() if spans is not None else None
+        shipped = registry is not None or spans is not None
+        run = partial(_snapshotting_task, worker) if shipped else worker
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
@@ -220,11 +224,12 @@ class SweepExecutor:
                 if isinstance(raw, _TaskFailed):
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise raw
-                if registry is not None:
+                if shipped:
                     raw, snapshot = raw
-                    registry.merge(snapshot)
-                    if self.spans is not None and snapshot.get("spans"):
-                        self.spans.adopt(snapshot["spans"])
+                    if registry is not None:
+                        registry.merge(snapshot)
+                    if spans is not None and snapshot.get("spans"):
+                        spans.adopt(snapshot["spans"])
                 process(index, raw)
 
     # -------------------------------------------------------------------- api

@@ -360,6 +360,7 @@ def _run_churn(spec: ExperimentSpec, instr) -> tuple:
 
 def _run_fleet(spec: ExperimentSpec, instr) -> tuple:
     from repro.service import FleetRunner, FleetSpec, FleetTelemetry, SessionSpec
+    from repro.service.admission import REJECTED
 
     provenance = _base_provenance(spec)
     fleet = spec.fleet
@@ -427,8 +428,9 @@ def _run_fleet(spec: ExperimentSpec, instr) -> tuple:
         )
     if result.control_epochs:
         artifacts["epochs"] = result.control_epochs
+    decisions = result.decisions
     artifacts["rejected_sessions"] = tuple(
-        d.session_id for d in result.decisions if d.status == "rejected"
+        decisions.session_id[decisions.status == REJECTED].tolist()
     )
     return rows, report, None, artifacts, provenance
 

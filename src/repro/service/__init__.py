@@ -7,9 +7,10 @@ concurrent sessions sharing source fan-out and backbone capacity:
 
 * :mod:`repro.service.spec` — the scenario model (:class:`SessionSpec` kinds,
   :class:`FleetSpec` mixes, :class:`CapacityModel` budgets, deterministic
-  :meth:`FleetSpec.resolve` expansion);
+  :meth:`FleetSpec.resolve` expansion into a columnar :class:`SessionTable`);
 * :mod:`repro.service.admission` — :class:`SessionManager` with
-  reject/queue/degrade policies against the capacity model;
+  reject/queue/degrade policies against the capacity model, writing a
+  columnar :class:`DecisionTable`;
 * :mod:`repro.service.runner` — :class:`FleetRunner`, one epoch loop that
   admits arrivals and executes them as batch units across the ``exec``
   process pool while amortizing schedule compilation through the shared
@@ -30,7 +31,7 @@ Entry points: ``repro.run(ExperimentSpec(kind="fleet", fleet=...))`` or the
 ``repro fleet`` CLI subcommand.
 """
 
-from repro.service.admission import AdmissionDecision, SessionManager
+from repro.service.admission import AdmissionDecision, DecisionTable, SessionManager
 from repro.service.runner import FleetRunner, FleetRunResult, FleetTelemetry
 from repro.service.slo import (
     FleetAggregator,
@@ -47,6 +48,7 @@ from repro.service.spec import (
     FleetSpec,
     ResolvedSession,
     SessionSpec,
+    SessionTable,
 )
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "ARRIVAL_PROCESSES",
     "AdmissionDecision",
     "CapacityModel",
+    "DecisionTable",
     "FleetAggregator",
     "FleetRunResult",
     "FleetRunner",
@@ -65,6 +68,7 @@ __all__ = [
     "SessionManager",
     "SessionSLO",
     "SessionSpec",
+    "SessionTable",
     "pooled_percentile",
     "score_batch_sessions",
 ]

@@ -16,10 +16,24 @@ handled by the fleet's policy:
   shows small degrees also have the *better* delay, so a degrade is a
   cheap admission, not a quality cliff).
 
-Sessions can be fed all at once (:meth:`SessionManager.admit_all`) or in
+Admission reads a :class:`~repro.service.spec.SessionTable` and writes a
+:class:`DecisionTable`: NumPy columns in decision order, with
+:class:`AdmissionDecision` as the row type built only on access.  Sessions
+can be fed all at once (:meth:`SessionManager.admit_all`) or in
 arrival-ordered chunks (:meth:`start` / :meth:`admit_chunk` /
 :meth:`finalize`) — the chunked form is the control plane's epoch loop,
-which may move ``policy`` and ``max_queue_slots`` between chunks.
+which may move ``policy`` and ``max_queue_slots`` between chunks.  A
+``horizon_of(spec, degree)`` callback gives the compiled horizon of an
+admitted configuration; a churned session holds capacity for its watched
+prefix only (:func:`watched_slots`).
+
+A chunk that no budget can bind — the queue is empty and the chunk's summed
+costs, plus the current usage and a float-rounding margin, fit both budgets
+— is admitted with array operations: every session starts at its arrival
+slot at its own degree, and one sweep over the admit and release events, in
+the loop's exact order, gives the peak gauges and the active set the loop
+would leave.  Any other chunk runs the sequential FIFO loop over the
+columns' Python scalars.
 
 Each session lands on exactly one **terminal** status, counted once in
 ``fleet.sessions{status=admitted|degraded|rejected}`` on the active metrics
@@ -28,18 +42,20 @@ registry (a queued-then-rejected session is one ``rejected``, not a
 ``fleet.queue.entered`` counts every session that waited and the
 ``fleet.queue.depth`` gauge tracks the queue length; all three are written
 once per :meth:`~SessionManager.admit_chunk` / :meth:`~SessionManager.finalize`
-call.  Every
-decision also emits a ``session_*`` trace event when a tracer is attached
-and is returned as an immutable :class:`AdmissionDecision` for the SLO
-report.
+call.  Every decision also emits a ``session_*`` trace event when a tracer
+is attached.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter, deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.core.errors import ReproError
 from repro.obs.events import (
@@ -57,14 +73,43 @@ from repro.obs.names import (
     FLEET_SESSIONS,
 )
 from repro.obs.registry import active_registry
-from repro.service.spec import CapacityModel, ResolvedSession
+from repro.service.spec import CapacityModel, ColumnTable, SessionSpec, SessionTable
 
-__all__ = ["AdmissionDecision", "SessionManager"]
+__all__ = [
+    "ADMITTED",
+    "AdmissionDecision",
+    "DEGRADED",
+    "DecisionTable",
+    "REASONS",
+    "REJECTED",
+    "STATUSES",
+    "SessionManager",
+    "watched_slots",
+]
+
+#: Decision status codes: ``DecisionTable.status`` indexes :data:`STATUSES`.
+STATUSES = ("admitted", "degraded", "rejected")
+ADMITTED, DEGRADED, REJECTED = range(3)
+#: Reject reasons: ``DecisionTable.reason`` indexes :data:`REASONS`.
+REASONS = ("", "capacity", "queue_timeout")
+_CAPACITY, _QUEUE_TIMEOUT = 1, 2
+
+#: ``horizon_of(spec, degree)``: slots a configuration's compiled schedule
+#: spans (the runner resolves it through the schedule cache).
+HorizonOf = Callable[[SessionSpec, int], int]
+
+
+def watched_slots(horizon: int, leave_fraction: float) -> int:
+    """Slots a session holds capacity for: the full ``horizon``, or for a
+    churned viewer (``leave_fraction`` not NaN) its watched prefix."""
+    if math.isnan(leave_fraction):
+        return horizon
+    return max(1, int(leave_fraction * horizon))
 
 
 @dataclass(frozen=True, slots=True)
 class AdmissionDecision:
-    """Outcome of admission control for one session.
+    """Outcome of admission control for one session (a decision-table row).
 
     Attributes:
         session_id: the session decided on.
@@ -90,6 +135,51 @@ class AdmissionDecision:
     @property
     def admitted(self) -> bool:
         return self.status in ("admitted", "degraded")
+
+
+class DecisionTable(ColumnTable):
+    """Admission decisions as int64 NumPy columns, one per
+    :class:`AdmissionDecision` field; ``status`` and ``reason`` hold codes
+    into :data:`STATUSES` and :data:`REASONS`."""
+
+    __slots__ = (
+        "session_id", "status", "arrival_slot", "start_slot", "wait_slots",
+        "degree", "duration", "reason",
+    )
+    _columns = __slots__
+
+    def __init__(self, *columns: npt.ArrayLike) -> None:
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, np.asarray(column, dtype=np.int64))
+
+    def _row(
+        self, session_id: int, status: int, arrival_slot: int, start_slot: int,
+        wait_slots: int, degree: int, duration: int, reason: int,
+    ) -> AdmissionDecision:
+        return AdmissionDecision(
+            session_id, STATUSES[status], arrival_slot, start_slot,
+            wait_slots, degree, duration, REASONS[reason],
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence[DecisionTable]) -> DecisionTable:
+        """The rows of ``tables`` in order."""
+        if len(tables) == 1:
+            return tables[0]
+        return cls(*(
+            np.concatenate([getattr(t, name) for t in tables]) if tables else ()
+            for name in cls.__slots__
+        ))
+
+    def by_session(self) -> DecisionTable:
+        """The rows sorted by session id."""
+        return self[np.argsort(self.session_id, kind="stable")]
+
+
+def _made_table(made: list[int]) -> DecisionTable:
+    """The decisions ``made`` holds as eight ints each, in field order."""
+    columns = np.array(made, dtype=np.int64).reshape(-1, len(DecisionTable.__slots__))
+    return DecisionTable(*np.ascontiguousarray(columns.T))
 
 
 class _Active:
@@ -120,6 +210,52 @@ class _Active:
 
     def next_departure(self) -> int | None:
         return self.ends[0][0] if self.ends else None
+
+    def sweep(
+        self,
+        slots: npt.NDArray[np.int64],
+        ends: npt.NDArray[np.int64],
+        fanout: npt.NDArray[np.float64],
+        backbone: npt.NDArray[np.float64],
+    ) -> None:
+        """Admit one session per row at ``slots`` (sorted) without a check,
+        leaving the ledger exactly as :meth:`release_until` then
+        :meth:`admit` per row would.
+
+        A session (held or new) is released at the first arrival slot
+        ``>= its end``, before that row's admit, and the releases of one
+        row go in heap order, ``(end, fanout, backbone)``.  A cumulative
+        sum over the events in that order, starting at the current usage,
+        repeats the loop's running float values exactly.
+        """
+        held = np.array(self.ends, dtype=np.float64).reshape(-1, 3)
+        all_ends = np.concatenate((held[:, 0].astype(np.int64), ends))
+        all_fanout = np.concatenate((held[:, 1], fanout))
+        all_backbone = np.concatenate((held[:, 2], backbone))
+        release_row = np.searchsorted(slots, all_ends, side="left")
+        released = np.flatnonzero(release_row < len(slots))
+        rows = len(slots)
+        # Event keys, most significant last: the row, then releases (0)
+        # before the admit (1), then heap order among one row's releases.
+        order = np.lexsort((
+            np.concatenate((all_backbone[released], backbone)),
+            np.concatenate((all_fanout[released], fanout)),
+            np.concatenate((all_ends[released], ends)),
+            np.concatenate((np.zeros(len(released)), np.ones(rows))),
+            np.concatenate((release_row[released], np.arange(rows))),
+        ))
+        admits = order >= len(released)
+        for name, column, peak in (
+            ("fanout", np.concatenate((-all_fanout[released], fanout)), "peak_fanout"),
+            ("backbone", np.concatenate((-all_backbone[released], backbone)), "peak_backbone"),
+        ):
+            running = np.cumsum(np.concatenate(([getattr(self, name)], column[order])))
+            setattr(self, name, float(running[-1]))
+            setattr(self, peak, max(getattr(self, peak), float(running[1:][admits].max())))
+        kept = np.flatnonzero(release_row == len(slots))
+        self.ends = sorted(zip(
+            all_ends[kept].tolist(), all_fanout[kept].tolist(), all_backbone[kept].tolist()
+        ))
 
 
 class SessionManager:
@@ -153,11 +289,12 @@ class SessionManager:
         self.max_queue_slots = max_queue_slots
         self.min_degree = min_degree
         self.tracer = tracer
-        #: Peak concurrent usage observed during the last :meth:`admit_all`.
+        #: Peak concurrent usage observed during the last pass.
         self.peak_fanout = 0.0
         self.peak_backbone = 0.0
         self._active: _Active | None = None
-        self._queue: deque[ResolvedSession] = deque()
+        # Parked sessions: ``(session_id, spec, arrival_slot, leave_fraction)``.
+        self._queue: deque[tuple[int, SessionSpec, int, float]] = deque()
         self._last_slot = 0
         # Pending registry writes: terminal statuses (``queued`` is transit,
         # never terminal), sessions parked and the net queue-depth change.
@@ -166,11 +303,11 @@ class SessionManager:
         self._depth = 0
 
     # ------------------------------------------------------------------ hooks
-    def _park(self, session: ResolvedSession, slot: int) -> None:
-        self._queue.append(session)
+    def _park(self, entry: tuple[int, SessionSpec, int, float], slot: int) -> None:
+        self._queue.append(entry)
         self._entered += 1
         self._depth += 1
-        self._emit(SESSION_QUEUED, slot, session=session.session_id)
+        self._emit(SESSION_QUEUED, slot, session=entry[0])
 
     def _unpark(self) -> None:
         self._queue.popleft()
@@ -195,15 +332,18 @@ class SessionManager:
     # -------------------------------------------------------------- internals
     def _try_admit(
         self,
-        session: ResolvedSession,
+        session_id: int,
+        spec: SessionSpec,
+        arrival_slot: int,
+        leave_fraction: float,
         slot: int,
-        duration_of: Callable[[ResolvedSession, int], int],
-    ) -> AdmissionDecision | None:
+        horizon_of: HorizonOf,
+        out: list[int],
+    ) -> bool:
         """Admit at ``slot`` if it fits (degrading if the policy allows)."""
         active = self._active
         if active is None:
             raise ReproError("admission pass not started; call start() first")
-        spec = session.spec
         degrees = [spec.degree]
         if self.policy == "degrade":
             degrees += list(range(spec.degree - 1, self.min_degree - 1, -1))
@@ -212,93 +352,153 @@ class SessionManager:
             backbone = spec.backbone_cost()
             if not self.capacity.fits(active.fanout, active.backbone, fanout, backbone):
                 continue
-            duration = duration_of(session, degree)
+            duration = watched_slots(horizon_of(spec, degree), leave_fraction)
             active.admit(slot + duration, fanout, backbone)
             degraded = degree != spec.degree
-            status = "degraded" if degraded else "admitted"
-            self._statuses[status] += 1
-            wait = slot - session.arrival_slot
+            self._statuses["degraded" if degraded else "admitted"] += 1
+            wait = slot - arrival_slot
             if degraded:
-                self._emit(
-                    SESSION_DEGRADED, slot,
-                    session=session.session_id, degree=degree,
-                )
-            self._emit(
-                SESSION_ADMITTED, slot,
-                session=session.session_id, wait=wait,
-            )
-            return AdmissionDecision(
-                session_id=session.session_id,
-                status=status,
-                arrival_slot=session.arrival_slot,
-                start_slot=slot,
-                wait_slots=wait,
-                degree=degree,
-                duration=duration,
-            )
-        return None
+                self._emit(SESSION_DEGRADED, slot, session=session_id, degree=degree)
+            self._emit(SESSION_ADMITTED, slot, session=session_id, wait=wait)
+            out.extend((
+                session_id, DEGRADED if degraded else ADMITTED,
+                arrival_slot, slot, wait, degree, duration, 0,
+            ))
+            return True
+        return False
 
     def _reject(
-        self, session: ResolvedSession, slot: int, reason: str
-    ) -> AdmissionDecision:
-        self._statuses["rejected"] += 1
-        self._emit(
-            SESSION_REJECTED, slot,
-            session=session.session_id, reason=reason,
-        )
-        return AdmissionDecision(
-            session_id=session.session_id,
-            status="rejected",
-            arrival_slot=session.arrival_slot,
-            start_slot=session.arrival_slot,
-            wait_slots=0,
-            degree=session.spec.degree,
-            duration=0,
-            reason=reason,
-        )
-
-    def _drain_queue(
         self,
-        now: int,
-        duration_of: Callable[[ResolvedSession, int], int],
-        out: list[AdmissionDecision],
+        session_id: int,
+        spec: SessionSpec,
+        arrival_slot: int,
+        slot: int,
+        reason: int,
+        out: list[int],
     ) -> None:
+        self._statuses["rejected"] += 1
+        self._emit(SESSION_REJECTED, slot, session=session_id, reason=REASONS[reason])
+        out.extend((session_id, REJECTED, arrival_slot, arrival_slot, 0, spec.degree, 0, reason))
+
+    def _drain_queue(self, now: int, horizon_of: HorizonOf, out: list[int]) -> None:
         """Admit queued sessions (FIFO) as departures free capacity.
 
         Advances a virtual clock through departures up to ``now``; a
         queued head whose wait would exceed the bound is rejected, and a
         head that still does not fit blocks the queue (FIFO fairness —
-        no overtaking).
+        no overtaking).  The clock starts at the head's next departure even
+        when that lies after ``now``, so a head can be admitted at a future
+        slot while a newcomer at ``now`` is checked against an active set
+        that already released the departing session; with no session
+        active it starts at the head's arrival, so a head can be admitted
+        back in the past with no wait.  Both are kept as they are: fleet
+        outputs and the control plane's results rest on them.
         """
         active = self._active
         if active is None:
             raise ReproError("admission pass not started; call start() first")
         queue = self._queue
         while queue:
-            head = queue[0]
-            slot = max(head.arrival_slot, active.next_departure() or head.arrival_slot)
+            session_id, spec, arrival, fraction = queue[0]
+            slot = max(arrival, active.next_departure() or arrival)
             # Find the earliest departure slot <= now at which head fits.
-            admitted = None
+            admitted = False
             while True:
                 active.release_until(slot)
-                if slot - head.arrival_slot > self.max_queue_slots:
+                if slot - arrival > self.max_queue_slots:
                     break
-                admitted = self._try_admit(head, slot, duration_of)
-                if admitted is not None:
+                admitted = self._try_admit(
+                    session_id, spec, arrival, fraction, slot, horizon_of, out
+                )
+                if admitted:
                     break
                 nxt = active.next_departure()
                 if nxt is None or nxt > now:
                     break
                 slot = nxt
-            if admitted is not None:
-                out.append(admitted)
+            if admitted:
                 self._unpark()
                 continue
-            if slot - head.arrival_slot > self.max_queue_slots:
-                out.append(self._reject(head, slot, "queue_timeout"))
+            if slot - arrival > self.max_queue_slots:
+                self._reject(session_id, spec, arrival, slot, _QUEUE_TIMEOUT, out)
                 self._unpark()
                 continue
             break  # head still waiting inside its bound; keep FIFO order
+
+    def _unbound(self, active: _Active, arrivals: SessionTable) -> np.ndarray | None:
+        """Per-kind ``(fanout, backbone)`` costs when no budget can bind
+        during ``arrivals``, else None.
+
+        No budget can bind when the queue is empty, the slots are sorted,
+        and the chunk's summed costs plus the current usage fit both
+        budgets with a margin for the rounding of the loop's running float
+        sums.
+        """
+        rows = len(arrivals)
+        if not rows or self._queue:
+            return None
+        kinds = arrivals.kinds
+        costs = np.array(
+            [(spec.fanout_cost(), spec.backbone_cost()) for spec in kinds],
+            dtype=np.float64,
+        )
+        fanout, backbone = (np.bincount(arrivals.kind, minlength=len(kinds)) @ costs).tolist()
+        # Every running value is at most usage + summed cost, each of at
+        # most ``operations`` float adds and subtracts rounds by half an
+        # ulp of it, and the sums above round once per kind.
+        operations = 2 * (rows + len(active.ends) + len(kinds)) + 4
+        scale = operations * 2.0**-52
+        if not self.capacity.fits(
+            active.fanout, active.backbone,
+            fanout + scale * (active.fanout + fanout),
+            backbone + scale * (active.backbone + backbone),
+        ):
+            return None
+        slots = arrivals.arrival_slot
+        if slots[0] < self._last_slot or np.any(slots[1:] < slots[:-1]):
+            return None
+        return costs
+
+    def _admit_unbound(
+        self,
+        active: _Active,
+        arrivals: SessionTable,
+        costs: np.ndarray,
+        horizon_of: HorizonOf,
+    ) -> DecisionTable:
+        """Admit every row at its arrival slot and own degree."""
+        kinds = arrivals.kinds
+        kind = arrivals.kind
+        present, first = np.unique(kind, return_index=True)
+        horizons = np.zeros(len(kinds), dtype=np.int64)
+        degrees = np.zeros(len(kinds), dtype=np.int64)
+        # Compile in first-arrival order, as the loop would.
+        for k in present[np.argsort(first)].tolist():
+            spec = kinds[k]
+            degrees[k] = spec.degree
+            horizons[k] = horizon_of(spec, spec.degree)
+        duration = horizons[kind]
+        churned = np.flatnonzero(~np.isnan(arrivals.leave_fraction))
+        if churned.size:
+            duration[churned] = [
+                watched_slots(horizon, fraction) for horizon, fraction in zip(
+                    duration[churned].tolist(),
+                    arrivals.leave_fraction[churned].tolist(),
+                )
+            ]
+        slots = arrivals.arrival_slot
+        costs = costs[kind]
+        active.sweep(slots, slots + duration, costs[:, 0], costs[:, 1])
+        self._last_slot = int(slots[-1])
+        self._statuses["admitted"] += len(arrivals)
+        if self.tracer is not None:
+            for session_id, slot in zip(arrivals.session_id.tolist(), slots.tolist()):
+                self.tracer.emit(SESSION_ADMITTED, slot, session=session_id, wait=0)
+        zeros = np.zeros(len(arrivals), dtype=np.int64)
+        return DecisionTable(
+            arrivals.session_id, zeros, slots, slots, zeros, degrees[kind],
+            duration, zeros,
+        )
 
     # -------------------------------------------------------------------- api
     def start(self) -> None:
@@ -313,95 +513,95 @@ class SessionManager:
         return len(self._queue)
 
     def admit_chunk(
-        self,
-        arrivals: Sequence[ResolvedSession],
-        duration_of: Callable[[ResolvedSession, int], int],
-    ) -> list[AdmissionDecision]:
+        self, arrivals: SessionTable, horizon_of: HorizonOf
+    ) -> DecisionTable:
         """Decide one arrival-ordered chunk of an in-progress pass.
 
-        Returns every decision *made* while processing the chunk — which
-        includes queue heads parked by earlier chunks that were admitted or
-        timed out as this chunk's departures freed capacity.  Sessions left
-        in the queue have no decision yet; they resolve in a later chunk or
-        at :meth:`finalize`.
+        Returns every decision *made* while processing the chunk, in
+        decision order — which includes queue heads parked by earlier
+        chunks that were admitted or timed out as this chunk's departures
+        freed capacity.  Sessions left in the queue have no decision yet;
+        they resolve in a later chunk or at :meth:`finalize`.
         """
-        if self._active is None:
+        active = self._active
+        if active is None:
             raise ReproError("call start() before admit_chunk()")
-        made: list[AdmissionDecision] = []
+        made: list[int] = []
         try:
-            for session in arrivals:
-                slot = session.arrival_slot
+            costs = self._unbound(active, arrivals)
+            if costs is not None:
+                return self._admit_unbound(active, arrivals, costs, horizon_of)
+            kinds = arrivals.kinds
+            for session_id, kind, slot, fraction in zip(
+                arrivals.session_id.tolist(), arrivals.kind.tolist(),
+                arrivals.arrival_slot.tolist(), arrivals.leave_fraction.tolist(),
+            ):
                 if slot < self._last_slot:
                     raise ReproError("arrivals must be sorted by arrival_slot")
                 self._last_slot = slot
-                self._active.release_until(slot)
-                self._drain_queue(slot, duration_of, made)
-                if self._queue:
-                    # FIFO: a newcomer may not overtake a waiting session.
-                    if self.policy == "queue":
-                        self._park(session, slot)
-                    else:
-                        made.append(self._reject(session, slot, "capacity"))
+                active.release_until(slot)
+                self._drain_queue(slot, horizon_of, made)
+                spec = kinds[kind]
+                if not self._queue and self._try_admit(
+                    session_id, spec, slot, fraction, slot, horizon_of, made
+                ):
                     continue
-                decision = self._try_admit(session, slot, duration_of)
-                if decision is not None:
-                    made.append(decision)
-                    continue
+                # FIFO: a newcomer may not overtake a waiting session.
                 if self.policy == "queue":
-                    self._park(session, slot)
+                    self._park((session_id, spec, slot, fraction), slot)
                 else:
-                    made.append(self._reject(session, slot, "capacity"))
+                    self._reject(session_id, spec, slot, slot, _CAPACITY, made)
         finally:
             self._flush()
-        return made
+        return _made_table(made)
 
-    def finalize(
-        self, duration_of: Callable[[ResolvedSession, int], int]
-    ) -> list[AdmissionDecision]:
+    def finalize(self, horizon_of: HorizonOf) -> DecisionTable:
         """Resolve the remaining queue and publish peak gauges.
 
         All arrivals seen: the queue drains on departures alone; anything
         left could never fit even in an empty fleet and is rejected at its
         wait bound.
         """
-        if self._active is None:
+        active = self._active
+        if active is None:
             raise ReproError("call start() before finalize()")
-        made: list[AdmissionDecision] = []
+        made: list[int] = []
         try:
-            self._drain_queue(2**62, duration_of, made)
+            self._drain_queue(2**62, horizon_of, made)
             while self._queue:
-                head = self._queue[0]
-                made.append(self._reject(
-                    head, head.arrival_slot + self.max_queue_slots, "queue_timeout"
-                ))
+                session_id, spec, arrival, _ = self._queue[0]
+                self._reject(
+                    session_id, spec, arrival, arrival + self.max_queue_slots,
+                    _QUEUE_TIMEOUT, made,
+                )
                 self._unpark()
         finally:
             self._flush()
-        active = self._active
         self.peak_fanout = active.peak_fanout
         self.peak_backbone = active.peak_backbone
         registry = active_registry()
         registry.gauge(FLEET_PEAK_FANOUT).set(active.peak_fanout)
         registry.gauge(FLEET_PEAK_BACKBONE).set(active.peak_backbone)
         self._active = None
-        return made
+        return _made_table(made)
 
     def admit_all(
-        self,
-        arrivals: Sequence[ResolvedSession],
-        duration_of: Callable[[ResolvedSession, int], int],
-    ) -> list[AdmissionDecision]:
+        self, arrivals: SessionTable, horizon_of: HorizonOf
+    ) -> DecisionTable:
         """Decide every session of an arrival-ordered fleet in one pass.
 
         Args:
-            arrivals: resolved sessions sorted by ``arrival_slot``.
-            duration_of: ``(session, degree) -> slots`` the session will hold
-                capacity — the compiled horizon of its configuration (the
-                runner resolves it through the schedule cache, so degraded
-                degrees get their true horizon too).
+            arrivals: the sessions, sorted by ``arrival_slot``.
+            horizon_of: ``(spec, degree) -> slots`` of the configuration's
+                compiled schedule (the runner resolves it through the
+                schedule cache, so degraded degrees get their true horizon
+                too).
+
+        Returns the decisions in the order of ``arrivals``.
         """
         self.start()
-        made = self.admit_chunk(arrivals, duration_of)
-        made += self.finalize(duration_of)
-        by_id = {decision.session_id: decision for decision in made}
-        return [by_id[s.session_id] for s in arrivals]
+        made = DecisionTable.concat([
+            self.admit_chunk(arrivals, horizon_of), self.finalize(horizon_of),
+        ])
+        ranked = made.by_session()
+        return ranked[np.searchsorted(ranked.session_id, arrivals.session_id)]

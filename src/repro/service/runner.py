@@ -1,30 +1,39 @@
 """Fleet execution: run every admitted session, sharded across processes.
 
 :class:`FleetRunner` turns a :class:`~repro.service.spec.FleetSpec` into a
-:class:`~repro.service.slo.FleetSLOReport` in four steps:
+:class:`~repro.service.slo.FleetSLOReport` in four steps, carrying the fleet
+as NumPy columns from end to end:
 
-1. **resolve** the scenario into concrete sessions (arrival slots, kinds,
-   seeds, churn draws);
-2. **admit** them through :class:`~repro.service.admission.SessionManager`,
-   compiling each admitted configuration's schedule through the shared
-   content-addressed :class:`~repro.exec.cache.ScheduleCache` to learn its
-   true horizon — identical ``(scheme, N, d, ...)`` configs compile once per
-   fleet, not once per session (the amortization the acceptance benchmark
-   measures);
+1. **resolve** the scenario into its
+   :class:`~repro.service.spec.SessionTable` (arrival slots, kinds, seeds,
+   churn draws);
+2. **admit** it through :class:`~repro.service.admission.SessionManager`
+   into a :class:`~repro.service.admission.DecisionTable`, compiling each
+   admitted configuration's schedule through the shared content-addressed
+   :class:`~repro.exec.cache.ScheduleCache` to learn its true horizon —
+   each ``(scheme, N, d, P, construction, mode, latency)`` configuration
+   compiles once per fleet, not once per session or per kind (the
+   amortization the acceptance benchmark measures);
 3. **execute** admitted sessions with the :class:`~repro.exec.SweepExecutor`
    process pool — the token-indexed schedule dict ships once per worker as
    the pool payload.  Sessions sharing a ``(schedule token, drop_rate,
-   packets, horizon)`` coordinate group into **units**, each scored by one
-   vectorized kernel pass (:func:`~repro.exec.replay_batch`; the 0.992
-   cache hit rate means almost every session lands in a large unit).  ABR
-   members of a unit additionally play one QoE session each.  Every
-   session's loss mask is deterministic in its own seed, so results do not
-   depend on the grouping or the worker count.  A serial unit writes its
-   kernel counters straight into the caller's registry; a pool worker's
-   snapshot merges back into it;
+   packets, horizon)`` coordinate (one integer key per session) group into
+   **units** of member columns, each scored by one vectorized kernel pass
+   (:func:`~repro.exec.replay_batch`; the 0.992 cache hit rate means almost
+   every session lands in a large unit).  ABR members of a unit
+   additionally play one QoE session each.  Every session's loss mask is
+   deterministic in its own seed, so results do not depend on the grouping
+   or the worker count.  A serial unit writes its kernel counters straight
+   into the caller's registry; a pool worker's snapshot merges back into
+   it;
 4. **aggregate** each unit's :class:`~repro.service.slo.SessionColumns`
-   and the admission decisions into the fleet report (exact pooled
+   and the decision table into the fleet report (exact pooled
    percentiles, reject rate, cache hit-rate).
+
+No per-session object is built on this path: a
+:class:`~repro.service.spec.ResolvedSession` or
+:class:`~repro.service.admission.AdmissionDecision` exists only when a
+caller indexes or iterates the result's tables.
 
 Every mode runs one **epoch loop**: an epoch admits a chunk of arrivals and
 executes the sessions admitted during it as one window.  A static run is a
@@ -55,6 +64,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Any
 
+import numpy as np
+
 from repro.core.errors import ReproError
 from repro.exec.cache import ScheduleCache
 from repro.exec.compiler import compile_schedule
@@ -76,7 +87,12 @@ from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.sketch import DEFAULT_RELATIVE_ERROR
 from repro.obs.spans import SpanTracer, span_scope, worker_span
 from repro.obs.timeseries import TimeSeries
-from repro.service.admission import AdmissionDecision, SessionManager
+from repro.service.admission import (
+    REJECTED,
+    STATUSES,
+    DecisionTable,
+    SessionManager,
+)
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
@@ -84,7 +100,7 @@ from repro.service.slo import (
     pooled_percentile,
     score_batch_sessions,
 )
-from repro.service.spec import FleetSpec, ResolvedSession, SessionSpec
+from repro.service.spec import FleetSpec, SessionSpec, SessionTable
 
 __all__ = [
     "FleetRunner",
@@ -94,16 +110,19 @@ __all__ = [
 ]
 
 
-def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[list[int], SessionColumns]:
+def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[np.ndarray, SessionColumns]:
     """Executor worker: score one execution unit.
 
     Unit tuple: ``(token, drop_rate, num_packets, horizon, members)``.
     Every member session shares the token's compiled schedule (from
     :func:`~repro.exec.executor.worker_payload`) and the replay coordinate,
     so one :func:`~repro.exec.replay_batch` kernel pass scores the whole
-    group.  ``members`` is a tuple of ``(task_index, session_id, label,
-    status, seed, wait_slots, abr_profile)``.  A member with an
-    ``abr_profile`` additionally plays a deterministic ABR session (one
+    group.  ``members`` is seven aligned columns: ``(task_indices,
+    session_ids, labels, statuses, seeds, wait_slots, abr_profiles)`` —
+    int64 arrays for the indices, ids, seeds and waits, lists of str for
+    the labels and statuses, and ``abr_profiles`` a list (``None`` for a
+    member without ABR) or ``None`` when no member has one.  A member with
+    an ABR profile additionally plays a deterministic ABR session (one
     chunk per measured packet) against that bandwidth profile, seeded by
     the session seed, and its row of the ``qoe`` column carries the
     resulting QoE metrics.
@@ -116,11 +135,13 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[list[int], SessionColumns]:
     re-raised as a :class:`ReproError` naming the unit.
     """
     token, drop_rate, num_packets, horizon, members = unit
+    tasks, session_ids, labels, statuses, seeds, waits, profiles = members
     try:
-        with worker_span("session.replay", sessions=len(members), label=members[0][2]):
+        with worker_span("session.replay", sessions=len(tasks), label=labels[0]):
+            seeds = seeds.tolist()
             batch = replay_batch(
                 worker_payload()[token],
-                [member[4] for member in members],
+                seeds,
                 drop_rate,
                 num_packets=num_packets,
                 num_slots=horizon,
@@ -128,22 +149,22 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[list[int], SessionColumns]:
             )
             columns = score_batch_sessions(
                 batch,
-                session_ids=[member[1] for member in members],
-                labels=[member[2] for member in members],
-                wait_slots=[member[5] for member in members],
-                statuses=[member[3] for member in members],
+                session_ids=session_ids.tolist(),
+                labels=labels,
+                wait_slots=waits,
+                statuses=statuses,
             )
-            if any(member[6] is not None for member in members):
+            if profiles is not None:
                 columns = replace(columns, qoe=tuple(
-                    None if member[6] is None else _with_qoe(member[6], member[4], num_packets)
-                    for member in members
+                    None if profile is None else _with_qoe(profile, seed, num_packets)
+                    for profile, seed in zip(profiles, seeds)
                 ))
     except Exception as exc:
         raise ReproError(
-            f"fleet unit {str(token)[:12]} ({len(members)} sessions, ids "
-            f"{members[0][1]}..{members[-1][1]}) failed: {type(exc).__name__}: {exc}"
+            f"fleet unit {str(token)[:12]} ({len(tasks)} sessions, ids "
+            f"{session_ids[0]}..{session_ids[-1]}) failed: {type(exc).__name__}: {exc}"
         ) from exc
-    return [member[0] for member in members], columns
+    return tasks, columns
 
 
 def _with_qoe(profile: str, seed: int, num_packets: int) -> dict:
@@ -179,11 +200,15 @@ class FleetTelemetry:
         self.series = TimeSeries(window, relative_error=relative_error)
         self.spans: SpanTracer | None = SpanTracer() if trace else None
 
-    def record_decision(self, decision: AdmissionDecision, arrival_slot: int) -> None:
-        """Window the admission outcome at the session's arrival slot."""
-        self.series.count(f"fleet.{decision.status}", arrival_slot)
-        if decision.admitted and decision.wait_slots > 0:
-            self.series.observe(FLEET_QUEUE_WAIT, arrival_slot, decision.wait_slots)
+    def record_decisions(self, decisions: DecisionTable) -> None:
+        """Window each admission outcome at the session's arrival slot."""
+        for status, slot, wait in zip(
+            decisions.status.tolist(), decisions.arrival_slot.tolist(),
+            decisions.wait_slots.tolist(),
+        ):
+            self.series.count(f"fleet.{STATUSES[status]}", slot)
+            if status != REJECTED and wait > 0:
+                self.series.observe(FLEET_QUEUE_WAIT, slot, wait)
 
     def record_sessions(self, columns: SessionColumns, arrival_slots: Sequence[int]) -> None:
         """Window each completed session of a unit at its arrival slot."""
@@ -209,14 +234,19 @@ class FleetTelemetry:
         return payload
 
 
+
+
 @dataclass(frozen=True, slots=True)
 class FleetRunResult:
     """Everything a fleet run produced.
 
     Attributes:
         report: the aggregated :class:`~repro.service.slo.FleetSLOReport`.
-        decisions: per-session admission outcomes, in arrival order.
-        sessions: the resolved scenario the run executed.
+        decisions: the admission decision table, sorted by session id
+            (rows are :class:`~repro.service.admission.AdmissionDecision`).
+        sessions: the resolved session table the run executed (rows are
+            :class:`~repro.service.spec.ResolvedSession`, with each
+            session's kind as resolved, before any control-plane retune).
         executor_info: how the execution fanned out
             (:attr:`SweepExecutor.last_run` of the last executed window,
             plus ``tasks`` = sessions actually run and ``units`` = executor
@@ -236,8 +266,8 @@ class FleetRunResult:
     """
 
     report: FleetSLOReport
-    decisions: tuple[AdmissionDecision, ...]
-    sessions: tuple[ResolvedSession, ...]
+    decisions: DecisionTable
+    sessions: SessionTable
     executor_info: dict
     telemetry: FleetTelemetry | None = None
     convergence: ConvergenceState | None = None
@@ -245,13 +275,10 @@ class FleetRunResult:
     control_epochs: tuple[dict, ...] = ()
 
 
-def _tally(made: Sequence[AdmissionDecision]) -> dict[str, int]:
-    counts = Counter(d.status for d in made)
-    return {
-        "admitted": counts["admitted"],
-        "degraded": counts["degraded"],
-        "rejected": counts["rejected"],
-    }
+def _tally(made: DecisionTable | None) -> dict[str, int]:
+    if made is None:
+        return dict.fromkeys(STATUSES, 0)
+    return dict(zip(STATUSES, np.bincount(made.status, minlength=len(STATUSES)).tolist()))
 
 
 class _ControlHook:
@@ -262,15 +289,17 @@ class _ControlHook:
     startup delay and admission tallies plus the upcoming chunk's mix and
     churn, decides, and its knobs (admission policy, queue bound, per-kind
     degree overrides) are applied before the chunk is admitted — so every
-    decision is observed one epoch later.  :meth:`close` ends an epoch and
-    records its row.
+    decision is observed one epoch later.  A degree override remaps the
+    chunk's kind column to a copy of the kind at the new degree, appended
+    to the run's ``kinds``.  :meth:`close` ends an epoch and records its
+    row.
     """
 
     def __init__(
         self,
         fleet: FleetSpec,
         manager: SessionManager,
-        by_id: dict[int, ResolvedSession],
+        kinds: list[SessionSpec],
         *,
         cache: ScheduleCache,
         spans: SpanTracer | None,
@@ -289,17 +318,32 @@ class _ControlHook:
             tracer=tracer,
         )
         self.manager = manager
-        self.by_id = by_id
         self.kinds = {s.label: s for s in fleet.sessions}
         self.rows: list[dict[str, Any]] = []
         self.epochs = 0
+        self._run_kinds = kinds
+        self._respecs: dict[tuple[int, int], int] = {}
         self._seen: Counter[int] = Counter()
         self._delays: list[int] = []
-        self._made: Sequence[AdmissionDecision] = ()
+        self._made: DecisionTable | None = None
         self._p99: float | None = None
         self._decisions = 0
 
-    def step(self, chunk: Sequence[ResolvedSession]) -> Sequence[ResolvedSession]:
+    def _retune(self, overrides: dict[str, int], originals: Sequence[SessionSpec]) -> np.ndarray:
+        """Each original kind's index among the run's kinds: itself, or
+        its copy at the overridden degree (built and validated once)."""
+        kinds = self._run_kinds
+        remap = list(range(len(originals)))
+        for kind, spec in enumerate(originals):
+            degree = overrides.get(spec.label, spec.degree)
+            if degree != spec.degree:
+                if (kind, degree) not in self._respecs:
+                    self._respecs[kind, degree] = len(kinds)
+                    kinds.append(spec.with_degree(degree))
+                remap[kind] = self._respecs[kind, degree]
+        return np.array(remap)
+
+    def step(self, chunk: SessionTable) -> SessionTable:
         """Decide on the previous epoch; return ``chunk`` as admitted."""
         from repro.control.controllers import EpochObservation
 
@@ -308,7 +352,10 @@ class _ControlHook:
             if self._delays else None
         )
         prev = _tally(self._made)
-        mix = Counter(s.spec.label for s in chunk)
+        counts = np.bincount(chunk.kind)
+        mix: Counter[str] = Counter()
+        for kind in np.flatnonzero(counts).tolist():
+            mix[chunk.kinds[kind].label] += int(counts[kind])
         stepped = self.plane.step(
             EpochObservation(
                 epoch=self.epochs,
@@ -322,7 +369,7 @@ class _ControlHook:
                 rejected=prev["rejected"],
                 arrivals=len(chunk),
                 joins=len(chunk),
-                leaves=sum(1 for s in chunk if s.leave_fraction is not None),
+                leaves=len(chunk) - int(np.count_nonzero(np.isnan(chunk.leave_fraction))),
                 mix=tuple(sorted(mix.items())),
             ),
             self.kinds,
@@ -333,34 +380,18 @@ class _ControlHook:
         overrides = self.plane.degree_overrides
         if not overrides:
             return chunk
-        # Rebuild (and validate) each (kind, degree) pair once per epoch,
-        # not once per session.
-        respecs: dict[tuple[SessionSpec, int], SessionSpec] = {}
-        out: list[ResolvedSession] = []
-        for session in chunk:
-            spec = session.spec
-            degree = overrides.get(spec.label, spec.degree)
-            if degree != spec.degree:
-                respec = respecs.get((spec, degree))
-                if respec is None:
-                    respec = respecs[(spec, degree)] = spec.with_degree(degree)
-                session = ResolvedSession(
-                    session.session_id, respec, session.arrival_slot,
-                    session.seed, session.leave_fraction,
-                )
-                self.by_id[session.session_id] = session
-            out.append(session)
-        return out
+        remap = self._retune(overrides, chunk.kinds)
+        return SessionTable(
+            self._run_kinds, chunk.session_id, remap[chunk.kind],
+            chunk.arrival_slot, chunk.seed, chunk.leave_fraction,
+        )
 
     def close(
-        self,
-        chunk: Sequence[ResolvedSession],
-        made: Sequence[AdmissionDecision],
-        delays: list[int],
+        self, chunk: SessionTable, made: DecisionTable, delays: list[int]
     ) -> None:
         """Record one epoch's row; the queue-draining final epoch (no
         arrivals) gets one only when it decided something."""
-        if chunk or made:
+        if len(chunk) or len(made):
             self.rows.append({
                 "epoch": self.epochs,
                 "arrivals": len(chunk),
@@ -371,13 +402,130 @@ class _ControlHook:
                 "queued": self.manager.queued_count,
                 "decisions": self._decisions,
             })
-        if chunk:
+        if len(chunk):
             self.epochs += 1
         self._p99 = None
         self._decisions = 0
         self._delays = list(delays)
         self._seen.update(delays)
         self._made = made
+
+
+def _configuration(spec: SessionSpec, degree: int) -> tuple:
+    """The compile key of ``spec`` at ``degree``: kinds that differ only in
+    label, weight, loss or ABR profile share one compiled schedule."""
+    return (
+        spec.scheme, spec.num_nodes, degree, spec.num_packets,
+        spec.construction, spec.mode, spec.latency,
+    )
+
+
+class _Tasks:
+    """One epoch's admitted sessions as task columns, in decision order.
+
+    Task ``base + i`` is row ``i``.  A row's ``(kind, degree)`` pair names
+    its configuration; pairs with the same schedule token, drop rate and
+    packet count form a group, and a group fixes the compiled horizon, so
+    ``(group, horizon)`` — one integer per row — is the unit key.
+    """
+
+    __slots__ = (
+        "base", "session_id", "status", "wait", "arrival", "horizon", "seed",
+        "pair", "label", "key", "groups", "pair_group", "pair_label", "pair_abr",
+    )
+
+    def __init__(
+        self,
+        made: DecisionTable,
+        base: int,
+        seeds: np.ndarray,
+        kind_of: np.ndarray,
+        kinds: Sequence[SessionSpec],
+        compiled: dict[tuple, tuple[str, int]],
+        labels: dict[str, int],
+    ) -> None:
+        admitted = made.status != REJECTED
+        if not admitted.all():
+            made = made[admitted]
+        self.base = base
+        self.session_id = made.session_id
+        self.status = made.status
+        self.wait = made.wait_slots
+        self.arrival = made.arrival_slot
+        self.horizon = made.duration
+        self.seed = seeds[made.session_id]
+        width = int(made.degree.max()) + 1 if len(made) else 1
+        codes = kind_of[made.session_id] * width + made.degree
+        counts = np.bincount(codes)
+        present = np.flatnonzero(counts)
+        pair_of = np.zeros(len(counts), dtype=np.int64)
+        pair_of[present] = np.arange(len(present))
+        self.pair = pair_of[codes]
+        # Per pair: its group ``(token, drop_rate, num_packets, full
+        # horizon)``, label and ABR profile.
+        groups: dict[tuple[str, float, int, int], int] = {}
+        self.pair_group: list[int] = []
+        self.pair_label: list[str] = []
+        self.pair_abr: list[str | None] = []
+        for code in present.tolist():
+            kind, degree = divmod(code, width)
+            spec = kinds[kind]
+            token, full = compiled[_configuration(spec, degree)]
+            self.pair_group.append(groups.setdefault(
+                (token, spec.drop_rate, spec.num_packets, full), len(groups)
+            ))
+            self.pair_label.append(spec.label)
+            self.pair_abr.append(spec.abr_profile)
+            labels.setdefault(spec.label, len(labels))
+        self.groups = list(groups)
+        self.label = np.array(
+            [labels[label] for label in self.pair_label], dtype=np.int64
+        )[self.pair]
+        span = int(self.horizon.max()) + 1 if len(made) else 1
+        self.key = np.array(self.pair_group, dtype=np.int64)[self.pair] * span + self.horizon
+
+    def __len__(self) -> int:
+        return len(self.session_id)
+
+    def units(self, lo: int, hi: int, workers: int) -> list[tuple]:
+        """The executor units of tasks ``lo:hi``: one per unit key, split
+        into roughly one block per worker.  Units are in key first-seen
+        order and members in task order, whatever the worker count."""
+        order = np.argsort(self.key[lo:hi], kind="stable")
+        ordered = self.key[lo:hi][order]
+        starts = np.flatnonzero(ordered[1:] != ordered[:-1]).tolist()
+        bounds = [0, *(start + 1 for start in starts), hi - lo]
+        spans = sorted(zip(order[bounds[:-1]].tolist(), bounds, bounds[1:]))
+        order += lo
+        units: list[tuple] = []
+        for head, start, stop in spans:
+            head += lo
+            token, drop_rate, packets, full = self.groups[self.pair_group[self.pair[head]]]
+            horizon = int(self.horizon[head])
+            if horizon < full:
+                # Score only the packets the watched prefix can carry.
+                packets = max(1, int(packets * horizon / full))
+            block = max(1, -(-(stop - start) // workers))
+            for at in range(start, stop, block):
+                units.append((
+                    token, drop_rate, packets, horizon,
+                    self._members(order[at:min(stop, at + block)]),
+                ))
+        return units
+
+    def _members(self, rows: np.ndarray) -> tuple:
+        """:func:`fleet_unit_task`'s member columns of task rows ``rows``."""
+        pairs = self.pair[rows].tolist()
+        profiles = [self.pair_abr[p] for p in pairs] if any(self.pair_abr) else []
+        return (
+            rows + self.base,
+            self.session_id[rows],
+            [self.pair_label[p] for p in pairs],
+            [STATUSES[s] for s in self.status[rows].tolist()],
+            self.seed[rows],
+            self.wait[rows],
+            profiles if any(profiles) else None,
+        )
 
 
 class FleetRunner:
@@ -419,12 +567,12 @@ class FleetRunner:
     # ------------------------------------------------------------------ build
     def _compile(
         self, spec: SessionSpec, degree: int, schedules: dict[str, Any]
-    ) -> tuple[str, Any]:
+    ) -> tuple[str, int]:
         """Compile one configuration through the shared cache.
 
-        Returns ``(token, schedule)`` and tallies the hit/miss.  ``run``
-        memoizes this per configuration and tallies memo hits itself, so
-        the fleet hit-rate still counts one lookup per admitted session
+        Returns ``(token, horizon)`` and tallies a miss.  ``run`` memoizes
+        this per configuration and counts every other admission of it as a
+        hit, so the fleet hit-rate counts one lookup per admitted session
         and directly measures compile amortization.
         """
         provenance: dict = {}
@@ -441,11 +589,9 @@ class FleetRunner:
         )
         if provenance["cache"] == "miss":
             self.cache_misses += 1
-        else:
-            self.cache_hits += 1
         token = provenance["cache_token"]
         schedules[token] = schedule
-        return token, schedule
+        return token, schedule.num_slots
 
     # -------------------------------------------------------------------- api
     def run(self, fleet: FleetSpec) -> FleetRunResult:
@@ -466,39 +612,22 @@ class FleetRunner:
         self.cache_hits = 0
         self.cache_misses = 0
         schedules: dict[str, Any] = {}
-        tokens: dict[int, str] = {}
-        compile_memo: dict[tuple, tuple[str, Any]] = {}
-        with span_scope(spans, "fleet.resolve"):
-            sessions = fleet.resolve()
-        by_id = {s.session_id: s for s in sessions}
+        compiled: dict[tuple, tuple[str, int]] = {}
 
-        def duration_of(session: ResolvedSession, degree: int) -> int:
+        def horizon_of(spec: SessionSpec, degree: int) -> int:
             # Memoize per configuration for the run: compile_schedule
             # rebuilds the protocol to derive the horizon before it can
             # consult the shared cache, so even a cache hit would cost a
-            # protocol build per admission.  A memo hit is the same outcome
-            # as a shared-cache hit, so the fleet hit-rate (one lookup per
-            # admission) is unchanged.
-            spec = session.spec
-            key = (
-                spec.scheme, spec.num_nodes, degree, spec.num_packets,
-                spec.construction, spec.mode, spec.latency,
-            )
-            cached = compile_memo.get(key)
-            if cached is None:
-                cached = self._compile(spec, degree, schedules)
-                compile_memo[key] = cached
-            else:
-                self.cache_hits += 1
-            token, schedule = cached
-            tokens[session.session_id] = token
-            horizon = schedule.num_slots
-            if session.leave_fraction is not None:
-                # Churned viewer: capacity (and the SLO window) only cover
-                # the watched prefix.
-                horizon = max(1, int(session.leave_fraction * horizon))
-            return horizon
+            # protocol build per admission.
+            key = _configuration(spec, degree)
+            found = compiled.get(key)
+            if found is None:
+                found = compiled[key] = self._compile(spec, degree, schedules)
+            return found[1]
 
+        with span_scope(spans, "fleet.resolve"):
+            sessions = fleet.resolve()
+        kinds = list(sessions.kinds)
         manager = SessionManager(
             fleet.capacity,
             policy=fleet.policy,
@@ -508,11 +637,13 @@ class FleetRunner:
         )
         control = (
             _ControlHook(
-                fleet, manager, by_id,
+                fleet, manager, kinds,
                 cache=self.cache, spans=spans, tracer=self.tracer,
             )
             if fleet.controller is not None else None
         )
+        # Each session's kind as admitted (a retune remaps it).
+        kind_of = sessions.kind.copy() if control is not None else sessions.kind
         detector = (
             ConvergenceDetector(fleet.convergence)
             if fleet.convergence is not None else None
@@ -524,140 +655,114 @@ class FleetRunner:
         )
         executor = SweepExecutor(self.policy, registry=registry, spans=spans)
         workers = self.policy.resolved_workers()
-        # One ``(token, drop_rate, num_packets, horizon, unit member)`` task
-        # per admitted session, in decision order; the first four fields
-        # are the group key, and a task's index is its position here.
-        tasks: list[tuple] = []
-        task_arrivals: list[int] = []
         epoch_delays: list[int] = []
+        labels: dict[str, int] = {}  # label -> code, for the replay tally
+        executed_labels: list[np.ndarray] = []
         last_run: dict | None = None
-        executed = 0
+        current: _Tasks | None = None
+        offered = 0  # tasks (admitted sessions, one schedule lookup each)
+        executed = 0  # tasks executed so far
+        last_session = -1  # session id of the last executed task
         units_run = 0
         windows = 0
 
-        def add_task(decision: AdmissionDecision) -> None:
-            session = by_id[decision.session_id]
-            spec = session.spec
-            token = tokens[decision.session_id]
-            full = schedules[token].num_slots
-            horizon = decision.duration
-            num_packets = spec.num_packets
-            if horizon < full:
-                # Score only the packets the watched prefix can carry.
-                num_packets = max(1, int(num_packets * horizon / full))
-            tasks.append((
-                token, spec.drop_rate, num_packets, horizon,
-                (
-                    len(tasks), decision.session_id, spec.label,
-                    decision.status, session.seed, decision.wait_slots,
-                    spec.abr_profile,
-                ),
-            ))
-            task_arrivals.append(session.arrival_slot)
-
-        def on_result(index: int, result: tuple[list[int], SessionColumns]) -> None:
+        def on_result(index: int, result: tuple[np.ndarray, SessionColumns]) -> None:
             task_indices, columns = result
             aggregator.add_sessions(columns)
-            delays = columns.startup_delay.tolist()
-            if control is not None:
-                epoch_delays.extend(delays)
-            if telemetry is not None:
-                telemetry.record_sessions(columns, [task_arrivals[i] for i in task_indices])
-            if detector is not None:
-                for delay in delays:
-                    detector.add(delay)
-
-        def execute_window(lo: int, hi: int) -> None:
-            """Run ``tasks[lo:hi]`` (non-empty) through the executor.
-
-            Sessions sharing a group key form one unit, split into roughly
-            one block per worker so homogeneous fleets still fan out.  Unit
-            order (group first-seen order, members in task order) does not
-            depend on the worker count, so streaming aggregation folds
-            identically serial or parallel.
-            """
-            nonlocal last_run, executed, units_run, windows
-            groups: dict[tuple, list[tuple]] = {}
-            for task in tasks[lo:hi]:
-                groups.setdefault(task[:4], []).append(task[4])
-            units: list[tuple] = []
-            for key, members in groups.items():
-                block = max(1, -(-len(members) // workers))
-                units.extend(
-                    (*key, tuple(members[i:i + block]))
-                    for i in range(0, len(members), block)
+            if control is not None or detector is not None:
+                delays = columns.startup_delay.tolist()
+                if control is not None:
+                    epoch_delays.extend(delays)
+                if detector is not None:
+                    for delay in delays:
+                        detector.add(delay)
+            if telemetry is not None and current is not None:
+                telemetry.record_sessions(
+                    columns, current.arrival[task_indices - current.base].tolist()
                 )
+
+        def execute_window(tasks: _Tasks, lo: int, hi: int) -> None:
+            """Run tasks ``lo:hi`` (non-empty) of one epoch as one window."""
+            nonlocal last_run, executed, last_session, units_run, windows
+            units = tasks.units(lo, hi, workers)
             executor.map(
                 fleet_unit_task, units, payload=schedules,
                 on_result=on_result, collect=False,
             )
             last_run = dict(executor.last_run)
-            executed = hi
+            executed = tasks.base + hi
+            last_session = int(tasks.session_id[hi - 1])
+            executed_labels.append(tasks.label[lo:hi])
             units_run += len(units)
             windows += 1
 
-        def execute(lo: int) -> bool:
-            """Run ``tasks[lo:]``; True once the stop predicate fires."""
+        def execute(tasks: _Tasks) -> bool:
+            """Run every task of one epoch; True once the stop predicate fires."""
+            lo = 0
             while lo < len(tasks):
                 hi = len(tasks)
                 if detector is not None:
                     hi = min(hi, lo + detector.criterion.check_every)
-                execute_window(lo, hi)
+                execute_window(tasks, lo, hi)
                 lo = hi
                 if detector is not None and detector.state().converged:
                     return True
             return False
 
         size = len(sessions) if control is None else fleet.controller.epoch_sessions
-        epochs: list[Sequence[ResolvedSession]] = [
-            sessions[lo:lo + size] for lo in range(0, len(sessions), size)
-        ]
+        chunks = [sessions[lo:lo + size] for lo in range(0, len(sessions), size)]
         if control is not None:
-            epochs.append(())  # drains the queue after the last arrival
-        made_all: list[AdmissionDecision] = []
+            chunks.append(sessions[len(sessions):])  # drains the queue at the end
+        made_all: list[DecisionTable] = []
         with use_registry(registry):
             manager.start()
-            for number, chunk in enumerate(epochs, 1):
-                if control is not None and chunk:
+            for number, chunk in enumerate(chunks, 1):
+                if control is not None and len(chunk):
                     chunk = control.step(chunk)
+                    kind_of[chunk.session_id] = chunk.kind
                 with span_scope(spans, "fleet.admit", sessions=len(chunk)):
-                    made = manager.admit_chunk(chunk, duration_of)
-                    if number == len(epochs):
-                        made += manager.finalize(duration_of)
-                made_all += made
-                base = len(tasks)
-                for decision in made:
-                    if decision.admitted:
-                        add_task(decision)
+                    made = manager.admit_chunk(chunk, horizon_of)
+                    if number == len(chunks):
+                        made = DecisionTable.concat([made, manager.finalize(horizon_of)])
+                made_all.append(made)
+                current = _Tasks(
+                    made, offered, sessions.seed, kind_of, kinds, compiled, labels
+                )
+                offered += len(current)
                 epoch_delays.clear()
-                with span_scope(spans, "fleet.execute", tasks=len(tasks) - base):
-                    stopped = execute(base)
+                with span_scope(spans, "fleet.execute", tasks=len(current)):
+                    stopped = execute(current)
                 if control is not None:
                     control.close(chunk, made, epoch_delays)
                 if stopped:
                     break
 
-            decisions = sorted(made_all, key=lambda d: d.session_id)
-            if executed < len(tasks):
+            decisions = DecisionTable.concat(made_all).by_session()
+            if executed < offered:
                 # Early stop: the report covers exactly the executed arrival
                 # prefix.  Admission of session i depends only on earlier
                 # arrivals, so the prefix is self-consistent.
-                cutoff = tasks[executed - 1][4][1]
-                decisions = [d for d in decisions if d.session_id <= cutoff]
-            for decision in decisions:
-                aggregator.add_decision(decision)
-                if telemetry is not None:
-                    telemetry.record_decision(
-                        decision, by_id[decision.session_id].arrival_slot
-                    )
+                decisions = decisions[decisions.session_id <= last_session]
+            aggregator.add_decisions(decisions)
+            if telemetry is not None:
+                telemetry.record_decisions(decisions)
+            self.cache_hits = offered - self.cache_misses
             with span_scope(spans, "fleet.aggregate", sessions=executed):
                 report = aggregator.report(
                     cache_hits=self.cache_hits,
                     cache_misses=self.cache_misses,
                 )
             registry.gauge(FLEET_CACHE_HIT_RATE).set(report.cache_hit_rate)
-            for label, count in Counter(task[4][2] for task in tasks[:executed]).items():
-                registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc(count)
+            if executed_labels:
+                names = list(labels)
+                codes, first, counts = np.unique(
+                    np.concatenate(executed_labels),
+                    return_index=True, return_counts=True,
+                )
+                for at in np.argsort(first).tolist():
+                    registry.counter(
+                        FLEET_SESSIONS_REPLAYED, label=names[codes[at]]
+                    ).inc(int(counts[at]))
             for tier, count in report.qoe_tiers:
                 registry.counter(FLEET_ABR_SESSIONS, tier=tier).inc(count)
         executor_info = last_run or {"mode": "empty", "workers": 0, "fallback": False}
@@ -669,7 +774,7 @@ class FleetRunner:
             executor_info["epochs"] = control.epochs
         return FleetRunResult(
             report=report,
-            decisions=tuple(decisions),
+            decisions=decisions,
             sessions=sessions,
             executor_info=executor_info,
             telemetry=telemetry,

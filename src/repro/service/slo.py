@@ -13,10 +13,11 @@ compute them, one kernel unit at a time:
   included), rebuffer ratio, per-node delay/buffer percentiles and goodput,
   plus the per-node matrices that pool *exactly* across sessions;
   :meth:`SessionColumns.slos` builds the :class:`SessionSLO` rows;
-* :class:`FleetAggregator` folds admission decisions
-  (:meth:`~FleetAggregator.add_decision`) and scored units
-  (:meth:`~FleetAggregator.add_sessions`, one ``np.bincount`` per pooled
-  population) into mergeable :class:`~repro.obs.sketch.QuantileSketch`
+* :class:`FleetAggregator` folds the admission decision table
+  (:meth:`~FleetAggregator.add_decisions`, one ``np.bincount`` over the
+  status column) and scored units (:meth:`~FleetAggregator.add_sessions`,
+  one ``np.bincount`` per pooled population) into mergeable
+  :class:`~repro.obs.sketch.QuantileSketch`
   populations, so fleet percentiles never require materializing
   per-session results.  ``relative_error=0`` keeps every sketch in exact
   mode (reports identical to Counter-based pooling); ``relative_error>0``
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from typing import Any
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.errors import ReproError
 from repro.exec.batch import BatchMetrics
 from repro.obs.sketch import QuantileSketch
+from repro.service.admission import ADMITTED, DEGRADED, REJECTED, STATUSES, DecisionTable
 
 __all__ = [
     "pooled_percentile",
@@ -259,9 +260,11 @@ def score_batch_sessions(
     sorted_buffers = np.sort(batch.node_buffers[:rows], axis=1)
 
     def percentile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
-        # pooled_percentile's nearest rank over a population of num_nodes.
+        # pooled_percentile's nearest rank over a population of num_nodes;
+        # a loss-free unit's one row stands for every session.
         rank = max(1, -(-int(q * num_nodes) // 100)) - 1
-        return np.broadcast_to(sorted_rows[:, rank].astype(np.int64), (total,))
+        column = sorted_rows[:, rank].astype(np.int64)
+        return column if rows == total else column.repeat(total)
 
     return SessionColumns(
         session_ids=tuple(session_ids),
@@ -294,8 +297,12 @@ class FleetSLOReport:
 
     Attributes:
         num_sessions / admitted / degraded / queued / rejected: admission
-            tallies (``queued`` counts sessions that waited, whatever their
-            final outcome).
+            tallies.  ``queued`` counts the *admitted* sessions that waited
+            (``wait_slots > 0``).  A queued session that timed out counts
+            as ``rejected`` only, and one the queue drain admits back at its
+            arrival slot (``wait_slots == 0``) as ``admitted`` only, so
+            ``fleet.queue.entered`` is at least ``queued`` plus the
+            ``queue_timeout`` rejects.
         reject_rate: rejected over offered sessions.
         startup_p50 / startup_p95 / startup_p99 / startup_max: session
             startup delay distribution (queue wait included).
@@ -384,8 +391,8 @@ def _left_fold(running: float, column: np.ndarray) -> float:
 class FleetAggregator:
     """Streaming fleet-SLO aggregation with bounded memory.
 
-    Feed admission decisions (:meth:`add_decision`) and scored units
-    (:meth:`add_sessions`) as they arrive — e.g. from the executor's
+    Feed the admission decision table (:meth:`add_decisions`) and scored
+    units (:meth:`add_sessions`) as they arrive — e.g. from the executor's
     ``on_result`` streaming callback — then :meth:`report` at any point.
 
     Args:
@@ -434,18 +441,17 @@ class FleetAggregator:
         self._tiers: Counter[str] = Counter()
         self._sessions: list[SessionSLO] = []
 
-    def add_decision(self, decision: Any) -> None:
-        """Tally one admission decision (any object with ``status`` /
-        ``admitted`` / ``wait_slots``, i.e. ``SessionDecision``)."""
-        self._decisions += 1
-        if decision.status == "admitted":
-            self._admitted += 1
-        elif decision.status == "degraded":
-            self._degraded += 1
-        elif decision.status == "rejected":
-            self._rejected += 1
-        if decision.admitted and decision.wait_slots > 0:
-            self._queued += 1
+    def add_decisions(self, decisions: DecisionTable) -> None:
+        """Tally a table of admission decisions: one ``np.bincount`` over
+        the status column, plus the admitted sessions that waited."""
+        counts = np.bincount(decisions.status, minlength=len(STATUSES)).tolist()
+        self._decisions += len(decisions)
+        self._admitted += counts[ADMITTED]
+        self._degraded += counts[DEGRADED]
+        self._rejected += counts[REJECTED]
+        self._queued += int(np.count_nonzero(
+            (decisions.status != REJECTED) & (decisions.wait_slots > 0)
+        ))
 
     def add_sessions(self, columns: SessionColumns) -> None:
         """Fold one scored unit: one ``np.bincount`` per population (row 0

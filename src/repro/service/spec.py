@@ -8,28 +8,35 @@ and by which arrival process (Poisson, uniform window, or an explicit trace),
 how the shared infrastructure is budgeted (:class:`CapacityModel`), and which
 admission policy applies when the budget runs out.
 
-``FleetSpec.resolve()`` expands the scenario into concrete
-:class:`ResolvedSession` objects — one per session, each with its arrival
-slot, per-session RNG seed, assigned kind, and (for churned sessions) an
-early-departure fraction — deterministically in the fleet seed, so the same
-spec always describes the same fleet.
+``FleetSpec.resolve()`` expands the scenario into a :class:`SessionTable`:
+NumPy columns holding each session's id, kind index, arrival slot,
+per-session RNG seed and (for churned sessions) early-departure fraction,
+drawn deterministically in the fleet seed, so the same spec always
+describes the same fleet.  The table is a sequence of
+:class:`ResolvedSession` rows, but a row object is built only when a
+caller indexes or iterates it; the fleet runner reads the columns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.errors import ReproError, check_fields
 from repro.exec.compiler import COMPILABLE_SCHEMES
 from repro.obs.convergence import ConvergenceCriterion
 from repro.repair.slack import SlackPolicy
 from repro.workloads.arrivals import (
-    poisson_arrival_slots,
-    trace_arrival_slots,
-    uniform_arrival_slots,
+    check_trace,
+    poisson_arrival_column,
+    trace_arrival_column,
+    uniform_arrival_column,
 )
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
     "SessionSpec",
     "FleetSpec",
     "ResolvedSession",
+    "SessionTable",
 ]
 
 ARRIVAL_PROCESSES = ("poisson", "uniform", "trace")
@@ -203,6 +211,101 @@ class ResolvedSession:
     leave_fraction: float | None = None
 
 
+class ColumnTable(Sequence[Any]):
+    """Rows stored as aligned NumPy columns, built as objects on access.
+
+    A subclass's ``__init__`` takes its ``__slots__`` in order; it names
+    the array ones ``_columns`` and builds one row from their Python
+    scalars (:meth:`_row`).  An int index builds one row, a slice or index
+    array is a sub-table, iteration yields rows, and ``==`` compares
+    columns.
+    """
+
+    __slots__ = ()
+    _columns: tuple[str, ...] = ()
+
+    def _row(self, *values: Any) -> Any:
+        raise NotImplementedError
+
+    def _take(self, index: Any) -> Any:
+        return type(self)(*(
+            getattr(self, name)[index] if name in self._columns else getattr(self, name)
+            for name in self.__slots__
+        ))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._columns[0]))
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, (slice, np.ndarray)):
+            return self._take(index)
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"row {i} out of range for {len(self)} rows")
+        return self._row(*(getattr(self, name)[i].item() for name in self._columns))
+
+    def __iter__(self) -> Iterator[Any]:
+        columns = [getattr(self, name).tolist() for name in self._columns]
+        return (self._row(*values) for values in zip(*columns))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            if isinstance(a, np.ndarray) else a == b
+            for a, b in (
+                (getattr(self, name), getattr(other, name))
+                for name in type(self).__slots__
+            )
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
+class SessionTable(ColumnTable):
+    """A resolved fleet, one NumPy column per :class:`ResolvedSession` field.
+
+    Attributes:
+        kinds: the session kinds the ``kind`` column indexes.
+        session_id / kind / arrival_slot / seed: int64 columns.
+        leave_fraction: float64 column; NaN for a session that watches to
+            the end.
+
+    Row ``i`` is ``ResolvedSession(session_id[i], kinds[kind[i]], ...)``.
+    """
+
+    __slots__ = ("kinds", "session_id", "kind", "arrival_slot", "seed", "leave_fraction")
+    _columns = ("session_id", "kind", "arrival_slot", "seed", "leave_fraction")
+
+    def __init__(
+        self,
+        kinds: Sequence[SessionSpec],
+        session_id: npt.ArrayLike,
+        kind: npt.ArrayLike,
+        arrival_slot: npt.ArrayLike,
+        seed: npt.ArrayLike,
+        leave_fraction: npt.ArrayLike,
+    ) -> None:
+        self.kinds = tuple(kinds)
+        self.session_id = np.asarray(session_id, dtype=np.int64)
+        self.kind = np.asarray(kind, dtype=np.int64)
+        self.arrival_slot = np.asarray(arrival_slot, dtype=np.int64)
+        self.seed = np.asarray(seed, dtype=np.int64)
+        self.leave_fraction = np.asarray(leave_fraction, dtype=np.float64)
+
+    def _row(
+        self, session_id: int, kind: int, arrival_slot: int, seed: int, fraction: float
+    ) -> ResolvedSession:
+        return ResolvedSession(
+            session_id, self.kinds[kind], arrival_slot, seed,
+            None if math.isnan(fraction) else fraction,
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class FleetSpec:
     """A full multi-session scenario.
@@ -287,8 +390,10 @@ class FleetSpec:
                 f"unknown arrival process {self.arrival!r}; "
                 f"choose from {ARRIVAL_PROCESSES}"
             )
-        if self.arrival == "trace" and not self.arrival_slots:
-            raise ReproError("arrival='trace' needs a non-empty arrival_slots")
+        if self.arrival == "trace":
+            if not self.arrival_slots:
+                raise ReproError("arrival='trace' needs a non-empty arrival_slots")
+            check_trace(self.arrival_slots, "FleetSpec.arrival_slots")
         if self.policy not in ADMISSION_POLICIES:
             raise ReproError(
                 f"unknown admission policy {self.policy!r}; "
@@ -334,39 +439,38 @@ class FleetSpec:
                 )
 
     # ------------------------------------------------------------- expansion
-    def _arrivals(self) -> list[int]:
+    def _arrivals(self) -> npt.NDArray[np.int64]:
         if self.arrival == "poisson":
-            return poisson_arrival_slots(
+            return poisson_arrival_column(
                 self.num_sessions, self.arrival_rate, seed=self.seed
             )
         if self.arrival == "uniform":
             horizon = self.horizon or max(
                 1, round(self.num_sessions / self.arrival_rate)
             )
-            return uniform_arrival_slots(self.num_sessions, horizon, seed=self.seed)
-        return trace_arrival_slots(self.num_sessions, self.arrival_slots)
+            return uniform_arrival_column(self.num_sessions, horizon, seed=self.seed)
+        return trace_arrival_column(self.num_sessions, self.arrival_slots)
 
-    def resolve(self) -> tuple[ResolvedSession, ...]:
-        """Expand the scenario into concrete sessions, arrival-ordered.
+    def resolve(self) -> SessionTable:
+        """Expand the scenario into its session table, arrival-ordered.
 
         Deterministic in ``seed``: kinds are drawn with weight-proportional
         probability, per-session seeds are drawn from the fleet stream, and
-        churned sessions get a leave fraction in ``[0.5, 0.95]``.
+        churned sessions get a leave fraction in ``[0.5, 0.95]``.  Session
+        ``i`` is row ``i``.
         """
         arrivals = self._arrivals()
+        count = self.num_sessions
         rng = np.random.default_rng(self.seed)
         weights = np.array([s.weight for s in self.sessions], dtype=float)
         weights /= weights.sum()
-        # Convert each drawn column to Python scalars once, not per session.
-        kinds = rng.choice(len(self.sessions), size=self.num_sessions, p=weights).tolist()
-        seeds = rng.integers(0, 2**31 - 1, size=self.num_sessions).tolist()
-        churned = (rng.random(self.num_sessions) < self.churn_rate).tolist()
-        fractions = rng.uniform(0.5, 0.95, size=self.num_sessions).tolist()
-        return tuple(
-            ResolvedSession(i, self.sessions[kind], arrival, seed, fraction if churn else None)
-            for i, (kind, arrival, seed, churn, fraction) in enumerate(
-                zip(kinds, arrivals, seeds, churned, fractions)
-            )
+        kinds = rng.choice(len(self.sessions), size=count, p=weights)
+        seeds = rng.integers(0, 2**31 - 1, size=count)
+        churned = rng.random(count) < self.churn_rate
+        fractions = rng.uniform(0.5, 0.95, size=count)
+        return SessionTable(
+            self.sessions, np.arange(count), kinds, arrivals, seeds,
+            np.where(churned, fractions, np.nan),
         )
 
     def describe(self) -> str:

@@ -370,6 +370,24 @@ class TestWorkerSpanAdoption:
         assert [s.attrs["x"] for s in adopted] == [0, 1, 2]
 
 
+    @pytest.mark.parametrize("mode", ["serial", "parallel"])
+    @pytest.mark.parametrize("with_registry", [True, False], ids=["registry", "no-registry"])
+    def test_every_mode_adopts_every_span(self, mode, with_registry):
+        # A parallel map used to ship spans only on registry snapshots, so
+        # without a registry it adopted none of them.
+        from repro.obs.spans import SpanTracer
+
+        registry = MetricsRegistry() if with_registry else None
+        tracer = SpanTracer()
+        executor = SweepExecutor(
+            ExecutorPolicy(mode=mode, max_workers=2), registry=registry, spans=tracer
+        )
+        executor.map(span_recording_task, [(i,) for i in range(6)])
+        assert executor.last_run["mode"] == mode
+        adopted = [s for s in tracer.finished if s.name == "task.run"]
+        assert sorted(s.attrs["x"] for s in adopted) == list(range(6))
+
+
 class TestReplaySweepTask:
     """The one sweep task, :func:`replay_batch_task`."""
 

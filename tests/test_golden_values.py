@@ -117,6 +117,12 @@ def _golden_fleets():
         num_nodes=15, degree=2, num_packets=8, abr_profile="sinusoid", weight=0.2
     )
     clean = SessionSpec(scheme="hypercube", num_nodes=32, degree=3, num_packets=8)
+    twin = SessionSpec(
+        num_nodes=31, degree=3, num_packets=8, drop_rate=0.05, label="twin", weight=0.5
+    )
+    repair = SessionSpec(
+        num_nodes=15, degree=3, num_packets=8, drop_rate=0.02, repair_epsilon=0.2
+    )
     return {
         # Exact aggregation: churn, a binding queue budget, a lossy kind and
         # an ABR kind.
@@ -131,6 +137,14 @@ def _golden_fleets():
         ),
         # The control plane's ramp: loss-free units, one per epoch.
         "ramp": ramp_fleet("adaptive", scale=1),
+        # No budget can bind, so every chunk takes admission's array-only
+        # path: lossy, loss-free, ABR and slack-provisioned kinds, plus a
+        # twin of the lossy kind that shares its configuration.
+        "unbound": FleetSpec(
+            sessions=(lossy, clean, abr, twin, repair), num_sessions=600,
+            churn_rate=0.3, capacity=CapacityModel(source_fanout=1e9, backbone=1e9),
+            seed=13,
+        ),
     }
 
 
@@ -217,6 +231,33 @@ FLEET_GOLDEN = {
             "qoe_tiers": (),
         },
         "adbd6e998ba4302a8f0021c1bfe327cc073587f0cf2f91a9ef16215bd74fb722",
+    ),
+    "unbound": (
+        {
+            "num_sessions": 600,
+            "admitted": 600,
+            "degraded": 0,
+            "queued": 0,
+            "rejected": 0,
+            "reject_rate": "0.0",
+            "startup_p50": 7,
+            "startup_p95": 8,
+            "startup_p99": 8,
+            "startup_max": 8,
+            "rebuffer_mean": "0.05826505803038062",
+            "rebuffer_max": "0.2620967741935484",
+            "delay_p50": 6,
+            "delay_p95": 7,
+            "delay_p99": 8,
+            "buffer_p50": 2,
+            "buffer_p99": 4,
+            "goodput_mean": "0.27641152846596995",
+            "cache_hits": 596,
+            "cache_misses": 4,
+            "cache_hit_rate": "0.9933333333333333",
+            "qoe_tiers": (("standard", 28),),
+        },
+        "1f4fc7a871992eed75660c408e7ab295b2f2b7efe361b247b8d95baaf5520e03",
     ),
 }
 

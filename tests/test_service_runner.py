@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro
@@ -238,13 +239,108 @@ class TestOneAggregation:
         assert many_cores.executor_info["units"] == plain.executor_info["units"]
 
 
+class TestColumnarFrontEnd:
+    """Resolve, admission and grouping carry the fleet as columns."""
+
+    BULK = _small_fleet(
+        sessions=(
+            SessionSpec(num_nodes=15, degree=3, num_packets=6, drop_rate=0.01),
+            SessionSpec(num_nodes=15, degree=3, num_packets=6, drop_rate=0.01,
+                        label="twin", weight=0.5),
+            SessionSpec(scheme="hypercube", num_nodes=16, num_packets=6, drop_rate=0.01),
+            SessionSpec(scheme="chain", num_nodes=8, num_packets=6, drop_rate=0.01),
+        ),
+        num_sessions=600,
+        arrival_rate=16.0,
+        aggregation="sketch",
+        capacity=CapacityModel(source_fanout=1e9, backbone=1e9),
+    )
+
+    def test_bulk_run_builds_no_per_session_object(self, monkeypatch):
+        import repro.service.runner as runner_module
+        from repro.service.admission import AdmissionDecision
+        from repro.service.spec import ResolvedSession
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"a bulk run built a {type(self).__name__}")
+
+        monkeypatch.setattr(ResolvedSession, "__init__", forbidden)
+        monkeypatch.setattr(AdmissionDecision, "__init__", forbidden)
+        units = []
+        original = runner_module.fleet_unit_task
+
+        def spy(unit):
+            units.append(unit)
+            return original(unit)
+
+        monkeypatch.setattr(runner_module, "fleet_unit_task", spy)
+        result = FleetRunner(policy=SERIAL).run(self.BULK)
+        assert result.report.admitted == 600
+        assert sum(len(unit[4][0]) for unit in units) == 600
+        for *_, members in units:
+            tasks, ids, labels, statuses, seeds, waits, profiles = members
+            assert profiles is None
+            for column in (tasks, ids, seeds, waits):
+                assert isinstance(column, np.ndarray) and len(column) == len(tasks)
+            assert len(labels) == len(statuses) == len(tasks)
+        # The twin kind shares its configuration's one compile and units.
+        assert result.report.cache_misses == 3
+        assert any(len(set(unit[4][2])) == 2 for unit in units)
+
+    def test_result_tables(self):
+        from repro.service import DecisionTable, SessionTable
+
+        fleet = _small_fleet(
+            churn_rate=0.3, policy="queue", num_sessions=60,
+            capacity=CapacityModel(source_fanout=12.0, backbone=1e6),
+        )
+        result = FleetRunner(policy=SERIAL).run(fleet)
+        assert isinstance(result.sessions, SessionTable)
+        assert result.sessions == fleet.resolve()
+        assert isinstance(result.decisions, DecisionTable)
+        assert result.decisions.session_id.tolist() == list(range(60))
+        report = result.report
+        statuses = [d.status for d in result.decisions]
+        assert statuses.count("rejected") == report.rejected > 0
+        assert statuses.count("admitted") == report.admitted
+
+    @pytest.mark.parametrize(
+        ("name", "entered", "queued", "timeouts"),
+        [("static", 1057, 329, 728), ("ramp", 965, 959, 6)],
+    )
+    def test_queue_entries_end_admitted_late_or_timed_out(
+        self, name, entered, queued, timeouts
+    ):
+        # report.queued counts admitted sessions that waited; a queued
+        # session that timed out is only a reject.
+        from repro.control.scenario import ramp_fleet
+        from repro.service.admission import REASONS
+
+        fleet = {
+            "static": _small_fleet(
+                num_sessions=2000, churn_rate=0.3, policy="queue",
+                max_queue_slots=16, arrival_rate=16.0,
+                capacity=CapacityModel(source_fanout=40.0, backbone=1e6),
+            ),
+            "ramp": ramp_fleet("adaptive", scale=10, seed=21),
+        }[name]
+        registry = MetricsRegistry()
+        result = FleetRunner(policy=SERIAL, registry=registry).run(fleet)
+        timed_out = int(np.count_nonzero(
+            result.decisions.reason == REASONS.index("queue_timeout")
+        ))
+        counted = registry.counter("fleet.queue.entered").value
+        assert (counted, result.report.queued, timed_out) == (entered, queued, timeouts)
+        assert counted == result.report.queued + timed_out
+
+
 class TestUnitErrors:
     """A unit's own failure is a ReproError that names the unit."""
 
     TOKEN = "0123456789abcdef" * 4
     UNIT = (TOKEN, 0.05, 6, 20, (
-        (0, 17, "k", "admitted", 5, 0, None),
-        (1, 23, "k", "admitted", 6, 2, None),
+        np.array([0, 1]), np.array([17, 23]), ["k", "k"], ["admitted", "admitted"],
+        np.array([5, 6]), np.array([0, 2]), None,
     ))
 
     @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from repro.core.metrics import summarize_lossy_playback
 from repro.exec.batch import BatchMetrics, replay_batch
 from repro.exec.compiler import COMPILABLE_SCHEMES, compile_schedule
 from repro.exec.replay import bernoulli_mask, replay_arrivals
-from repro.service.admission import AdmissionDecision
+from repro.service.admission import REASONS, STATUSES, AdmissionDecision, DecisionTable
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
@@ -37,6 +37,18 @@ def _decision(session_id, status, *, wait=0):
         duration=0 if status == "rejected" else 10,
         reason="capacity" if status == "rejected" else "",
     )
+
+
+def _table(decisions):
+    """A decision table holding ``decisions`` (rows) in order."""
+    rows = [
+        (
+            d.session_id, STATUSES.index(d.status), d.arrival_slot, d.start_slot,
+            d.wait_slots, d.degree, d.duration, REASONS.index(d.reason),
+        )
+        for d in decisions
+    ]
+    return DecisionTable(*np.array(rows, dtype=np.int64).reshape(-1, 8).T)
 
 
 def _columns(delays, buffers, *, residual, available, num_packets, num_slots):
@@ -286,10 +298,20 @@ class TestScoreBatchMatchesReference:
         assert scored.slos() == expected
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.2], ids=["loss-free", "lossy"])
+def test_percentile_columns_have_one_int64_row_per_session(rate):
+    schedule = compile_schedule("multi-tree", 15, 3, num_packets=6)
+    batch = replay_batch(schedule, [1, 2, 3], rate, num_packets=6)
+    columns = score_batch_sessions(batch, session_ids=[0, 1, 2], labels=["k"] * 3)
+    assert columns.loss_free == (rate == 0.0)
+    for name in ("delay_p50", "delay_p95", "delay_p99", "buffer_p50", "buffer_p99"):
+        column = getattr(columns, name)
+        assert column.dtype == np.int64 and column.shape == (3,), name
+
+
 def _fold(decisions, units, **cache):
     aggregator = FleetAggregator()
-    for decision in decisions:
-        aggregator.add_decision(decision)
+    aggregator.add_decisions(_table(decisions))
     for columns in units:
         aggregator.add_sessions(columns)
     return aggregator.report(**cache)
@@ -425,8 +447,7 @@ class TestColumnarPath:
             aggregator = FleetAggregator(
                 relative_error=relative_error, exact_limit=exact_limit
             )
-            for i in range(9):
-                aggregator.add_decision(_decision(i, "admitted"))
+            aggregator.add_decisions(_table(_decision(i, "admitted") for i in range(9)))
             aggregator.add_sessions(unit)
             reports.append(aggregator.report())
         assert reports[0] == reports[1]
@@ -464,7 +485,7 @@ class TestColumnarPath:
                 node_buffers=base.node_buffers[part],
             ))
             lo = hi
-        aggregator.add_decision(_decision(0, "admitted"))
+        aggregator.add_decisions(_table([_decision(0, "admitted")]))
         rebuffer = goodput = 0.0
         for r, g in rows:
             rebuffer += r

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,9 @@ from repro.service.spec import (
     ARRIVAL_PROCESSES,
     CapacityModel,
     FleetSpec,
+    ResolvedSession,
     SessionSpec,
+    SessionTable,
 )
 from repro.workloads.arrivals import (
     poisson_arrival_slots,
@@ -116,6 +119,47 @@ class TestCapacityModel:
             CapacityModel(backbone=-1)
 
 
+class TestSessionTable:
+    FLEET = FleetSpec(
+        sessions=(SessionSpec(num_nodes=15), SessionSpec(scheme="chain", num_nodes=8)),
+        num_sessions=40, churn_rate=0.5, seed=4,
+    )
+
+    def test_columns(self):
+        table = self.FLEET.resolve()
+        assert isinstance(table, SessionTable)
+        assert table.kinds == self.FLEET.sessions
+        assert table.session_id.tolist() == list(range(40))
+        for name in ("session_id", "kind", "arrival_slot", "seed"):
+            assert getattr(table, name).dtype == np.int64
+        churned = ~np.isnan(table.leave_fraction)
+        assert 0 < churned.sum() < 40
+
+    def test_rows_are_built_on_access(self):
+        table = self.FLEET.resolve()
+        rows = list(table)
+        assert len(rows) == len(table) == 40
+        assert all(isinstance(row, ResolvedSession) for row in rows)
+        assert table[7] == rows[7]
+        assert table[-1] == rows[-1] == table[np.int64(39)]
+        assert rows[7].spec is self.FLEET.sessions[int(table.kind[7])]
+        assert all(
+            (row.leave_fraction is None) == np.isnan(fraction)
+            for row, fraction in zip(rows, table.leave_fraction)
+        )
+        with pytest.raises(IndexError):
+            table[40]
+
+    def test_slices_are_tables(self):
+        table = self.FLEET.resolve()
+        part = table[10:20]
+        assert isinstance(part, SessionTable)
+        assert list(part) == list(table)[10:20]
+        assert part == table[10:20]
+        assert part != table[11:21]
+        assert table[10:20] != list(table)[10:20]  # a table equals tables only
+
+
 class TestFleetSpec:
     def test_resolve_is_deterministic(self):
         fleet = FleetSpec(num_sessions=30, churn_rate=0.3, seed=11)
@@ -154,6 +198,23 @@ class TestFleetSpec:
             num_sessions=4, arrival="trace", arrival_slots=(1, 4, 9)
         )
         assert [s.arrival_slot for s in fleet.resolve()] == [1, 4, 9, 11]
+
+    @pytest.mark.parametrize(
+        ("slots", "index", "value"),
+        [((0, 2.7, 5), 1, "2.7"), ((0, True, 5), 1, "True"),
+         (("0", "3"), 0, "'0'"), ((0, math.nan), 1, "nan"), ((0, None), 1, "None")],
+        ids=["float", "bool", "str", "nan", "none"],
+    )
+    def test_malformed_trace_entries_are_named(self, slots, index, value):
+        # These used to resolve (truncated, as 1, parsed) or raise a raw
+        # ValueError or TypeError.
+        with pytest.raises(ReproError) as info:
+            FleetSpec(arrival="trace", arrival_slots=slots, num_sessions=3)
+        assert str(info.value) == (
+            f"FleetSpec.arrival_slots[{index}] must be an int, got {value}"
+        )
+        with pytest.raises(ReproError, match=rf"trace\[{index}\] must be an int"):
+            trace_arrival_slots(3, slots)
 
     def test_describe_names_the_mix(self):
         text = FleetSpec(num_sessions=7, policy="degrade").describe()
