@@ -3,12 +3,12 @@
 Dashboards, docs, and SLO monitors key on metric and event names as plain
 strings: an emitter that says ``fleet.session`` where the dashboard reads
 ``fleet.sessions`` fails silently, forever.  :mod:`repro.obs.names` is the
-single source of truth for every counter/gauge/histogram/sketch name and
+single source of truth for every counter/gauge/histogram name and
 :data:`repro.obs.events.EVENT_SCHEMA` for every tracer event; this pass
 cross-checks each emission site in the project against them.
 
 An emission site is a call of one of the registry methods
-(``.counter`` / ``.gauge`` / ``.histogram`` / ``.sketch``) or an event
+(``.counter`` / ``.gauge`` / ``.histogram``) or an event
 emitter (``.emit`` / ``._emit``) whose name argument the model can resolve
 to a string — literals, module-level constants, ``from X import NAME``
 bindings, and ``mod.NAME`` reads all resolve.  Names the resolver cannot
@@ -41,7 +41,7 @@ DESCRIPTION = (
     "registry (repro.obs.names / EVENT_SCHEMA)"
 )
 
-_METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "sketch"})
+_METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
 #: Time-series emitters are also name-first.  ``.observe(value)`` on a
 #: histogram handle never resolves (float arg) so it self-excludes;
 #: ``.count`` additionally requires >= 2 positional args so that

@@ -1,14 +1,20 @@
 """The individual schedule invariants and their :class:`Violation` records.
 
 Each invariant is a generator over a precomputed :class:`ScheduleFacts` view
-of one :class:`~repro.exec.compiler.CompiledSchedule`.  Invariants never
+of one :class:`~repro.exec.compiler.CompiledSchedule`: the schedule's NumPy
+columns (:meth:`~repro.exec.compiler.CompiledSchedule.columns`), the table
+of delivered ``(receiver, packet)`` pairs, and the first arrivals of the
+measured prefix.  A rule is a column predicate and builds
+:class:`Violation` records only for the rows it flags.  Invariants never
 raise on a bad schedule — they *emit* structured findings, so a single check
 pass reports every broken rule instead of stopping at the first (the engine's
 :class:`~repro.core.validation.SlotValidator` is the raising, in-band
-counterpart).
+counterpart).  The playback rules read the batch kernel's scorer
+(:func:`~repro.exec.batch.score_arrivals`), the one closed-form playback
+scorer.
 
 The same invariants certify a finished engine trace: :func:`repro.check.check_trace`
-lowers its transmission log into a schedule and runs the structural rules
+packs its transmission log into a schedule and runs the structural rules
 plus :func:`check_arrivals`, the one trace-only rule.
 
 The rules and the paper claims they certify are catalogued in
@@ -18,13 +24,13 @@ The rules and the paper claims they certify are catalogued in
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
-from repro.core.playback import buffer_peak, earliest_safe_start
-from repro.core.protocol import StreamingProtocol
-from repro.exec.compiler import CompiledSchedule
+import numpy as np
+
+from repro.exec.batch import DEFAULT_ELEMENT_BUDGET, score_arrivals
+from repro.exec.compiler import Column, CompiledSchedule
 
 __all__ = [
     "RULES",
@@ -108,86 +114,107 @@ class Violation:
         }
 
 
+def _pair_keys(nodes: Column, packets: Column) -> Column:
+    """One int64 per ``(node, packet)`` pair of int32 ids, in pair order."""
+    return nodes * 2**32 + (packets + 2**31)
+
+
 class ScheduleFacts:
     """Derived facts of one compiled schedule, computed once and shared.
 
-    The invariants below only read from this view; building it is a single
-    O(transmissions) pass over the flat columns.
+    The invariants below only read from this view: the schedule's
+    ``columns`` (:class:`~repro.exec.compiler.ScheduleColumns`), the
+    model's capacity and availability callables, and
+
+    * the delivered ``(receiver, packet)`` pairs in pair order:
+      ``pair_keys``, ``pair_index`` (the flat index of each pair's first
+      arrival) and ``pair_counts`` (its deliveries);
+    * the measured prefix, packets ``0..P-1`` reaching a receiver node
+      before the horizon: ``(P, nodes)`` matrices ``first_arrivals`` and
+      ``held`` (a pair never delivered is not ``held``; its entry means
+      nothing), and ``complete``, the nodes whose measured trace is exactly
+      that prefix, the ones the playback rules score.
     """
 
     __slots__ = (
-        "schedule", "protocol", "num_packets", "node_set", "source_set",
-        "sends", "recvs", "deliveries", "first_arrival", "arrivals_by_node",
+        "schedule", "num_packets", "columns", "send_capacity",
+        "recv_capacity", "packet_available_slot", "pair_keys", "pair_index",
+        "pair_counts", "first_arrivals", "held", "complete", "_scores",
     )
 
     def __init__(
         self,
         schedule: CompiledSchedule,
-        protocol: StreamingProtocol,
         num_packets: int,
+        send_capacity: Callable[[int], int],
+        recv_capacity: Callable[[int], int],
+        packet_available_slot: Callable[[int], int],
     ) -> None:
         self.schedule = schedule
-        self.protocol = protocol
         self.num_packets = num_packets
-        self.node_set = frozenset(schedule.node_ids)
-        self.source_set = frozenset(schedule.source_ids)
-        # Per-slot traffic: sends counted at the emission slot, receives at
-        # the arrival slot (with latency 1 these coincide shifted by one).
-        self.sends: Counter[tuple[int, int]] = Counter()
-        self.recvs: Counter[tuple[int, int]] = Counter()
-        self.deliveries: Counter[tuple[int, int]] = Counter()
-        self.first_arrival: dict[tuple[int, int], int] = {}
-        first = self.first_arrival
-        starts = schedule.starts
-        senders, receivers = schedule.senders, schedule.receivers
-        packets, arrivals = schedule.packets, schedule.arrivals
-        for slot in range(schedule.num_slots):
-            for i in range(starts[slot], starts[slot + 1]):
-                self.sends[(slot, senders[i])] += 1
-                receiver, packet, arrival = receivers[i], packets[i], arrivals[i]
-                self.recvs[(arrival, receiver)] += 1
-                self.deliveries[(receiver, packet)] += 1
-                key = (receiver, packet)
-                if key not in first or arrival < first[key]:
-                    first[key] = arrival
-        # Per-node arrival traces of the measured prefix, for the playback
-        # rules (same truncation semantics as core.metrics).
-        self.arrivals_by_node: dict[int, dict[int, int]] = {
-            node: {} for node in schedule.node_ids
-        }
-        horizon = schedule.num_slots
-        for (node, packet), arrival in first.items():
-            if packet < num_packets and arrival < horizon and node in self.arrivals_by_node:
-                self.arrivals_by_node[node][packet] = arrival
+        self.send_capacity = send_capacity
+        self.recv_capacity = recv_capacity
+        self.packet_available_slot = packet_available_slot
+        c = self.columns = schedule.columns()
+        keys = _pair_keys(c.receivers, c.packets)
+        order = np.lexsort((c.arrivals, keys))
+        self.pair_keys, first, self.pair_counts = np.unique(
+            keys[order], return_index=True, return_counts=True
+        )
+        self.pair_index = order[first]
+        rows = c.receiver_rows[self.pair_index]
+        packets = c.packets[self.pair_index]
+        arrivals = c.arrivals[self.pair_index]
+        measured = (arrivals < schedule.num_slots) & (rows >= 0) & (rows < c.num_rows)
+        prefix = measured & (packets >= 0) & (packets < num_packets)
+        self.first_arrivals = np.zeros((num_packets, c.num_rows), dtype=np.int32)
+        self.held = np.zeros((num_packets, c.num_rows), dtype=bool)
+        self.first_arrivals[packets[prefix], rows[prefix]] = arrivals[prefix]
+        self.held[packets[prefix], rows[prefix]] = True
+        # A delivered negative packet id also spoils a measured trace.
+        stray = np.bincount(rows[measured & (packets < 0)], minlength=c.num_rows)
+        self.complete = self.held.all(axis=0) & (stray == 0) & (num_packets > 0)
+        self._scores: tuple[Column, Column, Column] | None = None
 
-    # Transmissions in flat order with their emission slot.
-    def iter_flat(self) -> Iterator[tuple[int, int, int, int, int, int]]:
-        """Yield ``(index, slot, sender, receiver, packet, arrival)``."""
-        schedule = self.schedule
-        starts = schedule.starts
-        for slot in range(schedule.num_slots):
-            for i in range(starts[slot], starts[slot + 1]):
-                yield (
-                    i, slot, schedule.senders[i], schedule.receivers[i],
-                    schedule.packets[i], schedule.arrivals[i],
+    def scores(self) -> tuple[Column, Column, Column]:
+        """``(rows, start_delays, buffer_peaks)`` of the ``complete`` nodes
+        from the batch kernel's scorer, computed on first use, in node
+        chunks that keep its ``(P, P, nodes)`` temporary under budget."""
+        if self._scores is None:
+            rows = np.flatnonzero(self.complete)
+            starts, peaks = np.empty((2, rows.size), dtype=np.int64)
+            chunk = max(1, DEFAULT_ELEMENT_BUDGET // max(1, self.num_packets**2))
+            for lo in range(0, rows.size, chunk):
+                start, peak, _ = score_arrivals(
+                    self.first_arrivals[:, rows[lo:lo + chunk], None]
                 )
+                starts[lo:lo + chunk], peaks[lo:lo + chunk] = start[0], peak[0]
+            self._scores = (rows, starts, peaks)
+        return self._scores
 
 
 # ------------------------------------------------------------------ structural
 def check_well_formed(facts: ScheduleFacts) -> Iterator[Violation]:
     """Transmissions reference known nodes, sane packets, in-horizon slots."""
-    known = facts.node_set | facts.source_set
-    for _, slot, sender, receiver, packet, arrival in facts.iter_flat():
-        if sender not in known:
+    c = facts.columns
+    bad_sender = c.sender_rows < 0
+    bad_receiver = (c.receiver_rows < 0) | (c.receiver_rows >= c.num_rows)
+    bad_packet = c.packets < 0
+    bad_arrival = c.arrivals < c.slots
+    flagged = bad_sender | bad_receiver | bad_packet | bad_arrival
+    for i in np.flatnonzero(flagged).tolist():
+        slot, sender, receiver = c.slots[i].item(), c.senders[i].item(), c.receivers[i].item()
+        packet, arrival = c.packets[i].item(), c.arrivals[i].item()
+        if bad_sender[i]:
             yield Violation("well-formed", slot, sender, packet,
                             f"sender {sender} is not a known node")
-        if receiver not in facts.node_set:
+        if bad_receiver[i]:
             yield Violation("well-formed", slot, receiver, packet,
                             f"receiver {receiver} is not a receiver node")
-        if packet < 0:
+        if bad_packet[i]:
             yield Violation("well-formed", slot, sender, packet,
                             f"negative packet id {packet}")
-        if arrival < slot:
+        if bad_arrival[i]:
             # Latency-1 links deliver at the *end* of the sending slot
             # (arrival_slot = slot + latency - 1), so arrival >= slot always.
             yield Violation(
@@ -196,100 +223,116 @@ def check_well_formed(facts: ScheduleFacts) -> Iterator[Violation]:
             )
 
 
+def _over_capacity(
+    facts: ScheduleFacts, rule: str, verb: str, slots: Column, nodes: Column,
+    rows: Column, capacity: Callable[[int], int],
+) -> Iterator[Violation]:
+    """Findings for the ``(slot, node)`` groups, in that order, holding more
+    transmissions than the node's capacity.  The model is asked once per
+    known node; any other id (row -1) is an ordinary receiver, capacity 1."""
+    _, first, counts = np.unique(
+        _pair_keys(slots, nodes), return_index=True, return_counts=True
+    )
+    known = (*facts.schedule.node_ids, *facts.schedule.source_ids)
+    caps = np.array([capacity(node) for node in known] + [1])[rows[first]]
+    for group in np.flatnonzero(counts > caps).tolist():
+        i = first[group]
+        yield Violation(
+            rule, slots[i].item(), nodes[i].item(), None,
+            f"{verb} {counts[group]} packets, capacity {caps[group]}",
+        )
+
+
 def check_send_capacity(facts: ScheduleFacts) -> Iterator[Violation]:
-    """Per-slot sends per node within ``protocol.send_capacity``."""
-    capacity = facts.protocol.send_capacity
-    for (slot, node), count in sorted(facts.sends.items()):
-        cap = capacity(node)
-        if count > cap:
-            yield Violation(
-                "send-capacity", slot, node, None,
-                f"sent {count} packets, capacity {cap}",
-            )
+    """Per-slot sends per node within the model's ``send_capacity``."""
+    c = facts.columns
+    return _over_capacity(facts, "send-capacity", "sent", c.slots, c.senders,
+                          c.sender_rows, facts.send_capacity)
 
 
 def check_recv_capacity(facts: ScheduleFacts) -> Iterator[Violation]:
-    """Per-slot receives per receiver within ``protocol.recv_capacity``."""
-    capacity = facts.protocol.recv_capacity
-    for (slot, node), count in sorted(facts.recvs.items()):
-        if node in facts.source_set:
-            continue
-        cap = capacity(node)
-        if count > cap:
-            yield Violation(
-                "recv-capacity", slot, node, None,
-                f"receives {count} packets, capacity {cap}",
-            )
+    """Per-slot receives per receiver within the model's ``recv_capacity``
+    (receives count at the arrival slot; a source's are not capped)."""
+    c = facts.columns
+    kept = np.flatnonzero(c.receiver_rows < c.num_rows)
+    return _over_capacity(facts, "recv-capacity", "receives", c.arrivals[kept],
+                          c.receivers[kept], c.receiver_rows[kept], facts.recv_capacity)
 
 
 def check_causality(facts: ScheduleFacts) -> Iterator[Violation]:
     """Forwarded packets were held strictly before the sending slot."""
-    available = facts.protocol.packet_available_slot
-    first = facts.first_arrival
-    for _, slot, sender, _receiver, packet, _arrival in facts.iter_flat():
-        if sender in facts.source_set:
-            at = available(packet)
-            if slot < at:
-                yield Violation(
-                    "causality", slot, sender, packet,
-                    f"source emitted packet {packet} only available from "
-                    f"slot {at} (live stream)",
-                )
-            continue
-        held_at = first.get((sender, packet))
-        if held_at is None or held_at >= slot:
+    c = facts.columns
+    source = c.sender_rows >= c.num_rows
+    available_at = np.zeros(c.slots.size, dtype=np.int64)
+    if source.any():
+        distinct, inverse = np.unique(c.packets[source], return_inverse=True)
+        available = facts.packet_available_slot
+        available_at[source] = np.array(
+            [available(packet) for packet in distinct.tolist()], dtype=np.int64
+        )[inverse.reshape(-1)]
+    early = source & (c.slots < available_at)
+    # The sender's first arrival of the packet, from the pair table.
+    query = _pair_keys(c.senders, c.packets)
+    at = np.minimum(np.searchsorted(facts.pair_keys, query), facts.pair_keys.size - 1)
+    found = facts.pair_keys[at] == query
+    held_at = c.arrivals[facts.pair_index[at]]
+    unheld = ~source & (~found | (held_at >= c.slots))
+    for i in np.flatnonzero(early | unheld).tolist():
+        slot, sender, packet = c.slots[i].item(), c.senders[i].item(), c.packets[i].item()
+        if source[i]:
+            yield Violation(
+                "causality", slot, sender, packet,
+                f"source emitted packet {packet} only available from "
+                f"slot {available_at[i]} (live stream)",
+            )
+        else:
             yield Violation(
                 "causality", slot, sender, packet,
                 f"forwarded packet {packet} "
-                + ("it never receives" if held_at is None
-                   else f"that only arrives at slot {held_at}"),
+                + (f"that only arrives at slot {held_at[i]}" if found[i]
+                   else "it never receives"),
             )
 
 
 def check_duplicate_delivery(facts: ScheduleFacts) -> Iterator[Violation]:
     """Each (receiver, packet) pair is delivered at most once."""
-    for (node, packet), count in sorted(facts.deliveries.items()):
-        if count > 1:
-            yield Violation(
-                "duplicate-delivery", None, node, packet,
-                f"delivered {count} times (wasted receive slots)",
-            )
+    c = facts.columns
+    for pair in np.flatnonzero(facts.pair_counts > 1).tolist():
+        i = facts.pair_index[pair]
+        yield Violation(
+            "duplicate-delivery", None, c.receivers[i].item(), c.packets[i].item(),
+            f"delivered {facts.pair_counts[pair]} times (wasted receive slots)",
+        )
 
 
 # --------------------------------------------------------------------- global
 def check_coverage(facts: ScheduleFacts) -> Iterator[Violation]:
     """Every receiver holds packets ``0..P-1`` by the end of the horizon."""
     horizon = facts.schedule.num_slots
-    for node in facts.schedule.node_ids:
-        trace = facts.arrivals_by_node[node]
-        missing = [p for p in range(facts.num_packets) if p not in trace]
-        if missing:
-            head = ", ".join(map(str, missing[:5]))
-            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
-            yield Violation(
-                "coverage", None, node, missing[0],
-                f"missing packets {head}{more} within the {horizon}-slot horizon",
-            )
+    node_ids = facts.schedule.node_ids
+    for row in np.flatnonzero(~facts.held.all(axis=0)).tolist():
+        missing = np.flatnonzero(~facts.held[:, row]).tolist()
+        head = ", ".join(map(str, missing[:5]))
+        more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
+        yield Violation(
+            "coverage", None, node_ids[row], missing[0],
+            f"missing packets {head}{more} within the {horizon}-slot horizon",
+        )
 
 
 def check_playability(facts: ScheduleFacts) -> Iterator[Violation]:
     """In-order playback at the earliest safe start fits the horizon."""
     horizon = facts.schedule.num_slots
-    P = facts.num_packets
-    for node in facts.schedule.node_ids:
-        trace = facts.arrivals_by_node[node]
-        if len(trace) != P or not trace:
-            continue  # coverage already reported the gap
-        start = earliest_safe_start(trace)
-        # Packet P-1 is consumed at the end of slot start + P - 2; playback
-        # must complete inside the compiled horizon to be schedulable.
-        finish = start + P - 1
-        if finish > horizon:
-            yield Violation(
-                "playability", None, node, None,
-                f"in-order playback needs start delay {start} and finishes at "
-                f"slot {finish}, beyond the {horizon}-slot horizon",
-            )
+    rows, starts, _ = facts.scores()
+    # Packet P-1 is consumed at the end of slot start + P - 2; playback
+    # must complete inside the compiled horizon to be schedulable.
+    finishes = starts + facts.num_packets - 1
+    for k in np.flatnonzero(finishes > horizon).tolist():
+        yield Violation(
+            "playability", None, facts.schedule.node_ids[rows[k]], None,
+            f"in-order playback needs start delay {starts[k]} and finishes at "
+            f"slot {finishes[k]}, beyond the {horizon}-slot horizon",
+        )
 
 
 def _theorem_bounds(facts: ScheduleFacts) -> tuple[float | None, float | None]:
@@ -326,17 +369,13 @@ def check_delay_bound(facts: ScheduleFacts) -> Iterator[Violation]:
     bound, _ = _theorem_bounds(facts)
     if bound is None:
         return
-    for node in facts.schedule.node_ids:
-        trace = facts.arrivals_by_node[node]
-        if len(trace) != facts.num_packets or not trace:
-            continue
-        start = earliest_safe_start(trace)
-        if start > bound:
-            yield Violation(
-                "delay-bound", None, node, None,
-                f"earliest hiccup-free start {start} exceeds the scheme bound "
-                f"{bound:g}",
-            )
+    rows, starts, _ = facts.scores()
+    for k in np.flatnonzero(starts > bound).tolist():
+        yield Violation(
+            "delay-bound", None, facts.schedule.node_ids[rows[k]], None,
+            f"earliest hiccup-free start {starts[k]} exceeds the scheme bound "
+            f"{bound:g}",
+        )
 
 
 def check_buffer_bound(facts: ScheduleFacts) -> Iterator[Violation]:
@@ -344,16 +383,12 @@ def check_buffer_bound(facts: ScheduleFacts) -> Iterator[Violation]:
     _, bound = _theorem_bounds(facts)
     if bound is None:
         return
-    for node in facts.schedule.node_ids:
-        trace = facts.arrivals_by_node[node]
-        if len(trace) != facts.num_packets or not trace:
-            continue
-        peak = buffer_peak(trace, earliest_safe_start(trace))
-        if peak > bound:
-            yield Violation(
-                "buffer-bound", None, node, None,
-                f"peak buffer {peak} packets exceeds the scheme bound {bound:g}",
-            )
+    rows, _, peaks = facts.scores()
+    for k in np.flatnonzero(peaks > bound).tolist():
+        yield Violation(
+            "buffer-bound", None, facts.schedule.node_ids[rows[k]], None,
+            f"peak buffer {peaks[k]} packets exceeds the scheme bound {bound:g}",
+        )
 
 
 # ---------------------------------------------------------------- trace-only
@@ -366,9 +401,14 @@ def check_arrivals(
     logged deliveries arriving at or after ``horizon`` were still in flight
     when the run ended, so no node records them.
     """
+    c = facts.columns
+    first = facts.pair_index[c.arrivals[facts.pair_index] < horizon]
     logged: dict[int, dict[int, int]] = {node: {} for node in recorded}
-    for (node, packet), arrival in facts.first_arrival.items():
-        if arrival < horizon and node in logged:
+    for node, packet, arrival in zip(
+        c.receivers[first].tolist(), c.packets[first].tolist(),
+        c.arrivals[first].tolist(), strict=True,
+    ):
+        if node in logged:
             logged[node][packet] = arrival
     for node in sorted(recorded):
         trace, log = recorded[node], logged[node]

@@ -3,7 +3,7 @@
 :func:`check_schedule` certifies a :class:`~repro.exec.compiler.CompiledSchedule`
 against the paper's communication model and theorem bounds **without running
 the engine**: every invariant of :mod:`repro.check.invariants` is evaluated
-over one precomputed fact table, and the findings come back as structured
+over one precomputed set of NumPy column facts, and the findings come back as structured
 :class:`~repro.check.invariants.Violation` records inside a
 :class:`CheckReport`.
 
@@ -11,7 +11,7 @@ Four entry points:
 
 * :func:`check_schedule` — check an in-memory compiled schedule;
 * :func:`check_trace` — check a finished engine trace post hoc (``repro
-  verify``): its transmission log is lowered into a schedule and run
+  verify``): its transmission log is packed into a schedule and run
   through the structural invariants, plus the trace-only ``arrivals`` rule;
 * :func:`check_config` — compile (through the content-addressed cache) and
   check one ``(scheme, N, d, P)`` configuration;
@@ -26,20 +26,20 @@ findings through the normal observability path.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.errors import ReproError
-from repro.core.packet import Transmission
-from repro.core.protocol import HoldingsView, StreamingProtocol
+from repro.core.protocol import StreamingProtocol
 from repro.exec.cache import ScheduleCache
 from repro.exec.compiler import (
     COMPILABLE_SCHEMES,
     CompiledSchedule,
     build_protocol,
-    compile_protocol,
     compile_schedule,
 )
 from repro.check.invariants import (
@@ -215,44 +215,11 @@ def check_schedule(
         if key is not None
         else protocol.describe()
     )
-    return _evaluate(
-        description, ScheduleFacts(schedule, protocol, num_packets),
-        _INVARIANTS, max_per_rule,
+    facts = ScheduleFacts(
+        schedule, num_packets, protocol.send_capacity, protocol.recv_capacity,
+        protocol.packet_available_slot,
     )
-
-
-class _LoggedProtocol(StreamingProtocol):
-    """A finished trace's transmission log, replayed as a protocol."""
-
-    def __init__(
-        self,
-        trace: SimTrace,
-        send_capacity: Callable[[int], int],
-        recv_capacity: Callable[[int], int],
-    ) -> None:
-        self._trace = trace
-        self._send_capacity = send_capacity
-        self._recv_capacity = recv_capacity
-        self._by_slot: dict[int, list[Transmission]] = {}
-        for tx in trace.transmissions:
-            self._by_slot.setdefault(tx.slot, []).append(tx)
-
-    @property
-    def node_ids(self) -> list[int]:
-        return sorted(self._trace.nodes)
-
-    @property
-    def source_ids(self) -> frozenset[int]:
-        return frozenset(self._trace.source_states)
-
-    def transmissions(self, slot: int, view: HoldingsView) -> Iterable[Transmission]:
-        return self._by_slot.get(slot, ())
-
-    def send_capacity(self, node: int) -> int:
-        return self._send_capacity(node)
-
-    def recv_capacity(self, node: int) -> int:
-        return self._recv_capacity(node)
+    return _evaluate(description, facts, _INVARIANTS, max_per_rule)
 
 
 def check_trace(
@@ -264,15 +231,15 @@ def check_trace(
 ) -> CheckReport:
     """Verify a finished trace's transmission log against the §2 model.
 
-    The log is lowered into a schedule by :func:`compile_protocol` (the
-    engine's own holdings semantics) and held to the well-formed,
-    send-capacity, recv-capacity and causality invariants, with the
-    trace's source states as the sources.  The trace-only ``arrivals``
-    rule then requires each receiver's recorded arrivals to be exactly the
-    log's first in-horizon deliveries.  ``duplicate-delivery`` is not
-    checked: runs with ``strict_duplicates=False`` deliver duplicates
-    legitimately.  A logged delivery to a node the trace does not know
-    raises :class:`ReproError`.
+    The log, stable-sorted by slot, is packed into a schedule and held to
+    the well-formed, send-capacity, recv-capacity and causality
+    invariants, with the trace's source states as the sources.  The
+    trace-only ``arrivals`` rule then requires each receiver's recorded
+    arrivals to be exactly the log's first in-horizon deliveries.
+    ``duplicate-delivery`` is not checked: runs with
+    ``strict_duplicates=False`` deliver duplicates legitimately.  A logged
+    delivery, arriving within the checked slots, to a node the trace does
+    not know raises :class:`ReproError`.
 
     Args:
         trace: the engine's :class:`~repro.core.engine.SimTrace` or one
@@ -280,11 +247,24 @@ def check_trace(
         send_capacity / recv_capacity: per-node capacities of the model.
         max_per_rule: findings retained per rule (totals are always exact).
     """
-    protocol = _LoggedProtocol(trace, send_capacity, recv_capacity)
-    # Cover every logged slot, so no transmission escapes the replay.
+    # Cover every logged slot, so no transmission escapes the check.
     last_slot = max((tx.slot for tx in trace.transmissions), default=-1)
-    schedule = compile_protocol(protocol, max(trace.num_slots, last_slot + 1))
-    facts = ScheduleFacts(schedule, protocol, max(schedule.packets, default=-1) + 1)
+    schedule = CompiledSchedule.from_log(
+        trace.transmissions, None, max(trace.num_slots, last_slot + 1),
+        tuple(sorted(trace.nodes)), tuple(sorted(trace.source_states)),
+    )
+    # A trace's source may emit any packet from slot 0.
+    facts = ScheduleFacts(
+        schedule, max(schedule.packets, default=-1) + 1,
+        send_capacity, recv_capacity, lambda packet: 0,
+    )
+    columns = facts.columns
+    unknown = np.flatnonzero(
+        (columns.receiver_rows < 0) & (columns.arrivals < schedule.num_slots)
+    )
+    if unknown.size:
+        first = unknown[np.argmin(columns.arrivals[unknown])]
+        raise ReproError(f"unknown receiver node {columns.receivers[first]}")
     recorded = {node: state.arrivals for node, state in trace.nodes.items()}
     return _evaluate(
         f"trace N={len(trace.nodes)}", facts,

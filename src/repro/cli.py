@@ -48,7 +48,7 @@ import sys
 from repro.core.engine import simulate
 from repro.core.errors import ReproError
 from repro.core.metrics import collect_metrics
-from repro.experiments import ExperimentSpec, run
+from repro.experiments import SCHEMES, ExperimentSpec, build_scheme_protocol, run
 from repro.obs import Instrumentation, SpanTracer, span_rows
 from repro.reporting.export import (
     write_arrivals_csv,
@@ -109,37 +109,6 @@ def _report_instrumentation(instr: Instrumentation | None, args) -> None:
         print(f"events: {total} -> {args.trace_events}")
 
 
-def _make_protocol(scheme: str, num_nodes: int, degree: int, seed: int = 0):
-    if scheme == "multi-tree":
-        from repro.trees import MultiTreeProtocol
-
-        return MultiTreeProtocol(num_nodes, degree)
-    if scheme == "hypercube":
-        from repro.hypercube import HypercubeCascadeProtocol
-
-        return HypercubeCascadeProtocol(num_nodes)
-    if scheme == "grouped-hypercube":
-        from repro.hypercube import GroupedHypercubeProtocol
-
-        return GroupedHypercubeProtocol(num_nodes, degree)
-    if scheme == "chain":
-        from repro.baselines import ChainProtocol
-
-        return ChainProtocol(num_nodes)
-    if scheme == "single-tree":
-        from repro.baselines import SingleTreeProtocol
-
-        return SingleTreeProtocol(num_nodes, degree)
-    if scheme == "gossip":
-        from repro.baselines import RandomGossipProtocol
-
-        return RandomGossipProtocol(num_nodes, degree, seed=seed)
-    raise SystemExit(f"unknown scheme {scheme!r}")
-
-
-_SCHEMES = ["multi-tree", "hypercube", "grouped-hypercube", "chain", "single-tree", "gossip"]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -152,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="QoS of one configuration")
-    analyze.add_argument("--scheme", choices=_SCHEMES, default="multi-tree")
+    analyze.add_argument("--scheme", choices=SCHEMES, default="multi-tree")
     analyze.add_argument("-n", "--nodes", type=int, default=100)
     analyze.add_argument("-d", "--degree", type=int, default=3)
     analyze.add_argument("-p", "--packets", type=int, default=24)
@@ -171,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("-p", "--packets", type=int, default=24)
 
     sim = sub.add_parser("simulate", help="run a scheme and export the trace")
-    sim.add_argument("--scheme", choices=_SCHEMES, default="multi-tree")
+    sim.add_argument("--scheme", choices=SCHEMES, default="multi-tree")
     sim.add_argument("-n", "--nodes", type=int, default=30)
     sim.add_argument("-d", "--degree", type=int, default=3)
     sim.add_argument("-p", "--packets", type=int, default=12)
@@ -253,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="fully instrumented run: metrics, event counts, timings"
     )
-    stats.add_argument("--scheme", choices=_SCHEMES, default="multi-tree")
+    stats.add_argument("--scheme", choices=SCHEMES, default="multi-tree")
     stats.add_argument("-n", "--nodes", type=int, default=63)
     stats.add_argument("-d", "--degree", type=int, default=3)
     stats.add_argument("-p", "--packets", type=int, default=16)
@@ -491,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    protocol = _make_protocol(args.scheme, args.nodes, args.degree)
+    protocol = build_scheme_protocol(args.scheme, args.nodes, args.degree)
     trace = simulate(protocol, protocol.slots_for_packets(args.packets))
     print(protocol.describe())
     try:
@@ -551,7 +520,7 @@ def _cmd_table1(args) -> int:
     ))
     measured = []
     for scheme in ("multi-tree", "hypercube"):
-        protocol = _make_protocol(scheme, args.nodes, args.degree)
+        protocol = build_scheme_protocol(scheme, args.nodes, args.degree)
         trace = simulate(protocol, protocol.slots_for_packets(args.packets))
         row = collect_metrics(trace, num_packets=args.packets).row()
         measured.append({"scheme": scheme, **row})

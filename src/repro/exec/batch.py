@@ -8,8 +8,10 @@ the identical semantics as NumPy column operations so one pass scores a
 whole batch:
 
 * the schedule is **lowered** once per process into NumPy columns (sender
-  and receiver holdings rows, packets, arrival and send slots) and cached
-  on the :class:`~repro.exec.compiler.CompiledSchedule`;
+  and receiver holdings rows, packets, arrival and send slots, read from
+  :meth:`~repro.exec.compiler.CompiledSchedule.columns`) and cached on the
+  :class:`~repro.exec.compiler.CompiledSchedule`; a transmission naming an
+  unknown node or a negative packet is a :class:`ReproError`;
 * each ``(num_packets, horizon)`` pair gets a cached **measured-prefix
   view**: only the transmissions that carry a packet ``< num_packets``
   before the horizon.  Dropping the rest is exact with no extra invariant,
@@ -74,8 +76,10 @@ from repro.obs.registry import active_registry
 
 __all__ = [
     "BatchMetrics",
+    "DEFAULT_ELEMENT_BUDGET",
     "bernoulli_masks",
     "replay_batch",
+    "score_arrivals",
     "spawn_seeds",
 ]
 
@@ -262,31 +266,30 @@ class _Lowered:
     views: dict[tuple[int, int], _View] = field(default_factory=dict)
 
 
-def _rows_of(ids: npt.NDArray[np.int64], row_of: dict[int, int]) -> npt.NDArray[np.int64]:
-    """Map node ids to holdings rows, one dict lookup per distinct id."""
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    table = np.array([row_of[nid] for nid in distinct.tolist()], dtype=np.int64)
-    return table[inverse.reshape(-1)]
-
-
 def _lower(schedule: CompiledSchedule) -> _Lowered:
     cached = cast("_Lowered | None", schedule._np_cache)
     if cached is not None:
         return cached
-    starts = np.asarray(schedule.starts, dtype=np.int64)
-    packets = np.asarray(schedule.packets, dtype=np.int64)
-    num_rows = len(schedule.node_ids)
-    receiver_row = {nid: row for row, nid in enumerate(schedule.node_ids)}
-    sender_row = receiver_row | dict.fromkeys(schedule.source_ids, num_rows)
+    c = schedule.columns()
+    for what, bad in (("an unknown sender", c.sender_rows < 0),
+                      ("an unknown receiver", c.receiver_rows < 0),
+                      ("a negative packet", c.packets < 0)):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ReproError(
+                f"schedule transmission {i} has {what} (slot {c.slots[i]}: "
+                f"{c.senders[i]} -> {c.receivers[i]}, packet {c.packets[i]})"
+            )
+    # Every source shares the always-held source row num_rows.
     lowered = _Lowered(
-        starts=starts,
-        slots=np.repeat(np.arange(schedule.num_slots, dtype=np.int64), np.diff(starts)),
-        snd_row=_rows_of(np.asarray(schedule.senders, dtype=np.int64), sender_row),
-        rcv_row=_rows_of(np.asarray(schedule.receivers, dtype=np.int64), receiver_row),
-        packets=packets,
-        arrivals=np.asarray(schedule.arrivals, dtype=np.int32),
-        num_rows=num_rows,
-        num_packets=int(packets.max()) + 1 if packets.size else 1,
+        starts=np.asarray(schedule.starts, dtype=np.int64),
+        slots=c.slots,
+        snd_row=np.minimum(c.sender_rows, c.num_rows),
+        rcv_row=np.minimum(c.receiver_rows, c.num_rows),
+        packets=c.packets,
+        arrivals=c.arrivals.astype(np.int32),
+        num_rows=c.num_rows,
+        num_packets=int(c.packets.max()) + 1 if c.packets.size else 1,
     )
     schedule._np_cache = lowered
     return lowered
@@ -366,7 +369,7 @@ def _hold_and_deliver(
     return held[:, : view.num_rows]
 
 
-def _score(arrived: npt.NDArray[np.int32]) -> _Scores:
+def score_arrivals(arrived: npt.NDArray[np.int32]) -> _Scores:
     """Per-node playback scores of a ``(width, num_rows, B)`` arrival array.
 
     Returns ``(startup_delays, buffer_peaks, available_counts)``, each of
@@ -375,7 +378,12 @@ def _score(arrived: npt.NDArray[np.int32]) -> _Scores:
     startup is the earliest hiccup-free start over the *available* packets,
     clamped at 0 (0 when nothing arrived), and the buffer peak is the max
     end-of-slot occupancy at that start.  Packets ``>= width`` never
-    arrived, so they cannot occupy the buffer or delay the start.
+    arrived, so they cannot occupy the buffer or delay the start.  For a
+    node holding every packet ``0..width-1`` the start is
+    :func:`~repro.core.playback.earliest_safe_start` and the peak is
+    :func:`~repro.core.playback.buffer_peak` at that start; the model
+    checker (:mod:`repro.check`) scores playback with this function.
+    Allocates a ``(width, width, num_rows, B)`` boolean temporary.
     """
     width = arrived.shape[0]
     avail = arrived < _INF
@@ -399,9 +407,9 @@ def _replay(view: _View, masks: npt.NDArray[np.bool_] | None) -> _Scores:
     between calls, so they are read-only.
     """
     if masks is not None:
-        return _score(_hold_and_deliver(view, ~masks.T))
+        return score_arrivals(_hold_and_deliver(view, ~masks.T))
     if view.lossfree is None:
-        scores = _score(_hold_and_deliver(view, None))
+        scores = score_arrivals(_hold_and_deliver(view, None))
         for column in scores:
             column.flags.writeable = False
         view.lossfree = scores

@@ -8,15 +8,17 @@ lowers each schedule **once** into contiguous ``array('i')`` columns (sender,
 receiver, packet, arrival slot, latency, tree) with a per-slot offset index.
 :func:`compile_schedule` takes the columns from the protocol's closed-form
 ``timetable`` (the §2.2.3 round robin over a slot × position grid, the §3
-exchange as an int-bitset replay); :func:`compile_protocol` is the generic
-lowering that steps any protocol's own scheduling loop against the engine's
-holdings semantics, and the oracle the closed forms are tested against.  The
+exchange as an int-bitset replay); :func:`compile_protocol` runs the engine
+(:func:`~repro.core.engine.simulate`) on any protocol and packs its
+transmission log, and is the oracle the closed forms are tested against.
+Both pack their columns through :meth:`CompiledSchedule.from_columns`.  The
 result is a small, picklable :class:`CompiledSchedule` that
 
 * replays through the engine's fast path slot-for-slot identically to the
   object-based scheduling (``SimConfig.compiled_schedule``),
 * replays without the engine at all for sweep workers
-  (:mod:`repro.exec.replay`), and
+  (:mod:`repro.exec.replay`, and :mod:`repro.exec.batch` from the NumPy
+  :class:`ScheduleColumns` view), and
 * crosses process boundaries once per worker instead of once per task.
 
 :func:`compile_schedule` adds the content-addressed cache from
@@ -25,13 +27,16 @@ result is a small, picklable :class:`CompiledSchedule` that
 
 from __future__ import annotations
 
-import heapq
 from array import array
-from collections.abc import Iterator
+from collections.abc import Sequence
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
+import numpy.typing as npt
 
+from repro.core.engine import simulate
 from repro.core.errors import ReproError, ScheduleError, check_ints
 from repro.core.packet import Transmission
 from repro.exec.cache import ScheduleCache, ScheduleKey, default_cache
@@ -54,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "COMPILABLE_SCHEMES",
     "CompiledSchedule",
+    "ScheduleColumns",
     "compile_protocol",
     "compile_schedule",
     "build_protocol",
@@ -69,6 +75,27 @@ COMPILABLE_SCHEMES = (
     "chain",
     "single-tree",
 )
+
+Column = npt.NDArray[np.int64]
+
+
+@dataclass(frozen=True, slots=True)
+class ScheduleColumns:
+    """A compiled schedule's transmissions as int64 columns, in flat order.
+
+    ``sender_rows`` / ``receiver_rows`` map each id to its row: ``i`` for
+    ``node_ids[i]``, ``num_rows + j`` for ``source_ids[j]``, ``-1`` for any
+    other id.
+    """
+
+    slots: Column
+    senders: Column
+    receivers: Column
+    packets: Column
+    arrivals: Column
+    sender_rows: Column
+    receiver_rows: Column
+    num_rows: int
 
 
 class CompiledSchedule:
@@ -122,6 +149,82 @@ class CompiledSchedule:
         # Lowered NumPy columns for the batch kernel (repro.exec.batch);
         # built lazily once per process, never pickled.
         self._np_cache: Any = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        key: ScheduleKey | None,
+        num_slots: int,
+        node_ids: tuple[int, ...],
+        source_ids: tuple[int, ...],
+        columns: tuple[npt.ArrayLike, ...],
+    ) -> CompiledSchedule:
+        """Pack ``(slots, senders, receivers, packets, latencies, trees)``
+        columns, sorted by send slot, into a schedule (the shape of a
+        protocol's ``timetable``); arrival = slot + latency - 1."""
+        slots, senders, receivers, packets, latencies, trees = (
+            np.asarray(column, dtype=np.int64) for column in columns
+        )
+        starts = np.zeros(num_slots + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slots, minlength=num_slots), out=starts[1:])
+        return cls(
+            key=key, num_slots=num_slots, node_ids=node_ids, source_ids=source_ids,
+            starts=_column(starts), senders=_column(senders),
+            receivers=_column(receivers), packets=_column(packets),
+            arrivals=_column(slots + latencies - 1), latencies=_column(latencies),
+            trees=_column(trees),
+        )
+
+    @classmethod
+    def from_log(
+        cls,
+        log: Sequence[Transmission],
+        key: ScheduleKey | None,
+        num_slots: int,
+        node_ids: tuple[int, ...],
+        source_ids: tuple[int, ...],
+    ) -> CompiledSchedule:
+        """:meth:`from_columns` of a transmission log, stable-sorted by slot."""
+        columns = [
+            np.fromiter(map(attrgetter(name), log), np.int64, len(log))
+            for name in ("slot", "sender", "receiver", "packet", "latency")
+        ]
+        columns.append(np.fromiter(
+            (-1 if tx.tree is None else tx.tree for tx in log), np.int64, len(log)
+        ))
+        order = np.argsort(columns[0], kind="stable")
+        return cls.from_columns(
+            key, num_slots, node_ids, source_ids, tuple(c[order] for c in columns)
+        )
+
+    def columns(self) -> ScheduleColumns:
+        """The transmissions as int64 NumPy columns (:class:`ScheduleColumns`)."""
+        senders = np.asarray(self.senders, dtype=np.int64)
+        receivers = np.asarray(self.receivers, dtype=np.int64)
+        known = np.array((*self.node_ids, *self.source_ids), dtype=np.int64)
+        # Stable, so an id listed twice takes its first (receiver) row.
+        order = np.argsort(known, kind="stable")
+        ordered = known[order]
+
+        def rows_of(ids: Column) -> Column:
+            if not known.size:
+                return np.full(ids.shape, -1, dtype=np.int64)
+            at = np.minimum(np.searchsorted(ordered, ids), known.size - 1)
+            return np.where(ordered[at] == ids, order[at], -1)
+
+        return ScheduleColumns(
+            slots=np.repeat(
+                np.arange(self.num_slots, dtype=np.int64),
+                np.diff(np.asarray(self.starts, dtype=np.int64)),
+            ),
+            senders=senders,
+            receivers=receivers,
+            packets=np.asarray(self.packets, dtype=np.int64),
+            arrivals=np.asarray(self.arrivals, dtype=np.int64),
+            sender_rows=rows_of(senders),
+            receiver_rows=rows_of(receivers),
+            num_rows=len(self.node_ids),
+        )
 
     # ----------------------------------------------------------------- basics
     @property
@@ -206,113 +309,29 @@ class CompiledSchedule:
             self._batches = self._materialize()
         return list(self._batches[slot])
 
-    def iter_transmissions(self) -> Iterator[Transmission]:
-        """All transmissions in slot order (materializing lazily)."""
-        if self._batches is None:
-            self._batches = self._materialize()
-        for batch in self._batches:
-            yield from batch
-
-
-class _CompileView:
-    """Holdings view with the engine's exact semantics (arrival < slot)."""
-
-    __slots__ = ("arrivals", "slot")
-
-    def __init__(self, arrivals: dict[int, dict[int, int]]) -> None:
-        self.arrivals = arrivals
-        self.slot = 0
-
-    def holds(self, node: int, packet: int) -> bool:
-        trace = self.arrivals.get(node)
-        if trace is None:
-            return False
-        arrival = trace.get(packet)
-        return arrival is not None and arrival < self.slot
-
-    def arrival_slot(self, node: int, packet: int) -> int | None:
-        trace = self.arrivals.get(node)
-        if trace is None:
-            return None
-        return trace.get(packet)
-
-    def packets_of(self, node: int) -> frozenset[int]:
-        trace = self.arrivals.get(node)
-        if trace is None:
-            return frozenset()
-        slot = self.slot
-        return frozenset(p for p, a in trace.items() if a < slot)
-
 
 def compile_protocol(
     protocol: StreamingProtocol, num_slots: int, *, key: ScheduleKey | None = None
 ) -> CompiledSchedule:
     """Lower ``protocol``'s first ``num_slots`` slots into a :class:`CompiledSchedule`.
 
-    Runs the protocol's own scheduling loop against a loss-free holdings model
-    identical to the engine's (first arrival wins, a slot-``t`` arrival is
-    forwardable from ``t + 1``, link latencies honored), so the recorded
-    timetable is exactly what :func:`~repro.core.engine.simulate` would
-    execute.  State-driven protocols (the hypercube exchange) are stepped
-    sequentially, same as in a live run.
+    Runs the engine (:func:`~repro.core.engine.simulate`, loss-free, with
+    validation off) and packs its transmission log, so the timetable is
+    exactly what the engine executes: first arrival wins, a slot-``t``
+    arrival is forwardable from ``t + 1``, link latencies are honored, and
+    state-driven protocols (the hypercube exchange) are stepped as in a
+    live run.
     """
     if num_slots < 0:
         raise ReproError(f"num_slots must be non-negative, got {num_slots}")
-    protocol.reset()
-    node_ids = tuple(protocol.node_ids)
-    source_ids = tuple(sorted(protocol.source_ids))
-    holdings: dict[int, dict[int, int]] = {nid: {} for nid in node_ids}
-    for sid in source_ids:
-        holdings.setdefault(sid, {})
-    view = _CompileView(holdings)
-
-    starts = array("i", [0])
-    senders = array("i")
-    receivers = array("i")
-    packets = array("i")
-    arrivals = array("i")
-    latencies = array("i")
-    trees = array("i")
-
-    in_flight: list[tuple[int, int, Transmission]] = []
-    seq = 0
-    for slot in range(num_slots):
-        view.slot = slot
-        for tx in protocol.transmissions(slot, view):
-            senders.append(tx.sender)
-            receivers.append(tx.receiver)
-            packets.append(tx.packet)
-            arrivals.append(tx.arrival_slot)
-            latencies.append(tx.latency)
-            trees.append(-1 if tx.tree is None else tx.tree)
-            seq += 1
-            heapq.heappush(in_flight, (tx.arrival_slot, seq, tx))
-        starts.append(len(senders))
-        # Deliver everything arriving by the end of this slot (engine order:
-        # earliest arrival first, ties by send sequence; first arrival wins).
-        while in_flight and in_flight[0][0] <= slot:
-            _, _, tx = heapq.heappop(in_flight)
-            trace = holdings.get(tx.receiver)
-            if trace is None:
-                raise ReproError(f"unknown receiver node {tx.receiver}")
-            if tx.packet not in trace:
-                trace[tx.packet] = tx.arrival_slot
-    return CompiledSchedule(
-        key=key,
-        num_slots=num_slots,
-        node_ids=node_ids,
-        source_ids=source_ids,
-        starts=starts,
-        senders=senders,
-        receivers=receivers,
-        packets=packets,
-        arrivals=arrivals,
-        latencies=latencies,
-        trees=trees,
+    trace = simulate(protocol, num_slots, validate=False)
+    return CompiledSchedule.from_log(
+        trace.transmissions, key, num_slots,
+        tuple(protocol.node_ids), tuple(sorted(protocol.source_ids)),
     )
 
 
-def _column(values: np.ndarray) -> array:
+def _column(values: npt.ArrayLike) -> array:
     column = array("i")
     column.frombytes(np.ascontiguousarray(values, dtype=np.intc).tobytes())
     return column
@@ -323,23 +342,9 @@ def _lower_timetable(
 ) -> CompiledSchedule:
     """The :class:`CompiledSchedule` of ``protocol.timetable(num_slots)``:
     equal to :func:`compile_protocol`'s, without stepping the protocol."""
-    slots, senders, receivers, packets, latencies, trees = protocol.timetable(
-        num_slots
-    )
-    starts = np.zeros(num_slots + 1, dtype=np.int64)
-    np.cumsum(np.bincount(slots, minlength=num_slots), out=starts[1:])
-    return CompiledSchedule(
-        key=key,
-        num_slots=num_slots,
-        node_ids=tuple(protocol.node_ids),
-        source_ids=tuple(sorted(protocol.source_ids)),
-        starts=_column(starts),
-        senders=_column(senders),
-        receivers=_column(receivers),
-        packets=_column(packets),
-        arrivals=_column(slots + latencies - 1),
-        latencies=_column(latencies),
-        trees=_column(trees),
+    return CompiledSchedule.from_columns(
+        key, num_slots, tuple(protocol.node_ids),
+        tuple(sorted(protocol.source_ids)), protocol.timetable(num_slots),
     )
 
 

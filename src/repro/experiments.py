@@ -38,8 +38,10 @@ from repro.obs import Instrumentation, Timer
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "SCHEMES",
     "ExperimentSpec",
     "ExperimentResult",
+    "build_scheme_protocol",
     "run",
 ]
 
@@ -51,7 +53,8 @@ _INT_FIELDS = (
     "grace", "churn_events", "abr_chunks", "abr_chunk_slots",
 )
 
-_SCHEMES = (
+#: Every scheme a spec may name: the compilable ones plus ``gossip``.
+SCHEMES = (
     "multi-tree",
     "hypercube",
     "grouped-hypercube",
@@ -145,9 +148,9 @@ class ExperimentSpec:
             raise ReproError(
                 f"unknown experiment kind {self.kind!r}; choose from {EXPERIMENT_KINDS}"
             )
-        if self.scheme not in _SCHEMES:
+        if self.scheme not in SCHEMES:
             raise ReproError(
-                f"unknown scheme {self.scheme!r}; choose from {_SCHEMES}"
+                f"unknown scheme {self.scheme!r}; choose from {SCHEMES}"
             )
         if self.num_nodes < 1:
             raise ReproError(f"num_nodes must be >= 1, got {self.num_nodes}")
@@ -245,15 +248,16 @@ def _base_provenance(spec: ExperimentSpec) -> dict:
     }
 
 
-def _build_plain_protocol(spec: ExperimentSpec):
-    if spec.scheme == "gossip":
+def build_scheme_protocol(
+    scheme: str, num_nodes: int, degree: int = 3, *, seed: int = 0, **options
+):
+    """The protocol object of any of :data:`SCHEMES`: ``build_protocol``'s
+    (``options``: construction, mode, latency), or the seeded gossip overlay."""
+    if scheme == "gossip":
         from repro.baselines import RandomGossipProtocol
 
-        return RandomGossipProtocol(spec.num_nodes, spec.degree, seed=spec.seed)
-    return build_protocol(
-        spec.scheme, spec.num_nodes, spec.degree,
-        construction=spec.construction, mode=spec.mode, latency=spec.latency,
-    )
+        return RandomGossipProtocol(num_nodes, degree, seed=seed)
+    return build_protocol(scheme, num_nodes, degree, **options)
 
 
 def _compiled_for(spec: ExperimentSpec, num_slots: int, provenance: dict):
@@ -293,7 +297,10 @@ def _run_stream(spec: ExperimentSpec, instr) -> tuple:
             trace.all_arrivals(), num_packets=spec.num_packets, num_slots=num_slots
         )
     else:
-        protocol = _build_plain_protocol(spec)
+        protocol = build_scheme_protocol(
+            spec.scheme, spec.num_nodes, spec.degree, seed=spec.seed,
+            construction=spec.construction, mode=spec.mode, latency=spec.latency,
+        )
         num_slots = protocol.slots_for_packets(spec.num_packets)
         schedule = _compiled_for(spec, num_slots, provenance)
         trace = _engine_simulate(

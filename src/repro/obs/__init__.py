@@ -70,7 +70,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Sketch,
     active_registry,
     global_registry,
     use_registry,
@@ -127,7 +126,6 @@ __all__ = [
     "SESSION_REJECTED",
     "SLOT_START",
     "SPAN_SCHEMA",
-    "Sketch",
     "Span",
     "SpanTracer",
     "TX_DELIVERED",

@@ -1,6 +1,6 @@
 """Declared metric-name registry: the single source of truth for telemetry.
 
-Every counter/gauge/histogram/sketch name the project emits is declared
+Every counter/gauge/histogram name the project emits is declared
 here as a :class:`MetricSpec` — name, kind, label keys, and a one-line
 description.  Emitters reference these declarations (directly or via the
 exported name constants), docs tables are generated against them
@@ -30,7 +30,7 @@ __all__ = [
     "MetricSpec",
 ]
 
-_KINDS = frozenset({"counter", "gauge", "histogram", "sketch"})
+_KINDS = frozenset({"counter", "gauge", "histogram"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,7 +38,7 @@ class MetricSpec:
     """One declared metric: its name, instrument kind, and label keys."""
 
     name: str
-    kind: str  # "counter" | "gauge" | "histogram" | "sketch"
+    kind: str  # "counter" | "gauge" | "histogram"
     labels: tuple[str, ...] = ()
     description: str = ""
 

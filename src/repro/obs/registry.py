@@ -7,9 +7,8 @@ picklable dict that crosses process boundaries (a pool worker's snapshot
 rides back to the parent through :class:`~repro.exec.SweepExecutor`) and
 serializes alongside traces (``reporting/export.py``).
 :meth:`MetricsRegistry.merge` folds a snapshot back in: counters and
-histograms add, quantile sketches merge bucket-wise
-(:class:`repro.obs.sketch.QuantileSketch`), gauges keep the maximum (the
-only order-independent choice when merging concurrent workers).
+histograms add, gauges keep the maximum (the only order-independent choice
+when merging concurrent workers).
 
 Instruments are identified by ``(name, labels)``; labels are free-form
 string pairs (``registry.counter("sweep.cells", scheme="multi-tree")``).
@@ -24,14 +23,11 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Iterator
 
-from .sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
-
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Sketch",
     "DEFAULT_BUCKETS",
     "global_registry",
     "active_registry",
@@ -122,46 +118,6 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-class Sketch:
-    """Quantile-sketch instrument: bounded-memory percentile estimates.
-
-    Wraps a :class:`~repro.obs.sketch.QuantileSketch` behind the shared
-    registry lock.  Unlike :class:`Histogram`'s fixed buckets, a sketch
-    answers arbitrary percentile queries within its documented relative
-    error, and snapshots merge exactly (bucket-wise addition).
-    """
-
-    __slots__ = ("name", "labels", "sketch", "_lock")
-
-    def __init__(
-        self,
-        name: str,
-        labels: dict[str, str],
-        lock: threading.Lock,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
-    ) -> None:
-        self.name = name
-        self.labels = labels
-        self.sketch = QuantileSketch(relative_error)
-        self._lock = lock
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self.sketch.add(value)
-
-    def add(self, value: float, count: int = 1) -> None:
-        with self._lock:
-            self.sketch.add(value, count)
-
-    def quantile(self, q: float) -> float:
-        with self._lock:
-            return self.sketch.quantile(q)
-
-    @property
-    def count(self) -> int:
-        return self.sketch.count
-
-
 class MetricsRegistry:
     """Get-or-create home for instruments; snapshot/reset/merge lifecycle."""
 
@@ -170,7 +126,6 @@ class MetricsRegistry:
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
-        self._sketches: dict[tuple, Sketch] = {}
 
     # ------------------------------------------------------------ instruments
     def counter(self, name: str, **labels: str) -> Counter:
@@ -199,22 +154,6 @@ class MetricsRegistry:
                 inst = self._histograms[key] = Histogram(name, labels, self._lock, buckets)
         return inst
 
-    def sketch(
-        self,
-        name: str,
-        *,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
-        **labels: str,
-    ) -> Sketch:
-        key = (name, _label_key(labels))
-        with self._lock:
-            inst = self._sketches.get(key)
-            if inst is None:
-                inst = self._sketches[key] = Sketch(
-                    name, labels, self._lock, relative_error
-                )
-        return inst
-
     # ------------------------------------------------------------- lifecycle
     def snapshot(self) -> dict:
         """Plain picklable dict of every instrument's current state."""
@@ -241,14 +180,6 @@ class MetricsRegistry:
                     }
                     for h in self._histograms.values()
                 ],
-                "sketches": [
-                    {
-                        "name": s.name,
-                        "labels": dict(s.labels),
-                        "sketch": s.sketch.to_dict(),
-                    }
-                    for s in self._sketches.values()
-                ],
             }
 
     def reset(self) -> None:
@@ -257,7 +188,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self._sketches.clear()
 
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` (typically from a worker process) into this
@@ -290,15 +220,6 @@ class MetricsRegistry:
                             hist, bound,
                             incoming if current is None else pick(current, incoming),
                         )
-        for row in snapshot.get("sketches", ()):
-            incoming_sketch = QuantileSketch.from_dict(row["sketch"])
-            sketch = self.sketch(
-                row["name"],
-                relative_error=incoming_sketch.relative_error,
-                **row["labels"],
-            )
-            with self._lock:
-                sketch.sketch.merge(incoming_sketch)
 
     # -------------------------------------------------------------- reporting
     def rows(self) -> list[dict[str, object]]:
@@ -318,17 +239,6 @@ class MetricsRegistry:
                 "value": f"count={row['count']} mean="
                          f"{(row['sum'] / row['count']) if row['count'] else 0.0:.3g} "
                          f"min={row['min']} max={row['max']}",
-            })
-        for row in snap["sketches"]:
-            sketch = QuantileSketch.from_dict(row["sketch"])
-            if sketch.count:
-                summary = (f"count={sketch.count} p50={sketch.quantile(50):.3g} "
-                           f"p99={sketch.quantile(99):.3g} max={sketch.max}")
-            else:
-                summary = "count=0"
-            rows.append({
-                "kind": "sketch", "name": row["name"],
-                "labels": _format_labels(row["labels"]), "value": summary,
             })
         rows.sort(key=lambda r: (str(r["name"]), str(r["labels"])))
         return rows

@@ -101,6 +101,10 @@ class SessionSpec:
             )
         if self.num_nodes < 1:
             raise ReproError(f"num_nodes must be >= 1, got {self.num_nodes}")
+        if self.degree < 1:
+            # Every scheme, also those whose schedule ignores d: admission
+            # charges the degree and the runner groups sessions by it.
+            raise ReproError(f"SessionSpec.degree must be >= 1, got {self.degree}")
         if self.num_packets < 1:
             raise ReproError(f"num_packets must be >= 1, got {self.num_packets}")
         if not 0 <= self.drop_rate <= 1:

@@ -12,8 +12,11 @@ from array import array
 
 import numpy as np
 import pytest
+from check_oracle import reference_report
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from repro.baselines import ChainProtocol
+from repro.baselines import ChainProtocol, SingleTreeProtocol
 from repro.check import (
     RULES,
     CheckReport,
@@ -24,7 +27,7 @@ from repro.check import (
 )
 from repro.core.errors import ReproError, ScheduleError
 from repro.exec import ScheduleCache, compile_protocol, compile_schedule
-from repro.exec.compiler import CompiledSchedule
+from repro.exec.compiler import CompiledSchedule, build_protocol
 from repro.obs import MetricsRegistry, use_registry
 
 N = 6  # chain length for the corruption fixtures
@@ -99,6 +102,24 @@ def find_tx(txs, **want):
     ]
     assert len(matches) == 1, (want, matches)
     return matches[0]
+
+
+def shift_arrival(txs, delta, **want):
+    """Move the matching transmission's arrival slot by ``delta``."""
+    tx = find_tx(txs, **want)
+    txs.remove(tx)
+    txs.append(tx[:4] + (tx[4] + delta,))
+
+
+def keyed(schedule, txs):
+    """``rebuild`` under ``schedule``'s key, so the theorem bounds apply."""
+    bare = rebuild(schedule, txs)
+    return CompiledSchedule(
+        key=schedule.key, num_slots=bare.num_slots, node_ids=bare.node_ids,
+        source_ids=bare.source_ids, starts=bare.starts, senders=bare.senders,
+        receivers=bare.receivers, packets=bare.packets, arrivals=bare.arrivals,
+        latencies=bare.latencies, trees=bare.trees,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +261,47 @@ class TestCorruptions:
         report = recheck(protocol, schedule, txs)
         assert "well-formed" in report.counts
 
+    def test_negative_packet_is_reported_not_raised(self, chain):
+        # The tail's packet-3 delivery carries packet -1 instead: the tail's
+        # measured trace has P entries but is not the prefix 0..P-1.
+        protocol, schedule = chain
+        txs = flat_transmissions(schedule)
+        tx = find_tx(txs, receiver=N, packet=3)
+        txs.remove(tx)
+        txs.append(tx[:3] + (-1, tx[4]))
+        report = recheck(protocol, schedule, txs)
+        assert report.counts == {"well-formed": 1, "causality": 1, "coverage": 1}
+        assert report.violations[0].detail == "negative packet id -1"
+
+    def test_unknown_negative_sender_is_reported_not_raised(self):
+        # SingleTreeProtocol.send_capacity(-1) raises; the checker asks the
+        # protocol only about its own ids and holds any other to capacity 1.
+        protocol = SingleTreeProtocol(15, 3)
+        schedule = compile_protocol(protocol, protocol.slots_for_packets(P))
+        txs = flat_transmissions(schedule)
+        assert txs[6][1] == 1
+        txs[6] = (txs[6][0], -1, *txs[6][2:])
+        report = check_schedule(
+            rebuild(schedule, txs), protocol=protocol, num_packets=P
+        )
+        assert report.counts == {"well-formed": 1, "causality": 1}
+        assert report.violations[0].detail == "sender -1 is not a known node"
+
+    def test_late_arrival_is_playability(self, chain):
+        # Stretch the tail's packet-1 delivery to land at slot 9, in place
+        # of packet 4's (outside the prefix, dropped): the earliest
+        # hiccup-free start becomes 9, so packet 3 plays at slot 12 of an
+        # 11-slot horizon.
+        protocol, schedule = chain
+        txs = flat_transmissions(schedule)
+        txs.remove(find_tx(txs, receiver=N, packet=4))
+        shift_arrival(txs, 3, receiver=N, packet=1)
+        report = recheck(protocol, schedule, txs)
+        assert report.counts == {"playability": 1}
+        (violation,) = report.violations
+        assert violation.node == N
+        assert "start delay 9" in violation.detail
+
     def test_truncation_keeps_exact_counts(self, chain):
         # Drop every delivery to the tail: one coverage violation per missing
         # prefix packet; max_per_rule truncates kept records, not totals.
@@ -251,6 +313,45 @@ class TestCorruptions:
         assert report.counts["coverage"] == 1  # one finding per node, node N only
         kept = [v for v in report.violations if v.rule == "coverage"]
         assert len(kept) == 1
+
+
+class TestTheoremBounds:
+    """Planted faults for the two theorem-bound rules (keyed schedules)."""
+
+    def test_late_first_packet_is_delay_bound(self):
+        # Multi-tree N=15 d=3: leaf 13 gets packet 0 at slot 6.  Stretch
+        # that delivery to slot 10, in place of packet 7's (outside the
+        # prefix; node 13 forwards nothing): start 11 > h*d = 9.
+        schedule = compile_schedule(
+            "multi-tree", 15, 3, num_packets=P, cache=ScheduleCache(disk=False)
+        )
+        txs = flat_transmissions(schedule)
+        txs.remove(find_tx(txs, receiver=13, packet=7))
+        shift_arrival(txs, 4, receiver=13, packet=0)
+        report = check_schedule(keyed(schedule, txs), num_packets=P)
+        assert report.counts == {"delay-bound": 1}
+        (violation,) = report.violations
+        assert violation.node == 13
+        assert violation.detail == (
+            "earliest hiccup-free start 11 exceeds the scheme bound 9"
+        )
+
+    def test_early_packet_is_buffer_bound(self):
+        # Hypercube N=15: node 5 holds packets 0 and 2 at slot 4 and plays
+        # from slot 5.  Deliver packet 1 at slot 3 instead of 5 and node 5
+        # holds three packets at slot 4, against the 2-packet bound (the
+        # arrival now precedes its sending slot, which well-formed reports).
+        schedule = compile_schedule(
+            "hypercube", 15, num_packets=P, cache=ScheduleCache(disk=False)
+        )
+        txs = flat_transmissions(schedule)
+        shift_arrival(txs, -2, receiver=5, packet=1)
+        report = check_schedule(keyed(schedule, txs), num_packets=P)
+        assert report.counts == {"well-formed": 1, "buffer-bound": 1}
+        assert report.violations[1] == Violation(
+            "buffer-bound", None, 5, None,
+            "peak buffer 3 packets exceeds the scheme bound 2",
+        )
 
 
 # ----------------------------------------------------------------- API details
@@ -373,3 +474,102 @@ class TestReportAndWiring:
         report = check_config("chain", 5, num_packets=7, cache=ScheduleCache(disk=False))
         assert report.num_packets == 7
         assert report.ok
+
+
+# ------------------------------------------------------- oracle differential
+#: ``(scheme, N, d, build options)`` of the corruption targets.
+_ORACLE_CONFIGS = (
+    ("chain", 6, 1, {}),
+    ("multi-tree", 13, 2, {}),
+    ("multi-tree", 15, 3, {}),
+    ("multi-tree", 31, 2, {}),
+    ("multi-tree", 15, 3, {"mode": "live_prebuffered"}),
+    ("multi-tree", 13, 2, {"latency": 2}),
+    ("hypercube", 15, 1, {}),
+    ("grouped-hypercube", 20, 3, {}),
+    ("single-tree", 15, 3, {}),
+)
+_ORACLE_TARGETS: dict[int, tuple] = {}
+
+
+def _oracle_target(index):
+    """The ``(protocol, schedule, flat rows)`` of one config, compiled once."""
+    if index not in _ORACLE_TARGETS:
+        scheme, n, d, options = _ORACLE_CONFIGS[index]
+        schedule = compile_schedule(
+            scheme, n, d, num_packets=P, cache=ScheduleCache(disk=False), **options
+        )
+        _ORACLE_TARGETS[index] = (
+            build_protocol(scheme, n, d, **options), schedule,
+            flat_transmissions(schedule),
+        )
+    return _ORACLE_TARGETS[index]
+
+
+@st.composite
+def _corruptions(draw):
+    """A config, 0-4 edits of its flat transmissions, a prefix and a cap."""
+    index = draw(st.integers(0, len(_ORACLE_CONFIGS) - 1))
+    protocol, schedule, rows = _oracle_target(index)
+    txs = list(rows)
+    nodes = list(schedule.node_ids)
+    source = schedule.source_ids[0]
+    for _ in range(draw(st.integers(0, 4))):
+        if not txs:
+            break
+        i = draw(st.integers(0, len(txs) - 1))
+        slot, sender, receiver, packet, arrival = txs[i]
+        edit = draw(st.sampled_from(
+            ("drop", "sender", "receiver", "packet", "arrival", "duplicate")
+        ))
+        if edit == "drop":
+            del txs[i]
+        elif edit == "sender":
+            sender = draw(st.sampled_from((*nodes, source, 999, -1)))
+        elif edit == "receiver":
+            receiver = draw(st.sampled_from((*nodes, source, 999)))
+        elif edit == "packet":
+            packet = draw(st.sampled_from((packet + 1, packet - 1, -1, 0, P + 3)))
+        elif edit == "arrival":
+            arrival += draw(st.sampled_from((-2, -1, 1, 2, 50)))
+        else:
+            txs.insert(i, txs[i])
+        if edit in ("sender", "receiver", "packet", "arrival"):
+            txs[i] = (slot, sender, receiver, packet, arrival)
+    num_packets = draw(st.sampled_from((P - 1, P, P + 2, 0)))
+    max_per_rule = draw(st.sampled_from((1, 3, 25)))
+    return protocol, keyed(schedule, txs), num_packets, max_per_rule
+
+
+class TestColumnFactsEqualTheDictOracle:
+    """The columnar checker's report equals the dict-table checker kept in
+    ``tests/check_oracle.py`` on random corruptions, wherever that one
+    returns; where it raises, the columnar checker still reports."""
+
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_corruptions())
+    def test_equal_to_reference(self, corruption):
+        protocol, schedule, num_packets, max_per_rule = corruption
+        report = check_schedule(
+            schedule, protocol=protocol, num_packets=num_packets,
+            max_per_rule=max_per_rule,
+        )
+        for rule in report.counts:
+            event(f"fires: {rule}")
+        try:
+            expected = reference_report(
+                schedule, protocol, num_packets,
+                description=report.description, max_per_rule=max_per_rule,
+            )
+        except ValueError:
+            event("oracle raised")
+            return
+        assert report == expected
+        assert {
+            type(value)
+            for violation in report.violations
+            for value in (violation.slot, violation.node, violation.packet)
+        } <= {int, type(None)}

@@ -304,7 +304,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 9.0.0"
+        assert capsys.readouterr().out.strip() == "repro 10.0.0"
 
 
 class TestLintCommand:

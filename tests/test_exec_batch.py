@@ -15,12 +15,16 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ReproError
 from repro.core.metrics import collect_repair_metrics, summarize_lossy_playback
+from repro.core.playback import buffer_peak, earliest_safe_start
 from repro.exec import (
     BatchMetrics,
     CompiledSchedule,
+    ScheduleCache,
     bernoulli_mask,
     bernoulli_masks,
     compile_schedule,
@@ -28,6 +32,7 @@ from repro.exec import (
     replay_batch,
     spawn_seeds,
 )
+from repro.exec.batch import score_arrivals
 from repro.obs import MetricsRegistry
 from repro.obs.registry import use_registry
 
@@ -219,6 +224,22 @@ class TestReplayBatchValidation:
         with pytest.raises(ReproError, match=r"outside batch \[0, 2\)"):
             batch.metrics(2)
 
+    @pytest.mark.parametrize(
+        "column, value, what",
+        [("receivers", 99, "an unknown receiver"),
+         ("senders", 99, "an unknown sender"),
+         ("packets", -1, "a negative packet")],
+    )
+    def test_schedule_with_bad_ids_rejected(self, column, value, what):
+        # A fresh schedule each time: the lowering is cached on the object.
+        good = compile_schedule("chain", 5, num_packets=4, cache=ScheduleCache())
+        state = good.__getstate__()
+        state[column] = array("i", state[column])
+        state[column][3] = value
+        bad = CompiledSchedule(**state)
+        with pytest.raises(ReproError, match=f"transmission 3 has {what}"):
+            replay_batch(bad, (1, 2), 0.0, num_packets=4)
+
 
 class TestReplayBatch:
     def test_scalar_rate_broadcasts(self, schedule):
@@ -374,3 +395,27 @@ class TestMeasuredPrefixView:
         again = replay_batch(schedule, (2, 3, 4), (0.0, 0.0, 0.0), num_packets=6)
         assert again.metrics(0) == again.metrics(2) == clean
         assert again.node_delays is not None and (again.node_delays >= 0).all()
+
+
+class TestScoreArrivalsIsThePlaybackScorer:
+    """On full-prefix traces the kernel's closed-form scores are
+    ``core.playback``'s, node for node: the model checker relies on it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda width: st.lists(
+                st.lists(st.integers(0, 40), min_size=width, max_size=width),
+                min_size=1, max_size=6,
+            )
+        )
+    )
+    def test_equals_earliest_safe_start_and_buffer_peak(self, traces):
+        arrived = np.array(traces, dtype=np.int32).T[:, :, None]
+        starts, peaks, available = score_arrivals(arrived)
+        for node, trace in enumerate(traces):
+            arrivals = dict(enumerate(trace))
+            start = earliest_safe_start(arrivals)
+            assert starts[0, node] == start
+            assert peaks[0, node] == buffer_peak(arrivals, start)
+            assert available[0, node] == len(trace)

@@ -140,7 +140,7 @@ def _instruments(snapshot, kind):
 def assert_registries_agree(a, b):
     """Equal counters and gauges; equal histogram buckets, count, min and
     max; histogram sums equal up to summation order."""
-    for kind in ("counters", "gauges", "sketches"):
+    for kind in ("counters", "gauges"):
         assert _instruments(a, kind) == _instruments(b, kind), kind
     left, right = _instruments(a, "histograms"), _instruments(b, "histograms")
     assert left.keys() == right.keys()

@@ -276,6 +276,7 @@ BAD_FIELDS = [
     (SessionSpec, {"drop_rate": NAN}, "SessionSpec.drop_rate"),
     (SessionSpec, {"num_nodes": 31.0}, "SessionSpec.num_nodes"),
     (SessionSpec, {"degree": True}, "SessionSpec.degree"),
+    (SessionSpec, {"scheme": "hypercube", "degree": -1}, "SessionSpec.degree"),
     (CapacityModel, {"source_fanout": NAN}, "CapacityModel.source_fanout"),
     (CapacityModel, {"backbone": NAN}, "CapacityModel.backbone"),
 ]
