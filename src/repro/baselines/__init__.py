@@ -12,6 +12,7 @@ from repro.baselines.single_tree import (
     single_tree_depth,
     single_tree_worst_delay,
     sustainable_rate,
+    tree_horizon,
     wasted_upload_fraction,
 )
 
@@ -25,5 +26,6 @@ __all__ = [
     "single_tree_depth",
     "single_tree_worst_delay",
     "sustainable_rate",
+    "tree_horizon",
     "wasted_upload_fraction",
 ]

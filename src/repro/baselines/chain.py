@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.baselines.single_tree import tree_timetable
+from repro.baselines.single_tree import check_tree, tree_horizon, tree_timetable
 from repro.core.errors import ConstructionError
 from repro.core.packet import Transmission
 from repro.core.protocol import HoldingsView, StreamingProtocol
@@ -52,8 +52,7 @@ class ChainProtocol(StreamingProtocol):
     """Source -> node 1 -> node 2 -> ... -> node N, one packet per slot."""
 
     def __init__(self, num_nodes: int) -> None:
-        if num_nodes < 1:
-            raise ConstructionError(f"need at least one receiver, got {num_nodes}")
+        check_tree(num_nodes, 1)
         self._num_nodes = num_nodes
 
     @property
@@ -89,7 +88,7 @@ class ChainProtocol(StreamingProtocol):
         return packet  # live-capable: the chain never outruns generation
 
     def slots_for_packets(self, num_packets: int) -> int:
-        return self._num_nodes + num_packets + 1
+        return tree_horizon(self._num_nodes, num_packets)  # node N is at depth N
 
     def describe(self) -> str:
         return f"chain(N={self._num_nodes})"

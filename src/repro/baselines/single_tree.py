@@ -28,9 +28,11 @@ from repro.trees import positions as pos
 
 __all__ = [
     "SingleTreeProtocol",
+    "check_tree",
     "single_tree_depth",
     "single_tree_worst_delay",
     "sustainable_rate",
+    "tree_horizon",
     "tree_timetable",
     "wasted_upload_fraction",
 ]
@@ -45,6 +47,22 @@ def single_tree_depth(num_nodes: int, fanout: int) -> int:
     if fanout < 1:
         raise ConstructionError(f"fanout must be >= 1, got {fanout}")
     return pos.level_of_position(num_nodes, fanout)
+
+
+def check_tree(num_nodes: int, fanout: int) -> None:
+    """Reject a population or fanout :class:`SingleTreeProtocol` cannot
+    build (the chain is the ``fanout = 1`` tree)."""
+    if num_nodes < 1:
+        raise ConstructionError(f"need at least one receiver, got {num_nodes}")
+    if fanout < 1:
+        raise ConstructionError(f"fanout must be >= 1, got {fanout}")
+
+
+def tree_horizon(depth: int, num_packets: int) -> int:
+    """Slots guaranteeing every node of a depth-``depth`` forwarding tree
+    holds packets ``0..num_packets-1``: a level-``L`` node receives packet
+    ``p`` in slot ``L - 1 + p``, plus two slots of margin."""
+    return depth + num_packets + 1
 
 
 def single_tree_worst_delay(num_nodes: int, fanout: int) -> int:
@@ -108,10 +126,7 @@ class SingleTreeProtocol(StreamingProtocol):
     """
 
     def __init__(self, num_nodes: int, fanout: int = 2) -> None:
-        if num_nodes < 1:
-            raise ConstructionError(f"need at least one receiver, got {num_nodes}")
-        if fanout < 1:
-            raise ConstructionError(f"fanout must be >= 1, got {fanout}")
+        check_tree(num_nodes, fanout)
         self._num_nodes = num_nodes
         self.fanout = fanout
 
@@ -162,7 +177,7 @@ class SingleTreeProtocol(StreamingProtocol):
         return packet
 
     def slots_for_packets(self, num_packets: int) -> int:
-        return single_tree_depth(self._num_nodes, self.fanout) + num_packets + 1
+        return tree_horizon(single_tree_depth(self._num_nodes, self.fanout), num_packets)
 
     def describe(self) -> str:
         return f"single-tree(N={self._num_nodes}, b={self.fanout})"

@@ -748,48 +748,16 @@ def _cmd_fleet(args) -> int:
         fleet=fleet,
         executor=ExecutorPolicy(max_workers=args.workers, mode=args.mode),
     )
-    telemetry = None
+    instrumentation = None
     if args.telemetry or args.chrome_trace:
-        # Telemetry drives the runner directly so the bundle is ours to
-        # render; the run is still recorded to the ledger like any other.
-        from types import SimpleNamespace
+        from repro.obs import Instrumentation, SpanTracer
 
-        from repro.obs import Timer
-        from repro.reporting.ledger import RunLedger, default_ledger, run_record
-        from repro.service import FleetRunner, FleetTelemetry
-
-        telemetry = FleetTelemetry()
-        runner = FleetRunner(policy=spec.executor, telemetry=telemetry)
-        with Timer() as timer:
-            fleet_result = runner.run(fleet)
-        report = fleet_result.report
-        provenance = {
-            "kind": "fleet",
-            "scheme": spec.scheme,
-            "description": fleet.describe(),
-            "compiled": True,
-            "cache": {
-                "hits": report.cache_hits,
-                "misses": report.cache_misses,
-                "hit_rate": report.cache_hit_rate,
-            },
-            "executor": fleet_result.executor_info,
-        }
-        if fleet_result.convergence is not None:
-            provenance["convergence"] = fleet_result.convergence.row()
-        result = SimpleNamespace(
-            rows=tuple(slo.row() for slo in report.sessions),
-            timing_s=timer.elapsed,
-            provenance=provenance,
-        )
-        ledger = RunLedger(args.ledger) if args.ledger else default_ledger()
-        if ledger is not None:
-            ledger.append(run_record(spec, result))
-        convergence = fleet_result.convergence
-    else:
-        result = run(spec, ledger=args.ledger)
-        report = result.artifacts["report"]
-        convergence = result.artifacts.get("convergence")
+        # Spans make the fleet run attach its telemetry bundle.
+        instrumentation = Instrumentation(spans=SpanTracer())
+    result = run(spec, instrumentation=instrumentation, ledger=args.ledger)
+    report = result.artifacts["report"]
+    convergence = result.artifacts.get("convergence")
+    telemetry = result.artifacts.get("telemetry")
     print(format_rows([report.row()], title=result.provenance["description"]))
     executor = result.provenance["executor"]
     print(

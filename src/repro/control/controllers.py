@@ -63,21 +63,18 @@ __all__ = [
 class EpochObservation:
     """What the control plane sees at the top of one epoch.
 
-    The delay/admission fields describe the *previous* epoch's executed
-    sessions (None/0 at epoch 0 — nothing has run yet); the arrival fields
-    describe the epoch about to be admitted.  Everything is derived from
-    the resolved fleet and the streaming aggregation, so observations — and
-    therefore decisions — are deterministic in ``(FleetSpec, seed)``.
+    ``p99`` describes the *previous* epoch's executed sessions (None at
+    epoch 0 — nothing has run yet); the arrival fields describe the epoch
+    about to be admitted.  Everything is derived from the resolved fleet
+    and the executed sessions, so observations — and therefore decisions —
+    are deterministic in ``(FleetSpec, seed)``.
 
     Attributes:
         epoch: the epoch index decisions made now will apply to.
         p99: previous epoch's p99 session startup delay (queue wait
-            included), or None when no session has executed yet.
-        cumulative_p99: run-so-far p99 off the aggregator's mergeable
-            sketch (the fleet-scale signal; per-epoch p99 is the control
-            signal because a cumulative quantile cannot recover once
-            contaminated).
-        admitted / degraded / rejected: previous epoch's admission tallies.
+            included), or None when no session has executed yet.  It is
+            per epoch, not cumulative, because a cumulative quantile cannot
+            recover once contaminated.
         arrivals: sessions arriving this epoch.
         joins: arriving sessions (the fleet-scale join rate).
         leaves: arriving sessions that will churn away early.
@@ -86,10 +83,6 @@ class EpochObservation:
 
     epoch: int
     p99: float | None = None
-    cumulative_p99: float | None = None
-    admitted: int = 0
-    degraded: int = 0
-    rejected: int = 0
     arrivals: int = 0
     joins: int = 0
     leaves: int = 0

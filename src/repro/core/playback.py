@@ -32,11 +32,6 @@ __all__ = [
 ]
 
 
-def _check_nonempty(arrivals: Mapping[int, int]) -> None:
-    if not arrivals:
-        raise ValueError("arrival trace is empty; node never received a packet")
-
-
 def earliest_safe_start(arrivals: Mapping[int, int]) -> int:
     """Earliest hiccup-free startup delay for a node's arrival trace.
 
@@ -52,18 +47,26 @@ def earliest_safe_start(arrivals: Mapping[int, int]) -> int:
         >>> earliest_safe_start({0: 0, 1: 2, 2: 1})
         2
     """
-    _check_nonempty(arrivals)
-    _check_prefix(arrivals)
+    _check_trace(arrivals)
     return max(slot - packet for packet, slot in arrivals.items()) + 1
 
 
-def _check_prefix(arrivals: Mapping[int, int]) -> None:
+def _check_trace(arrivals: Mapping[int, int]) -> None:
+    """Require a nonempty trace of packets ``0..P-1`` at slots ``>= 0``."""
+    if not arrivals:
+        raise ValueError("arrival trace is empty; node never received a packet")
     n = len(arrivals)
     if min(arrivals) != 0 or max(arrivals) != n - 1:
         missing = sorted(set(range(max(arrivals) + 1)) - set(arrivals))[:5]
         raise ValueError(
             f"arrival trace must cover a contiguous packet prefix 0..{n - 1}; "
             f"missing packets {missing}"
+        )
+    if min(arrivals.values()) < 0:
+        packet = min(p for p, slot in arrivals.items() if slot < 0)
+        raise ValueError(
+            f"packet {packet} arrives at slot {arrivals[packet]}; "
+            f"arrival slots start at 0"
         )
 
 
@@ -73,8 +76,7 @@ def hiccup_packets(arrivals: Mapping[int, int], start_delay: int) -> list[int]:
     Packet ``j`` misses its deadline iff it has not arrived by the end of slot
     ``start_delay + j - 1``.
     """
-    _check_nonempty(arrivals)
-    _check_prefix(arrivals)
+    _check_trace(arrivals)
     return sorted(j for j, slot in arrivals.items() if slot > start_delay + j - 1)
 
 
@@ -102,8 +104,7 @@ def buffer_occupancy_series(
     but clamped to the packet's arrival slot — with an infeasible (hiccup)
     start the packet is consumed as soon as it arrives.
     """
-    _check_nonempty(arrivals)
-    _check_prefix(arrivals)
+    _check_trace(arrivals)
     num_packets = len(arrivals)
     if horizon is None:
         horizon = max(max(arrivals.values()) + 1, start_delay + num_packets)

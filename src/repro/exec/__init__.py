@@ -2,8 +2,8 @@
 
 The schedules of the paper's schemes are deterministic per configuration;
 this subpackage compiles them once into flat arrays
-(:mod:`repro.exec.compiler`), caches the result content-addressed in memory
-and optionally on disk (:mod:`repro.exec.cache`), replays them without the
+(:mod:`repro.exec.compiler`), caches the result content-addressed in an
+in-process LRU (:mod:`repro.exec.cache`), replays them without the
 engine for sweep workers (:mod:`repro.exec.replay`), scores whole batches
 of sessions per pass with the vectorized NumPy kernel
 (:mod:`repro.exec.batch` — the v2 execution primitive), and fans grids

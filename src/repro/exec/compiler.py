@@ -21,8 +21,10 @@ result is a small, picklable :class:`CompiledSchedule` that
   :class:`ScheduleColumns` view), and
 * crosses process boundaries once per worker instead of once per task.
 
-:func:`compile_schedule` adds the content-addressed cache from
-:mod:`repro.exec.cache` in front of the lowering.
+:func:`compile_schedule` adds the in-process content-addressed cache from
+:mod:`repro.exec.cache` in front of the lowering; the cache key's horizon
+comes from each scheme's closed-form ``slots_for_packets``, so a hit builds
+no protocol.
 """
 
 from __future__ import annotations
@@ -415,6 +417,45 @@ def _normalized_key(
     )
 
 
+def _horizon(
+    scheme: str,
+    num_nodes: int,
+    degree: int,
+    num_packets: int,
+    construction: str,
+    mode: str,
+    latency: int,
+) -> int:
+    """``build_protocol(...).slots_for_packets(num_packets)`` without building
+    the protocol: each scheme's horizon formula over its structural size
+    (tree height, cascade plan, tree depth), derived by arithmetic.  Raises
+    what :func:`build_protocol` raises, in the same order."""
+    if scheme == "multi-tree":
+        from repro.trees.forest import MultiTreeForest
+        from repro.trees.schedule import ScheduleParams, multi_tree_horizon
+
+        height = MultiTreeForest.height_of(num_nodes, degree, construction)
+        params = ScheduleParams(mode=mode, latency=latency)
+        return multi_tree_horizon(height, degree, num_packets, params)
+    if scheme in ("hypercube", "grouped-hypercube"):
+        from repro.hypercube.cascade import cascade_horizon, cascade_plan
+        from repro.hypercube.protocol import lane_sizes
+
+        sizes = {num_nodes} if scheme == "hypercube" else set(lane_sizes(num_nodes, degree))
+        return max(cascade_horizon(cascade_plan(size), num_packets) for size in sizes)
+    if scheme in ("chain", "single-tree"):
+        from repro.baselines.single_tree import check_tree, single_tree_depth, tree_horizon
+
+        if scheme == "chain":
+            check_tree(num_nodes, 1)
+            return tree_horizon(num_nodes, num_packets)
+        check_tree(num_nodes, degree)
+        return tree_horizon(single_tree_depth(num_nodes, degree), num_packets)
+    raise ReproError(
+        f"scheme {scheme!r} is not compilable; choose from {COMPILABLE_SCHEMES}"
+    )
+
+
 def _resolve(
     scheme: str,
     num_nodes: int,
@@ -424,9 +465,8 @@ def _resolve(
     construction: str,
     mode: str,
     latency: int,
-) -> tuple[ScheduleKey, CompilableProtocol | None]:
-    """Validate a request and derive its key (and the protocol built to
-    derive a ``num_packets`` horizon, else None)."""
+) -> ScheduleKey:
+    """Validate a request and derive its key; builds no protocol."""
     if (num_slots is None) == (num_packets is None):
         raise ReproError("pass exactly one of num_slots / num_packets")
     check_ints(
@@ -435,7 +475,6 @@ def _resolve(
     )
     if latency < 1:
         raise ReproError(f"compile_schedule.latency must be >= 1, got {latency}")
-    protocol: CompilableProtocol | None = None
     if num_slots is None:
         if num_packets is None:  # unreachable: guarded by the check above
             raise ReproError("pass exactly one of num_slots / num_packets")
@@ -443,19 +482,16 @@ def _resolve(
             raise ReproError(
                 f"compile_schedule.num_packets must be non-negative, got {num_packets}"
             )
-        protocol = build_protocol(
-            scheme, num_nodes, degree,
-            construction=construction, mode=mode, latency=latency,
+        num_slots = _horizon(
+            scheme, num_nodes, degree, num_packets, construction, mode, latency
         )
-        num_slots = protocol.slots_for_packets(num_packets)
     elif num_slots < 0:
         raise ReproError(
             f"compile_schedule.num_slots must be non-negative, got {num_slots}"
         )
-    key = _normalized_key(
+    return _normalized_key(
         scheme, num_nodes, degree, num_slots, construction, mode, latency
     )
-    return key, protocol
 
 
 def schedule_key(
@@ -470,13 +506,12 @@ def schedule_key(
     latency: int = 1,
 ) -> ScheduleKey:
     """The cache key :func:`compile_schedule` files these arguments under,
-    derived without compiling (a ``num_packets`` horizon still builds the
-    protocol for its ``slots_for_packets``)."""
-    key, _ = _resolve(
+    derived without compiling or building the protocol (a ``num_packets``
+    horizon comes from the scheme's closed-form ``slots_for_packets``)."""
+    return _resolve(
         scheme, num_nodes, degree, num_slots, num_packets,
         construction, mode, latency,
     )
-    return key
 
 
 def compile_schedule(
@@ -497,20 +532,24 @@ def compile_schedule(
 
     Exactly one of ``num_slots`` / ``num_packets`` must be given;
     ``num_packets`` derives the horizon from the scheme's
-    ``slots_for_packets`` bound.  A bool or non-int argument, a negative
-    horizon or a latency below 1 raises :class:`~repro.core.errors.ReproError`
-    before any protocol is built.  ``provenance``, when passed, receives the
-    cache outcome (``memory``/``disk``/``miss``) and the content token.
+    ``slots_for_packets`` bound, computed in closed form.  A bool or
+    non-int argument, a negative horizon or a latency below 1 raises
+    :class:`~repro.core.errors.ReproError` before anything is built.
+    ``provenance``, when passed, receives the cache outcome
+    (``memory``/``miss``) and the content token.
 
-    A miss lowers the protocol's closed-form ``timetable``, which equals
+    Without ``verify`` a cache hit builds no protocol.  A miss builds
+    exactly one and lowers its closed-form ``timetable``, which equals
     :func:`compile_protocol`'s stepped lowering of the same protocol.
 
     ``verify=True`` certifies whatever the call returns, hit or miss, with
     :func:`repro.check.check_schedule`: a failing miss raises
     :class:`~repro.core.errors.ScheduleError` before it may enter the
-    cache, and a failing hit is dropped from the cache, then raises.
+    cache, and a failing hit (stored by an unverified compile or a
+    :meth:`~repro.exec.cache.ScheduleCache.put`) is dropped from the
+    cache, then raises.
     """
-    key, protocol = _resolve(
+    key = _resolve(
         scheme, num_nodes, degree, num_slots, num_packets,
         construction, mode, latency,
     )
@@ -529,7 +568,7 @@ def compile_schedule(
             )
 
     def _build() -> CompiledSchedule:
-        built = protocol if protocol is not None else build_protocol(
+        built = build_protocol(
             scheme, num_nodes, degree,
             construction=construction, mode=mode, latency=latency,
         )
@@ -542,7 +581,7 @@ def compile_schedule(
     schedule = cast(CompiledSchedule, cache.get_or_compile(key, _build, outcome))
     if verify and outcome["cache"] != "miss":
         try:
-            _certify(schedule, protocol)
+            _certify(schedule, None)
         except ScheduleError:
             cache.invalidate(key)
             raise

@@ -205,8 +205,8 @@ class ExperimentResult:
             hiccup report, the repair tradeoff point).
         timing_s: wall-clock seconds spent inside :func:`run`.
         provenance: how the result was produced — scheme description,
-            ``compiled`` flag, schedule-cache outcome (``memory`` / ``disk``
-            / ``miss`` / None), executor mode/workers/fallback, package
+            ``compiled`` flag, schedule-cache outcome (``memory`` /
+            ``miss`` / None), executor mode/workers/fallback, package
             version.
         instrumentation: the bundle used (facade-created or caller-passed).
     """

@@ -20,6 +20,7 @@ from repro.hypercube.analysis import (
 )
 from repro.hypercube.cascade import (
     CubeSpec,
+    cascade_horizon,
     cascade_plan,
     expected_average_delay,
     expected_worst_delay,
@@ -59,6 +60,7 @@ __all__ = [
     "analyze_cascade",
     "analyze_grouped",
     "average_delay_check",
+    "cascade_horizon",
     "cascade_plan",
     "dimension_for_population",
     "dimension_of_slot",

@@ -20,12 +20,14 @@ and Theorem 4's ``2 log N`` average delay.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.errors import ConstructionError
 
 __all__ = [
     "CubeSpec",
+    "cascade_horizon",
     "cascade_plan",
     "worst_case_delay_bound",
     "expected_worst_delay",
@@ -105,6 +107,14 @@ def cascade_plan(num_nodes: int) -> list[CubeSpec]:
         offset += k  # the spare port exports with lag exactly k
         index += 1
     return cubes
+
+
+def cascade_horizon(plan: Sequence[CubeSpec], num_packets: int) -> int:
+    """Slots guaranteeing every node of the cascade ``plan`` holds packets
+    ``0..num_packets-1``: its last cube holds packet ``p`` cube-wide by
+    global slot ``offset + k + p``, plus two slots of margin."""
+    last = plan[-1]
+    return last.offset + last.k + num_packets + 2
 
 
 def expected_worst_delay(num_nodes: int) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.errors import ConstructionError, ScheduleError
 from repro.core.packet import Transmission
 from repro.core.protocol import HoldingsView, StreamingProtocol
-from repro.hypercube.cascade import CubeSpec, cascade_plan
+from repro.hypercube.cascade import CubeSpec, cascade_horizon, cascade_plan
 from repro.hypercube.cube import CubeExchange, dimension_for_population
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "HypercubeProtocol",
     "GroupedHypercubeProtocol",
     "SOURCE_ID",
+    "lane_sizes",
 ]
 
 #: Source node id used by the hypercube protocols.
@@ -271,8 +272,7 @@ class HypercubeCascadeProtocol(StreamingProtocol):
 
     def slots_for_packets(self, num_packets: int) -> int:
         """Slots guaranteeing every node holds packets ``0..num_packets-1``."""
-        last = self.plan[-1]
-        return last.offset + last.k + num_packets + 2
+        return cascade_horizon(self.plan, num_packets)
 
     def describe(self) -> str:
         dims = "+".join(str(cube.k) for cube in self.plan)
@@ -295,6 +295,19 @@ class HypercubeProtocol(HypercubeCascadeProtocol):
         return f"hypercube(N={self._num_nodes}, k={self.k})"
 
 
+def lane_sizes(num_nodes: int, degree: int) -> list[int]:
+    """Receivers per lane of :class:`GroupedHypercubeProtocol`: ``min(d, N)``
+    lanes (never an empty one) of ``ceil(N/d)`` or ``floor(N/d)`` receivers,
+    the larger first."""
+    if num_nodes < 1:
+        raise ConstructionError(f"need at least one receiver, got {num_nodes}")
+    if degree < 1:
+        raise ConstructionError(f"source capacity d must be >= 1, got {degree}")
+    lanes = min(degree, num_nodes)
+    base, extra = divmod(num_nodes, lanes)
+    return [base + 1] * extra + [base] * (lanes - extra)
+
+
 class GroupedHypercubeProtocol(StreamingProtocol):
     """A capacity-``d`` source streaming ``d`` parallel cascades (§3.2 end).
 
@@ -304,20 +317,12 @@ class GroupedHypercubeProtocol(StreamingProtocol):
     """
 
     def __init__(self, num_nodes: int, degree: int) -> None:
-        if num_nodes < 1:
-            raise ConstructionError(f"need at least one receiver, got {num_nodes}")
-        if degree < 1:
-            raise ConstructionError(f"source capacity d must be >= 1, got {degree}")
-        if degree > num_nodes:
-            degree = num_nodes  # never create empty lanes
+        sizes = lane_sizes(num_nodes, degree)
         self._num_nodes = num_nodes
-        self.degree = degree
-        base = num_nodes // degree
-        extra = num_nodes % degree
+        self.degree = len(sizes)
         self._lanes: list[_CascadeLane] = []
         start = 1
-        for g in range(degree):
-            size = base + (1 if g < extra else 0)
+        for size in sizes:
             ids = list(range(start, start + size))
             self._lanes.append(_CascadeLane(size, ids))
             start += size
@@ -360,11 +365,7 @@ class GroupedHypercubeProtocol(StreamingProtocol):
         return packet
 
     def slots_for_packets(self, num_packets: int) -> int:
-        worst = 0
-        for lane in self._lanes:
-            last = lane.plan[-1]
-            worst = max(worst, last.offset + last.k + num_packets + 2)
-        return worst
+        return max(cascade_horizon(lane.plan, num_packets) for lane in self._lanes)
 
     def describe(self) -> str:
         sizes = ",".join(str(len(lane.id_map)) for lane in self._lanes)

@@ -104,11 +104,9 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
                "fallback causes by exception type"),
     # --- schedule cache (repro.exec.cache)
     MetricSpec("schedule_cache.hit", "counter", ("layer",),
-               "schedule cache hits by layer"),
+               "schedule cache hits (layer=memory, the only layer)"),
     MetricSpec("schedule_cache.miss", "counter", (),
                "schedule cache misses"),
-    MetricSpec("schedule_cache.evict", "counter", (),
-               "schedule cache evictions"),
     MetricSpec("schedule_cache.invalidate", "counter", (),
                "schedule cache invalidations"),
     # --- ABR (repro.abr)

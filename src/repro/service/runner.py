@@ -275,9 +275,7 @@ class FleetRunResult:
     control_epochs: tuple[dict, ...] = ()
 
 
-def _tally(made: DecisionTable | None) -> dict[str, int]:
-    if made is None:
-        return dict.fromkeys(STATUSES, 0)
+def _tally(made: DecisionTable) -> dict[str, int]:
     return dict(zip(STATUSES, np.bincount(made.status, minlength=len(STATUSES)).tolist()))
 
 
@@ -286,10 +284,10 @@ class _ControlHook:
 
     :meth:`step` runs at the start of an epoch: the
     :class:`~repro.control.ControlPlane` reads the *previous* epoch's p99
-    startup delay and admission tallies plus the upcoming chunk's mix and
-    churn, decides, and its knobs (admission policy, queue bound, per-kind
-    degree overrides) are applied before the chunk is admitted — so every
-    decision is observed one epoch later.  A degree override remaps the
+    startup delay plus the upcoming chunk's mix and churn, decides, and
+    its knobs (admission policy, queue bound, per-kind degree overrides)
+    are applied before the chunk is admitted — so every decision is
+    observed one epoch later.  A degree override remaps the
     chunk's kind column to a copy of the kind at the new degree, appended
     to the run's ``kinds``.  :meth:`close` ends an epoch and records its
     row.
@@ -323,9 +321,7 @@ class _ControlHook:
         self.epochs = 0
         self._run_kinds = kinds
         self._respecs: dict[tuple[int, int], int] = {}
-        self._seen: Counter[int] = Counter()
         self._delays: list[int] = []
-        self._made: DecisionTable | None = None
         self._p99: float | None = None
         self._decisions = 0
 
@@ -351,7 +347,6 @@ class _ControlHook:
             float(pooled_percentile(Counter(self._delays), 99))
             if self._delays else None
         )
-        prev = _tally(self._made)
         counts = np.bincount(chunk.kind)
         mix: Counter[str] = Counter()
         for kind in np.flatnonzero(counts).tolist():
@@ -360,13 +355,6 @@ class _ControlHook:
             EpochObservation(
                 epoch=self.epochs,
                 p99=self._p99,
-                cumulative_p99=(
-                    float(pooled_percentile(self._seen, 99))
-                    if self._seen else None
-                ),
-                admitted=prev["admitted"],
-                degraded=prev["degraded"],
-                rejected=prev["rejected"],
                 arrivals=len(chunk),
                 joins=len(chunk),
                 leaves=len(chunk) - int(np.count_nonzero(np.isnan(chunk.leave_fraction))),
@@ -407,8 +395,6 @@ class _ControlHook:
         self._p99 = None
         self._decisions = 0
         self._delays = list(delays)
-        self._seen.update(delays)
-        self._made = made
 
 
 def _configuration(spec: SessionSpec, degree: int) -> tuple:
@@ -533,8 +519,8 @@ class FleetRunner:
 
     Args:
         cache: schedule cache shared across the fleet (a private in-process
-            cache by default; pass one with a disk layer to amortize across
-            runs too).
+            cache by default; pass a shared one to amortize across runs
+            too).
         policy: executor fan-out policy (worker count / serial / parallel).
         registry: metrics registry the run reports into (the active registry
             by default); admission counters, cache traffic, and merged worker
@@ -615,10 +601,10 @@ class FleetRunner:
         compiled: dict[tuple, tuple[str, int]] = {}
 
         def horizon_of(spec: SessionSpec, degree: int) -> int:
-            # Memoize per configuration for the run: compile_schedule
-            # rebuilds the protocol to derive the horizon before it can
-            # consult the shared cache, so even a cache hit would cost a
-            # protocol build per admission.
+            # Memoize per configuration for the run: admission asks for a
+            # horizon once per admitted session, and even a warm
+            # compile_schedule validates its arguments, builds and hashes
+            # the key and counts a registry hit, where this is one lookup.
             key = _configuration(spec, degree)
             found = compiled.get(key)
             if found is None:

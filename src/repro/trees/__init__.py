@@ -49,6 +49,7 @@ from repro.trees.schedule import (
     ScheduleParams,
     arrival_trace,
     first_arrival_slots,
+    multi_tree_horizon,
     pipelined_live_collisions,
     slot_transmissions,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "first_arrival_slots",
     "greedy_layouts",
     "interior_count",
+    "multi_tree_horizon",
     "optimal_startup_delay",
     "padded_population",
     "per_tree_delays",

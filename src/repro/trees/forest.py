@@ -20,7 +20,8 @@ from collections.abc import Sequence
 
 from repro.core.errors import ConstructionError
 from repro.trees.greedy import build_greedy_trees
-from repro.trees.groups import GroupPartition
+from repro.trees.groups import GroupPartition, padded_population
+from repro.trees.positions import tree_height
 from repro.trees.structured import build_structured_trees
 from repro.trees.tree import StreamTree
 
@@ -35,6 +36,15 @@ _BUILDERS = {
     "structured": build_structured_trees,
     "greedy": build_greedy_trees,
 }
+
+
+def _builder(construction: Construction):
+    try:
+        return _BUILDERS[construction]
+    except KeyError:
+        raise ConstructionError(
+            f"unknown construction {construction!r}; choose from {sorted(_BUILDERS)}"
+        ) from None
 
 
 class MultiTreeForest:
@@ -63,13 +73,17 @@ class MultiTreeForest:
         cls, num_nodes: int, degree: int, construction: Construction = "structured"
     ) -> MultiTreeForest:
         """Build the forest with the named construction ("structured"/"greedy")."""
-        try:
-            builder = _BUILDERS[construction]
-        except KeyError:
-            raise ConstructionError(
-                f"unknown construction {construction!r}; choose from {sorted(_BUILDERS)}"
-            ) from None
-        return cls(num_nodes, degree, builder(num_nodes, degree))
+        return cls(num_nodes, degree, _builder(construction)(num_nodes, degree))
+
+    @staticmethod
+    def height_of(
+        num_nodes: int, degree: int, construction: Construction = "structured"
+    ) -> int:
+        """The :attr:`height` of :meth:`construct`'s forest, by arithmetic:
+        every tree holds ``padded_population(N, d)`` positions.  Rejects what
+        :meth:`construct` rejects, in the same order."""
+        _builder(construction)
+        return tree_height(padded_population(num_nodes, degree), degree)
 
     # ------------------------------------------------------------- populations
     @property

@@ -20,6 +20,7 @@ from repro.trees.schedule import (
     LIVE_PREBUFFERED,
     PRERECORDED,
     ScheduleParams,
+    multi_tree_horizon,
     slot_transmissions,
     timetable_columns,
 )
@@ -91,16 +92,11 @@ class MultiTreeProtocol(StreamingProtocol):
         return packet if self.params.mode == LIVE_PREBUFFERED else 0
 
     def slots_for_packets(self, num_packets: int) -> int:
-        """Slots guaranteeing every real node holds packets ``0..num_packets-1``.
-
-        The worst first-packet arrival is bounded by ``h*d`` (Theorem 2); later
-        packets arrive ``d`` slots apart per tree, plus the live prebuffer
-        shift of ``d``.
-        """
-        d = self.degree
-        h = self.forest.height
-        shift = d if self.params.mode == LIVE_PREBUFFERED else 0
-        return (h * d + num_packets * d + shift + d) * self.params.latency + d
+        """Slots guaranteeing every real node holds packets ``0..num_packets-1``
+        (:func:`~repro.trees.schedule.multi_tree_horizon` of the built forest)."""
+        return multi_tree_horizon(
+            self.forest.height, self.degree, num_packets, self.params
+        )
 
     def describe(self) -> str:
         return (

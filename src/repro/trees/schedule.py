@@ -48,6 +48,7 @@ __all__ = [
     "timetable_columns",
     "pipelined_live_collisions",
     "ScheduleParams",
+    "multi_tree_horizon",
 ]
 
 StreamMode = str
@@ -78,6 +79,20 @@ class ScheduleParams:
 def _shift(params: ScheduleParams, degree: int) -> int:
     """Global slot shift: 0 for pre-recorded, d for the live prebuffer."""
     return degree if params.mode == LIVE_PREBUFFERED else 0
+
+
+def multi_tree_horizon(
+    height: int, degree: int, num_packets: int, params: ScheduleParams
+) -> int:
+    """Slots guaranteeing every real node of a height-``height`` forest holds
+    packets ``0..num_packets-1``.
+
+    The worst first-packet arrival is bounded by ``h*d`` (Theorem 2); later
+    packets arrive ``d`` slots apart per tree, plus the live prebuffer shift
+    of ``d``.
+    """
+    d = degree
+    return (height * d + num_packets * d + _shift(params, d) + d) * params.latency + d
 
 
 def first_arrival_slots(tree: StreamTree, *, latency: int = 1) -> dict[int, int]:

@@ -145,7 +145,7 @@ class TestCleanSchedules:
 
     def test_check_config_multi_tree(self):
         report = check_config(
-            "multi-tree", 15, 3, num_packets=8, cache=ScheduleCache(disk=False)
+            "multi-tree", 15, 3, num_packets=8, cache=ScheduleCache()
         )
         assert report.ok, report.summary()
 
@@ -154,7 +154,7 @@ class TestCleanSchedules:
             nodes=(7, 15),
             degrees=(2, 3),
             num_packets=8,
-            cache=ScheduleCache(disk=False),
+            cache=ScheduleCache(),
         )
         assert reports and all(r.ok for r in reports), [
             r.summary() for r in reports if not r.ok
@@ -323,7 +323,7 @@ class TestTheoremBounds:
         # that delivery to slot 10, in place of packet 7's (outside the
         # prefix; node 13 forwards nothing): start 11 > h*d = 9.
         schedule = compile_schedule(
-            "multi-tree", 15, 3, num_packets=P, cache=ScheduleCache(disk=False)
+            "multi-tree", 15, 3, num_packets=P, cache=ScheduleCache()
         )
         txs = flat_transmissions(schedule)
         txs.remove(find_tx(txs, receiver=13, packet=7))
@@ -342,7 +342,7 @@ class TestTheoremBounds:
         # holds three packets at slot 4, against the 2-packet bound (the
         # arrival now precedes its sending slot, which well-formed reports).
         schedule = compile_schedule(
-            "hypercube", 15, num_packets=P, cache=ScheduleCache(disk=False)
+            "hypercube", 15, num_packets=P, cache=ScheduleCache()
         )
         txs = flat_transmissions(schedule)
         shift_arrival(txs, -2, receiver=5, packet=1)
@@ -411,13 +411,13 @@ class TestReportAndWiring:
         monkeypatch.setattr(
             compiler_module, "build_protocol", lambda *a, **k: DoubleSendChain(4)
         )
-        cache = ScheduleCache(disk=False)
+        cache = ScheduleCache()
         with pytest.raises(ScheduleError, match="static verification"):
             compile_schedule("chain", 4, num_packets=3, cache=cache, verify=True)
         assert len(cache) == 0  # the bad artifact never entered the cache
 
     def test_verify_on_miss_accepts_good_compiles(self):
-        cache = ScheduleCache(disk=False)
+        cache = ScheduleCache()
         schedule = compile_schedule(
             "chain", 5, num_packets=4, cache=cache, verify=True
         )
@@ -426,7 +426,7 @@ class TestReportAndWiring:
     def _planted_chain(self):
         """A chain N=5 P=4 schedule, and a copy under the same key in which
         relay 1 -> 2 forwards packet 2 where it should forward packet 1."""
-        good = compile_schedule("chain", 5, num_packets=4, cache=ScheduleCache(disk=False))
+        good = compile_schedule("chain", 5, num_packets=4, cache=ScheduleCache())
         packets = array("i", good.packets)
         assert (good.senders[4], good.receivers[4], packets[4]) == (1, 2, 1)
         packets[4] += 1
@@ -441,17 +441,16 @@ class TestReportAndWiring:
         }
         return good, bad
 
-    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
-    def test_verify_certifies_cache_hits(self, tmp_path, disk):
+    @pytest.mark.parametrize("layer", ["memory"])
+    def test_verify_certifies_cache_hits(self, layer):
         good, bad = self._planted_chain()
-        cache = ScheduleCache(disk_dir=tmp_path) if disk else ScheduleCache(disk=False)
+        cache = ScheduleCache()
         cache.put(bad.key, bad)
-        if disk:
-            cache.clear()  # the plant is served from the disk layer
-        with pytest.raises(ScheduleError, match="static verification"):
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(ScheduleError, match="static verification"):
             compile_schedule("chain", 5, num_packets=4, cache=cache, verify=True)
+        assert registry.counter("schedule_cache.hit", layer=layer).value == 1
         assert cache.get(bad.key) is None  # the failing hit was dropped
-        assert not list(tmp_path.glob("*.pkl"))
         provenance: dict = {}
         fresh = compile_schedule(
             "chain", 5, num_packets=4, cache=cache, verify=True, provenance=provenance
@@ -460,7 +459,7 @@ class TestReportAndWiring:
         assert fresh == good
 
     def test_verify_certifies_an_unverified_compile(self):
-        cache = ScheduleCache(disk=False)
+        cache = ScheduleCache()
         first = compile_schedule("chain", 5, num_packets=4, cache=cache)
         provenance: dict = {}
         again = compile_schedule(
@@ -471,7 +470,7 @@ class TestReportAndWiring:
 
     def test_derived_num_packets_matches_request(self):
         # check_config compiles via num_packets and checks the same prefix.
-        report = check_config("chain", 5, num_packets=7, cache=ScheduleCache(disk=False))
+        report = check_config("chain", 5, num_packets=7, cache=ScheduleCache())
         assert report.num_packets == 7
         assert report.ok
 
@@ -497,7 +496,7 @@ def _oracle_target(index):
     if index not in _ORACLE_TARGETS:
         scheme, n, d, options = _ORACLE_CONFIGS[index]
         schedule = compile_schedule(
-            scheme, n, d, num_packets=P, cache=ScheduleCache(disk=False), **options
+            scheme, n, d, num_packets=P, cache=ScheduleCache(), **options
         )
         _ORACLE_TARGETS[index] = (
             build_protocol(scheme, n, d, **options), schedule,

@@ -304,7 +304,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 10.0.0"
+        assert capsys.readouterr().out.strip() == "repro 11.0.0"
 
 
 class TestLintCommand:
@@ -490,6 +490,23 @@ class TestFleetTelemetryFlags:
         assert main([*self.SMALL, "--json", str(plain)]) == 0
         assert main([*self.SMALL, "--telemetry", "--json", str(instrumented)]) == 0
         assert read_fleet_report_json(plain) == read_fleet_report_json(instrumented)
+
+    def test_telemetry_run_is_recorded_like_a_plain_run(self, tmp_path, capsys):
+        from repro.reporting.ledger import RunLedger
+
+        plain, traced = tmp_path / "plain.jsonl", tmp_path / "traced.jsonl"
+        trace = tmp_path / "trace.json"
+        assert main([*self.SMALL, "--ledger", str(plain)]) == 0
+        assert main([
+            *self.SMALL, "--telemetry", "--chrome-trace", str(trace),
+            "--ledger", str(traced),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry (per arrival window):" in out
+        assert json.loads(trace.read_text())["traceEvents"]
+        (expected,), (record,) = list(RunLedger(plain)), list(RunLedger(traced))
+        assert record["record"] == "run"
+        assert record["provenance"] == expected["provenance"]
 
 
 class TestRunsAndReportCommands:

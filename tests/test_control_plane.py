@@ -395,6 +395,17 @@ class TestControlPlane:
             spec.scheme, spec.num_nodes, 3, num_packets=spec.num_packets
         ).token()
 
+    def test_recompile_builds_one_protocol(self, protocol_builds):
+        plane, _ = self._plane(MetricsRegistry())
+        spec = SessionSpec(num_nodes=13, degree=3, num_packets=4)
+        compile_schedule(
+            spec.scheme, spec.num_nodes, 3, num_packets=spec.num_packets,
+            cache=plane.cache,
+        )
+        protocol_builds.clear()
+        plane._recompile(spec, 3)  # invalidates the warm entry, then compiles
+        assert protocol_builds == [spec.scheme]
+
     def test_quiet_epoch_makes_no_decisions(self):
         registry = MetricsRegistry()
         with use_registry(registry):

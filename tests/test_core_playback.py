@@ -46,6 +46,20 @@ class TestEarliestSafeStart:
         with pytest.raises(ValueError, match="missing"):
             earliest_safe_start({0: 0, 2: 1})
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda trace: earliest_safe_start(trace),
+            lambda trace: buffer_peak(trace, 0),
+            lambda trace: buffer_occupancy_series(trace, 0),
+        ],
+        ids=["earliest_safe_start", "buffer_peak", "buffer_occupancy_series"],
+    )
+    def test_negative_arrival_rejected(self, call):
+        # delta[-1] would wrap to the end of the occupancy list.
+        with pytest.raises(ValueError, match=r"packet 0 arrives at slot -1"):
+            call({0: -1, 1: 0, 2: 0})
+
     @given(
         st.dictionaries(
             st.integers(0, 30),

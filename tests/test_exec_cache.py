@@ -1,13 +1,11 @@
-"""Content-addressed schedule cache: LRU, disk layer, corruption safety."""
+"""Content-addressed schedule cache: the in-process LRU and its tokens."""
 
 from __future__ import annotations
-
-import os
-import pickle
 
 import pytest
 
 import repro.exec.cache as cache_mod
+from repro.core.errors import ReproError
 from repro.exec.cache import CACHE_VERSION, ScheduleCache, ScheduleKey, default_cache
 from repro.exec.compiler import build_protocol, compile_protocol
 from repro.obs import MetricsRegistry
@@ -73,113 +71,31 @@ class TestMemoryLayer:
             ScheduleCache(capacity=0)
 
 
-class TestDiskLayer:
-    def test_disk_roundtrip_across_cache_instances(self, tmp_path):
-        writer = ScheduleCache(disk_dir=tmp_path)
-        schedule = writer.get_or_compile(_key(), _builder())
-        reader = ScheduleCache(disk_dir=tmp_path)
-        loaded, layer = reader.get_with_layer(_key())
-        assert layer == "disk"
-        assert loaded == schedule
+class TestNoDiskLayer:
+    """The on-disk layer was removed in v11.0.0: the LRU is the only store."""
 
-    def test_disk_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert ScheduleCache().disk_dir is None
+    def test_disk_true_raises(self):
+        with pytest.raises(ReproError, match="removed in v11.0.0"):
+            ScheduleCache(disk=True)
 
-    def test_env_var_enables_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ScheduleCache()
-        assert cache.disk_dir == tmp_path
+    @pytest.mark.parametrize("option", ["disk_dir", "max_disk_bytes"])
+    def test_disk_options_are_gone(self, tmp_path, option):
+        with pytest.raises(TypeError):
+            ScheduleCache(**{option: tmp_path if option == "disk_dir" else 4096})
+        assert not hasattr(ScheduleCache(), option)
+        assert not hasattr(ScheduleCache, "get_with_layer")
 
-    def test_corrupted_entry_recompiles_not_crashes(self, tmp_path):
-        writer = ScheduleCache(disk_dir=tmp_path)
-        writer.get_or_compile(_key(), _builder())
-        token_path = tmp_path / f"{_key().token()}.pkl"
-        assert token_path.exists()
-        token_path.write_bytes(b"not a pickle at all")
-        reader = ScheduleCache(disk_dir=tmp_path)
-        provenance: dict = {}
-        schedule = reader.get_or_compile(_key(), _builder(), provenance)
-        assert provenance["cache"] == "miss"
-        assert schedule.num_slots == 21
-        # The corrupt file was replaced by a fresh, loadable entry.
-        with open(token_path, "rb") as fh:
-            envelope = pickle.load(fh)
-        assert envelope["version"] == CACHE_VERSION
-
-    def test_version_skew_treated_as_miss(self, tmp_path):
-        writer = ScheduleCache(disk_dir=tmp_path)
-        writer.get_or_compile(_key(), _builder())
-        token_path = tmp_path / f"{_key().token()}.pkl"
-        envelope = pickle.loads(token_path.read_bytes())
-        envelope["version"] = CACHE_VERSION + 1
-        token_path.write_bytes(pickle.dumps(envelope))
-        loaded, layer = ScheduleCache(disk_dir=tmp_path).get_with_layer(_key())
-        assert loaded is None and layer is None
-
-    def test_no_stray_tmp_files(self, tmp_path):
-        cache = ScheduleCache(disk_dir=tmp_path)
-        cache.get_or_compile(_key(), _builder())
-        assert not list(tmp_path.glob("*.tmp"))
-
-
-class TestDiskEviction:
-    def _entry_size(self, tmp_path):
-        probe = ScheduleCache(disk_dir=tmp_path)
-        probe.get_or_compile(_key(21), _builder(21))
-        size = (tmp_path / f"{_key(21).token()}.pkl").stat().st_size
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()
-        return size
-
-    def test_byte_budget_evicts_oldest(self, tmp_path):
-        size = self._entry_size(tmp_path)
-        registry = MetricsRegistry()
-        cache = ScheduleCache(disk_dir=tmp_path, max_disk_bytes=int(size * 2.5))
-        with use_registry(registry):
-            cache.get_or_compile(_key(21), _builder(21))
-            os.utime(tmp_path / f"{_key(21).token()}.pkl", (1, 1))
-            cache.get_or_compile(_key(24), _builder(24))
-            os.utime(tmp_path / f"{_key(24).token()}.pkl", (2, 2))
-            cache.get_or_compile(_key(27), _builder(27))
-        names = {path.stem for path in tmp_path.glob("*.pkl")}
-        assert _key(27).token() in names  # just stored, always kept
-        assert _key(21).token() not in names  # oldest, evicted
-        evictions = [
-            row for row in registry.rows()
-            if row["name"] == "schedule_cache.evict"
-        ]
-        assert evictions and evictions[0]["value"] >= 1
-
-    def test_just_stored_entry_survives_tiny_budget(self, tmp_path):
-        cache = ScheduleCache(disk_dir=tmp_path, max_disk_bytes=1)
-        cache.get_or_compile(_key(21), _builder(21))
-        assert (tmp_path / f"{_key(21).token()}.pkl").exists()
-
-    def test_disk_hit_refreshes_recency(self, tmp_path):
-        ScheduleCache(disk_dir=tmp_path).get_or_compile(_key(21), _builder(21))
-        path = tmp_path / f"{_key(21).token()}.pkl"
-        os.utime(path, (1, 1))
-        _, layer = ScheduleCache(disk_dir=tmp_path).get_with_layer(_key(21))
-        assert layer == "disk"
-        assert path.stat().st_mtime > 1  # hit bumped the LRU clock
-
-    def test_env_var_sets_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
-        assert ScheduleCache().max_disk_bytes == 4096
-
-    def test_bad_env_budget_raises(self, monkeypatch):
+    def test_cache_dir_variable_writes_nothing(self, tmp_path, monkeypatch):
+        target = tmp_path / "schedules"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(target))
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "lots")
-        with pytest.raises(ValueError):
-            ScheduleCache()
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ScheduleCache(max_disk_bytes=0)
-
-    def test_unbounded_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
-        assert ScheduleCache().max_disk_bytes is None
+        cache = ScheduleCache()
+        cache.get_or_compile(_key(), _builder())
+        cache.clear()
+        provenance: dict = {}
+        cache.get_or_compile(_key(), _builder(), provenance)
+        assert provenance["cache"] == "miss"
+        assert not target.exists()
 
 
 class TestTokens:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SimConfig, simulate
@@ -120,6 +120,57 @@ class TestClosedFormLowering:
         )
         assert lowered == stepped
         assert provenance["cache_token"] == stepped.key.token()
+
+
+class TestClosedFormKeys:
+    """A key's ``num_packets`` horizon is closed-form arithmetic over each
+    scheme's structural size; the built protocol's ``slots_for_packets``
+    reads the same size off its built structure."""
+
+    @given(
+        scheme=st.sampled_from((*COMPILABLE_SCHEMES, "gossip")),
+        n=st.one_of(st.integers(-2, 130), st.sampled_from((255, 500, 1023))),
+        d=st.integers(-1, 7),
+        construction=st.sampled_from(("structured", "greedy", "spiral")),
+        mode=st.sampled_from(("prerecorded", "live_prebuffered", "looped")),
+        latency=st.integers(1, 3),
+        packets=st.sampled_from((0, 1, 7, 16)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_key_horizon_equals_the_built_protocols(
+        self, scheme, n, d, construction, mode, latency, packets
+    ):
+        config = {"construction": construction, "mode": mode, "latency": latency}
+
+        def outcome(call):
+            try:
+                return call()
+            except Exception as exc:  # the two sides must fail alike
+                return type(exc), str(exc)
+
+        built = outcome(
+            lambda: build_protocol(scheme, n, d, **config).slots_for_packets(packets)
+        )
+        keyed = outcome(
+            lambda: schedule_key(scheme, n, d, num_packets=packets, **config).num_slots
+        )
+        event("rejected" if isinstance(built, tuple) else "accepted")
+        assert keyed == built
+
+    @pytest.mark.parametrize("scheme", COMPILABLE_SCHEMES)
+    def test_warm_lookups_build_no_protocol(self, protocol_builds, scheme):
+        cache = ScheduleCache()
+        first = compile_schedule(scheme, 63, 3, num_packets=8, cache=cache)
+        assert protocol_builds == [scheme]  # the miss builds exactly one
+        for _ in range(10):
+            assert compile_schedule(scheme, 63, 3, num_packets=8, cache=cache) is first
+        assert protocol_builds == [scheme]
+
+    @pytest.mark.parametrize("scheme", COMPILABLE_SCHEMES)
+    def test_schedule_key_builds_no_protocol(self, protocol_builds, scheme):
+        schedule_key(scheme, 1023, 3, num_packets=16)
+        schedule_key(scheme, 1023, 3, num_slots=40)
+        assert protocol_builds == []
 
 
 class TestCompileScheduleFrontDoor:

@@ -105,7 +105,7 @@ class TestTheoryGolden:
 
 def _fleet_report(spec):
     return FleetRunner(
-        cache=ScheduleCache(capacity=64, disk=False),
+        cache=ScheduleCache(capacity=64),
         policy=ExecutorPolicy(mode="serial"),
         registry=MetricsRegistry(),
     ).run(spec).report
