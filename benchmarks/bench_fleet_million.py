@@ -6,14 +6,15 @@ per-session seed sequences from one master seed
 :func:`~repro.exec.batch.replay_batch` calls, each scored by
 :func:`~repro.service.score_batch_sessions` into one
 :class:`~repro.service.SessionColumns` and folded, one ``np.bincount`` per
-pooled population, straight into a sketch-mode
-:class:`~repro.service.FleetAggregator`, beside the chunk's all-admitted
-:class:`~repro.service.DecisionTable`.  Nothing in the pipeline scales
-with the full population: the kernel's working set is capped by its element
-budget, each chunk's columns are dropped after the fold, and the
-aggregator holds three quantile sketches; no
-:class:`~repro.service.SessionSLO` and no per-session decision is ever
-built.
+pooled population, straight into a
+:class:`~repro.service.FleetAggregator` that keeps no per-session rows,
+beside the chunk's all-admitted :class:`~repro.service.DecisionTable`.
+Nothing in the pipeline scales with the full population: the kernel's
+working set is capped by its element budget, each chunk's columns are
+dropped after the fold, and the aggregator holds three exact
+``value -> count`` tables of slot and packet counts (a handful of entries
+each); no :class:`~repro.service.SessionSLO` and no per-session decision
+is ever built.
 
 The chunk decomposition is also a correctness claim — a session's score is
 a function of ``(schedule, seed, drop_rate)`` alone, so slicing the million
@@ -37,7 +38,6 @@ NUM_SESSIONS = 1_000_000
 CHUNK = 50_000
 NUM_PACKETS = 8
 DROP_RATE = 0.01
-SKETCH_ERROR = 0.01
 
 
 def _admitted(session_ids: np.ndarray) -> DecisionTable:
@@ -49,9 +49,7 @@ def _admitted(session_ids: np.ndarray) -> DecisionTable:
 def test_million_sessions_bounded_memory():
     schedule = compile_schedule("multi-tree", 31, 2, num_packets=NUM_PACKETS)
     seeds = spawn_seeds(0, NUM_SESSIONS)
-    aggregator = FleetAggregator(
-        relative_error=SKETCH_ERROR, keep_sessions=False
-    )
+    aggregator = FleetAggregator(keep_sessions=False)
 
     for lo in range(0, NUM_SESSIONS, CHUNK):
         chunk_seeds = seeds[lo : lo + CHUNK]
@@ -93,10 +91,10 @@ def test_million_sessions_bounded_memory():
         f"drop rate {DROP_RATE}, chunks of {CHUNK}):",
         "",
         f"  1 compile, {NUM_SESSIONS // CHUNK} kernel calls, "
-        "no per-session SLO kept (sketch aggregation)",
+        "no per-session SLO kept (exact tables)",
         "  chunk-independent: session 0 scores the same solo and in its chunk",
         f"  startup delay: p50={fleet.startup_p50} p99={fleet.startup_p99} "
-        f"max={fleet.startup_max} (sketch alpha={SKETCH_ERROR})",
+        f"max={fleet.startup_max}",
         f"  playback delay p99={fleet.delay_p99} "
         f"buffer p99={fleet.buffer_p99} "
         f"rebuffer_mean={fleet.rebuffer_mean:.4f} "

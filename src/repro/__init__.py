@@ -15,12 +15,13 @@ The package implements, from scratch, everything the paper describes:
 * :mod:`repro.theory` — every closed-form bound, plus degree optimization;
 * :mod:`repro.repair` — the loss-repair subsystem (slack provisioning,
   NACK retransmission, XOR parity) the paper's loss-free model leaves out;
-* :mod:`repro.obs` — the instrumentation layer: metrics registry (with
-  mergeable bounded-memory quantile sketches), structured event tracing
-  (with deterministic sampling), span tracing (engine phases and the fleet
-  pipeline, aggregated into per-phase self-time tables), tumbling-window
-  time series, and online SLO-convergence detection (all opt-in, zero
-  overhead when off);
+* :mod:`repro.obs` — the instrumentation layer: metrics registry,
+  structured event tracing (with deterministic sampling), span tracing
+  (engine phases and the fleet pipeline, aggregated into per-phase
+  self-time tables), tumbling-window time series, online SLO-convergence
+  detection (all opt-in, zero overhead when off), and the one nearest-rank
+  rule over exact ``value -> count`` tables that every fleet percentile
+  reads;
 * :mod:`repro.exec` — the compiled-schedule execution layer: schedule
   compiler, content-addressed cache, engine-free replay, the vectorized
   batch-replay kernel (:func:`replay_batch` — one NumPy pass scores a whole
@@ -37,14 +38,14 @@ The package implements, from scratch, everything the paper describes:
   (:class:`FleetSpec`), admission control against capacity budgets
   (:class:`~repro.service.SessionManager`), sharded execution
   (:class:`FleetRunner`), fleet SLO reports (:class:`FleetSLOReport` —
-  exact or sketch-aggregated, optionally run-until-converged), and the
-  :class:`FleetTelemetry` time-series/span bundle (``docs/TELEMETRY.md``);
+  exact pooled percentiles, with or without per-session rows, optionally
+  run-until-converged), and the :class:`FleetTelemetry` time-series/span
+  bundle (``docs/TELEMETRY.md``);
 * :mod:`repro.control` — the feedback control plane: attach a
   :class:`ControlPolicy` to a :class:`FleetSpec` and per-epoch controllers
   move the admission ladder, queue bound, and per-kind tree degree from the
-  observed p99 startup delay, repairing trees under churn and re-caching
-  only the affected schedule tokens (``repro control``,
-  ``docs/CONTROL.md``);
+  observed p99 startup delay, and run the appendix tree repairs under
+  churn (``repro control``, ``docs/CONTROL.md``);
 * :mod:`repro.abr` — the adaptive-bitrate scenario subsystem: time-varying
   link-capacity traces (and the engine's ``capacity_hook`` attachment), a
   bitrate ladder with a buffer-aware bandwidth estimator, per-session QoE
@@ -148,7 +149,6 @@ from repro.obs import (
     EventTracer,
     Instrumentation,
     MetricsRegistry,
-    QuantileSketch,
     SpanTracer,
     TimeSeries,
 )
@@ -174,7 +174,7 @@ from repro.service import (
 from repro.theory import optimal_degree, table1
 from repro.trees import DynamicForest, MultiTreeForest, MultiTreeProtocol, analyze
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "AbrSessionSpec",
@@ -212,7 +212,6 @@ __all__ = [
     "ParityScheme",
     "PlaybackBuffer",
     "QoEMetrics",
-    "QuantileSketch",
     "RepairRunResult",
     "RetransmissionCoordinator",
     "RunLedger",

@@ -10,8 +10,8 @@ Results must flow back through return values and registry snapshots, not
 through globals.
 
 Worker code reaches methods (``BatchMetrics.rows`` under
-``replay_batch_task``), registry objects (``Histogram.observe`` under
-``multi_tree_cell``) and function-local imports, none of which a static
+``replay_batch_task``), registry objects (``Counter.inc`` under
+``fleet_unit_task``) and function-local imports, none of which a static
 call graph follows.  So the pass checks **every** module-level function
 and method, and flags: writes to declared ``global`` names;
 attribute/subscript assignment through a module-level binding; and

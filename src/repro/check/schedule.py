@@ -35,12 +35,13 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.protocol import StreamingProtocol
-from repro.exec.cache import ScheduleCache
+from repro.exec.cache import ScheduleCache, ScheduleKey
 from repro.exec.compiler import (
     COMPILABLE_SCHEMES,
     CompiledSchedule,
     build_protocol,
     compile_schedule,
+    schedule_key,
 )
 from repro.check.invariants import (
     ScheduleFacts,
@@ -343,17 +344,19 @@ def smoke_grid(
 ) -> list[CheckReport]:
     """Check every scheme over the ``nodes x degrees`` grid.
 
-    Degree-insensitive schemes (hypercube, chain) are checked once per
-    population — their schedules ignore ``d``, so repeating the check would
-    only restate the same certificate.
+    A configuration whose cache key was already checked is skipped: the
+    compiler pins the degree of schemes whose schedules ignore ``d``
+    (hypercube, chain), so each of their populations is checked once.
     """
     reports: list[CheckReport] = []
+    checked: set[ScheduleKey] = set()
     for scheme in schemes:
-        degree_axis: Sequence[int] = degrees
-        if scheme in ("hypercube", "chain"):
-            degree_axis = degrees[:1]
         for n in nodes:
-            for d in degree_axis:
+            for d in degrees:
+                key = schedule_key(scheme, n, d, num_packets=num_packets)
+                if key in checked:
+                    continue
+                checked.add(key)
                 reports.append(
                     check_config(
                         scheme, n, d, num_packets=num_packets, cache=cache

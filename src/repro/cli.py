@@ -13,8 +13,9 @@ Commands:
 * ``fleet``    — multi-session service scenario: admission control against
   capacity budgets, sharded execution, fleet SLO report (``--dry-run``
   prints the resolved scenario without executing it; ``--aggregation
-  sketch`` / ``--until-converged`` / ``--telemetry`` / ``--chrome-trace``
-  engage the fleet-scale telemetry layer, see ``docs/TELEMETRY.md``);
+  sketch`` drops the per-session rows, and ``--until-converged`` /
+  ``--telemetry`` / ``--chrome-trace`` engage the fleet-scale telemetry
+  layer, see ``docs/TELEMETRY.md``);
 * ``abr``      — delay/buffer tradeoff sweep under time-varying link
   capacity: one ABR session per trace profile × prebuffer target, curves
   bucketed by QoE tier (see ``docs/ABR.md``);
@@ -129,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure4 = sub.add_parser("figure4", help="regenerate Figure 4")
     figure4.add_argument("--max-nodes", type=int, default=2000)
     figure4.add_argument("--step", type=int, default=100)
-    figure4.add_argument(
-        "--parallel", type=int, metavar="WORKERS", default=1,
-        help="evaluate the sweep across processes",
-    )
 
     table1 = sub.add_parser("table1", help="regenerate Table 1")
     table1.add_argument("-n", "--nodes", type=int, default=255)
@@ -283,12 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--aggregation", choices=["exact", "sketch"], default="exact",
-        help="SLO aggregation: exact pooled percentiles, or mergeable "
-        "quantile sketches with bounded memory (no per-session rows)",
-    )
-    fleet.add_argument(
-        "--sketch-error", type=float, default=0.01, metavar="ALPHA",
-        help="relative error bound of sketch aggregation (default 0.01)",
+        help="SLO aggregation: keep per-session rows (exact) or drop them "
+        "at fleet scale (sketch); percentiles are exact either way",
     )
     fleet.add_argument(
         "--until-converged", action="store_true",
@@ -482,20 +475,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_figure4(args) -> int:
-    from repro.exec.executor import ExecutorPolicy, SweepExecutor
     from repro.reporting.series import series_table
-    from repro.workloads.parallel import multi_tree_cell
+    from repro.trees.vectorized import figure4_series_fast
     from repro.workloads.sweeps import degree_sweep, figure4_populations
 
     populations = figure4_populations(args.max_nodes, step=args.step)
-    degrees = degree_sweep()
-    tasks = [(n, d) for d in degrees for n in populations]
-    executor = SweepExecutor(ExecutorPolicy(max_workers=args.parallel))
-    results = executor.map(multi_tree_cell, tasks)
-    by_degree: dict[int, list[int]] = {d: [] for d in degrees}
-    for _n, d, delay in results:
-        by_degree[d].append(delay)
-    series = {f"degree {d}": by_degree[d] for d in degrees}
+    series = figure4_series_fast(populations, degree_sweep())
     print(series_table("N", populations, series))
     return 0
 
@@ -725,7 +710,6 @@ def _cmd_fleet(args) -> int:
         churn_rate=args.churn_rate,
         seed=args.seed,
         aggregation=args.aggregation,
-        sketch_error=args.sketch_error,
         convergence=ConvergenceCriterion() if args.until_converged else None,
     )
     if args.dry_run:

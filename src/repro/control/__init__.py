@@ -6,7 +6,7 @@ epoch (a fixed-size batch of arriving sessions) the
 epoch's p99 startup delay and admission tallies, then moves the fleet's
 knobs — admission ladder stage and queue bound (SLO controller), per-kind
 tree degree over the paper's Section-5 candidates (degree re-optimizer),
-and tree repair + schedule re-cache under churn (churn controller).
+and the appendix tree repairs under churn (churn controller).
 
 Attach it to a fleet with ``FleetSpec(controller=ControlPolicy(...))``;
 the :class:`~repro.service.runner.FleetRunner` drives the

@@ -11,7 +11,7 @@ runs three controllers in a fixed, deterministic order:
    ``d in {2, 3}`` (the paper's Section-5 result: no other degree is ever
    optimal) whenever the admitted mix shifts or the delay signal leaves the
    dead band.  A retune swaps the kind's compiled schedule group-wise: every
-   later session of the kind compiles through the shared
+   later session of the kind compiles through the fleet's shared
    :class:`~repro.exec.cache.ScheduleCache` under the new degree's token.
 2. :class:`SLOController` — walks the queue→degrade→reject admission ladder
    from the observed p99, tightening the queue-wait bound first (the
@@ -21,8 +21,9 @@ runs three controllers in a fixed, deterministic order:
 3. :class:`ChurnRepairController` — watches the epoch's leave/arrival ratio
    and, past the threshold, runs the paper's appendix add/delete repairs
    (:func:`~repro.trees.live.fleet_repair`) over each multi-tree kind in the
-   mix, then invalidates and recompiles exactly the affected schedule
-   tokens so the cache never serves a pre-repair schedule.
+   mix and records the swaps and touched nodes.  A compiled schedule is a
+   pure function of its cache key, so a repair invalidates none and nothing
+   is recompiled.
 
 Every action is a :class:`~repro.control.policy.ControlDecision`; the plane
 also emits ``control.*`` counters, ``control.decide`` spans, and
@@ -33,18 +34,11 @@ ledger's decision log (``repro.control.log``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.control.policy import ControlDecision, ControlPolicy
-from repro.exec.cache import ScheduleCache
-from repro.exec.compiler import compile_schedule, schedule_key
 from repro.obs.events import CONTROL_DECISION, EventTracer
-from repro.obs.names import (
-    CONTROL_DECISIONS,
-    CONTROL_EPOCHS,
-    CONTROL_RECOMPILED_TOKENS,
-    CONTROL_REPAIR_SWAPS,
-)
+from repro.obs.names import CONTROL_DECISIONS, CONTROL_EPOCHS, CONTROL_REPAIR_SWAPS
 from repro.obs.registry import active_registry
 from repro.obs.spans import SpanTracer, span_scope
 from repro.theory import theorem2_bound
@@ -258,9 +252,7 @@ class ChurnRepairController:
     the epoch's churn through :func:`~repro.trees.live.fleet_repair` —
     eager repair below ``lazy_repair_threshold``, the appendix's lazy
     variant above it (heavier churn amortizes better by deferring tail
-    tightening).  The affected kinds' schedule tokens are then invalidated
-    and recompiled through the shared cache, so the repair cost lands on
-    exactly the tokens the repair touched.
+    tightening).
     """
 
     def __init__(self, policy: ControlPolicy, *, seed: int = 0) -> None:
@@ -274,7 +266,6 @@ class ChurnRepairController:
         kinds: Mapping[str, Any],
         *,
         degrees: Mapping[str, int],
-        recompile: Callable[[Any, int], str],
     ) -> ControlDecision | None:
         if self._cooldown > 0:
             self._cooldown -= 1
@@ -286,7 +277,6 @@ class ChurnRepairController:
             return None
         lazy = intensity >= self.policy.lazy_repair_threshold
         repaired: dict[str, dict[str, Any]] = {}
-        tokens: list[str] = []
         for label, _count in obs.mix:
             spec = kinds.get(label)
             if spec is None or spec.scheme != "multi-tree" or label in repaired:
@@ -298,13 +288,10 @@ class ChurnRepairController:
                 construction=spec.construction,
                 seed=self.seed + obs.epoch,
             )
-            token = recompile(spec, degree)
-            tokens.append(token)
             repaired[label] = {
                 "swaps": outcome.swaps,
                 "touched": len(outcome.touched),
                 "operations": len(outcome.reports),
-                "token": token,
             }
         if not repaired:
             return None
@@ -321,7 +308,6 @@ class ChurnRepairController:
                 "intensity": round(intensity, 4),
                 "lazy": lazy,
                 "kinds": repaired,
-                "recompiled_tokens": tokens,
             },
         )
 
@@ -336,7 +322,6 @@ class ControlPlane:
         max_queue_slots: the fleet's configured queue-wait bound (the
             adaptive bound's ceiling).
         min_degree: fleet degrade floor, honored by the degree optimizer.
-        cache: the shared schedule cache repairs recompile through.
         seed: fleet seed (repair victim draws).
         spans: optional :class:`~repro.obs.spans.SpanTracer` for
             ``control.decide`` decision spans.
@@ -351,13 +336,11 @@ class ControlPlane:
         initial_policy: str = "queue",
         max_queue_slots: int = 64,
         min_degree: int = 2,
-        cache: ScheduleCache | None = None,
         seed: int = 0,
         spans: SpanTracer | None = None,
         tracer: EventTracer | None = None,
     ) -> None:
         self.policy = policy
-        self.cache = cache if cache is not None else ScheduleCache(capacity=64)
         self.spans = spans
         self.tracer = tracer
         self.slo = SLOController(
@@ -366,7 +349,6 @@ class ControlPlane:
         self.degree = DegreeOptimizer(policy, min_degree=min_degree)
         self.churn = ChurnRepairController(policy, seed=seed)
         self.decisions: list[ControlDecision] = []
-        self.recompiled_tokens: list[str] = []
 
     # ------------------------------------------------------------ knob state
     @property
@@ -383,26 +365,6 @@ class ControlPlane:
     def degree_overrides(self) -> dict[str, int]:
         """Per-kind degree retunes currently in force (label -> degree)."""
         return dict(self.degree.overrides)
-
-    # ----------------------------------------------------------------- hooks
-    def _recompile(self, spec: Any, degree: int) -> str:
-        """Invalidate and recompile one kind's schedule token (re-cache)."""
-        config: dict[str, Any] = {
-            "num_packets": spec.num_packets, "construction": spec.construction,
-            "mode": spec.mode, "latency": spec.latency,
-        }
-        self.cache.invalidate(
-            schedule_key(spec.scheme, spec.num_nodes, degree, **config)
-        )
-        provenance: dict[str, Any] = {}
-        compile_schedule(
-            spec.scheme, spec.num_nodes, degree,
-            cache=self.cache, provenance=provenance, **config,
-        )
-        token = str(provenance["cache_token"])
-        self.recompiled_tokens.append(token)
-        active_registry().counter(CONTROL_RECOMPILED_TOKENS).inc()
-        return token
 
     # ------------------------------------------------------------------- api
     def step(
@@ -425,10 +387,7 @@ class ControlPlane:
             slo_move = self.slo.decide(obs)
             if slo_move is not None:
                 made.append(slo_move)
-            churn_move = self.churn.decide(
-                obs, kinds, degrees=self.degree.overrides,
-                recompile=self._recompile,
-            )
+            churn_move = self.churn.decide(obs, kinds, degrees=self.degree.overrides)
             if churn_move is not None:
                 made.append(churn_move)
                 repair = churn_move.detail.get("kinds", {})

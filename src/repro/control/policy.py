@@ -147,8 +147,8 @@ class ControlDecision:
             on (None for decisions not driven by the delay signal).
         target_p99: the policy setpoint, for self-contained records.
         detail: JSON-safe action payload (old/new policy stage, queue
-            bounds, per-kind degree moves, repair swap/touched counts,
-            recompiled schedule tokens).
+            bounds, per-kind degree moves, repair swap/touched/operation
+            counts).
     """
 
     epoch: int

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 from repro.control.policy import ControlDecision, ControlPolicy
 from repro.core.errors import ReproError
+from repro.obs.quantiles import pooled_percentile
 from repro.service.runner import FleetRunner, FleetRunResult
-from repro.service.slo import pooled_percentile
 from repro.service.spec import CapacityModel, FleetSpec, SessionSpec
 
 __all__ = [

@@ -406,6 +406,8 @@ def _normalized_key(
         construction = "cascade" if "hypercube" in scheme else scheme
         mode = "-"
         latency = 1
+    if scheme in ("hypercube", "chain"):
+        degree = 1  # their schedules ignore d: one entry for every degree
     return ScheduleKey(
         scheme=scheme,
         construction=construction,

@@ -12,7 +12,7 @@
 * results can be **streamed**: ``map(..., on_result=fn, collect=False)``
   invokes ``fn(index, result)`` as each task completes *in task order* and
   never materializes the result list — the fleet runner folds 10k+ session
-  SLOs into quantile sketches this way with bounded memory;
+  SLOs into exact ``value -> count`` tables this way with bounded memory;
 * a :class:`~repro.obs.spans.SpanTracer` handed to the executor ships its
   span context to workers through the initializer; spans recorded with
   :func:`~repro.obs.spans.worker_span` ride back on the snapshots (serial

@@ -16,10 +16,11 @@ Three zero-dependency pieces, usable separately or bundled:
 
 The fleet-telemetry extensions (see ``docs/TELEMETRY.md``) build on top:
 
-* :mod:`repro.obs.sketch` — mergeable bounded-memory quantile sketch with
-  a documented relative-error bound (streaming fleet percentiles);
+* :mod:`repro.obs.quantiles` — the one nearest-rank rule
+  (:func:`pooled_percentile`, :func:`value_at_rank`) over exact
+  ``value -> count`` tables, which every fleet percentile reads;
 * :mod:`repro.obs.timeseries` — tumbling-window counter/gauge/sketch
-  series keyed by arrival slot;
+  series keyed by arrival slot (a sketch series is an exact table);
 * :mod:`repro.obs.convergence` — online SLO-convergence detection
   (order-statistics CI half-width on a tracked quantile).
 
@@ -74,11 +75,7 @@ from repro.obs.registry import (
     global_registry,
     use_registry,
 )
-from repro.obs.sketch import (
-    DEFAULT_EXACT_LIMIT,
-    DEFAULT_RELATIVE_ERROR,
-    QuantileSketch,
-)
+from repro.obs.quantiles import pooled_percentile, value_at_rank
 from repro.obs.spans import (
     SPAN_SCHEMA,
     Span,
@@ -100,8 +97,6 @@ __all__ = [
     "ConvergenceState",
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_EXACT_LIMIT",
-    "DEFAULT_RELATIVE_ERROR",
     "EVENT_SCHEMA",
     "Event",
     "EventSink",
@@ -114,7 +109,6 @@ __all__ = [
     "MetricsRegistry",
     "PARITY_RECOVERED",
     "PLAYBACK_STALL",
-    "QuantileSketch",
     "REPAIR_INJECTED",
     "REPAIR_SCHEDULED",
     "RUN_END",
@@ -140,10 +134,12 @@ __all__ = [
     "drain_worker_spans",
     "global_registry",
     "install_span_context",
+    "pooled_percentile",
     "read_events_jsonl",
     "span_rows",
     "span_scope",
     "use_registry",
+    "value_at_rank",
     "wall_time_s",
     "worker_span",
 ]

@@ -13,9 +13,8 @@ order-statistics CI brackets the true quantile between the sample ranks
 
 (clamped to ``[1, n]``), where ``z`` is the two-sided normal critical
 value for the configured confidence level.  The value bounds at those
-ranks come straight from the quantile sketch
-(:meth:`repro.obs.sketch.QuantileSketch.quantile_at_rank`), so the CI
-inherits the sketch's relative-error guarantee.  The run is **converged**
+ranks are read exactly off the observed ``value -> count`` table
+(:func:`repro.obs.quantiles.value_at_rank`).  The run is **converged**
 once ``n >= min_count`` and the CI half-width
 ``(upper_value - lower_value) / 2`` is at most
 ``rel_half_width * estimate``.  With a degenerate distribution the
@@ -34,10 +33,11 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
-from .sketch import QuantileSketch
+from .quantiles import pooled_percentile, value_at_rank
 
 __all__ = ["ConvergenceCriterion", "ConvergenceDetector", "ConvergenceState"]
 
@@ -114,38 +114,34 @@ class ConvergenceState:
 class ConvergenceDetector:
     """Online detector of quantile-estimate convergence.
 
-    Feed observations with :meth:`add` (or a whole merged shard sketch
-    with :meth:`merge`), then ask :meth:`state`.  Deterministic: no RNG.
+    Feed observations with :meth:`add`, then ask :meth:`state`.  The
+    observations are kept as an exact ``value -> count`` table.
+    Deterministic: no RNG.
     """
 
-    __slots__ = ("criterion", "_sketch", "_z")
+    __slots__ = ("criterion", "_counts", "_count", "_z")
 
-    def __init__(
-        self,
-        criterion: ConvergenceCriterion | None = None,
-        *,
-        relative_error: float = 0.0,
-    ) -> None:
+    def __init__(self, criterion: ConvergenceCriterion | None = None) -> None:
         self.criterion = criterion if criterion is not None else ConvergenceCriterion()
-        self._sketch = QuantileSketch(relative_error)
+        self._counts: Counter[float] = Counter()
+        self._count = 0
         self._z = self.criterion.z_value()
 
     @property
     def count(self) -> int:
-        return self._sketch.count
+        return self._count
 
     def add(self, value: float, count: int = 1) -> None:
         """Observe ``value`` ``count`` times."""
-        self._sketch.add(value, count)
-
-    def merge(self, sketch: QuantileSketch) -> None:
-        """Fold a shard's sketch into the detector's population."""
-        self._sketch.merge(sketch)
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        self._counts[value] += count
+        self._count += count
 
     def state(self) -> ConvergenceState:
         """Evaluate the criterion against everything observed so far."""
         crit = self.criterion
-        n = self._sketch.count
+        n = self._count
         if n < 2:
             return ConvergenceState(
                 converged=False, count=n, estimate=0.0,
@@ -153,12 +149,12 @@ class ConvergenceDetector:
                 half_width=math.inf, target_half_width=0.0,
             )
         q = crit.quantile / 100.0
-        estimate = self._sketch.quantile(crit.quantile)
+        estimate = pooled_percentile(self._counts, crit.quantile)
         se = self._z * math.sqrt(n * q * (1.0 - q))
         lower_rank = max(1, math.floor(n * q - se))
         upper_rank = min(n, math.ceil(n * q + se))
-        ci_lower = self._sketch.quantile_at_rank(lower_rank)
-        ci_upper = self._sketch.quantile_at_rank(upper_rank)
+        ci_lower = value_at_rank(self._counts, lower_rank)
+        ci_upper = value_at_rank(self._counts, upper_rank)
         half_width = (ci_upper - ci_lower) / 2.0
         target = crit.rel_half_width * estimate
         converged = n >= crit.min_count and half_width <= target

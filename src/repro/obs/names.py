@@ -55,7 +55,6 @@ class MetricSpec:
 # Name constants for the emitters that reference the registry directly.
 CONTROL_DECISIONS = "control.decisions"
 CONTROL_EPOCHS = "control.epochs"
-CONTROL_RECOMPILED_TOKENS = "control.recompiled_tokens"
 CONTROL_REPAIR_SWAPS = "control.repair_swaps"
 FLEET_ABR_SESSIONS = "fleet.abr_sessions"
 FLEET_CACHE_HIT_RATE = "fleet.cache_hit_rate"
@@ -88,15 +87,11 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
                "transmissions deferred by degree throttling"),
     MetricSpec("engine.repairs.injected", "counter", ("protocol",),
                "repair transmissions injected"),
-    # --- sweep/replay (repro.exec, repro.workloads)
+    # --- sweep/replay (repro.exec)
     MetricSpec("sweep.batch_sessions", "counter", ("scheme",),
                "sessions replayed through the batch kernel"),
     MetricSpec("sweep.batched_tx", "counter", ("scheme",),
                "transmissions up to the horizon, summed over batch sessions"),
-    MetricSpec("sweep.cells", "counter", ("scheme", "degree"),
-               "parallel-workload sweep cells computed"),
-    MetricSpec("sweep.delay", "histogram", ("scheme", "degree"),
-               "per-cell playback delay"),
     # --- executor (repro.exec.executor)
     MetricSpec("executor.fallbacks", "counter", (),
                "process-pool runs that fell back to serial"),
@@ -133,8 +128,6 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
                "control decisions by controller and action"),
     MetricSpec(CONTROL_REPAIR_SWAPS, "counter", (),
                "repair-protocol swaps applied"),
-    MetricSpec(CONTROL_RECOMPILED_TOKENS, "counter", (),
-               "schedule tokens recompiled after retuning"),
     # --- fleet service (repro.service)
     MetricSpec(FLEET_SESSIONS, "counter", ("status",),
                "admission outcomes by status"),

@@ -11,7 +11,7 @@ histograms add, gauges keep the maximum (the only order-independent choice
 when merging concurrent workers).
 
 Instruments are identified by ``(name, labels)``; labels are free-form
-string pairs (``registry.counter("sweep.cells", scheme="multi-tree")``).
+string pairs (``registry.counter("sweep.batch_sessions", scheme="multi-tree")``).
 All mutation goes through one registry-wide lock, so a registry can be
 shared between threads.
 """

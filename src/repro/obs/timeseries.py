@@ -9,14 +9,14 @@ series, mirroring the registry instrument set:
   window width to expose per-slot rates (throughput, admissions).
 * **gauge** — last value written in the window wins (matching
   :class:`repro.obs.registry.Gauge` semantics).
-* **sketch** — a :class:`repro.obs.sketch.QuantileSketch` per window, so
-  each window answers p50/p99 queries with the sketch's documented
-  relative-error bound.
+* **sketch** — an exact ``value -> count`` table per window, so each
+  window answers p50/p99 queries exactly
+  (:func:`repro.obs.quantiles.pooled_percentile`).
 
 Windows are created lazily on first touch, so sparse series stay sparse.
 :meth:`rows` emits one flat dict per ``(window, series)`` pair for table
-rendering, and :meth:`to_dict` serializes the whole series (sketches via
-their own ``to_dict``) for export.
+rendering, and :meth:`to_dict` serializes the whole series (each table as
+sorted ``[value, count]`` pairs) for export.
 
 The fleet runner feeds a ``TimeSeries`` from shard-completion callbacks
 (see :class:`repro.service.runner.FleetTelemetry`); nothing here touches
@@ -25,9 +25,10 @@ wall clocks — time is whatever integer coordinate the caller supplies.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
-from .sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
+from .quantiles import pooled_percentile
 
 __all__ = ["TimeSeries", "WindowStats"]
 
@@ -40,7 +41,7 @@ class WindowStats:
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self.sketches: dict[str, QuantileSketch] = {}
+        self.sketches: dict[str, Counter[float]] = {}
 
 
 class TimeSeries:
@@ -49,25 +50,14 @@ class TimeSeries:
     Args:
         window: window width in time units (slots); each window ``w``
             covers ``[w * window, (w + 1) * window)``.
-        relative_error: error bound forwarded to per-window sketches.
     """
 
-    __slots__ = ("window", "relative_error", "_windows")
+    __slots__ = ("window", "_windows")
 
-    def __init__(
-        self,
-        window: int = 8,
-        *,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
-    ) -> None:
+    def __init__(self, window: int = 8) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if not 0 <= relative_error < 1:
-            raise ValueError(
-                f"relative_error must be in [0, 1), got {relative_error}"
-            )
         self.window = window
-        self.relative_error = relative_error
         self._windows: dict[int, WindowStats] = {}
 
     # ------------------------------------------------------------ ingestion
@@ -90,12 +80,12 @@ class TimeSeries:
         self._window_of(time).gauges[name] = value
 
     def observe(self, name: str, time: int, value: float) -> None:
-        """Feed ``value`` into the per-window sketch for ``name``."""
+        """Count ``value`` in the per-window table for ``name``."""
         stats = self._window_of(time)
-        sketch = stats.sketches.get(name)
-        if sketch is None:
-            sketch = stats.sketches[name] = QuantileSketch(self.relative_error)
-        sketch.add(value)
+        table = stats.sketches.get(name)
+        if table is None:
+            table = stats.sketches[name] = Counter()
+        table[value] += 1
 
     # -------------------------------------------------------------- queries
     @property
@@ -138,7 +128,7 @@ class TimeSeries:
     def quantile(self, name: str, q: float) -> list[tuple[int, float]]:
         """``(window, q-th percentile)`` for sketch series ``name``."""
         return [
-            (w, self._windows[w].sketches[name].quantile(q))
+            (w, pooled_percentile(self._windows[w].sketches[name], q))
             for w in sorted(self._windows)
             if name in self._windows[w].sketches
         ]
@@ -163,27 +153,28 @@ class TimeSeries:
                     "kind": "gauge", "value": stats.gauges[name],
                 })
             for name in sorted(stats.sketches):
-                sketch = stats.sketches[name]
+                table = stats.sketches[name]
                 out.append({
                     "window": w, "start_slot": start, "series": name,
-                    "kind": "sketch", "count": sketch.count,
-                    "p50": sketch.quantile(50), "p99": sketch.quantile(99),
-                    "max": sketch.max,
+                    "kind": "sketch", "count": sum(table.values()),
+                    "p50": pooled_percentile(table, 50),
+                    "p99": pooled_percentile(table, 99),
+                    "max": max(table),
                 })
         return out
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable dump of every window."""
+        """JSON-serializable dump of every window; each sketch series is
+        its table as sorted ``[value, count]`` pairs."""
         return {
             "window": self.window,
-            "relative_error": self.relative_error,
             "windows": {
                 str(w): {
                     "counters": dict(stats.counters),
                     "gauges": dict(stats.gauges),
                     "sketches": {
-                        name: sketch.to_dict()
-                        for name, sketch in stats.sketches.items()
+                        name: [[value, count] for value, count in sorted(table.items())]
+                        for name, table in stats.sketches.items()
                     },
                 }
                 for w, stats in sorted(self._windows.items())

@@ -18,14 +18,16 @@ concurrent sessions sharing source fan-out and backbone capacity:
 * :mod:`repro.service.slo` — per-session and fleet SLOs
   (:func:`score_batch_sessions` → :class:`SessionColumns`, :class:`SessionSLO`,
   :class:`FleetSLOReport` with exact pooled percentiles, and the streaming
-  :class:`FleetAggregator` whose sketch mode bounds memory at fleet scale).
+  :class:`FleetAggregator`, which folds each unit into exact ``value ->
+  count`` tables; :func:`pooled_percentile` is
+  :func:`repro.obs.quantiles.pooled_percentile`).
 
 Fleet-scale telemetry (``docs/TELEMETRY.md``): :class:`FleetTelemetry`
 records tumbling-window time series and pipeline spans for a run;
-``FleetSpec(aggregation="sketch")`` streams aggregation through quantile
-sketches; ``FleetSpec(convergence=ConvergenceCriterion())`` stops once the
-p99 SLO estimate's confidence interval is tight (open-loop steady-state
-mode).
+``FleetSpec(aggregation="sketch")`` drops the per-session rows (the
+percentiles stay exact); ``FleetSpec(convergence=ConvergenceCriterion())``
+stops once the p99 SLO estimate's confidence interval is tight (open-loop
+steady-state mode).
 
 Entry points: ``repro.run(ExperimentSpec(kind="fleet", fleet=...))`` or the
 ``repro fleet`` CLI subcommand.

@@ -46,13 +46,13 @@ of each (``docs/CONTROL.md``).
 Aggregation is **streaming**, one kernel unit at a time: each unit's
 :class:`~repro.service.slo.SessionColumns` fold into a
 :class:`~repro.service.slo.FleetAggregator` through the executor's
-``on_result`` callback the moment its shard completes — with
-``FleetSpec.aggregation="sketch"`` nothing per-session is ever
-materialized, which is what lets ``bench_fleet_scale.py`` run 100k
-sessions in bounded memory.  A :class:`FleetTelemetry` bundle adds
-tumbling-window time series keyed by arrival slot and pipeline spans
-(resolve/admit/execute/aggregate plus per-unit worker spans) exportable as
-a Chrome trace.
+``on_result`` callback the moment its shard completes, as exact
+``value -> count`` tables — with ``FleetSpec.aggregation="sketch"``
+nothing per-session is ever materialized, which is what lets
+``bench_fleet_scale.py`` run 100k sessions in bounded memory.  A
+:class:`FleetTelemetry` bundle adds tumbling-window time series keyed by
+arrival slot and pipeline spans (resolve/admit/execute/aggregate plus
+per-unit worker spans) exportable as a Chrome trace.
 
 Everything is deterministic in ``FleetSpec.seed`` regardless of worker count.
 """
@@ -83,8 +83,8 @@ from repro.obs.names import (
     FLEET_SESSIONS_REPLAYED,
     FLEET_STARTUP_DELAY,
 )
+from repro.obs.quantiles import pooled_percentile
 from repro.obs.registry import MetricsRegistry, active_registry, use_registry
-from repro.obs.sketch import DEFAULT_RELATIVE_ERROR
 from repro.obs.spans import SpanTracer, span_scope, worker_span
 from repro.obs.timeseries import TimeSeries
 from repro.service.admission import (
@@ -97,7 +97,6 @@ from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
     SessionColumns,
-    pooled_percentile,
     score_batch_sessions,
 )
 from repro.service.spec import FleetSpec, SessionSpec, SessionTable
@@ -183,21 +182,14 @@ class FleetTelemetry:
 
     Args:
         window: tumbling-window width (arrival slots) of the time series.
-        relative_error: per-window sketch error bound.
         trace: record pipeline spans (resolve/admit/execute/aggregate and
             per-unit worker spans) under one trace id.
     """
 
     __slots__ = ("series", "spans")
 
-    def __init__(
-        self,
-        *,
-        window: int = 8,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
-        trace: bool = True,
-    ) -> None:
-        self.series = TimeSeries(window, relative_error=relative_error)
+    def __init__(self, *, window: int = 8, trace: bool = True) -> None:
+        self.series = TimeSeries(window)
         self.spans: SpanTracer | None = SpanTracer() if trace else None
 
     def record_decisions(self, decisions: DecisionTable) -> None:
@@ -299,7 +291,6 @@ class _ControlHook:
         manager: SessionManager,
         kinds: list[SessionSpec],
         *,
-        cache: ScheduleCache,
         spans: SpanTracer | None,
         tracer: EventTracer | None,
     ) -> None:
@@ -310,7 +301,6 @@ class _ControlHook:
             initial_policy=fleet.policy,
             max_queue_slots=fleet.max_queue_slots,
             min_degree=fleet.min_degree,
-            cache=cache,
             seed=fleet.seed,
             spans=spans,
             tracer=tracer,
@@ -622,10 +612,7 @@ class FleetRunner:
             tracer=self.tracer,
         )
         control = (
-            _ControlHook(
-                fleet, manager, kinds,
-                cache=self.cache, spans=spans, tracer=self.tracer,
-            )
+            _ControlHook(fleet, manager, kinds, spans=spans, tracer=self.tracer)
             if fleet.controller is not None else None
         )
         # Each session's kind as admitted (a retune remaps it).
@@ -634,11 +621,7 @@ class FleetRunner:
             ConvergenceDetector(fleet.convergence)
             if fleet.convergence is not None else None
         )
-        sketch_mode = fleet.aggregation == "sketch"
-        aggregator = FleetAggregator(
-            relative_error=fleet.sketch_error if sketch_mode else 0.0,
-            keep_sessions=not sketch_mode,
-        )
+        aggregator = FleetAggregator(keep_sessions=fleet.aggregation == "exact")
         executor = SweepExecutor(self.policy, registry=registry, spans=spans)
         workers = self.policy.resolved_workers()
         epoch_delays: list[int] = []

@@ -16,13 +16,10 @@ compute them, one kernel unit at a time:
 * :class:`FleetAggregator` folds the admission decision table
   (:meth:`~FleetAggregator.add_decisions`, one ``np.bincount`` over the
   status column) and scored units (:meth:`~FleetAggregator.add_sessions`,
-  one ``np.bincount`` per pooled population) into mergeable
-  :class:`~repro.obs.sketch.QuantileSketch`
-  populations, so fleet percentiles never require materializing
-  per-session results.  ``relative_error=0`` keeps every sketch in exact
-  mode (reports identical to Counter-based pooling); ``relative_error>0``
-  bounds memory at fleet scale with the sketch's documented error
-  guarantee (see ``docs/TELEMETRY.md``);
+  one ``np.bincount`` per pooled population) into exact ``value -> count``
+  tables, so fleet percentiles never require materializing per-session
+  results; :func:`~repro.obs.quantiles.pooled_percentile` reads them
+  (see ``docs/TELEMETRY.md``);
 * :class:`FleetSLOReport` is the fleet report (p50/p95/p99 over the pooled
   per-node populations, reject rate, schedule-cache amortization) and
   round-trips through ``reporting/export.py``.
@@ -31,14 +28,14 @@ compute them, one kernel unit at a time:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.core.errors import ReproError
 from repro.exec.batch import BatchMetrics
-from repro.obs.sketch import QuantileSketch
+from repro.obs.quantiles import pooled_percentile
 from repro.service.admission import ADMITTED, DEGRADED, REJECTED, STATUSES, DecisionTable
 
 __all__ = [
@@ -49,26 +46,6 @@ __all__ = [
     "FleetAggregator",
     "score_batch_sessions",
 ]
-
-
-def pooled_percentile(counts: Mapping[int, int], q: float) -> int:
-    """Nearest-rank percentile of a ``value -> count`` distribution.
-
-    Exact over the pooled population (no per-session approximation); ``q``
-    is in ``[0, 100]``.
-    """
-    if not 0 <= q <= 100:
-        raise ReproError(f"percentile must be in [0, 100], got {q}")
-    total = sum(counts.values())
-    if total == 0:
-        raise ReproError("empty distribution has no percentiles")
-    rank = max(1, -(-int(q * total) // 100))  # ceil(q/100 * total), min 1
-    seen = 0
-    for value in sorted(counts):
-        seen += counts[value]
-        if seen >= rank:
-            return value
-    return max(counts)  # pragma: no cover - rank <= total by construction
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,15 +371,12 @@ class FleetAggregator:
     Feed the admission decision table (:meth:`add_decisions`) and scored
     units (:meth:`add_sessions`) as they arrive — e.g. from the executor's
     ``on_result`` streaming callback — then :meth:`report` at any point.
+    The pooled startup/delay/buffer populations are exact ``value -> count``
+    tables: their values are slot and packet counts bounded by the schedule
+    horizon and the queue-wait bound, so memory grows with the distinct
+    values (a few dozen per fleet), never with the session count.
 
     Args:
-        relative_error: sketch error bound for the pooled startup/delay/
-            buffer populations.  ``0`` = exact (identical to the historical
-            Counter pooling, memory grows with distinct values); ``> 0`` =
-            bounded memory with quantiles within that relative error of
-            exact (the documented :class:`~repro.obs.sketch.QuantileSketch`
-            bound).
-        exact_limit: distinct-value budget before a lossy sketch collapses.
         keep_sessions: retain every :class:`SessionSLO` for the report's
             ``sessions`` tuple.  Set False at fleet scale — the whole point
             of streaming aggregation is not materializing per-session
@@ -410,25 +384,18 @@ class FleetAggregator:
     """
 
     __slots__ = (
-        "relative_error", "keep_sessions",
+        "keep_sessions",
         "_startup", "_delay", "_buffer",
         "_admitted", "_degraded", "_rejected", "_queued", "_decisions",
         "_rebuffer_sum", "_rebuffer_max", "_goodput_sum", "_slos",
         "_tiers", "_sessions",
     )
 
-    def __init__(
-        self,
-        *,
-        relative_error: float = 0.0,
-        exact_limit: int = 4096,
-        keep_sessions: bool = True,
-    ) -> None:
-        self.relative_error = relative_error
+    def __init__(self, *, keep_sessions: bool = True) -> None:
         self.keep_sessions = keep_sessions
-        self._startup = QuantileSketch(relative_error, exact_limit=exact_limit)
-        self._delay = QuantileSketch(relative_error, exact_limit=exact_limit)
-        self._buffer = QuantileSketch(relative_error, exact_limit=exact_limit)
+        self._startup: Counter[int] = Counter()
+        self._delay: Counter[int] = Counter()
+        self._buffer: Counter[int] = Counter()
         self._admitted = 0
         self._degraded = 0
         self._rejected = 0
@@ -462,15 +429,14 @@ class FleetAggregator:
             raise ReproError(f"add_sessions takes SessionColumns, got {type(columns).__name__}")
         total = len(columns)
         rows = 1 if columns.loss_free else total
-        for sketch, values, times in (
+        for table, values, times in (
             (self._startup, columns.startup_delay, 1),
             (self._delay, columns.node_delays[:rows], total // rows),
             (self._buffer, columns.node_buffers[:rows], total // rows),
         ):
             counts = np.bincount(values.ravel())
             present = np.flatnonzero(counts)
-            for value, count in zip(present.tolist(), (counts[present] * times).tolist()):
-                sketch.add(value, count)
+            table.update(dict(zip(present.tolist(), (counts[present] * times).tolist())))
         self._slos += total
         self._rebuffer_sum = _left_fold(self._rebuffer_sum, columns.rebuffer_ratio)
         self._rebuffer_max = max(self._rebuffer_max, float(columns.rebuffer_ratio.max()))
@@ -489,13 +455,6 @@ class FleetAggregator:
         if self._slos == 0:
             raise ReproError("every session was rejected; no SLOs to aggregate")
         lookups = cache_hits + cache_misses
-        # In exact mode the sketches store the original ints and quantile()
-        # returns them unchanged; once collapsed, representatives are floats
-        # and the report's integer fields round to the nearest slot.
-        def as_slots(value: float) -> int:
-            return int(value) if isinstance(value, int) else int(round(value))
-
-        startup_max = self._startup.max
         return FleetSLOReport(
             num_sessions=self._decisions,
             admitted=self._admitted,
@@ -503,17 +462,17 @@ class FleetAggregator:
             queued=self._queued,
             rejected=self._rejected,
             reject_rate=self._rejected / self._decisions,
-            startup_p50=as_slots(self._startup.quantile(50)),
-            startup_p95=as_slots(self._startup.quantile(95)),
-            startup_p99=as_slots(self._startup.quantile(99)),
-            startup_max=as_slots(startup_max if startup_max is not None else 0),
+            startup_p50=pooled_percentile(self._startup, 50),
+            startup_p95=pooled_percentile(self._startup, 95),
+            startup_p99=pooled_percentile(self._startup, 99),
+            startup_max=max(self._startup),
             rebuffer_mean=self._rebuffer_sum / self._slos,
             rebuffer_max=self._rebuffer_max,
-            delay_p50=as_slots(self._delay.quantile(50)),
-            delay_p95=as_slots(self._delay.quantile(95)),
-            delay_p99=as_slots(self._delay.quantile(99)),
-            buffer_p50=as_slots(self._buffer.quantile(50)),
-            buffer_p99=as_slots(self._buffer.quantile(99)),
+            delay_p50=pooled_percentile(self._delay, 50),
+            delay_p95=pooled_percentile(self._delay, 95),
+            delay_p99=pooled_percentile(self._delay, 99),
+            buffer_p50=pooled_percentile(self._buffer, 50),
+            buffer_p99=pooled_percentile(self._buffer, 99),
             goodput_mean=self._goodput_sum / self._slos,
             cache_hits=cache_hits,
             cache_misses=cache_misses,

@@ -335,11 +335,12 @@ class FleetSpec:
         min_degree: floor for the degrade policy.
         churn_rate: fraction of sessions that depart before stream end
             (their SLO is measured over the watched prefix).
-        aggregation: ``exact`` pools SLO percentiles exactly and keeps every
-            per-session SLO on the report; ``sketch`` streams sessions into
-            bounded-memory quantile sketches (error bound ``sketch_error``)
-            and drops per-session detail — the fleet-scale mode.
-        sketch_error: relative-error bound of ``sketch`` aggregation.
+        aggregation: ``exact`` keeps every per-session SLO on the report;
+            ``sketch`` drops per-session detail — the fleet-scale mode.
+            Percentiles are exact either way.
+        sketch_error: accepted and validated in ``(0, 1)`` but has no
+            effect since v12.0.0 (percentiles are exact); it remains only
+            for callers that still pass it.
         convergence: when set, a
             :class:`~repro.obs.convergence.ConvergenceCriterion` that stops
             executing sessions early once the tracked SLO quantile's CI

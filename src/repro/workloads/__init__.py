@@ -12,11 +12,6 @@ from repro.workloads.churn import (
     flash_crowd_trace,
     random_trace,
 )
-from repro.workloads.parallel import (
-    cascade_cell,
-    default_workers,
-    multi_tree_cell,
-)
 from repro.workloads.faults import (
     bernoulli_drop,
     compose_any,
@@ -37,9 +32,7 @@ __all__ = [
     "alternating_trace",
     "apply_trace",
     "bernoulli_drop",
-    "cascade_cell",
     "compose_any",
-    "default_workers",
     "link_blackout",
     "slot_blackout",
     "complete_tree_populations",
@@ -48,7 +41,6 @@ __all__ = [
     "flash_crowd_trace",
     "iter_configurations",
     "log_spaced_populations",
-    "multi_tree_cell",
     "poisson_arrival_slots",
     "random_trace",
     "special_hypercube_populations",

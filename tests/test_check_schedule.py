@@ -159,9 +159,14 @@ class TestCleanSchedules:
         assert reports and all(r.ok for r in reports), [
             r.summary() for r in reports if not r.ok
         ]
-        # hypercube/chain are degree-insensitive: one report per population.
+        # hypercube/chain are degree-insensitive: one report per population,
+        # keyed (and described) at the compiler's pinned d=1.
         descriptions = [r.description for r in reports]
         assert len(descriptions) == len(set(descriptions))
+        assert {d for d in descriptions if d.startswith(("hypercube ", "chain "))} == {
+            f"{scheme} N={n} d=1" for scheme in ("hypercube", "chain") for n in (7, 15)
+        }
+        assert len(reports) == 3 * 2 * 2 + 2 * 2
 
 
 # ------------------------------------------------------- corruption fixtures

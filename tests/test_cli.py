@@ -119,11 +119,19 @@ class TestVerifyCommand:
         assert f"  - {rule} [" in out
 
     def test_figure4_parallel_matches_serial(self, capsys):
+        # figure4 runs in-process since v12.0; its table is the per-cell
+        # worst-case delay, and the process-pool flag is gone.
+        from repro.trees.analysis import worst_case_delay
+        from repro.trees.forest import MultiTreeForest
+
         assert main(["figure4", "--max-nodes", "150", "--step", "70"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["figure4", "--max-nodes", "150", "--step", "70", "--parallel", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
+        lines = capsys.readouterr().out.splitlines()
+        row = next(line.split() for line in lines if line.split()[:1] == ["80"])
+        assert [int(v) for v in row[1:]] == [
+            worst_case_delay(MultiTreeForest.construct(80, d)) for d in (2, 3, 4, 5)
+        ]
+        with pytest.raises(SystemExit):
+            main(["figure4", "--parallel", "2"])
 
 
 class TestRepairCommand:
@@ -304,7 +312,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 11.0.0"
+        assert capsys.readouterr().out.strip() == "repro 12.0.0"
 
 
 class TestLintCommand:

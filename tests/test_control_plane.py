@@ -18,12 +18,11 @@ from repro.control import (
     decisions_from_record,
 )
 from repro.core.errors import ReproError
-from repro.exec.cache import ScheduleCache
-from repro.exec.compiler import compile_schedule, schedule_key
 from repro.obs import EventTracer, MetricsRegistry, RingBufferSink
 from repro.obs.convergence import ConvergenceCriterion
 from repro.obs.registry import use_registry
 from repro.reporting.ledger import RunLedger
+from repro.trees.live import fleet_repair
 from repro.service.runner import FleetRunner
 from repro.service.spec import CapacityModel, FleetSpec, SessionSpec
 
@@ -245,24 +244,17 @@ class TestChurnRepairController:
         spec = SessionSpec(num_nodes=13, degree=3)
         kinds = {spec.label: spec}
         mix = tuple((label, 8) for label in sorted(kinds))
-        calls = []
-
-        def recompile(spec, degree):
-            calls.append((spec.label, degree))
-            return f"token-{degree}"
-
-        return ctl, kinds, mix, calls, recompile
+        return ctl, kinds, mix
 
     def test_below_threshold_stays_quiet(self):
-        ctl, kinds, mix, calls, recompile = self._setup()
+        ctl, kinds, mix = self._setup()
         obs = _obs(arrivals=8, joins=8, leaves=1, mix=mix)  # 0.125 < 0.25
-        assert ctl.decide(obs, kinds, degrees={}, recompile=recompile) is None
-        assert calls == []
+        assert ctl.decide(obs, kinds, degrees={}) is None
 
     def test_fires_eager_repair_at_threshold(self):
-        ctl, kinds, mix, calls, recompile = self._setup()
+        ctl, kinds, mix = self._setup()
         obs = _obs(arrivals=8, joins=8, leaves=3, mix=mix)  # 0.375
-        decision = ctl.decide(obs, kinds, degrees={}, recompile=recompile)
+        decision = ctl.decide(obs, kinds, degrees={})
         assert decision.action == "repair"
         assert decision.detail["lazy"] is False
         (label,) = kinds
@@ -270,37 +262,42 @@ class TestChurnRepairController:
         # Every join and leave repaired, plus the trailing eager compact.
         assert kind_row["operations"] == 8 + 3 + 1
         assert kind_row["swaps"] >= 0
-        assert decision.detail["recompiled_tokens"] == ["token-3"]
-        assert calls == [(label, 3)]
+        assert set(kind_row) == {"swaps", "touched", "operations"}
+        assert set(decision.detail) == {"intensity", "lazy", "kinds"}
 
     def test_heavy_churn_goes_lazy(self):
-        ctl, kinds, mix, calls, recompile = self._setup()
+        ctl, kinds, mix = self._setup()
         obs = _obs(arrivals=8, joins=8, leaves=6, mix=mix)  # 0.75 >= 0.5
-        decision = ctl.decide(obs, kinds, degrees={}, recompile=recompile)
+        decision = ctl.decide(obs, kinds, degrees={})
         assert decision.detail["lazy"] is True
         assert "(lazy)" in decision.reason
 
     def test_repairs_at_the_overridden_degree(self):
-        ctl, kinds, mix, calls, recompile = self._setup()
-        (label,) = kinds
+        ctl, kinds, mix = self._setup()
+        ((label, spec),) = kinds.items()
         obs = _obs(arrivals=8, joins=8, leaves=3, mix=mix)
-        decision = ctl.decide(
-            obs, kinds, degrees={label: 2}, recompile=recompile
+        decision = ctl.decide(obs, kinds, degrees={label: 2})
+        outcome = fleet_repair(
+            spec.num_nodes, 2, joins=8, leaves=3, lazy=False,
+            construction=spec.construction, seed=7 + obs.epoch,
         )
-        assert calls == [(label, 2)]
-        assert decision.detail["kinds"][label]["token"] == "token-2"
+        assert decision.detail["kinds"][label] == {
+            "swaps": outcome.swaps,
+            "touched": len(outcome.touched),
+            "operations": len(outcome.reports),
+        }
 
     def test_cooldown_after_firing(self):
-        ctl, kinds, mix, calls, recompile = self._setup(cooldown_epochs=1)
+        ctl, kinds, mix = self._setup(cooldown_epochs=1)
         hot = _obs(arrivals=8, joins=8, leaves=4, mix=mix)
-        assert ctl.decide(hot, kinds, degrees={}, recompile=recompile) is not None
-        assert ctl.decide(hot, kinds, degrees={}, recompile=recompile) is None
-        assert ctl.decide(hot, kinds, degrees={}, recompile=recompile) is not None
+        assert ctl.decide(hot, kinds, degrees={}) is not None
+        assert ctl.decide(hot, kinds, degrees={}) is None
+        assert ctl.decide(hot, kinds, degrees={}) is not None
 
     def test_no_arrivals_no_division(self):
-        ctl, kinds, mix, calls, recompile = self._setup()
+        ctl, kinds, mix = self._setup()
         obs = _obs(arrivals=0, joins=0, leaves=0, mix=())
-        assert ctl.decide(obs, kinds, degrees={}, recompile=recompile) is None
+        assert ctl.decide(obs, kinds, degrees={}) is None
 
 
 class TestControlPlane:
@@ -310,7 +307,7 @@ class TestControlPlane:
         plane = ControlPlane(
             ControlPolicy(**policy_kw),
             initial_policy="queue", max_queue_slots=8,
-            cache=ScheduleCache(), tracer=EventTracer(sink),
+            tracer=EventTracer(sink),
         )
         return plane, sink
 
@@ -343,68 +340,27 @@ class TestControlPlane:
         events = [e for e in sink.events if e.name == "control_decision"]
         assert [e.fields["controller"] for e in events] == ["degree", "slo"]
 
-    def test_recompile_reaches_through_the_cache(self):
+    def test_churn_repair_compiles_nothing(self):
         registry = MetricsRegistry()
         with use_registry(registry):
             plane, _ = self._plane(registry, churn_threshold=0.25)
             spec = SessionSpec(num_nodes=13, degree=3, num_packets=4)
-            # A running fleet has the kind cached at the candidate degrees,
-            # so the repair's invalidation drops a live entry.
-            for degree in plane.policy.degree_candidates:
-                compile_schedule(
-                    spec.scheme, spec.num_nodes, degree,
-                    num_packets=spec.num_packets, cache=plane.cache,
-                )
-            kinds = {spec.label: spec}
             made = plane.step(
                 _obs(
                     epoch=0, arrivals=8, joins=8, leaves=4,
                     mix=((spec.label, 8),),
                 ),
-                kinds,
+                {spec.label: spec},
             )
-        repair = [d for d in made if d.controller == "churn"]
-        assert len(repair) == 1
-        tokens = repair[0].detail["recompiled_tokens"]
-        assert tokens == plane.recompiled_tokens
-        assert len(tokens) == 1 and tokens[0]
+        assert [d.controller for d in made if d.action == "repair"] == ["churn"]
         counters = {
             (row["name"], row["labels"]): row["value"]
             for row in registry.rows() if row["kind"] == "counter"
         }
-        assert counters[("control.recompiled_tokens", "")] == 1
-        assert counters[("schedule_cache.invalidate", "")] == 1
-        assert counters[("schedule_cache.miss", "")] == 3  # 2 warm + 1 repair
         assert counters[("control.repair_swaps", "")] >= 1
-
-    def test_recompile_on_a_fresh_cache_compiles_once(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            plane, _ = self._plane(registry)
-            spec = SessionSpec(num_nodes=13, degree=3, num_packets=4)
-            token = plane._recompile(spec, 3)
-        counters = {
-            (row["name"], row["labels"]): row["value"]
-            for row in registry.rows() if row["kind"] == "counter"
-        }
-        assert counters[("schedule_cache.miss", "")] == 1
-        assert ("schedule_cache.invalidate", "") not in counters  # nothing to drop
-        assert counters[("control.recompiled_tokens", "")] == 1
-        assert plane.recompiled_tokens == [token]
-        assert token == schedule_key(
-            spec.scheme, spec.num_nodes, 3, num_packets=spec.num_packets
-        ).token()
-
-    def test_recompile_builds_one_protocol(self, protocol_builds):
-        plane, _ = self._plane(MetricsRegistry())
-        spec = SessionSpec(num_nodes=13, degree=3, num_packets=4)
-        compile_schedule(
-            spec.scheme, spec.num_nodes, 3, num_packets=spec.num_packets,
-            cache=plane.cache,
-        )
-        protocol_builds.clear()
-        plane._recompile(spec, 3)  # invalidates the warm entry, then compiles
-        assert protocol_builds == [spec.scheme]
+        # A compiled schedule is a pure function of its key: the repair
+        # neither invalidates nor compiles one.
+        assert not any(name.startswith("schedule_cache.") for name, _ in counters)
 
     def test_quiet_epoch_makes_no_decisions(self):
         registry = MetricsRegistry()

@@ -301,6 +301,37 @@ class TestLatencyKey:
         assert set(two.latencies) == {2}
 
 
+class TestDegreeKey:
+    """``degree`` is keyed only where the schedule depends on it: hypercube
+    and chain ignore it, so every degree shares one cache entry."""
+
+    @pytest.mark.parametrize(
+        ("scheme", "num_nodes", "degrees"),
+        [("hypercube", 15, (3, 2, -1)), ("chain", 5, (1, 2, -1))],
+    )
+    def test_ignored_degree_is_pinned_to_one(
+        self, protocol_builds, scheme, num_nodes, degrees
+    ):
+        cache = ScheduleCache()
+        schedules = [
+            compile_schedule(scheme, num_nodes, d, num_packets=8, cache=cache)
+            for d in degrees
+        ]
+        assert len({s.key.token() for s in schedules}) == 1
+        assert len(cache) == 1
+        assert protocol_builds == [scheme]  # one compile for every degree
+        assert all(s is schedules[0] for s in schedules)
+        assert schedules[0].key.degree == 1
+        assert {schedule_key(scheme, num_nodes, d, num_packets=8) for d in degrees} == {
+            schedules[0].key
+        }
+
+    @pytest.mark.parametrize("scheme", ["multi-tree", "grouped-hypercube", "single-tree"])
+    def test_degree_sensitive_schemes_key_their_degree(self, scheme):
+        keys = {schedule_key(scheme, 15, d, num_packets=8) for d in (2, 3)}
+        assert {key.degree for key in keys} == {2, 3}
+
+
 class TestEngineFastPathGuards:
     def test_short_compiled_schedule_rejected(self):
         compiled = compile_protocol(build_protocol("multi-tree", 7, 2), 5)

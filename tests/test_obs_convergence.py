@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.obs.convergence import ConvergenceCriterion, ConvergenceDetector
-from repro.obs.sketch import QuantileSketch
 
 
 class TestCriterionValidation:
@@ -106,14 +106,34 @@ class TestDetector:
         assert converge_at() == converge_at()
 
     def test_merge_shard_sketch(self):
+        # A shard's observations fold in as one weighted add.
         crit = ConvergenceCriterion(min_count=8)
         detector = ConvergenceDetector(crit)
-        shard = QuantileSketch(0)
-        for _ in range(10):
-            shard.add(3)
-        detector.merge(shard)
+        detector.add(3, 10)
         assert detector.count == 10
         assert detector.state().converged
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_add_rejects_non_positive_count(self, count):
+        detector = ConvergenceDetector()
+        with pytest.raises(ValueError):
+            detector.add(3, count)
+        assert detector.count == 0
+
+    def test_bounds_are_exact_order_statistics(self):
+        crit = ConvergenceCriterion(quantile=90.0, min_count=2)
+        detector = ConvergenceDetector(crit)
+        values = list(range(100))
+        for value in values:
+            detector.add(value)
+        state = detector.state()
+        # n=100, q=0.9: rank 90 for the estimate, ranks floor/ceil of
+        # 90 -/+ z*sqrt(100 * 0.9 * 0.1) for the bounds; all exact ints.
+        spread = crit.z_value() * 3
+        assert state.estimate == values[90 - 1]
+        assert state.ci_lower == values[math.floor(90 - spread) - 1]
+        assert state.ci_upper == values[math.ceil(90 + spread) - 1]
+        assert isinstance(state.estimate, int)
 
     def test_state_row_is_flat(self):
         detector = ConvergenceDetector(ConvergenceCriterion(min_count=2))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 
@@ -13,10 +15,6 @@ class TestValidation:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             TimeSeries(0)
-
-    def test_bad_relative_error(self):
-        with pytest.raises(ValueError):
-            TimeSeries(4, relative_error=1.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -53,12 +51,30 @@ class TestWindowing:
         assert ts.last("load") == [(0, 0.75), (1, 0.5)]
 
     def test_sketch_quantiles_per_window(self):
-        ts = TimeSeries(window=4, relative_error=0)
+        ts = TimeSeries(window=4)
         for v in (1, 2, 3, 4):
             ts.observe("delay", 0, v)
         ts.observe("delay", 6, 40)
         quantiles = ts.quantile("delay", 50)
         assert quantiles == [(0, 2), (1, 40)]
+
+    def test_many_distinct_floats_stay_exact(self):
+        # A dense lossy fleet's rebuffer ratios: far more distinct values in
+        # one window than a bucketed sketch's 256-value budget.
+        rng = random.Random(25)
+        values = [rng.randrange(1, 10_000) / 10_000 for _ in range(2_000)]
+        assert len(set(values)) > 256
+        ts = TimeSeries(window=8)
+        for value in values:
+            ts.observe("fleet.rebuffer_ratio", 3, value)
+        ordered = sorted(values)
+        want = {q: ordered[max(1, math.ceil(q * len(values) / 100)) - 1] for q in (50, 99)}
+        for q, value in want.items():
+            assert ts.quantile("fleet.rebuffer_ratio", q) == [(0, value)]
+        (row,) = ts.rows()
+        assert (row["count"], row["p50"], row["p99"], row["max"]) == (
+            len(values), want[50], want[99], ordered[-1]
+        )
 
     def test_empty_series(self):
         ts = TimeSeries()
@@ -95,4 +111,5 @@ class TestRendering:
         payload = json.loads(json.dumps(ts.to_dict()))
         assert payload["window"] == 2
         assert payload["windows"]["0"]["counters"] == {"a": 1.0}
-        assert payload["windows"]["1"]["sketches"]["s"]["count"] == 1
+        assert payload["windows"]["1"]["sketches"]["s"] == [[9, 1]]
+        assert "relative_error" not in payload

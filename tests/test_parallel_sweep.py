@@ -1,8 +1,10 @@
-"""Tests for the sweep cell evaluators and their process-pool execution.
+"""Process-pool sweep execution through :class:`SweepExecutor`.
 
-The v1 ``parallel_sweep`` wrapper was removed in v2.0; the cells now run
-through :class:`repro.exec.executor.SweepExecutor` directly with the same
-semantics (order-preserving, registry snapshot merging, serial fallback).
+The v1 ``parallel_sweep`` wrapper was removed in v2.0, and the module-level
+Figure 4 cell evaluators (``repro.workloads.parallel``) in v12.0, when
+``repro figure4`` began calling the vectorized sweep in-process.  The
+executor semantics (order-preserving, registry snapshot merging, serial
+fallback) are checked here with a module-level worker defined below.
 """
 
 from __future__ import annotations
@@ -10,9 +12,21 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ReproError
+from repro.exec import default_workers
 from repro.exec.executor import ExecutorPolicy, SweepExecutor
-from repro.obs import MetricsRegistry
-from repro.workloads.parallel import cascade_cell, default_workers, multi_tree_cell
+from repro.obs import MetricsRegistry, active_registry
+from repro.trees.vectorized import worst_case_delay_fast
+
+
+def delay_cell(task: tuple[int, int]) -> tuple[int, int, int]:
+    """Worker: worst-case multi-tree delay for one ``(N, d)`` cell, counted
+    and observed on the active registry."""
+    n, d = task
+    delay = worst_case_delay_fast(n, d)
+    registry = active_registry()
+    registry.counter("test.cells", degree=str(d)).inc()
+    registry.histogram("test.delay", degree=str(d)).observe(delay)
+    return n, d, delay
 
 
 def sweep(worker, tasks, *, max_workers=None, chunksize=8, registry=None):
@@ -22,17 +36,19 @@ def sweep(worker, tasks, *, max_workers=None, chunksize=8, registry=None):
 
 class TestCells:
     def test_multi_tree_cell(self):
-        n, d, delay = multi_tree_cell((100, 3))
-        assert (n, d) == (100, 3)
         from repro.trees.analysis import worst_case_delay
         from repro.trees.forest import MultiTreeForest
+        from repro.trees.vectorized import figure4_series_fast
 
-        assert delay == worst_case_delay(MultiTreeForest.construct(100, 3))
+        series = figure4_series_fast([100], [3])
+        assert series == {
+            "degree 3": [worst_case_delay(MultiTreeForest.construct(100, 3))]
+        }
 
     def test_cascade_cell(self):
-        n, worst, avg = cascade_cell((50,))
-        assert n == 50
-        assert avg <= worst
+        from repro.hypercube.cascade import expected_average_delay, expected_worst_delay
+
+        assert expected_average_delay(50) <= expected_worst_delay(50)
 
     def test_parallel_sweep_wrapper_removed(self):
         with pytest.raises(ImportError):
@@ -41,51 +57,51 @@ class TestCells:
 
 class TestRunner:
     def test_empty_tasks(self):
-        assert sweep(multi_tree_cell, []) == []
+        assert sweep(delay_cell, []) == []
 
     def test_serial_path(self):
-        results = sweep(multi_tree_cell, [(20, 2), (20, 3)], max_workers=1)
+        results = sweep(delay_cell, [(20, 2), (20, 3)], max_workers=1)
         assert [r[:2] for r in results] == [(20, 2), (20, 3)]
 
     def test_parallel_matches_serial(self):
         tasks = [(n, d) for n in (20, 50, 90, 130) for d in (2, 3)]
-        serial = sweep(multi_tree_cell, tasks, max_workers=1)
-        parallel = sweep(multi_tree_cell, tasks, max_workers=2, chunksize=2)
+        serial = sweep(delay_cell, tasks, max_workers=1)
+        parallel = sweep(delay_cell, tasks, max_workers=2, chunksize=2)
         assert serial == parallel  # order-preserving and identical
 
     def test_registry_merges_worker_snapshots(self):
         tasks = [(20, 2), (20, 3), (50, 2), (50, 3)]
         registry = MetricsRegistry()
         results = sweep(
-            multi_tree_cell, tasks, max_workers=2, chunksize=1, registry=registry
+            delay_cell, tasks, max_workers=2, chunksize=1, registry=registry
         )
         assert len(results) == len(tasks)
         cells = sum(
             row["value"]
             for row in registry.snapshot()["counters"]
-            if row["name"] == "sweep.cells"
+            if row["name"] == "test.cells"
         )
         assert cells == len(tasks)
-        hist = registry.histogram("sweep.delay", scheme="multi-tree", degree="2")
+        hist = registry.histogram("test.delay", degree="2")
         assert hist.count == 2  # one observation per degree-2 cell
 
     def test_registry_merge_matches_serial(self):
         tasks = [(20, 2), (30, 2), (40, 2), (50, 2)]
         serial, parallel = MetricsRegistry(), MetricsRegistry()
-        a = sweep(multi_tree_cell, tasks, max_workers=1, registry=serial)
+        a = sweep(delay_cell, tasks, max_workers=1, registry=serial)
         b = sweep(
-            multi_tree_cell, tasks, max_workers=2, chunksize=1, registry=parallel
+            delay_cell, tasks, max_workers=2, chunksize=1, registry=parallel
         )
         assert a == b
         assert serial.snapshot() == parallel.snapshot()
 
     def test_no_registry_means_raw_results(self):
-        results = sweep(multi_tree_cell, [(20, 2)], max_workers=1)
+        results = sweep(delay_cell, [(20, 2)], max_workers=1)
         assert results == [(20, 2, results[0][2])]
 
     def test_invalid_workers(self):
         with pytest.raises(ReproError):
-            sweep(multi_tree_cell, [(5, 2), (6, 2), (7, 2)], max_workers=0)
+            sweep(delay_cell, [(5, 2), (6, 2), (7, 2)], max_workers=0)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,6 +371,8 @@ class TestUnitErrors:
 
 class TestSketchAggregation:
     def test_sketch_report_close_to_exact(self):
+        # Percentiles are exact in both modes (sketch_error is accepted but
+        # inert), so the reports differ only in the per-session rows.
         fleet = _small_fleet(num_sessions=60)
         exact = FleetRunner(policy=SERIAL).run(fleet).report
         sketch = FleetRunner(policy=SERIAL).run(
@@ -377,12 +380,7 @@ class TestSketchAggregation:
         ).report
         assert sketch.sessions == ()  # nothing per-session materialized
         assert len(exact.sessions) == 60
-        assert sketch.num_sessions == exact.num_sessions
-        assert sketch.admitted == exact.admitted
-        for field in ("startup_p50", "startup_p99", "delay_p99", "buffer_p99"):
-            exact_value = getattr(exact, field)
-            drift = abs(getattr(sketch, field) - exact_value)
-            assert drift <= 0.01 * exact_value + 1.0, field
+        assert sketch == replace(exact, sessions=())
 
     def test_sketch_report_round_trips(self, tmp_path):
         report = FleetRunner(policy=SERIAL).run(

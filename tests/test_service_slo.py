@@ -429,11 +429,8 @@ class TestColumnarPath:
                 buffer_counts=tuple(sorted(buffers.items())),
             )
 
-    @pytest.mark.parametrize(
-        ("relative_error", "exact_limit"), [(0.0, 4096), (0.01, 2)],
-        ids=["exact", "bucketed"],
-    )
-    def test_loss_free_multiplicity_fold_equals_full_fold(self, relative_error, exact_limit):
+    @pytest.mark.parametrize("keep_sessions", [True, False], ids=["exact", "sketch"])
+    def test_loss_free_multiplicity_fold_equals_full_fold(self, keep_sessions):
         batch = _lossy_batch(rate=0.0, sessions=9)
         columns = score_batch_sessions(
             batch, session_ids=list(range(9)), labels=["k"] * 9,
@@ -444,9 +441,7 @@ class TestColumnarPath:
         assert columns.slos() == full.slos()
         reports = []
         for unit in (columns, full):
-            aggregator = FleetAggregator(
-                relative_error=relative_error, exact_limit=exact_limit
-            )
+            aggregator = FleetAggregator(keep_sessions=keep_sessions)
             aggregator.add_decisions(_table(_decision(i, "admitted") for i in range(9)))
             aggregator.add_sessions(unit)
             reports.append(aggregator.report())
