@@ -16,6 +16,7 @@ answers with an int.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from decimal import Decimal
 from typing import TypeVar
 
 from repro.core.errors import ReproError
@@ -43,12 +44,14 @@ def pooled_percentile(counts: Mapping[V, int], q: float) -> V:
     """Nearest-rank ``q``-th percentile of a ``value -> count`` table.
 
     Exact over the pooled population; ``q`` is in ``[0, 100]`` and the
-    rank is ``max(1, ceil(int(q * n) / 100))`` over the ``n`` counted
-    values, which is ``max(1, ceil(q * n / 100))`` for an integer ``q``.
+    rank is ``max(1, ceil(q * n / 100))`` over the ``n`` counted values,
+    computed on ``q``'s decimal value (``str(float(q))``), so float noise
+    never moves it: the 99.9th percentile of 1,000 values is rank 999.
     """
     if not 0 <= q <= 100:
         raise ReproError(f"percentile must be in [0, 100], got {q}")
     total = sum(counts.values())
     if total == 0:
         raise ReproError("empty distribution has no percentiles")
-    return value_at_rank(counts, max(1, -(-int(q * total) // 100)))
+    numerator, denominator = Decimal(str(float(q))).as_integer_ratio()
+    return value_at_rank(counts, max(1, -(-numerator * total // (100 * denominator))))

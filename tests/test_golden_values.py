@@ -21,7 +21,13 @@ from repro.exec.cache import ScheduleCache
 from repro.exec.executor import ExecutorPolicy
 from repro.hypercube.cascade import cascade_plan, expected_average_delay, expected_worst_delay
 from repro.obs.registry import MetricsRegistry
-from repro.service import CapacityModel, FleetRunner, FleetSpec, SessionSpec
+from repro.service import (
+    CapacityModel,
+    FleetRunner,
+    FleetSpec,
+    FleetTelemetry,
+    SessionSpec,
+)
 from repro.trees import MultiTreeProtocol
 from repro.trees.analysis import (
     all_playback_delays,
@@ -103,11 +109,12 @@ class TestTheoryGolden:
         assert optimal_degree(10**6) == 3
 
 
-def _fleet_report(spec):
+def _fleet_report(spec, telemetry=None):
     return FleetRunner(
         cache=ScheduleCache(capacity=64),
         policy=ExecutorPolicy(mode="serial"),
         registry=MetricsRegistry(),
+        telemetry=telemetry,
     ).run(spec).report
 
 
@@ -276,3 +283,20 @@ class TestFleetGolden:
                 got[field.name] = repr(value) if isinstance(value, float) else value
         assert got == scalars
         assert hashlib.sha256(repr(report.sessions).encode()).hexdigest() == digest
+
+
+#: SHA-256 of ``repr(FleetTelemetry(trace=False).to_dict())`` after a golden
+#: fleet's run: every window's counters, gauges and tables, names in
+#: insertion order, so the order sessions are folded in is pinned too.
+TELEMETRY_GOLDEN = {
+    "exact": "1f777f56fd9f0e11f2cf46acc90bdd3e8d3cd011a1099c603672965c586eb422",
+    "unbound": "b0602ea3ed176d9f6c6156847f1ee1d2ce0977a17f106a1a51605db7a6023fc4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TELEMETRY_GOLDEN))
+def test_telemetry_pinned(name):
+    telemetry = FleetTelemetry(trace=False)
+    _fleet_report(_golden_fleets()[name], telemetry)
+    digest = hashlib.sha256(repr(telemetry.to_dict()).encode()).hexdigest()
+    assert digest == TELEMETRY_GOLDEN[name]

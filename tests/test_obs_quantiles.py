@@ -41,6 +41,29 @@ class TestRule:
         assert got == sorted(values)[rank - 1]
         assert type(got) is type(values[0])
 
+    def test_fractional_percentile_rounds_up(self):
+        # Nearest rank ceil(33.4 * 3 / 100) = 2 (truncating q * n to an
+        # int before the ceiling gave rank 1).
+        assert pooled_percentile({1: 1, 2: 1, 3: 1}, 33.4) == 2
+        # On q's decimal value, 99.9% of 1,000 is rank 999 despite float
+        # noise (99.9 * 1000 is 99900.00000000001).
+        ranks = {value: 1 for value in range(1, 1001)}
+        assert pooled_percentile(ranks, 99.9) == 999
+        assert pooled_percentile(ranks, 0.1) == 1
+        assert pooled_percentile(ranks, 0.15) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=10_000),
+        q=st.integers(min_value=0, max_value=100),
+    )
+    def test_integer_percentile_ranks_are_unchanged(self, n, q):
+        # Every report field asks for an integer q: its rank is the one the
+        # truncating formula gave.
+        ranks = {value: 1 for value in range(1, n + 1)}
+        assert pooled_percentile(ranks, q) == max(1, -(-int(q * n) // 100))
+        assert pooled_percentile(ranks, float(q)) == max(1, -(-int(q * n) // 100))
+
     def test_weighted_counts(self):
         counts = {0: 3, 2: 5, 7: 1, 40: 2}
         assert [value_at_rank(counts, r) for r in range(1, 12)] == (

@@ -56,8 +56,8 @@ def _columns(delays, buffers, *, residual, available, num_packets, num_slots):
     return BatchMetrics(
         num_sessions=1,
         num_nodes=len(delays),
-        num_packets=num_packets,
-        num_slots=num_slots,
+        num_packets=np.array([num_packets]),
+        num_slots=np.array([num_slots]),
         seeds=(0,),
         drop_rates=(0.0,),
         residual=np.array([residual], dtype=np.int64),
@@ -88,8 +88,8 @@ def _unit(delays, *, first_id=0, waits=None, num_nodes=1):
     batch = BatchMetrics(
         num_sessions=total,
         num_nodes=num_nodes,
-        num_packets=1,
-        num_slots=10,
+        num_packets=np.ones(total, dtype=np.int64),
+        num_slots=np.full(total, 10),
         seeds=tuple(range(total)),
         drop_rates=(0.01,) * total,
         residual=np.zeros(total, dtype=np.int64),
@@ -410,8 +410,9 @@ class TestColumnarPath:
             labels=["k"] * batch.num_sessions, wait_slots=waits,
         )
         assert not columns.loss_free
-        cells = batch.num_nodes * batch.num_packets
         for i, slo in enumerate(columns.slos()):
+            num_packets = int(batch.num_packets[i])
+            cells = batch.num_nodes * num_packets
             delays = Counter(batch.node_delays[i].tolist())
             buffers = Counter(batch.node_buffers[i].tolist())
             assert slo == SessionSLO(
@@ -423,8 +424,8 @@ class TestColumnarPath:
                 delay_p99=pooled_percentile(delays, 99),
                 buffer_p50=pooled_percentile(buffers, 50),
                 buffer_p99=pooled_percentile(buffers, 99),
-                goodput=int(batch.available[i]) / (batch.num_nodes * batch.num_slots),
-                num_nodes=batch.num_nodes, num_packets=batch.num_packets,
+                goodput=int(batch.available[i]) / (batch.num_nodes * int(batch.num_slots[i])),
+                num_nodes=batch.num_nodes, num_packets=num_packets,
                 delay_counts=tuple(sorted(delays.items())),
                 buffer_counts=tuple(sorted(buffers.items())),
             )
