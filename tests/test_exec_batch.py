@@ -211,6 +211,23 @@ class TestReplayBatchValidation:
         with pytest.raises(ReproError, match="num_packets must be positive"):
             replay_batch(schedule, (1,), 0.0, num_packets=0)
 
+    def test_per_session_columns_validated(self, schedule):
+        with pytest.raises(ReproError, match="2 seeds but 3 num_packets"):
+            replay_batch(schedule, (1, 2), 0.0, num_packets=[4, 4, 4])
+        with pytest.raises(ReproError, match="2 seeds but 1 num_slots"):
+            replay_batch(schedule, (1, 2), 0.0, num_packets=4, num_slots=[3])
+        with pytest.raises(ReproError, match="num_packets must be an int"):
+            replay_batch(schedule, (1,), 0.0, num_packets=4.5)
+        with pytest.raises(ReproError, match="num_slots must be an int"):
+            replay_batch(schedule, (1,), 0.0, num_packets=4, num_slots=[[3]])
+        with pytest.raises(ReproError, match="num_packets must be positive, got 0"):
+            replay_batch(schedule, (1, 2), 0.0, num_packets=[4, 0])
+        with pytest.raises(ReproError, match="replay horizon"):
+            replay_batch(
+                schedule, (1, 2), 0.0, num_packets=4,
+                num_slots=[1, schedule.num_slots + 1],
+            )
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None, True])
     @pytest.mark.parametrize("rate", [0.0, 0.1])
     def test_bad_seed_rejected_whatever_the_rate(self, schedule, seed, rate):
