@@ -179,11 +179,11 @@ class ScheduleFacts:
     def scores(self) -> tuple[Column, Column, Column]:
         """``(rows, start_delays, buffer_peaks)`` of the ``complete`` nodes
         from the batch kernel's scorer, computed on first use, in node
-        chunks that keep its ``(P, P, nodes)`` temporary under budget."""
+        chunks that keep its few ``(P, nodes)`` temporaries under budget."""
         if self._scores is None:
             rows = np.flatnonzero(self.complete)
             starts, peaks = np.empty((2, rows.size), dtype=np.int64)
-            chunk = max(1, DEFAULT_ELEMENT_BUDGET // max(1, self.num_packets**2))
+            chunk = max(1, DEFAULT_ELEMENT_BUDGET // max(1, 4 * self.num_packets))
             for lo in range(0, rows.size, chunk):
                 start, peak, _ = score_arrivals(
                     self.first_arrivals[:, rows[lo:lo + chunk], None]

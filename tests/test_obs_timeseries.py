@@ -20,6 +20,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimeSeries(4).count("x", -1)
 
+    def test_observe_needs_a_value(self):
+        ts = TimeSeries(4)
+        with pytest.raises(ValueError, match="at least one value"):
+            ts.observe("delay", 0)
+        assert ts.num_windows == 0
+
 
 class TestWindowing:
     def test_counts_bucket_by_window(self):
@@ -57,6 +63,14 @@ class TestWindowing:
         ts.observe("delay", 6, 40)
         quantiles = ts.quantile("delay", 50)
         assert quantiles == [(0, 2), (1, 40)]
+
+    def test_observe_counts_every_value_once_per_occurrence(self):
+        one_call, per_value = TimeSeries(window=4), TimeSeries(window=4)
+        one_call.observe("delay", 1, 3, 3, 7)
+        for value in (3, 3, 7):
+            per_value.observe("delay", 1, value)
+        assert one_call.to_dict() == per_value.to_dict()
+        assert one_call.rows()[0]["count"] == 3
 
     def test_many_distinct_floats_stay_exact(self):
         # A dense lossy fleet's rebuffer ratios: far more distinct values in
