@@ -755,7 +755,7 @@ def _cmd_fleet(args) -> int:
     if telemetry is not None:
         rows = telemetry.rows()
         if rows:
-            # Counter/gauge/sketch rows carry different stats; pad to one
+            # Counter and sketch rows carry different stats; pad to one
             # column set so they render as a single table.
             columns = ["window", "start_slot", "series", "kind", "value",
                        "rate", "count", "p50", "p99", "max"]

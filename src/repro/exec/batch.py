@@ -11,7 +11,8 @@ whole batch:
   and receiver holdings rows, packets, arrival and send slots, read from
   :meth:`~repro.exec.compiler.CompiledSchedule.columns`) and cached on the
   :class:`~repro.exec.compiler.CompiledSchedule`; a transmission naming an
-  unknown node or a negative packet is a :class:`ReproError`;
+  unknown node or a negative packet, or arriving before its send slot, is
+  a :class:`ReproError`;
 * each ``(num_packets, horizon)`` pair gets a cached **measured-prefix
   view**: only the transmissions that carry a packet ``< num_packets``
   before the horizon.  Dropping the rest is exact with no extra invariant,
@@ -101,6 +102,10 @@ _INF = np.int32(np.iinfo(np.int32).max)
 #: Default working-set budget per kernel chunk, in array elements
 #: (~64 MB of int32).  The chunk batch size is derived from it.
 DEFAULT_ELEMENT_BUDGET = 16_000_000
+
+#: Elements per block of the mask draw's uint64 temporaries and of the
+#: scorer's pairwise buffer count: a few MB, however wide the batch.
+_BLOCK = 1 << 18
 
 #: SplitMix64: the golden-ratio increment and the finalizer's multipliers.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -210,9 +215,7 @@ def bernoulli_masks(
         [math.ceil(rate * 2**53) for rate in drop_rates], dtype=np.uint64
     )
     masks = np.empty((len(counters), len(keys)), dtype=np.bool_)
-    # Draw in blocks of about 2**18 bits: the uint64 temporaries stay a
-    # few MB however wide the batch.
-    step = max(1, (1 << 18) // len(keys))
+    step = max(1, _BLOCK // len(keys))  # about _BLOCK bits per block
     for lo in range(0, len(counters), step):
         bits = _mix(np.add.outer(counters[lo:lo + step], keys))
         bits >>= 11
@@ -290,7 +293,8 @@ def _lower(schedule: CompiledSchedule) -> _Lowered:
     c = schedule.columns()
     for what, bad in (("an unknown sender", c.sender_rows < 0),
                       ("an unknown receiver", c.receiver_rows < 0),
-                      ("a negative packet", c.packets < 0)):
+                      ("a negative packet", c.packets < 0),
+                      ("an arrival before its send slot", c.arrivals < c.slots)):
         if bad.any():
             i = int(np.argmax(bad))
             raise ReproError(
@@ -405,7 +409,7 @@ def score_arrivals(arrived: npt.NDArray[np.int32]) -> _Scores:
     :func:`~repro.core.playback.buffer_peak` at that start; the model
     checker (:mod:`repro.check`) scores playback with this function.
     Its temporaries are a few arrays of the input's shape and blocks of
-    about ``2**18`` elements.
+    about ``_BLOCK`` elements.
     """
     width = arrived.shape[0]
     avail = arrived < _INF
@@ -418,7 +422,7 @@ def score_arrivals(arrived: npt.NDArray[np.int32]) -> _Scores:
     # never peaks.
     ends = start + packet
     peak = np.zeros_like(start)
-    step = max(1, (1 << 18) // arrived.size)
+    step = max(1, _BLOCK // arrived.size)
     for lo in range(0, width, step):
         at = arrived[lo:lo + step, None]
         counts = ((arrived <= at) & (at < ends)).sum(axis=1, dtype=np.int32)
@@ -622,7 +626,7 @@ def replay_batch(
         raise ReproError("schedule has differing arrival offsets, so one horizon per batch")
     rows = view.num_rows
     holdings = (rows + 1) * view.width
-    per_session = max(  # int32-sized elements; the rest runs in 2**18-element blocks
+    per_session = max(  # int32-sized elements; the rest runs in _BLOCK-element blocks
         holdings + len(view.columns) // 4,  # holdings and boolean drop masks
         4 * holdings,  # holdings and the scorer's temporaries of their shape
     )

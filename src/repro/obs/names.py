@@ -153,8 +153,8 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
                "per-session rebuffer ratio (FleetTelemetry series)"),
     MetricSpec(FLEET_CACHE_HIT_RATE, "gauge", (),
                "fleet-window schedule-cache hit rate"),
-    MetricSpec(FLEET_GOODPUT, "gauge", (),
-               "fleet goodput (delivered sessions per slot)"),
+    MetricSpec(FLEET_GOODPUT, "histogram", (),
+               "per-session goodput (FleetTelemetry series)"),
     # --- static analysis (repro.check)
     MetricSpec("check.violations", "counter", ("rule",),
                "schedule-contract violations by rule"),

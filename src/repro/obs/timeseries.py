@@ -2,13 +2,12 @@
 
 A :class:`TimeSeries` buckets observations into fixed-width tumbling
 windows keyed by an integer time coordinate (for fleet runs: the session
-arrival slot).  Each window independently aggregates three kinds of
-series, mirroring the registry instrument set:
+arrival slot).  Each window independently aggregates two kinds of series,
+both additive (no value is last-write-wins), so whole-number counts and
+tables do not depend on the order the observations arrive in:
 
 * **counter** — monotone totals per window; :meth:`rate` divides by the
   window width to expose per-slot rates (throughput, admissions).
-* **gauge** — last value written in the window wins (matching
-  :class:`repro.obs.registry.Gauge` semantics).
 * **sketch** — an exact ``value -> count`` table per window, so each
   window answers p50/p99 queries exactly
   (:func:`repro.obs.quantiles.pooled_percentile`).
@@ -18,7 +17,7 @@ Windows are created lazily on first touch, so sparse series stay sparse.
 rendering, and :meth:`to_dict` serializes the whole series (each table as
 sorted ``[value, count]`` pairs) for export.
 
-The fleet runner feeds a ``TimeSeries`` from shard-completion callbacks
+The fleet runner feeds a ``TimeSeries`` from unit-completion callbacks
 (see :class:`repro.service.runner.FleetTelemetry`); nothing here touches
 wall clocks — time is whatever integer coordinate the caller supplies.
 """
@@ -36,11 +35,10 @@ __all__ = ["TimeSeries", "WindowStats"]
 class WindowStats:
     """Aggregates for one tumbling window (created lazily)."""
 
-    __slots__ = ("counters", "gauges", "sketches")
+    __slots__ = ("counters", "sketches")
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self.sketches: dict[str, Counter[float]] = {}
 
 
@@ -74,10 +72,6 @@ class TimeSeries:
         """Add ``amount`` to counter ``name`` in ``time``'s window."""
         stats = self._window_of(time)
         stats.counters[name] = stats.counters.get(name, 0.0) + amount
-
-    def gauge(self, name: str, time: int, value: float) -> None:
-        """Set gauge ``name`` in ``time``'s window (last write wins)."""
-        self._window_of(time).gauges[name] = value
 
     def observe(self, name: str, time: int, *values: float) -> None:
         """Count each of ``values`` (one or more) in ``name``'s window table."""
@@ -119,14 +113,6 @@ class TimeSeries:
         """``(window, per-slot rate)`` pairs for counter ``name``."""
         return [(w, total / self.window) for w, total in self.series(name)]
 
-    def last(self, name: str) -> list[tuple[int, float]]:
-        """``(window, value)`` pairs for gauge ``name`` (touched windows)."""
-        return [
-            (w, self._windows[w].gauges[name])
-            for w in sorted(self._windows)
-            if name in self._windows[w].gauges
-        ]
-
     def quantile(self, name: str, q: float) -> list[tuple[int, float]]:
         """``(window, q-th percentile)`` for sketch series ``name``."""
         return [
@@ -149,11 +135,6 @@ class TimeSeries:
                     "kind": "counter", "value": total,
                     "rate": total / self.window,
                 })
-            for name in sorted(stats.gauges):
-                out.append({
-                    "window": w, "start_slot": start, "series": name,
-                    "kind": "gauge", "value": stats.gauges[name],
-                })
             for name in sorted(stats.sketches):
                 table = stats.sketches[name]
                 out.append({
@@ -173,7 +154,6 @@ class TimeSeries:
             "windows": {
                 str(w): {
                     "counters": dict(stats.counters),
-                    "gauges": dict(stats.gauges),
                     "sketches": {
                         name: [[value, count] for value, count in sorted(table.items())]
                         for name, table in stats.sketches.items()

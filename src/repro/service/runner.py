@@ -24,12 +24,10 @@ as NumPy columns from end to end:
    do not depend on the grouping or the worker count.  A serial unit
    writes its kernel counters straight into the caller's registry; a pool
    worker's snapshot merges back into it;
-4. **aggregate** the units' :class:`~repro.service.slo.SessionColumns`
-   and the decision table into the fleet report (exact pooled
-   percentiles, reject rate, cache hit-rate).  A unit returns **pieces**,
-   one per ``(drop_rate, packets, horizon)`` key, and a small reorder
-   buffer folds them in the window's fold order (keys first-seen, tasks in
-   order), so the float folds and every observer see one session order.
+4. **aggregate** each unit's :class:`~repro.service.slo.SessionColumns`
+   as it arrives, and the decision table, into the fleet report (exact
+   pooled percentiles and means, reject rate, cache hit-rate).  Every
+   fold is a table sum, so no order of the units is kept.
 
 No per-session object is built on this path: a
 :class:`~repro.service.spec.ResolvedSession` or
@@ -44,13 +42,13 @@ the open-loop steady-state mode.  ``FleetSpec.controller`` splits the
 arrivals into control epochs with a ``ControlPlane.step`` hook at the start
 of each (``docs/CONTROL.md``).
 
-Aggregation is **streaming**, one piece at a time: each piece's
+Aggregation is **streaming**, one unit at a time: each unit's
 :class:`~repro.service.slo.SessionColumns` fold into a
 :class:`~repro.service.slo.FleetAggregator` through the executor's
-``on_result`` callback once every earlier piece has folded, as exact
-``value -> count`` tables — with ``FleetSpec.aggregation="sketch"``
-nothing per-session is ever materialized, which is what lets
-``bench_fleet_scale.py`` run 100k sessions in bounded memory.  A
+``on_result`` callback, as exact tables — with
+``FleetSpec.aggregation="sketch"`` nothing per-session is ever
+materialized, which is what lets ``bench_fleet_scale.py`` run 100k
+sessions in bounded memory.  A
 :class:`FleetTelemetry` bundle adds tumbling-window time series keyed by
 arrival slot and pipeline spans (resolve/admit/execute/aggregate plus
 per-unit worker spans) exportable as a Chrome trace.
@@ -63,7 +61,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -111,38 +108,33 @@ __all__ = [
 ]
 
 
-def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[np.ndarray, SessionColumns]]:
+def fleet_unit_task(unit: tuple[Any, ...]) -> tuple[np.ndarray, SessionColumns]:
     """Executor worker: score one execution unit.
 
-    Unit tuple: ``(token, pieces, members)``.  Every member session shares
-    the token's compiled schedule (from
+    Unit tuple: ``(token, members)``.  Every member session shares the
+    token's compiled schedule (from
     :func:`~repro.exec.executor.worker_payload`), so one
-    :func:`~repro.exec.replay_batch` kernel pass scores the whole unit.
-    ``pieces`` splits the members into consecutive runs, one ``(size,
-    drop_rate, num_packets, horizon)`` replay coordinate each.  ``members``
-    is seven aligned columns: ``(task_indices, session_ids, labels,
-    statuses, seeds, wait_slots, abr_profiles)`` — int64 arrays for the
-    indices, ids, seeds and waits, lists of str for the labels and
-    statuses, and ``abr_profiles`` a list (``None`` for a member without
-    ABR) or ``None`` when no member has one.  A member with an ABR profile
+    :func:`~repro.exec.replay_batch` kernel pass scores the whole unit,
+    each member at its own drop rate, packet prefix and horizon.
+    ``members`` is ten aligned columns: ``(task_indices, session_ids,
+    labels, statuses, seeds, wait_slots, drop_rates, num_packets, horizons,
+    abr_profiles)`` — int64 arrays for the indices, ids, seeds, waits,
+    prefixes and horizons, lists for the labels, statuses and drop rates,
+    and ``abr_profiles`` a list (``None`` for a member without ABR) or
+    ``None`` when no member has one.  A member with an ABR profile
     additionally plays a deterministic ABR session (one chunk per measured
     packet) against that bandwidth profile, seeded by the session seed, and
     its row of the ``qoe`` column carries the resulting QoE metrics.
 
-    Returns one ``(task_indices, SessionColumns)`` per piece, rows in member
-    order; task indices are fleet-global.  Apart from the kernel's own
-    counters the unit writes no metric.  Any failure is re-raised as a
+    Returns ``(task_indices, SessionColumns)``, rows in member order; task
+    indices are fleet-global.  Apart from the kernel's own counters the
+    unit writes no metric.  Any failure is re-raised as a
     :class:`ReproError` naming the unit.
     """
-    token, pieces, members = unit
-    tasks, session_ids, labels, statuses, seeds, waits, profiles = members
+    token, members = unit
+    tasks, session_ids, labels, statuses, seeds, waits, rates, packets, horizons, profiles = members
     try:
         with worker_span("session.replay", sessions=len(tasks), label=labels[0]):
-            if len(pieces) == 1:  # one replay coordinate: pass it as scalars
-                ((_, rates, packets, horizons),) = pieces
-            else:
-                sizes, *coordinates = zip(*pieces)
-                rates, packets, horizons = (np.repeat(c, sizes) for c in coordinates)
             seeds = seeds.tolist()
             batch = replay_batch(
                 worker_payload()[token],
@@ -171,10 +163,7 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[np.ndarray, SessionColu
             f"fleet unit {str(token)[:12]} ({len(tasks)} sessions, ids "
             f"{session_ids[0]}..{session_ids[-1]}) failed: {type(exc).__name__}: {exc}"
         ) from exc
-    if len(pieces) == 1:
-        return [(tasks, columns)]
-    bounds = list(accumulate((size for size, *_ in pieces), initial=0))
-    return [(tasks[lo:hi], columns[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return tasks, columns
 
 
 def _with_qoe(profile: str, seed: int, num_packets: int) -> dict:
@@ -228,16 +217,15 @@ class FleetTelemetry:
                 self.series.observe(FLEET_QUEUE_WAIT, slot, *waits)
 
     def record_sessions(self, columns: SessionColumns, arrival_slots: np.ndarray) -> None:
-        """Window each completed session of a piece at its arrival slot: per
-        window, one count, one table update per series, and the goodput of
-        its last session."""
+        """Window each completed session of a unit at its arrival slot: per
+        window, one count and one table update per series."""
         for slot, startups, rebuffers, goodputs in self._windows(
             arrival_slots, columns.startup_delay, columns.rebuffer_ratio, columns.goodput
         ):
             self.series.count(FLEET_SESSIONS_COMPLETED, slot, len(startups))
             self.series.observe(FLEET_STARTUP_DELAY, slot, *startups)
             self.series.observe(FLEET_REBUFFER_RATIO, slot, *rebuffers)
-            self.series.gauge(FLEET_GOODPUT, slot, goodputs[-1])
+            self.series.observe(FLEET_GOODPUT, slot, *goodputs)
 
     def rows(self) -> list[dict[str, Any]]:
         """Flat (window, series) rows for table rendering."""
@@ -250,8 +238,6 @@ class FleetTelemetry:
             payload["trace_id"] = self.spans.trace_id
             payload["spans"] = self.spans.to_dicts()
         return payload
-
-
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,14 +412,14 @@ class _Tasks:
     """One epoch's admitted sessions as task columns, in decision order.
 
     Task ``base + i`` is row ``i``.  A row's ``(kind, degree)`` pair names
-    its configuration; pairs with the same schedule token, drop rate and
-    packet count form a group, and a group fixes the compiled horizon, so
-    ``(group, horizon)`` — one integer per row — is the piece key.
+    its configuration, so its schedule token, drop rate and packet count;
+    a churned row's shorter horizon shortens its watched prefix.
     """
 
     __slots__ = (
         "base", "session_id", "status", "wait", "arrival", "horizon", "seed",
-        "pair", "label", "key", "groups", "pair_group", "pair_label", "pair_abr",
+        "pair", "label", "token", "packets", "tokens", "pair_rate", "pair_label",
+        "pair_abr",
     )
 
     def __init__(
@@ -463,63 +449,53 @@ class _Tasks:
         pair_of = np.zeros(len(counts), dtype=np.int64)
         pair_of[present] = np.arange(len(present))
         self.pair = pair_of[codes]
-        # Per pair: its group ``(token, drop_rate, num_packets, full
-        # horizon)``, label and ABR profile.
-        groups: dict[tuple[str, float, int, int], int] = {}
-        self.pair_group: list[int] = []
+        # Per pair: its token (as an index into ``tokens``), packet count
+        # and full horizon, drop rate, label and ABR profile.
+        tokens: dict[str, int] = {}
+        pair_ints: list[tuple[int, int, int]] = []
+        self.pair_rate: list[float] = []
         self.pair_label: list[str] = []
         self.pair_abr: list[str | None] = []
         for code in present.tolist():
             kind, degree = divmod(code, width)
             spec = kinds[kind]
-            token, full = compiled[_configuration(spec, degree)]
-            self.pair_group.append(groups.setdefault(
-                (token, spec.drop_rate, spec.num_packets, full), len(groups)
-            ))
+            token, horizon = compiled[_configuration(spec, degree)]
+            pair_ints.append((tokens.setdefault(token, len(tokens)), spec.num_packets, horizon))
+            self.pair_rate.append(spec.drop_rate)
             self.pair_label.append(spec.label)
             self.pair_abr.append(spec.abr_profile)
             labels.setdefault(spec.label, len(labels))
-        self.groups = list(groups)
+        self.tokens = list(tokens)
         self.label = np.array(
             [labels[label] for label in self.pair_label], dtype=np.int64
         )[self.pair]
-        span = int(self.horizon.max()) + 1 if len(made) else 1
-        self.key = np.array(self.pair_group, dtype=np.int64)[self.pair] * span + self.horizon
+        self.token, packets, full = np.array(pair_ints, dtype=np.int64).reshape(-1, 3)[self.pair].T
+        # Score only the packets the watched prefix (at most the full
+        # horizon) can carry.
+        self.packets = np.maximum(1, packets * self.horizon // full)
 
     def __len__(self) -> int:
         return len(self.session_id)
 
-    def units(self, lo: int, hi: int, workers: int) -> tuple[list[tuple], list[list[int]]]:
-        """Tasks ``lo:hi`` as executor units, and their pieces' positions in
-        the fold order: piece keys first-seen, tasks in order within a key.
-        Each key splits into one block per worker; block ``b`` of a token's
-        keys is a unit."""
-        order = np.argsort(self.key[lo:hi], kind="stable")
+    def units(self, lo: int, hi: int, workers: int) -> list[tuple]:
+        """Tasks ``lo:hi`` as executor units: each token's tasks, in order,
+        cut into one block per worker, tokens in the order of their first
+        task.  No result depends on the unit order, but the kernel's speed
+        does: its megabyte-sized temporaries reuse freed memory or fault in
+        fresh pages depending on the sizes of the calls before them."""
+        order = np.argsort(self.token[lo:hi], kind="stable")
         order += lo
-        ordered = self.key[order]
-        starts = np.flatnonzero(ordered[1:] != ordered[:-1]).tolist()
-        cuts = [0, *(start + 1 for start in starts), hi - lo]
-        blocks: dict[tuple[str, int], list[tuple]] = {}
-        position = 0
+        tokens = self.token[order]
+        cuts = [0, *(np.flatnonzero(tokens[1:] != tokens[:-1]) + 1).tolist(), hi - lo]
+        units: list[tuple] = []
         for head, start, stop in sorted(zip(order[cuts[:-1]].tolist(), cuts, cuts[1:])):
-            token, drop_rate, packets, full = self.groups[self.pair_group[self.pair[head]]]
-            horizon = int(self.horizon[head])
-            if horizon < full:
-                # Score only the packets the watched prefix can carry.
-                packets = max(1, int(packets * horizon / full))
+            token = self.tokens[self.token[head]]
             step = -(-(stop - start) // workers)
-            for block, at in enumerate(range(start, stop, step)):
-                rows = order[at:min(stop, at + step)]
-                blocks.setdefault((token, block), []).append(
-                    (position + at - start, rows, (drop_rate, packets, horizon))
-                )
-            position += stop - start
-        units = [
-            (token, [(len(rows), *piece) for _, rows, piece in pieces],
-             self._members(np.concatenate([rows for _, rows, _ in pieces])))
-            for (token, _), pieces in blocks.items()
-        ]
-        return units, [[at for at, *_ in pieces] for pieces in blocks.values()]
+            units.extend(
+                (token, self._members(order[at:min(stop, at + step)]))
+                for at in range(start, stop, step)
+            )
+        return units
 
     def _members(self, rows: np.ndarray) -> tuple:
         """:func:`fleet_unit_task`'s member columns of task rows ``rows``."""
@@ -532,6 +508,9 @@ class _Tasks:
             [STATUSES[s] for s in self.status[rows].tolist()],
             self.seed[rows],
             self.wait[rows],
+            [self.pair_rate[p] for p in pairs],
+            self.packets[rows],
+            self.horizon[rows],
             profiles if any(profiles) else None,
         )
 
@@ -667,7 +646,9 @@ class FleetRunner:
         units_run = 0
         windows = 0
 
-        def fold(task_indices: np.ndarray, columns: SessionColumns) -> None:
+        def on_result(index: int, scored: tuple[np.ndarray, SessionColumns]) -> None:
+            """Fold one unit as it arrives: every fold is order-free."""
+            task_indices, columns = scored
             aggregator.add_sessions(columns)
             if control is not None or detector is not None:
                 delays = columns.startup_delay.tolist()
@@ -684,21 +665,7 @@ class FleetRunner:
         def execute_window(tasks: _Tasks, lo: int, hi: int) -> None:
             """Run tasks ``lo:hi`` (non-empty) of one epoch as one window."""
             nonlocal last_run, executed, last_session, units_run, windows
-            units, positions = tasks.units(lo, hi, workers)
-            # Reorder buffer: units group pieces by token, but pieces fold
-            # in the window's fold order, so the float folds and every
-            # observer see sessions as one unit per key would give them.
-            pending: dict[int, tuple[np.ndarray, SessionColumns]] = {}
-            folded = 0
-
-            def on_result(index: int, pieces: list[tuple[np.ndarray, SessionColumns]]) -> None:
-                nonlocal folded
-                pending.update(zip(positions[index], pieces))
-                while folded in pending:
-                    task_indices, columns = pending.pop(folded)
-                    folded += len(columns)
-                    fold(task_indices, columns)
-
+            units = tasks.units(lo, hi, workers)
             executor.map(
                 fleet_unit_task, units, payload=schedules,
                 on_result=on_result, collect=False,

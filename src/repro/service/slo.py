@@ -16,10 +16,13 @@ compute them, one kernel unit at a time:
 * :class:`FleetAggregator` folds the admission decision table
   (:meth:`~FleetAggregator.add_decisions`, one ``np.bincount`` over the
   status column) and scored units (:meth:`~FleetAggregator.add_sessions`,
-  one ``np.bincount`` per pooled population) into exact ``value -> count``
-  tables, so fleet percentiles never require materializing per-session
-  results; :func:`~repro.obs.quantiles.pooled_percentile` reads them
-  (see ``docs/TELEMETRY.md``);
+  one ``np.bincount`` per column) into exact tables: ``value -> count``
+  for the pooled populations, which
+  :func:`~repro.obs.quantiles.pooled_percentile` reads (see
+  ``docs/TELEMETRY.md``), and integer numerator sums per denominator for
+  the two mean ratios.  Every fold is order-free, so units fold in any
+  order and fleet percentiles never require materializing per-session
+  results;
 * :class:`FleetSLOReport` is the fleet report (p50/p95/p99 over the pooled
   per-node populations, reject rate, schedule-cache amortization) and
   round-trips through ``reporting/export.py``.
@@ -27,9 +30,10 @@ compute them, one kernel unit at a time:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,11 +141,12 @@ class SessionColumns:
 
     Columns mirror the :class:`SessionSLO` fields of the same names;
     ``node_delays`` / ``node_buffers`` are the kernel's ``(B, num_nodes)``
-    columns, not copied.  ``loss_free``: every drop rate is 0 and every
-    session has the same prefix and horizon, so every row is the kernel's
-    one broadcast row and only row 0 is scored and folded.  ``qoe``:
-    per-row ABR QoE dicts, or ``None`` without ABR rows.  Indexing with a
-    slice gives those rows as their own unit.
+    columns, not copied, and ``num_slots`` / ``residual`` / ``available``
+    are the kernel's horizon and undelivered / delivered pair counts, the
+    integer terms of the two ratios.  ``loss_free``: every drop rate is 0
+    and every session has the same prefix and horizon, so every row is the
+    kernel's one broadcast row and only row 0 is scored and pooled.
+    ``qoe``: per-row ABR QoE dicts, or ``None`` without ABR rows.
     """
 
     session_ids: tuple[int, ...]
@@ -159,17 +164,14 @@ class SessionColumns:
     node_delays: np.ndarray
     node_buffers: np.ndarray
     num_packets: np.ndarray
+    num_slots: np.ndarray
+    residual: np.ndarray
+    available: np.ndarray
     loss_free: bool
     qoe: tuple[dict | None, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.session_ids)
-
-    def __getitem__(self, rows: slice) -> SessionColumns:
-        return SessionColumns(*(
-            value[rows] if isinstance(value, (tuple, np.ndarray)) else value
-            for value in (getattr(self, field.name) for field in fields(self))
-        ))
 
     def slos(self) -> list[SessionSLO]:
         """One :class:`SessionSLO` per row, in row order."""
@@ -270,6 +272,9 @@ def score_batch_sessions(
         node_delays=batch.node_delays,
         node_buffers=batch.node_buffers,
         num_packets=batch.num_packets,
+        num_slots=batch.num_slots,
+        residual=batch.residual,
+        available=batch.available,
         loss_free=loss_free,
     )
 
@@ -371,9 +376,12 @@ class FleetSLOReport:
         return cls(sessions=tuple(sessions), qoe_tiers=qoe_tiers, **payload)
 
 
-def _left_fold(running: float, column: np.ndarray) -> float:
-    """``running + column[0] + column[1] + ...`` in order (not pairwise)."""
-    return float(np.add.accumulate(np.concatenate(([running], column)))[-1])
+def _exact_mean(sums: Counter[int], count: int) -> float:
+    """``sum(numerator / denominator) / count`` over a ``denominator ->
+    numerator sum`` table, correctly rounded: one int/int division over the
+    least common multiple of the denominators."""
+    lcm = math.lcm(*sums)
+    return sum(total * (lcm // d) for d, total in sums.items()) / (lcm * count)
 
 
 class FleetAggregator:
@@ -385,7 +393,12 @@ class FleetAggregator:
     The pooled startup/delay/buffer populations are exact ``value -> count``
     tables: their values are slot and packet counts bounded by the schedule
     horizon and the queue-wait bound, so memory grows with the distinct
-    values (a few dozen per fleet), never with the session count.
+    values (a few dozen per fleet), never with the session count.  The
+    rebuffer and goodput means are ``denominator -> numerator sum`` tables
+    (nodes times prefix or horizon -> undelivered or delivered pairs), so
+    :meth:`report` computes them exactly.  Every table is a sum: the report
+    depends neither on how sessions are split into units nor on the order
+    the units arrive in.
 
     Args:
         keep_sessions: retain every :class:`SessionSLO` for the report's
@@ -398,7 +411,7 @@ class FleetAggregator:
         "keep_sessions",
         "_startup", "_delay", "_buffer",
         "_admitted", "_degraded", "_rejected", "_queued", "_decisions",
-        "_rebuffer_sum", "_rebuffer_max", "_goodput_sum", "_slos",
+        "_rebuffer_sums", "_rebuffer_max", "_goodput_sums", "_slos",
         "_tiers", "_sessions",
     )
 
@@ -412,9 +425,9 @@ class FleetAggregator:
         self._rejected = 0
         self._queued = 0
         self._decisions = 0
-        self._rebuffer_sum = 0.0
+        self._rebuffer_sums: Counter[int] = Counter()
         self._rebuffer_max = 0.0
-        self._goodput_sum = 0.0
+        self._goodput_sums: Counter[int] = Counter()
         self._slos = 0
         self._tiers: Counter[str] = Counter()
         self._sessions: list[SessionSLO] = []
@@ -433,10 +446,8 @@ class FleetAggregator:
 
     def add_sessions(self, columns: SessionColumns) -> None:
         """Fold one scored unit: one ``np.bincount`` per population (row 0
-        times the unit size if loss-free), float tallies as a strict left
-        fold in session order (unchanged by a split into consecutive units,
-        not by a reordering), and with ``keep_sessions`` the unit's
-        :class:`SessionSLO` rows."""
+        times the unit size if loss-free) and per mean's numerator column,
+        and with ``keep_sessions`` the unit's :class:`SessionSLO` rows."""
         if not isinstance(columns, SessionColumns):
             raise ReproError(f"add_sessions takes SessionColumns, got {type(columns).__name__}")
         total = len(columns)
@@ -447,12 +458,22 @@ class FleetAggregator:
             (self._buffer, columns.node_buffers[:rows], total // rows),
         ):
             counts = np.bincount(values.ravel())
-            present = np.flatnonzero(counts)
+            present = counts.nonzero()[0]
             table.update(dict(zip(present.tolist(), (counts[present] * times).tolist())))
+        num_nodes = columns.node_delays.shape[1]
+        for sums, denominators, numerators in (
+            (self._rebuffer_sums, columns.num_packets, columns.residual),
+            (self._goodput_sums, columns.num_slots, columns.available),
+        ):
+            # Float weights add whole numbers exactly below 2**53.
+            totals = np.bincount(denominators, weights=numerators)
+            present = totals.nonzero()[0]
+            sums.update({
+                value * num_nodes: int(total)
+                for value, total in zip(present.tolist(), totals[present].tolist())
+            })
         self._slos += total
-        self._rebuffer_sum = _left_fold(self._rebuffer_sum, columns.rebuffer_ratio)
         self._rebuffer_max = max(self._rebuffer_max, float(columns.rebuffer_ratio.max()))
-        self._goodput_sum = _left_fold(self._goodput_sum, columns.goodput)
         if columns.qoe is not None:
             self._tiers.update(qoe["tier"] for qoe in columns.qoe if qoe is not None)
         if self.keep_sessions:
@@ -478,14 +499,14 @@ class FleetAggregator:
             startup_p95=pooled_percentile(self._startup, 95),
             startup_p99=pooled_percentile(self._startup, 99),
             startup_max=max(self._startup),
-            rebuffer_mean=self._rebuffer_sum / self._slos,
+            rebuffer_mean=_exact_mean(self._rebuffer_sums, self._slos),
             rebuffer_max=self._rebuffer_max,
             delay_p50=pooled_percentile(self._delay, 50),
             delay_p95=pooled_percentile(self._delay, 95),
             delay_p99=pooled_percentile(self._delay, 99),
             buffer_p50=pooled_percentile(self._buffer, 50),
             buffer_p99=pooled_percentile(self._buffer, 99),
-            goodput_mean=self._goodput_sum / self._slos,
+            goodput_mean=_exact_mean(self._goodput_sums, self._slos),
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             cache_hit_rate=cache_hits / lookups if lookups else 0.0,

@@ -257,6 +257,22 @@ class TestReplayBatchValidation:
         with pytest.raises(ReproError, match=f"transmission 3 has {what}"):
             replay_batch(bad, (1, 2), 0.0, num_packets=4)
 
+    def test_arrival_before_its_send_slot_rejected(self):
+        # Latency 0 packs arrival = slot - 1.  The kernel's per-slot steps
+        # assume an arrival at or after its send, so replaying this schedule
+        # would disagree with the reference interpreter's residual of 1.
+        schedule = CompiledSchedule.from_columns(
+            None, 3, (1, 2), (0,),
+            ([0, 0, 1], [0, 1, 0], [1, 2, 2], [0, 0, 1], [0, 1, 1], [-1, -1, -1]),
+        )
+        arrivals = replay_arrivals(schedule, num_slots=3)
+        reference = collect_repair_metrics(arrivals, num_packets=2, num_slots=3)
+        assert reference.residual_pairs == 1
+        with pytest.raises(
+            ReproError, match="transmission 0 has an arrival before its send slot"
+        ):
+            replay_batch(schedule, (1,), 0.0, num_packets=2)
+
 
 class TestReplayBatch:
     def test_scalar_rate_broadcasts(self, schedule):

@@ -49,13 +49,6 @@ class TestWindowing:
         ts.count("done", 3, amount=4)
         assert ts.rate("done") == [(0, 0.5)]
 
-    def test_gauge_last_write_wins(self):
-        ts = TimeSeries(window=4)
-        ts.gauge("load", 0, 0.25)
-        ts.gauge("load", 3, 0.75)
-        ts.gauge("load", 5, 0.5)
-        assert ts.last("load") == [(0, 0.75), (1, 0.5)]
-
     def test_sketch_quantiles_per_window(self):
         ts = TimeSeries(window=4)
         for v in (1, 2, 3, 4):
@@ -102,13 +95,10 @@ class TestRendering:
     def test_rows_cover_every_kind(self):
         ts = TimeSeries(window=4)
         ts.count("admitted", 0, amount=3)
-        ts.gauge("goodput", 1, 0.9)
         ts.observe("delay", 2, 7)
         rows = ts.rows()
         kinds = {(row["series"], row["kind"]) for row in rows}
-        assert kinds == {
-            ("admitted", "counter"), ("goodput", "gauge"), ("delay", "sketch"),
-        }
+        assert kinds == {("admitted", "counter"), ("delay", "sketch")}
         counter = next(r for r in rows if r["kind"] == "counter")
         assert counter["value"] == 3.0
         assert counter["rate"] == pytest.approx(0.75)
@@ -120,10 +110,9 @@ class TestRendering:
     def test_to_dict_is_json_ready(self):
         ts = TimeSeries(window=2)
         ts.count("a", 0)
-        ts.gauge("g", 1, 4.5)
         ts.observe("s", 3, 9)
         payload = json.loads(json.dumps(ts.to_dict()))
         assert payload["window"] == 2
-        assert payload["windows"]["0"]["counters"] == {"a": 1.0}
+        assert payload["windows"]["0"] == {"counters": {"a": 1.0}, "sketches": {}}
         assert payload["windows"]["1"]["sketches"]["s"] == [[9, 1]]
         assert "relative_error" not in payload

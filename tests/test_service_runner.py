@@ -277,19 +277,21 @@ class TestColumnarFrontEnd:
         monkeypatch.setattr(runner_module, "fleet_unit_task", spy)
         result = FleetRunner(policy=SERIAL).run(self.BULK)
         assert result.report.admitted == 600
-        assert sum(len(unit[2][0]) for unit in units) == 600
-        for _, pieces, members in units:
-            tasks, ids, labels, statuses, seeds, waits, profiles = members
+        assert sum(len(members[0]) for _, members in units) == 600
+        for _, members in units:
+            (tasks, ids, labels, statuses, seeds, waits, rates, packets, horizons,
+             profiles) = members
             assert profiles is None
-            for column in (tasks, ids, seeds, waits):
+            for column in (tasks, ids, seeds, waits, packets, horizons):
                 assert isinstance(column, np.ndarray) and len(column) == len(tasks)
             assert len(labels) == len(statuses) == len(tasks)
-            assert sum(size for size, *_ in pieces) == len(tasks)
+            assert rates == [0.01] * len(tasks)
+            assert packets.tolist() == [6] * len(tasks)
         # The twin kind shares its configuration's one compile and unit:
         # one unit per schedule token.
         assert result.report.cache_misses == 3
         assert len(units) == 3
-        assert any(len(set(unit[2][2])) == 2 for unit in units)
+        assert any(len(set(members[2])) == 2 for _, members in units)
 
     def test_result_tables(self):
         from repro.service import DecisionTable, SessionTable
@@ -342,9 +344,10 @@ class TestUnitErrors:
     """A unit's own failure is a ReproError that names the unit."""
 
     TOKEN = "0123456789abcdef" * 4
-    UNIT = (TOKEN, [(2, 0.05, 6, 20)], (
+    UNIT = (TOKEN, (
         np.array([0, 1]), np.array([17, 23]), ["k", "k"], ["admitted", "admitted"],
-        np.array([5, 6]), np.array([0, 2]), None,
+        np.array([5, 6]), np.array([0, 2]), [0.05, 0.05],
+        np.array([6, 6]), np.array([20, 20]), None,
     ))
 
     @pytest.mark.parametrize(
@@ -460,21 +463,24 @@ class TestFleetTelemetry:
         import repro.service.runner as runner_module
         from repro.service import FleetTelemetry
 
-        pieces = []
+        scored = []
         original = runner_module.fleet_unit_task
 
         def spy(unit):
-            scored = original(unit)
-            pieces.extend(scored)
-            return scored
+            scored.append(original(unit))
+            return scored[-1]
 
         monkeypatch.setattr(runner_module, "fleet_unit_task", spy)
         telemetry = FleetTelemetry(window=4, trace=False)
         result = FleetRunner(policy=SERIAL, telemetry=telemetry).run(_small_fleet())
         before = telemetry.to_dict()
-        _, columns = pieces[0]
+        _, columns = scored[0]
+        empty = replace(columns, **{
+            name: getattr(columns, name)[:0]
+            for name in ("startup_delay", "rebuffer_ratio", "goodput")
+        })
         telemetry.record_decisions(result.decisions[0:0])
-        telemetry.record_sessions(columns[0:0], np.zeros(0, dtype=np.int64))
+        telemetry.record_sessions(empty, np.zeros(0, dtype=np.int64))
         assert telemetry.to_dict() == before
 
     def test_trace_off_keeps_series(self):
@@ -501,10 +507,10 @@ class TestFleetTelemetry:
         assert parallel_t.series.to_dict() == serial_t.series.to_dict()
 
     def test_parallel_matches_serial_on_churned_shared_tokens(self):
-        # Churned horizons split a token's unit into several pieces and a
-        # loss-free twin shares the lossy kind's token; two workers split
-        # the pieces across blocks, which the reorder buffer must fold in
-        # the serial order (telemetry names and float folds included).
+        # Churned horizons and a loss-free twin of the lossy kind put
+        # several replay coordinates in one token's unit; two workers cut
+        # each token's tasks into two blocks, and the order-free fold
+        # gives the serial report and telemetry.
         from repro.service import FleetTelemetry
 
         fleet = _small_fleet(
@@ -527,6 +533,40 @@ class TestFleetTelemetry:
         assert parallel.executor_info["units"] <= 4
         assert parallel.report == serial.report
         assert parallel_t == serial_t
+
+
+class TestFoldOrder:
+    """Each unit folds as it arrives, and any order gives one result."""
+
+    def test_reversed_units_fold_to_the_same_report(self, monkeypatch):
+        import repro.service.runner as runner_module
+
+        original = runner_module._Tasks.units
+
+        def backwards(self, lo, hi, workers):
+            # The units in reverse order, each with its rows reversed.
+            return [
+                (token, tuple(None if column is None else column[::-1] for column in members))
+                for token, members in reversed(original(self, lo, hi, workers))
+            ]
+
+        fleet = replace(TestOneAggregation.FLEET, sessions=(
+            *TestOneAggregation.FLEET.sessions,
+            SessionSpec(num_nodes=15, degree=3, num_packets=6, label="twin"),
+        ))
+        runs = []
+        for order in (None, backwards):
+            if order is not None:
+                monkeypatch.setattr(runner_module._Tasks, "units", order)
+            telemetry = FleetTelemetry(window=4, trace=False)
+            result = FleetRunner(policy=SERIAL, telemetry=telemetry).run(fleet)
+            runs.append((result, repr(telemetry.to_dict())))
+        (forward, forward_t), (reverse, reverse_t) = runs
+        assert forward.executor_info["units"] == reverse.executor_info["units"] > 1
+        assert len({slo.num_packets for slo in forward.report.sessions}) > 1  # churned
+        assert forward.report.rebuffer_mean > 0  # lossy
+        assert reverse.report == forward.report
+        assert reverse_t == forward_t
 
 
 class TestAbrSessions:

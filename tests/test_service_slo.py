@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,6 +310,38 @@ def test_percentile_columns_have_one_int64_row_per_session(rate):
         assert column.dtype == np.int64 and column.shape == (3,), name
 
 
+def _ratio_units(rows):
+    """Lossy scored units of hand-built ``(session_id, num_nodes,
+    num_packets, num_slots, residual, available)`` rows, one unit per node
+    count (rows in order), every node at delay 2 and buffer 1."""
+    by_nodes = {}
+    for row in rows:
+        by_nodes.setdefault(row[1], []).append(row)
+    for num_nodes, unit in by_nodes.items():
+        ids, _, packets, horizons, residual, available = (
+            np.array(column, dtype=np.int64) for column in zip(*unit)
+        )
+        total = len(unit)
+        node_delays = np.full((total, num_nodes), 2, dtype=np.int32)
+        batch = BatchMetrics(
+            num_sessions=total,
+            num_nodes=num_nodes,
+            num_packets=packets,
+            num_slots=horizons,
+            seeds=tuple(ids.tolist()),
+            drop_rates=(0.01,) * total,
+            residual=residual,
+            available=available,
+            max_delay=np.full(total, 2, dtype=np.int64),
+            avg_delay=np.full(total, 2.0),
+            max_buffer=np.ones(total, dtype=np.int64),
+            avg_buffer=np.ones(total),
+            node_delays=node_delays,
+            node_buffers=np.ones_like(node_delays),
+        )
+        yield score_batch_sessions(batch, session_ids=ids.tolist(), labels=["k"] * total)
+
+
 def _fold(decisions, units, **cache):
     aggregator = FleetAggregator()
     aggregator.add_decisions(_table(decisions))
@@ -448,45 +481,48 @@ class TestColumnarPath:
             reports.append(aggregator.report())
         assert reports[0] == reports[1]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.floats(min_value=0, max_value=1, allow_nan=False),
-                st.floats(min_value=0, max_value=1e3, allow_nan=False),
+                st.integers(min_value=1, max_value=5),  # nodes
+                st.integers(min_value=1, max_value=12),  # measured prefix
+                st.integers(min_value=1, max_value=40),  # horizon
+                st.integers(min_value=0, max_value=10**6),  # residual draw
+                st.integers(min_value=0, max_value=10**6),  # available draw
             ),
             min_size=1, max_size=30,
         ),
         st.data(),
     )
-    def test_float_tallies_are_a_left_fold_under_any_split(self, rows, data):
+    def test_any_order_and_split_folds_to_the_exact_means(self, draws, data):
+        rows = [
+            (i, nodes, packets, horizon, residual % (nodes * packets + 1),
+             available % (nodes * packets + 1))
+            for i, (nodes, packets, horizon, residual, available) in enumerate(draws)
+        ]
         total = len(rows)
+        order = data.draw(st.permutations(rows), label="order")
         cuts = sorted(data.draw(
             st.sets(st.integers(min_value=1, max_value=total), max_size=5),
             label="cuts",
         ) | {total})
-        base = _unit([1] * total)
-        aggregator = FleetAggregator()
-        lo = 0
-        for hi in cuts:
-            part = slice(lo, hi)
-            aggregator.add_sessions(replace(
-                base,
-                session_ids=base.session_ids[part], labels=base.labels[part],
-                statuses=base.statuses[part], wait_slots=base.wait_slots[part],
-                startup_delay=base.startup_delay[part],
-                rebuffer_ratio=np.array([r for r, _ in rows[part]]),
-                goodput=np.array([g for _, g in rows[part]]),
-                node_delays=base.node_delays[part],
-                node_buffers=base.node_buffers[part],
-            ))
-            lo = hi
-        aggregator.add_decisions(_table([_decision(0, "admitted")]))
-        rebuffer = goodput = 0.0
-        for r, g in rows:
-            rebuffer += r
-            goodput += g
-        report = aggregator.report()
-        assert report.rebuffer_mean == rebuffer / total
-        assert report.goodput_mean == goodput / total
-        assert report.rebuffer_max == max(r for r, _ in rows)
+        reports = []
+        for parts in ([rows], [order[lo:hi] for lo, hi in zip([0, *cuts], cuts)]):
+            aggregator = FleetAggregator()
+            aggregator.add_decisions(_table([_decision(0, "admitted")]))
+            for part in parts:
+                for unit in _ratio_units(part):
+                    aggregator.add_sessions(unit)
+            reports.append(aggregator.report())
+        assert reports[1] == reports[0]
+        report = reports[0]
+        assert report.rebuffer_mean == float(sum(
+            Fraction(residual, nodes * packets) for _, nodes, packets, _, residual, _ in rows
+        ) / total)
+        assert report.goodput_mean == float(sum(
+            Fraction(available, nodes * horizon) for _, nodes, _, horizon, _, available in rows
+        ) / total)
+        assert report.rebuffer_max == max(
+            residual / (nodes * packets) for _, nodes, packets, _, residual, _ in rows
+        )
