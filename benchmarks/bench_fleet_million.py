@@ -1,8 +1,8 @@
 """One million sessions through the batch kernel in bounded memory.
 
-The v2.0 scaling demonstration: compile one schedule, spawn a million
-per-session seed sequences from one master seed
-(:func:`~repro.exec.batch.spawn_seeds`), and stream chunked
+The v2.0 scaling demonstration: compile one schedule, derive a million
+per-session int seeds from one master seed
+(:func:`~repro.exec.batch.spawn_seeds`, one uint64 array), and stream chunked
 :func:`~repro.exec.batch.replay_batch` calls, each scored by
 :func:`~repro.service.score_batch_sessions` into one
 :class:`~repro.service.SessionColumns` and folded, one ``np.bincount`` per

@@ -16,9 +16,9 @@ The package implements, from scratch, everything the paper describes:
 * :mod:`repro.repair` — the loss-repair subsystem (slack provisioning,
   NACK retransmission, XOR parity) the paper's loss-free model leaves out;
 * :mod:`repro.obs` — the instrumentation layer: metrics registry,
-  structured event tracing (with deterministic sampling), span tracing
-  (engine phases and the fleet pipeline, aggregated into per-phase
-  self-time tables), tumbling-window time series, online SLO-convergence
+  structured event tracing, span tracing (engine phases and the fleet
+  pipeline, aggregated into per-phase self-time tables), tumbling-window
+  time series, online SLO-convergence
   detection (all opt-in, zero overhead when off), and the one nearest-rank
   rule over exact ``value -> count`` tables that every fleet percentile
   reads;
@@ -72,7 +72,8 @@ batch-first since v2.0, one vectorized kernel call per block of seeds::
         seeds=range(8), drop_rates=(0.0, 0.01)))
     print(len(result.rows), result.provenance["executor"])
 
-Or call the kernel directly — 100k sessions of one schedule in one pass::
+Or call the kernel directly — 100k sessions of one schedule in one pass,
+one int seed each (``spawn_seeds`` derives them from a master seed)::
 
     schedule = repro.compile_schedule("multi-tree", 63, 3, num_packets=16)
     batch = repro.replay_batch(
@@ -174,7 +175,7 @@ from repro.service import (
 from repro.theory import optimal_degree, table1
 from repro.trees import DynamicForest, MultiTreeForest, MultiTreeProtocol, analyze
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "AbrSessionSpec",

@@ -37,8 +37,8 @@ whole batch:
   ``s`` — deliveries within a slot can never enable sends in that slot;
 * drops come from a counter-based stream: session ``b``'s drop bit for
   flat transmission ``i`` is a pure function of ``(key_b, i)``, with
-  ``key_b`` derived from ``seeds[b]`` (see :func:`bernoulli_masks`).  Bits
-  do not depend on draw order, so the kernel draws only the view's
+  ``key_b`` derived from the int ``seeds[b]`` (see :func:`bernoulli_masks`).
+  Bits do not depend on draw order, so the kernel draws only the view's
   columns, for the whole chunk a block of columns at a time, straight into
   the ``(columns, B)`` layout the replay reads; a session's mask still does
   not depend on the view, the batch, or the worker.  A chunk whose rates
@@ -63,17 +63,20 @@ permanent-loss behavior).  The identity is property-tested against both the
 scalar path and the engine in ``tests/test_exec_properties.py``.
 
 Memory is bounded: :func:`replay_batch` internally splits the batch into
-chunks whose working set stays under ``element_budget`` array elements, so
-arbitrarily large batches run in bounded kernel memory (the per-session
-output columns still scale with the batch, of course).
+chunks whose working set stays under :data:`DEFAULT_ELEMENT_BUDGET` array
+elements, so arbitrarily large batches run in bounded kernel memory (the
+per-session output columns still scale with the batch, of course).
+
+A seed is an int in ``[0, 2**64)``.  Each call turns its seeds and drop
+rates into one uint64 and one float64 column and range-checks them there,
+naming the first bad value in a :class:`ReproError`.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Union, cast
+from typing import Any, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -92,15 +95,11 @@ __all__ = [
     "spawn_seeds",
 ]
 
-#: A per-session seed: an int in ``[0, 2**64)``, used as the raw key word,
-#: or a ``SeedSequence``, whose first 64-bit state word is.
-Seed = Union[int, np.random.SeedSequence]
-
 #: "Never arrived" sentinel in the holdings matrix.
 _INF = np.int32(np.iinfo(np.int32).max)
 
-#: Default working-set budget per kernel chunk, in array elements
-#: (~64 MB of int32).  The chunk batch size is derived from it.
+#: Working-set budget per kernel chunk, in array elements (~64 MB of
+#: int32).  The chunk batch size is derived from it.
 DEFAULT_ELEMENT_BUDGET = 16_000_000
 
 #: Elements per block of the mask draw's uint64 temporaries and of the
@@ -111,19 +110,6 @@ _BLOCK = 1 << 18
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def spawn_seeds(seed: int, n: int) -> tuple[np.random.SeedSequence, ...]:
-    """``n`` statistically independent per-session seed sequences.
-
-    Derived via ``np.random.SeedSequence(seed).spawn(n)``.  Child ``i``
-    depends only on ``(seed, i)``, and its first 64-bit state word keys its
-    drop stream, so session ``i`` of master seed ``s`` always draws the same
-    mask — solo, inside any batch, or on any worker.
-    """
-    if n < 0:
-        raise ReproError(f"cannot spawn {n} seeds")
-    return tuple(np.random.SeedSequence(seed).spawn(n))
 
 
 def _mix(z: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
@@ -137,25 +123,82 @@ def _mix(z: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
     return z
 
 
-def _keys(seeds: Sequence[Seed]) -> npt.NDArray[np.uint64]:
-    """Per-session stream keys: ``mix(raw + G)`` of each seed's raw word."""
-    raw = np.array(
-        [
-            seed.generate_state(1, np.uint64)[0]
-            if isinstance(seed, np.random.SeedSequence)
-            else seed
-            for seed in seeds
-        ],
-        dtype=np.uint64,
+def _counters(index: npt.NDArray[np.integer]) -> npt.NDArray[np.uint64]:
+    """The stream's counter words ``(i + 1) * G``, one per index ``i``."""
+    counters = index.astype(np.uint64)
+    counters += np.uint64(1)
+    counters *= _GOLDEN
+    return counters
+
+
+def _keys(seeds: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """Per-session stream keys: ``mix(seed + G)``."""
+    return _mix(seeds + _GOLDEN)
+
+
+def _seed_column(
+    seeds: Sequence[int] | npt.NDArray[np.integer],
+) -> npt.NDArray[np.uint64]:
+    """``seeds`` as a uint64 column.  A uint64 array passes as it is; other
+    values take one type pass (a bool is no seed), then NumPy's own range
+    check.  A :class:`ReproError` names the first value that is not an int
+    in ``[0, 2**64)``."""
+    if isinstance(seeds, np.ndarray):
+        if seeds.dtype == np.uint64:
+            return seeds
+        seeds = seeds.tolist()
+    types = set(map(type, seeds))
+    if all(kind is int or issubclass(kind, np.integer) for kind in types):
+        try:  # Python ints out of range raise; NumPy ints would wrap
+            return np.array(
+                seeds if types <= {int} else [int(seed) for seed in seeds],
+                dtype=np.uint64,
+            )
+        except OverflowError:
+            pass
+    bad = next(
+        seed for seed in seeds
+        if not (type(seed) is int or isinstance(seed, np.integer)) or not 0 <= seed < 2**64
     )
-    raw += _GOLDEN
-    return _mix(raw)
+    raise ReproError(f"seed {bad!r} is not an int in [0, 2**64)")
+
+
+def _rate_column(
+    rates: float | Sequence[float] | npt.NDArray[np.floating], total: int
+) -> npt.NDArray[np.float64]:
+    """``rates``, one or one per session, as a float64 column of ``total``
+    entries; a :class:`ReproError` names the first rate outside ``[0, 1]``."""
+    column = np.asarray(rates, dtype=np.float64)
+    if column.ndim == 0:
+        column = np.full(total, column)
+    elif len(column) != total:
+        raise ReproError(f"got {total} seeds but {len(column)} drop rates")
+    inside = (column >= 0) & (column <= 1)  # NaN is outside
+    if not inside.all():
+        raise ReproError(f"drop rate must be in [0, 1], got {column[inside.argmin()]}")
+    return column
+
+
+def spawn_seeds(master: int, n: int) -> npt.NDArray[np.uint64]:
+    """``n`` per-session seeds from one master seed, as a uint64 array.
+
+    Child ``i`` is word ``i`` of the master's SplitMix64 counter stream,
+    ``mix(mix(master + G) + (i + 1) * G)`` (the word :func:`bernoulli_masks`
+    compares for transmission ``i`` of session ``master``), so it depends
+    only on ``(master, i)``: session ``i`` of master seed ``s`` always draws
+    the same mask — solo, inside any batch, or on any worker.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ReproError(f"cannot spawn {n!r} seeds")
+    words = _counters(np.arange(n))
+    words += _keys(_seed_column((master,)))
+    return _mix(words)
 
 
 def bernoulli_masks(
     schedule: CompiledSchedule,
-    drop_rates: Sequence[float],
-    seeds: Sequence[Seed],
+    drop_rates: Sequence[float] | npt.NDArray[np.floating],
+    seeds: Sequence[int] | npt.NDArray[np.integer],
     columns: npt.ArrayLike | None = None,
 ) -> npt.NDArray[np.bool_] | None:
     """Per-session drop masks over ``columns``, as a ``(B, len(columns))``
@@ -163,9 +206,8 @@ def bernoulli_masks(
 
     The stream is counter-based: with SplitMix64's finalizer ``mix``,
     ``G = 0x9E3779B97F4A7C15`` and wrapping uint64 arithmetic, session
-    ``b`` has key ``mix(raw + G)``, where ``raw`` is ``seeds[b]`` itself
-    (an int in ``[0, 2**64)``) or ``seed.generate_state(1, np.uint64)[0]``
-    for a ``SeedSequence``.  Flat transmission ``i`` drops iff
+    ``b`` has key ``mix(seeds[b] + G)`` (a seed is an int in
+    ``[0, 2**64)``).  Flat transmission ``i`` drops iff
     ``mix(key + (i + 1) * G) >> 11 < ceil(rate * 2**53)``: the 53-bit
     uniform ``Generator.random()`` builds, compared with ``< rate``, so
     rate 0 drops nothing and rate 1 drops everything.
@@ -179,23 +221,9 @@ def bernoulli_masks(
     Every seed is validated, whatever the rates; returns ``None`` when every
     rate is zero (loss-free batch, nothing to mask).
     """
-    if len(drop_rates) != len(seeds):
-        raise ReproError(
-            f"got {len(seeds)} seeds but {len(drop_rates)} drop rates"
-        )
-    for rate in drop_rates:
-        if not 0 <= rate <= 1:
-            raise ReproError(f"drop rate must be in [0, 1], got {rate}")
-    for seed in seeds:
-        if type(seed) is int or isinstance(seed, np.integer):
-            if 0 <= seed < 2**64:
-                continue
-        elif isinstance(seed, np.random.SeedSequence):
-            continue
-        raise ReproError(
-            f"seed {seed!r} is not an int in [0, 2**64) or a SeedSequence"
-        )
-    if not any(rate > 0 for rate in drop_rates):
+    seed_column = _seed_column(seeds)
+    rates = _rate_column(drop_rates, len(seed_column))
+    if not rates.any():
         return None
     index: npt.NDArray[np.intp]
     if columns is None:
@@ -207,13 +235,9 @@ def bernoulli_masks(
                 f"mask columns must index the schedule's {schedule.size} "
                 "transmissions"
             )
-    counters = index.astype(np.uint64)
-    counters += np.uint64(1)
-    counters *= _GOLDEN
-    keys = _keys(seeds)
-    limits = np.array(
-        [math.ceil(rate * 2**53) for rate in drop_rates], dtype=np.uint64
-    )
+    counters = _counters(index)
+    keys = _keys(seed_column)
+    limits = np.ceil(rates * 2**53).astype(np.uint64)  # exact: rate * 2**53 <= 2**53
     masks = np.empty((len(counters), len(keys)), dtype=np.bool_)
     step = max(1, _BLOCK // len(keys))  # about _BLOCK bits per block
     for lo in range(0, len(counters), step):
@@ -489,7 +513,7 @@ class BatchMetrics:
 
     num_sessions: int
     num_nodes: int
-    seeds: tuple[Seed, ...]
+    seeds: tuple[int, ...]
     drop_rates: tuple[float, ...]
     num_packets: npt.NDArray[np.int64]
     num_slots: npt.NDArray[np.int64]
@@ -558,13 +582,12 @@ def _session_column(
 
 def replay_batch(
     schedule: CompiledSchedule,
-    seeds: Sequence[Seed],
+    seeds: Sequence[int] | npt.NDArray[np.integer],
     drop_rates: float | Sequence[float],
     *,
     num_packets: int | Sequence[int],
     num_slots: int | Sequence[int] | None = None,
     keep_node_columns: bool = True,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> BatchMetrics:
     """Score a whole batch of sessions of one compiled schedule in one pass.
 
@@ -578,8 +601,9 @@ def replay_batch(
 
     Args:
         schedule: the compiled timetable every session shares.
-        seeds: one stream seed per session (see :data:`Seed`); every
-            seed is validated, whatever the rates.
+        seeds: one stream seed per session, an int in ``[0, 2**64)``
+            (:func:`spawn_seeds` draws them from one master); every seed
+            is validated, whatever the rates.
         drop_rates: per-session Bernoulli drop rates, or one scalar rate
             broadcast to the whole batch.
         num_packets: measured stream prefix, one or one per session.
@@ -588,11 +612,9 @@ def replay_batch(
         keep_node_columns: also return the per-node ``(B, num_nodes)``
             delay/buffer columns (needed to build per-session SLOs; drop
             them for plain sweeps to save memory).
-        element_budget: kernel working-set cap in array elements; the batch
-            is internally chunked to stay under it.
     """
-    seeds = tuple(seeds)
-    total = len(seeds)
+    seed_column = _seed_column(seeds)
+    total = len(seed_column)
     if total == 0:
         raise ReproError("replay_batch needs at least one session seed")
     (packets, fewest, most), (horizons, first, last) = (
@@ -610,15 +632,7 @@ def replay_batch(
         raise ReproError(f"num_slots must be positive to score a batch, got {first}")
     if fewest < 1:
         raise ReproError(f"num_packets must be positive, got {fewest}")
-    if isinstance(drop_rates, (int, float)):
-        rates: tuple[float, ...] = (float(drop_rates),) * total
-    else:
-        rates = tuple(map(float, drop_rates))
-    if len(rates) != total:
-        raise ReproError(f"got {total} seeds but {len(rates)} drop rates")
-    for rate in rates:
-        if not 0 <= rate <= 1:
-            raise ReproError(f"drop rate must be in [0, 1], got {rate}")
+    rates = _rate_column(drop_rates, total)
     if not schedule.node_ids:
         raise ReproError("schedule has no receiver nodes to score")
     view = _view(schedule, most, last)
@@ -630,8 +644,8 @@ def replay_batch(
         holdings + len(view.columns) // 4,  # holdings and boolean drop masks
         4 * holdings,  # holdings and the scorer's temporaries of their shape
     )
-    if max(rates) > 0:
-        chunk = max(1, min(total, element_budget // per_session))
+    if rates.any():
+        chunk = max(1, min(total, DEFAULT_ELEMENT_BUDGET // per_session))
     else:
         chunk = total  # loss-free: one replayed row per distinct cut
 
@@ -648,7 +662,7 @@ def replay_batch(
     )
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        masks = bernoulli_masks(schedule, rates[lo:hi], seeds[lo:hi], view.columns)
+        masks = bernoulli_masks(schedule, rates[lo:hi], seed_column[lo:hi], view.columns)
         if masks is None:  # a single loss-free row is broadcast by the assignments
             cuts = (
                 [(most, last)] if fewest == most and first == last
@@ -679,8 +693,8 @@ def replay_batch(
     return BatchMetrics(
         num_sessions=total,
         num_nodes=rows,
-        seeds=seeds,
-        drop_rates=rates,
+        seeds=tuple(seed_column.tolist()),
+        drop_rates=tuple(rates.tolist()),
         num_packets=packets,
         num_slots=horizons,
         residual=packets * rows - available,

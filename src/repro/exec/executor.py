@@ -62,21 +62,17 @@ class ExecutorPolicy:
 
     Attributes:
         max_workers: process count (None = cores - 1).
-        chunksize: tasks per IPC batch.
         mode: ``auto`` (parallel unless the grid is tiny or one worker is
             requested), ``serial`` (never fork), or ``parallel`` (always try
             the pool first).
     """
 
     max_workers: int | None = None
-    chunksize: int = 4
     mode: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise ReproError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.chunksize < 1:
-            raise ReproError(f"chunksize must be >= 1, got {self.chunksize}")
         if self.mode not in ("auto", "serial", "parallel"):
             raise ReproError(
                 f"executor mode must be auto/serial/parallel, got {self.mode!r}"
@@ -145,7 +141,7 @@ class SweepExecutor:
     """Order-preserving map over a task grid, across processes when useful.
 
     Args:
-        policy: fan-out policy (worker count, chunk size, mode).
+        policy: fan-out policy (worker count, mode).
         registry: the registry tasks report into: serial tasks write into
             it and pool snapshots merge into it.  None: serial tasks write
             into the active registry and pool workers' metrics are dropped.
@@ -217,9 +213,8 @@ class SweepExecutor:
             initializer=_init_worker,
             initargs=(payload, span_context),
         ) as pool:
-            stream = pool.map(
-                partial(_tagged_task, run), items, chunksize=self.policy.chunksize
-            )
+            # One task per IPC round trip: callers cut one task per worker.
+            stream = pool.map(partial(_tagged_task, run), items)
             for index, raw in enumerate(stream):
                 if isinstance(raw, _TaskFailed):
                     pool.shutdown(wait=False, cancel_futures=True)

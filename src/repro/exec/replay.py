@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.exec.batch import Seed, bernoulli_masks
+from repro.exec.batch import bernoulli_masks
 from repro.exec.compiler import CompiledSchedule
 
 __all__ = ["replay_arrivals", "bernoulli_mask"]
@@ -33,7 +33,7 @@ __all__ = ["replay_arrivals", "bernoulli_mask"]
 def bernoulli_mask(
     schedule: CompiledSchedule,
     rate: float,
-    seed: Seed,
+    seed: int,
 ) -> np.ndarray | None:
     """Deterministic per-transmission drop mask over the whole schedule.
 
@@ -43,10 +43,10 @@ def bernoulli_mask(
     which defines the stream.  A ``(seed, rate)`` pair therefore prunes the
     same indices solo, inside any batch, on any worker, and whichever
     columns the batch kernel draws.  To give each session of a fleet an
-    independent stream from one master seed, pass the ``SeedSequence``
-    children of :func:`~repro.exec.batch.spawn_seeds` — child identity
-    depends only on ``(master, index)``, never on batch composition.
-    Returns ``None`` at rate 0 (the seed is still validated).
+    independent stream from one master seed, pass the int children of
+    :func:`~repro.exec.batch.spawn_seeds` — child identity depends only on
+    ``(master, index)``, never on batch composition.  Returns ``None`` at
+    rate 0 (the seed is still validated).
     """
     masks = bernoulli_masks(schedule, (rate,), (seed,))
     return None if masks is None else masks[0]

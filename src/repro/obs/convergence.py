@@ -24,20 +24,20 @@ Everything is deterministic — the normal critical value comes from
 ``statistics.NormalDist`` (no sampling, no bootstrap RNG), so the same
 observation stream always converges at the same count.
 
-Wiring: :class:`repro.service.runner.FleetRunner` feeds the detector
-per-session p99-tracked delays between execution batches when
-``FleetSpec.convergence`` is set; see ``docs/TELEMETRY.md``.
+Wiring: when ``FleetSpec.convergence`` is set,
+:class:`repro.service.runner.FleetRunner` checks its aggregator's
+startup-delay table between execution batches; see ``docs/TELEMETRY.md``.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from .quantiles import pooled_percentile, value_at_rank
+from .quantiles import V, pooled_percentile, value_at_rank
 
 __all__ = ["ConvergenceCriterion", "ConvergenceDetector", "ConvergenceState"]
 
@@ -112,36 +112,24 @@ class ConvergenceState:
 
 
 class ConvergenceDetector:
-    """Online detector of quantile-estimate convergence.
+    """Checks a criterion against exact ``value -> count`` tables.
 
-    Feed observations with :meth:`add`, then ask :meth:`state`.  The
-    observations are kept as an exact ``value -> count`` table.
-    Deterministic: no RNG.
+    The detector keeps no observations: :meth:`state` reads the table it
+    is given (the fleet runner passes its aggregator's startup-delay
+    table).  Deterministic: no RNG.
     """
 
-    __slots__ = ("criterion", "_counts", "_count", "_z")
+    __slots__ = ("criterion", "_z")
 
     def __init__(self, criterion: ConvergenceCriterion | None = None) -> None:
         self.criterion = criterion if criterion is not None else ConvergenceCriterion()
-        self._counts: Counter[float] = Counter()
-        self._count = 0
         self._z = self.criterion.z_value()
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def add(self, value: float, count: int = 1) -> None:
-        """Observe ``value`` ``count`` times."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self._counts[value] += count
-        self._count += count
-
-    def state(self) -> ConvergenceState:
-        """Evaluate the criterion against everything observed so far."""
+    def state(self, counts: Mapping[V, int]) -> ConvergenceState:
+        """Evaluate the criterion against the observations ``counts``
+        tallies (each value ``counts[value]`` times)."""
         crit = self.criterion
-        n = self._count
+        n = sum(counts.values())
         if n < 2:
             return ConvergenceState(
                 converged=False, count=n, estimate=0.0,
@@ -149,12 +137,12 @@ class ConvergenceDetector:
                 half_width=math.inf, target_half_width=0.0,
             )
         q = crit.quantile / 100.0
-        estimate = pooled_percentile(self._counts, crit.quantile)
+        estimate = pooled_percentile(counts, crit.quantile)
         se = self._z * math.sqrt(n * q * (1.0 - q))
         lower_rank = max(1, math.floor(n * q - se))
         upper_rank = min(n, math.ceil(n * q + se))
-        ci_lower = value_at_rank(self._counts, lower_rank)
-        ci_upper = value_at_rank(self._counts, upper_rank)
+        ci_lower = value_at_rank(counts, lower_rank)
+        ci_upper = value_at_rank(counts, upper_rank)
         half_width = (ci_upper - ci_lower) / 2.0
         target = crit.rel_half_width * estimate
         converged = n >= crit.min_count and half_width <= target
@@ -163,7 +151,3 @@ class ConvergenceDetector:
             ci_lower=ci_lower, ci_upper=ci_upper,
             half_width=half_width, target_half_width=target,
         )
-
-    @property
-    def converged(self) -> bool:
-        return self.state().converged

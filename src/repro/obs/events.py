@@ -17,7 +17,6 @@ checked against :func:`repro.core.metrics.collect_repair_metrics` outputs.
 from __future__ import annotations
 
 import json
-import random
 from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass, field
@@ -175,39 +174,18 @@ class JsonlSink(EventSink):
 
 
 class EventTracer:
-    """Builds events and fans them out to sinks; tallies counts per name.
+    """Builds events and fans each one out to every sink; tallies counts
+    per name."""
 
-    ``sample_rate`` < 1 keeps per-name **counts exact** but forwards only a
-    deterministic, seeded Bernoulli sample of events to the sinks — the
-    knob that cuts ring/JSONL sink overhead on hot paths (measured in
-    ``docs/OBSERVABILITY.md``).  Sampled-out events are tallied under
-    ``sampled_out``.  The same ``(sample_rate, seed)`` over the same emit
-    sequence always keeps the same events.
-    """
-
-    def __init__(
-        self,
-        *sinks: EventSink,
-        sample_rate: float = 1.0,
-        seed: int = 0,
-    ) -> None:
-        if not 0 < sample_rate <= 1:
-            raise ValueError(
-                f"sample_rate must be in (0, 1], got {sample_rate}"
-            )
+    def __init__(self, *sinks: EventSink) -> None:
         self.sinks: list[EventSink] = list(sinks)
         self.counts: TallyCounter[str] = TallyCounter()
-        self.sample_rate = sample_rate
-        self._rng = random.Random(seed) if sample_rate < 1.0 else None
 
     def add_sink(self, sink: EventSink) -> None:
         self.sinks.append(sink)
 
     def emit(self, name: str, slot: int, **fields: Any) -> None:
         self.counts[name] += 1
-        if self._rng is not None and self._rng.random() >= self.sample_rate:
-            self.counts["sampled_out"] += 1
-            return
         event = Event(name=name, slot=slot, fields=fields)
         for sink in self.sinks:
             sink.emit(event)

@@ -42,8 +42,6 @@ class Instrumentation:
         events_path: str | Path | None = None,
         ring_capacity: int | None = 4096,
         profile: bool = True,
-        sample_rate: float = 1.0,
-        sample_seed: int = 0,
     ) -> "Instrumentation":
         """A fully wired bundle: registry, tracer (JSONL and/or ring), spans.
 
@@ -53,9 +51,6 @@ class Instrumentation:
             ring_capacity: keep this many recent events in memory (``None`` =
                 no ring sink).
             profile: attach a :class:`~repro.obs.spans.SpanTracer`.
-            sample_rate: forward only this (deterministic, seeded) fraction
-                of events to the sinks; per-name counts stay exact.
-            sample_seed: seed of the sampling RNG.
         """
         sinks: list[JsonlSink | RingBufferSink] = []
         if events_path is not None:
@@ -64,10 +59,7 @@ class Instrumentation:
             sinks.append(RingBufferSink(ring_capacity))
         return cls(
             registry=MetricsRegistry(),
-            tracer=(
-                EventTracer(*sinks, sample_rate=sample_rate, seed=sample_seed)
-                if sinks else None
-            ),
+            tracer=EventTracer(*sinks) if sinks else None,
             spans=SpanTracer() if profile else None,
         )
 

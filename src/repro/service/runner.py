@@ -323,7 +323,7 @@ class _ControlHook:
         self.epochs = 0
         self._run_kinds = kinds
         self._respecs: dict[tuple[int, int], int] = {}
-        self._delays: list[int] = []
+        self._delays: Counter[int] = Counter()
         self._p99: float | None = None
         self._decisions = 0
 
@@ -345,10 +345,7 @@ class _ControlHook:
         """Decide on the previous epoch; return ``chunk`` as admitted."""
         from repro.control.controllers import EpochObservation
 
-        self._p99 = (
-            float(pooled_percentile(Counter(self._delays), 99))
-            if self._delays else None
-        )
+        self._p99 = float(pooled_percentile(self._delays, 99)) if self._delays else None
         counts = np.bincount(chunk.kind)
         mix: Counter[str] = Counter()
         for kind in np.flatnonzero(counts).tolist():
@@ -377,10 +374,11 @@ class _ControlHook:
         )
 
     def close(
-        self, chunk: SessionTable, made: DecisionTable, delays: list[int]
+        self, chunk: SessionTable, made: DecisionTable, delays: Counter[int]
     ) -> None:
         """Record one epoch's row; the queue-draining final epoch (no
-        arrivals) gets one only when it decided something."""
+        arrivals) gets one only when it decided something.  ``delays`` is
+        the startup-delay table of the sessions the epoch executed."""
         if len(chunk) or len(made):
             self.rows.append({
                 "epoch": self.epochs,
@@ -396,7 +394,7 @@ class _ControlHook:
             self.epochs += 1
         self._p99 = None
         self._decisions = 0
-        self._delays = list(delays)
+        self._delays = delays
 
 
 def _configuration(spec: SessionSpec, degree: int) -> tuple:
@@ -635,7 +633,6 @@ class FleetRunner:
         aggregator = FleetAggregator(keep_sessions=fleet.aggregation == "exact")
         executor = SweepExecutor(self.policy, registry=registry, spans=spans)
         workers = self.policy.resolved_workers()
-        epoch_delays: list[int] = []
         labels: dict[str, int] = {}  # label -> code, for the replay tally
         executed_labels: list[np.ndarray] = []
         last_run: dict | None = None
@@ -650,13 +647,6 @@ class FleetRunner:
             """Fold one unit as it arrives: every fold is order-free."""
             task_indices, columns = scored
             aggregator.add_sessions(columns)
-            if control is not None or detector is not None:
-                delays = columns.startup_delay.tolist()
-                if control is not None:
-                    epoch_delays.extend(delays)
-                if detector is not None:
-                    for delay in delays:
-                        detector.add(delay)
             if telemetry is not None and current is not None:
                 telemetry.record_sessions(
                     columns, current.arrival[task_indices - current.base]
@@ -686,7 +676,10 @@ class FleetRunner:
                     hi = min(hi, lo + detector.criterion.check_every)
                 execute_window(tasks, lo, hi)
                 lo = hi
-                if detector is not None and detector.state().converged:
+                if (
+                    detector is not None
+                    and detector.state(aggregator.startup_counts()).converged
+                ):
                     return True
             return False
 
@@ -710,11 +703,11 @@ class FleetRunner:
                     made, offered, sessions.seed, kind_of, kinds, compiled, labels
                 )
                 offered += len(current)
-                epoch_delays.clear()
+                before = aggregator.startup_counts()
                 with span_scope(spans, "fleet.execute", tasks=len(current)):
                     stopped = execute(current)
                 if control is not None:
-                    control.close(chunk, made, epoch_delays)
+                    control.close(chunk, made, aggregator.startup_counts() - before)
                 if stopped:
                     break
 
@@ -759,7 +752,10 @@ class FleetRunner:
             sessions=sessions,
             executor_info=executor_info,
             telemetry=telemetry,
-            convergence=detector.state() if detector is not None else None,
+            convergence=(
+                detector.state(aggregator.startup_counts())
+                if detector is not None else None
+            ),
             control_decisions=(
                 tuple(control.plane.decisions) if control is not None else ()
             ),

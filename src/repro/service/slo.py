@@ -479,6 +479,10 @@ class FleetAggregator:
         if self.keep_sessions:
             self._sessions.extend(columns.slos())
 
+    def startup_counts(self) -> Counter[int]:
+        """A copy of the pooled ``startup delay -> sessions`` table so far."""
+        return Counter(self._startup)
+
     def report(
         self, *, cache_hits: int = 0, cache_misses: int = 0
     ) -> FleetSLOReport:

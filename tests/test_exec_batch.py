@@ -44,31 +44,54 @@ def schedule():
 
 class TestSpawnSeeds:
     def test_children_depend_only_on_master_and_index(self):
-        # Session i's stream is fixed by (master, i) — not by how many
+        # Session i's seed is fixed by (master, i) — not by how many
         # siblings were spawned alongside it.
         a = spawn_seeds(7, 4)
         b = spawn_seeds(7, 9)
-        for i in range(4):
-            ra = np.random.default_rng(a[i]).random(16)
-            rb = np.random.default_rng(b[i]).random(16)
-            assert np.array_equal(ra, rb)
+        assert a.dtype == np.uint64
+        assert np.array_equal(a, b[:4])
 
     def test_distinct_masters_diverge(self):
-        a = np.random.default_rng(spawn_seeds(0, 1)[0]).random(16)
-        b = np.random.default_rng(spawn_seeds(1, 1)[0]).random(16)
-        assert not np.array_equal(a, b)
+        a, b = spawn_seeds(0, 16), spawn_seeds(1, 16)
+        assert not np.intersect1d(a, b).size
+        assert len(set(a.tolist())) == 16
 
     def test_negative_count_rejected(self):
         with pytest.raises(ReproError):
             spawn_seeds(0, -1)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_non_int_count_rejected(self, n):
+        with pytest.raises(ReproError, match="cannot spawn"):
+            spawn_seeds(0, n)
+
     def test_zero_is_empty(self):
-        assert spawn_seeds(0, 0) == ()
+        seeds = spawn_seeds(0, 0)
+        assert seeds.shape == (0,) and seeds.dtype == np.uint64
+
+    def test_golden_children(self):
+        # Any change to the derivation shows here.
+        assert spawn_seeds(0, 4).tolist() == [
+            12035550249420947055, 12935080325729570654,
+            7141179953334974231, 12108695660851890438,
+        ]
+
+    def test_children_are_the_master_stream_words(self, schedule):
+        # Child i is word i of the master's SplitMix64 stream: the word the
+        # mask compares for transmission i of session ``master``.
+        words = spawn_seeds(5, schedule.size)
+        for rate in (0.05, 0.5):
+            want = words >> np.uint64(11) < math.ceil(rate * 2**53)
+            assert np.array_equal(bernoulli_mask(schedule, rate, 5), want)
+
+    def test_bad_master_rejected(self):
+        with pytest.raises(ReproError, match="seed -1 is not an int"):
+            spawn_seeds(-1, 2)
 
 
 class TestBernoulliMasks:
     def test_rows_match_scalar_masks(self, schedule):
-        seeds = [3, np.random.SeedSequence(11), 42]
+        seeds = [3, 2**64 - 11, 42]
         rates = [0.1, 0.4, 0.9]
         masks = bernoulli_masks(schedule, rates, seeds)
         assert masks is not None and masks.shape == (3, schedule.size)
@@ -86,11 +109,13 @@ class TestBernoulliMasks:
     def test_rate_out_of_range_rejected(self, schedule):
         with pytest.raises(ReproError, match=r"drop rate must be in \[0, 1\]"):
             bernoulli_masks(schedule, [1.5], [1])
+        with pytest.raises(ReproError, match=r"drop rate must be in \[0, 1\], got nan"):
+            bernoulli_masks(schedule, [0.1, float("nan")], [1, 2])
 
     # The stream's contract: a drop bit is a pure function of (key, column).
 
     def test_columns_restrict_the_full_mask(self, schedule):
-        seeds = [5, np.random.SeedSequence(8), 2**64 - 1]
+        seeds = [5, np.uint64(8), 2**64 - 1]
         rates = [0.3, 0.3, 0.6]
         full = bernoulli_masks(schedule, rates, seeds)
         assert full is not None
@@ -151,12 +176,8 @@ class TestBernoulliMasks:
             return z ^ z >> 31
 
         golden = 0x9E3779B97F4A7C15
-        for seed in (0, 1, 2**64 - 1, np.random.SeedSequence(11)):
-            raw = (
-                int(seed.generate_state(1, np.uint64)[0])
-                if isinstance(seed, np.random.SeedSequence) else seed
-            )
-            key = mix(raw + golden & word)
+        for seed in (0, 1, 2**64 - 1):
+            key = mix(seed + golden & word)
             for rate in (0.05, 0.5):
                 limit = math.ceil(rate * 2**53)
                 want = [
@@ -171,15 +192,9 @@ class TestBernoulliMasks:
         assert np.flatnonzero(bernoulli_mask(schedule, 0.05, 0)).tolist() == [
             38, 39, 47, 51, 67, 112, 164, 172, 186, 237, 281, 315, 322,
         ]
-        mask = bernoulli_mask(schedule, 0.05, np.random.SeedSequence(11))
-        assert np.flatnonzero(mask).tolist() == [
-            1, 12, 92, 94, 99, 109, 127, 128, 141, 147, 156, 176, 191, 204,
-            225, 229, 238, 254, 270, 271, 275, 292, 294, 319, 325, 336, 356,
-            375, 378,
-        ]
 
     def test_wrapping_arithmetic_never_warns(self, schedule):
-        seeds = [0, 2**64 - 1, np.uint64(2**63), np.random.SeedSequence(4)]
+        seeds = [0, 2**64 - 1, np.uint64(2**63), 4]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bernoulli_masks(schedule, [0.5] * 4, seeds)
@@ -228,7 +243,9 @@ class TestReplayBatchValidation:
                 num_slots=[1, schedule.num_slots + 1],
             )
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None, True])
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, 1.5, "x", None, True, np.random.SeedSequence(11)]
+    )
     @pytest.mark.parametrize("rate", [0.0, 0.1])
     def test_bad_seed_rejected_whatever_the_rate(self, schedule, seed, rate):
         with pytest.raises(ReproError, match=re.escape(f"seed {seed!r}")):
@@ -280,13 +297,12 @@ class TestReplayBatch:
         assert batch.drop_rates == (0.2, 0.2, 0.2)
         assert batch.num_sessions == 3
 
-    def test_chunked_run_is_identical(self, schedule):
+    def test_chunked_run_is_identical(self, schedule, monkeypatch):
         seeds = spawn_seeds(0, 12)
         full = replay_batch(schedule, seeds, 0.15, num_packets=6)
         # Budget of 1 element forces one-session kernel chunks.
-        tiny = replay_batch(
-            schedule, seeds, 0.15, num_packets=6, element_budget=1
-        )
+        monkeypatch.setattr("repro.exec.batch.DEFAULT_ELEMENT_BUDGET", 1)
+        tiny = replay_batch(schedule, seeds, 0.15, num_packets=6)
         for field in ("residual", "available", "max_delay", "avg_delay",
                       "max_buffer", "avg_buffer", "node_delays",
                       "node_buffers"):

@@ -66,6 +66,14 @@ def counting_task(task):
     return x
 
 
+def sleeping_pid_task(task):
+    import os
+    import time
+
+    time.sleep(0.5)
+    return os.getpid()
+
+
 def span_recording_task(task):
     from repro.obs.spans import worker_span
 
@@ -80,8 +88,9 @@ class TestPolicy:
             ExecutorPolicy(max_workers=0)
 
     def test_invalid_chunksize(self):
-        with pytest.raises(ReproError):
-            ExecutorPolicy(chunksize=0)
+        # Removed in v15.0.0: the pool hands out one task at a time.
+        with pytest.raises(TypeError):
+            ExecutorPolicy(chunksize=1)
 
     def test_invalid_mode(self):
         with pytest.raises(ReproError):
@@ -102,6 +111,14 @@ class TestPolicy:
         assert executor.map(double_task, [(i,) for i in range(5)]) == [0, 2, 4, 6, 8]
         assert executor.last_run["workers"] == 1
 
+    def test_each_worker_takes_one_task_at_a_time(self):
+        # Callers cut one task per worker, so a pool that batched two tasks
+        # into one hand-out would leave the other worker idle.
+        executor = SweepExecutor(ExecutorPolicy(mode="parallel", max_workers=2))
+        pids = executor.map(sleeping_pid_task, [(0,), (1,)])
+        assert executor.last_run["mode"] == "parallel"
+        assert len(set(pids)) == 2
+
 
 class TestSerialParallelEquality:
     def test_rows_identical_for_fixed_grid(self):
@@ -110,7 +127,7 @@ class TestSerialParallelEquality:
             replay_batch_task, _grid(), payload=schedule
         )
         parallel = SweepExecutor(
-            ExecutorPolicy(mode="parallel", max_workers=2, chunksize=2)
+            ExecutorPolicy(mode="parallel", max_workers=2)
         ).map(replay_batch_task, _grid(), payload=schedule)
         assert serial == parallel
         rows = [row for block in serial for row in block]
@@ -328,7 +345,7 @@ class TestTaskErrors:
     def test_parallel_task_error_raises_without_fallback(self):
         registry = MetricsRegistry()
         executor = SweepExecutor(
-            ExecutorPolicy(mode="parallel", max_workers=2, chunksize=1),
+            ExecutorPolicy(mode="parallel", max_workers=2),
             registry=registry,
         )
         seen = []

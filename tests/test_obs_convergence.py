@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -43,21 +44,18 @@ class TestCriterionValidation:
 
 
 class TestDetector:
+    """The detector reads the ``value -> count`` table it is given."""
+
     def test_empty_is_not_converged(self):
-        detector = ConvergenceDetector()
-        state = detector.state()
+        state = ConvergenceDetector().state(Counter())
         assert not state.converged
         assert state.count == 0
-        assert not detector.converged
 
     def test_degenerate_distribution_converges_at_min_count(self):
         crit = ConvergenceCriterion(min_count=16, check_every=4)
         detector = ConvergenceDetector(crit)
-        for _ in range(15):
-            detector.add(7.0)
-        assert not detector.state().converged  # below min_count
-        detector.add(7.0)
-        state = detector.state()
+        assert not detector.state({7.0: 15}).converged  # below min_count
+        state = detector.state({7.0: 16})
         assert state.converged
         assert state.count == 16
         assert state.half_width == 0.0
@@ -67,11 +65,9 @@ class TestDetector:
         crit = ConvergenceCriterion(
             quantile=99.0, rel_half_width=0.01, min_count=8
         )
-        detector = ConvergenceDetector(crit)
         rng = random.Random(5)
-        for _ in range(64):
-            detector.add(rng.uniform(1, 10_000))
-        state = detector.state()
+        table = Counter(rng.uniform(1, 10_000) for _ in range(64))
+        state = ConvergenceDetector(crit).state(table)
         assert not state.converged
         assert state.half_width > state.target_half_width
 
@@ -81,13 +77,13 @@ class TestDetector:
         )
         detector = ConvergenceDetector(crit)
         rng = random.Random(11)
+        table: Counter[float] = Counter()
         added = 0
-        while not detector.state().converged:
-            for _ in range(crit.check_every):
-                detector.add(100 + rng.uniform(-2, 2))
+        while not detector.state(table).converged:
+            table.update(100 + rng.uniform(-2, 2) for _ in range(crit.check_every))
             added += crit.check_every
             assert added <= 10_000, "never converged on a tight distribution"
-        state = detector.state()
+        state = detector.state(table)
         assert state.ci_lower <= state.estimate <= state.ci_upper
         assert state.half_width <= state.target_half_width
 
@@ -97,36 +93,26 @@ class TestDetector:
         def converge_at() -> int:
             detector = ConvergenceDetector(crit)
             rng = random.Random(3)
+            table: Counter[float] = Counter()
             n = 0
-            while not detector.state().converged:
-                detector.add(50 + rng.uniform(0, 1))
+            while not detector.state(table).converged:
+                table[50 + rng.uniform(0, 1)] += 1
                 n += 1
             return n
 
         assert converge_at() == converge_at()
 
     def test_merge_shard_sketch(self):
-        # A shard's observations fold in as one weighted add.
+        # A shard's observations arrive as one weighted table entry.
         crit = ConvergenceCriterion(min_count=8)
-        detector = ConvergenceDetector(crit)
-        detector.add(3, 10)
-        assert detector.count == 10
-        assert detector.state().converged
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_add_rejects_non_positive_count(self, count):
-        detector = ConvergenceDetector()
-        with pytest.raises(ValueError):
-            detector.add(3, count)
-        assert detector.count == 0
+        state = ConvergenceDetector(crit).state({3: 10})
+        assert state.count == 10
+        assert state.converged
 
     def test_bounds_are_exact_order_statistics(self):
         crit = ConvergenceCriterion(quantile=90.0, min_count=2)
-        detector = ConvergenceDetector(crit)
         values = list(range(100))
-        for value in values:
-            detector.add(value)
-        state = detector.state()
+        state = ConvergenceDetector(crit).state(Counter(values))
         # n=100, q=0.9: rank 90 for the estimate, ranks floor/ceil of
         # 90 -/+ z*sqrt(100 * 0.9 * 0.1) for the bounds; all exact ints.
         spread = crit.z_value() * 3
@@ -137,12 +123,17 @@ class TestDetector:
 
     def test_state_row_is_flat(self):
         detector = ConvergenceDetector(ConvergenceCriterion(min_count=2))
-        detector.add(1)
-        detector.add(1)
-        row = detector.state().row()
+        row = detector.state({1: 2}).row()
         assert set(row) == {
             "converged", "count", "estimate", "ci_lower", "ci_upper",
             "half_width", "target_half_width",
         }
         assert row["converged"] is True
         assert row["count"] == 2
+
+    def test_detector_keeps_no_table(self):
+        detector = ConvergenceDetector()
+        assert not hasattr(detector, "add")
+        table = Counter({5: 300})
+        assert detector.state(table) == detector.state(table)
+        assert table == Counter({5: 300})

@@ -29,8 +29,8 @@ def delay_cell(task: tuple[int, int]) -> tuple[int, int, int]:
     return n, d, delay
 
 
-def sweep(worker, tasks, *, max_workers=None, chunksize=8, registry=None):
-    policy = ExecutorPolicy(max_workers=max_workers, chunksize=chunksize)
+def sweep(worker, tasks, *, max_workers=None, registry=None):
+    policy = ExecutorPolicy(max_workers=max_workers)
     return SweepExecutor(policy, registry=registry).map(worker, tasks)
 
 
@@ -66,15 +66,13 @@ class TestRunner:
     def test_parallel_matches_serial(self):
         tasks = [(n, d) for n in (20, 50, 90, 130) for d in (2, 3)]
         serial = sweep(delay_cell, tasks, max_workers=1)
-        parallel = sweep(delay_cell, tasks, max_workers=2, chunksize=2)
+        parallel = sweep(delay_cell, tasks, max_workers=2)
         assert serial == parallel  # order-preserving and identical
 
     def test_registry_merges_worker_snapshots(self):
         tasks = [(20, 2), (20, 3), (50, 2), (50, 3)]
         registry = MetricsRegistry()
-        results = sweep(
-            delay_cell, tasks, max_workers=2, chunksize=1, registry=registry
-        )
+        results = sweep(delay_cell, tasks, max_workers=2, registry=registry)
         assert len(results) == len(tasks)
         cells = sum(
             row["value"]
@@ -89,9 +87,7 @@ class TestRunner:
         tasks = [(20, 2), (30, 2), (40, 2), (50, 2)]
         serial, parallel = MetricsRegistry(), MetricsRegistry()
         a = sweep(delay_cell, tasks, max_workers=1, registry=serial)
-        b = sweep(
-            delay_cell, tasks, max_workers=2, chunksize=1, registry=parallel
-        )
+        b = sweep(delay_cell, tasks, max_workers=2, registry=parallel)
         assert a == b
         assert serial.snapshot() == parallel.snapshot()
 

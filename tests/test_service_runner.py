@@ -352,7 +352,7 @@ class TestUnitErrors:
 
     @pytest.mark.parametrize(
         "policy",
-        [SERIAL, ExecutorPolicy(mode="parallel", max_workers=2, chunksize=1)],
+        [SERIAL, ExecutorPolicy(mode="parallel", max_workers=2)],
         ids=["serial", "parallel"],
     )
     def test_missing_token_names_the_unit(self, policy):
@@ -421,6 +421,38 @@ class TestRunUntilConverged:
     def test_non_converged_run_has_no_state(self):
         result = FleetRunner(policy=SERIAL).run(_small_fleet())
         assert result.convergence is None
+
+
+class TestControlEpochTable:
+    def test_epoch_p99_reads_the_previous_epochs_sessions(self, monkeypatch):
+        # The control hook's table is the aggregator's startup table minus
+        # its copy at the epoch's start: the sessions the epoch executed.
+        import repro.service.runner as runner_module
+        from repro.control.scenario import ramp_fleet
+        from repro.obs.quantiles import pooled_percentile
+
+        executed: list[list[int]] = [[]]
+        original_task = runner_module.fleet_unit_task
+        original_close = runner_module._ControlHook.close
+
+        def spy_task(unit):
+            scored = original_task(unit)
+            executed[-1].extend(scored[1].startup_delay.tolist())
+            return scored
+
+        def spy_close(self, chunk, made, delays):
+            assert delays == Counter(executed[-1])
+            executed.append([])
+            original_close(self, chunk, made, delays)
+
+        monkeypatch.setattr(runner_module, "fleet_unit_task", spy_task)
+        monkeypatch.setattr(runner_module._ControlHook, "close", spy_close)
+        result = FleetRunner(policy=SERIAL).run(ramp_fleet("adaptive", scale=1, seed=3))
+        rows = [row for row in result.control_epochs if row["arrivals"]]
+        assert len(rows) > 2 and rows[0]["observed_p99"] is None
+        for row, previous in zip(rows[1:], executed):
+            assert previous
+            assert row["observed_p99"] == float(pooled_percentile(Counter(previous), 99))
 
 
 class TestReplaySpans:
