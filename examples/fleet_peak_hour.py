@@ -67,7 +67,8 @@ def main() -> None:
     print(f"  executor: {executor['mode']} x{executor['workers']} "
           f"over {executor['tasks']} sessions")
 
-    worst = max(report.sessions, key=lambda s: s.startup_delay)
+    # The sessions are columns; index one row to get its SessionSLO.
+    worst = report.sessions[int(report.sessions.startup_delay.argmax())]
     print(f"\nWorst session: #{worst.session_id} [{worst.label}] "
           f"startup {worst.startup_delay} slots "
           f"({worst.wait_slots} queued), status {worst.status}")

@@ -175,7 +175,7 @@ from repro.service import (
 from repro.theory import optimal_degree, table1
 from repro.trees import DynamicForest, MultiTreeForest, MultiTreeProtocol, analyze
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "AbrSessionSpec",

@@ -35,6 +35,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.control.policy import ControlDecision, ControlPolicy
 from repro.core.errors import ReproError
 from repro.obs.quantiles import pooled_percentile
@@ -211,14 +213,19 @@ def offered_p99(
     A policy must not be able to win by turning viewers away: executed
     sessions contribute their true startup delay (queue wait included) and
     each rejected session is charged ``penalty_factor * slo`` — strictly
-    worse than any SLO-compliant wait.  Requires ``aggregation="exact"``
-    (per-session SLOs retained).
+    worse than any SLO-compliant wait.  Requires ``aggregation="exact"``;
+    a report that keeps fewer sessions than it executed raises.
     """
-    counts: Counter[int] = Counter(
-        slo_row.startup_delay for slo_row in result.report.sessions
-    )
-    if result.report.rejected:
-        counts[slo * penalty_factor] += result.report.rejected
+    report = result.report
+    if len(report.sessions) != report.admitted + report.degraded:
+        raise ReproError(
+            f"offered_p99 needs every executed session's startup delay, but the report keeps "
+            f"{len(report.sessions)} of them: run with aggregation='exact', not 'sketch'"
+        )
+    startups = np.bincount(report.sessions.startup_delay)
+    counts: Counter[int] = Counter({int(v): int(startups[v]) for v in np.flatnonzero(startups)})
+    if report.rejected:
+        counts[slo * penalty_factor] += report.rejected
     if not counts:
         raise ReproError("no offered sessions to score")
     return float(pooled_percentile(counts, 99))

@@ -414,7 +414,7 @@ def _run_fleet(spec: ExperimentSpec, instr) -> tuple:
         "hit_rate": report.cache_hit_rate,
     }
     provenance["executor"] = result.executor_info
-    rows = tuple(slo.row() for slo in report.sessions)
+    rows = tuple(report.sessions.rows())
     artifacts = {
         "report": report,
         "decisions": result.decisions,

@@ -17,7 +17,8 @@ concurrent sessions sharing source fan-out and backbone capacity:
   :class:`~repro.exec.cache.ScheduleCache`;
 * :mod:`repro.service.slo` — per-session and fleet SLOs
   (:func:`score_batch_sessions` → :class:`SessionColumns`, :class:`SessionSLO`,
-  :class:`FleetSLOReport` with exact pooled percentiles, and the streaming
+  :class:`FleetSLOReport` with exact pooled percentiles and its columnar
+  :class:`SessionSLOTable` of sessions, and the streaming
   :class:`FleetAggregator`, which folds each unit into exact ``value ->
   count`` tables; :func:`pooled_percentile` is
   :func:`repro.obs.quantiles.pooled_percentile`).
@@ -40,6 +41,7 @@ from repro.service.slo import (
     FleetSLOReport,
     SessionColumns,
     SessionSLO,
+    SessionSLOTable,
     pooled_percentile,
     score_batch_sessions,
 )
@@ -69,6 +71,7 @@ __all__ = [
     "SessionColumns",
     "SessionManager",
     "SessionSLO",
+    "SessionSLOTable",
     "SessionSpec",
     "SessionTable",
     "pooled_percentile",

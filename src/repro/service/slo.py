@@ -12,7 +12,6 @@ compute them, one kernel unit at a time:
   :class:`SessionColumns` — NumPy columns of startup delay (queue wait
   included), rebuffer ratio, per-node delay/buffer percentiles and goodput,
   plus the per-node matrices that pool *exactly* across sessions;
-  :meth:`SessionColumns.slos` builds the :class:`SessionSLO` rows;
 * :class:`FleetAggregator` folds the admission decision table
   (:meth:`~FleetAggregator.add_decisions`, one ``np.bincount`` over the
   status column) and scored units (:meth:`~FleetAggregator.add_sessions`,
@@ -25,27 +24,33 @@ compute them, one kernel unit at a time:
   results;
 * :class:`FleetSLOReport` is the fleet report (p50/p95/p99 over the pooled
   per-node populations, reject rate, schedule-cache amortization) and
-  round-trips through ``reporting/export.py``.
+  round-trips through ``reporting/export.py``.  Its ``sessions`` are a
+  :class:`SessionSLOTable`: NumPy columns, whose :class:`SessionSLO` rows
+  are built only when a caller indexes or iterates them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from typing import Any
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.errors import ReproError
 from repro.exec.batch import BatchMetrics
 from repro.obs.quantiles import pooled_percentile
 from repro.service.admission import ADMITTED, DEGRADED, REJECTED, STATUSES, DecisionTable
+from repro.service.spec import ColumnTable
 
 __all__ = [
     "pooled_percentile",
     "SessionColumns",
     "SessionSLO",
+    "SessionSLOTable",
     "FleetSLOReport",
     "FleetAggregator",
     "score_batch_sessions",
@@ -97,42 +102,114 @@ class SessionSLO:
 
     def row(self) -> dict:
         """Flat dict for table/JSON rendering (drops the histograms)."""
-        out = {
-            "session": self.session_id,
-            "label": self.label,
-            "status": self.status,
-            "wait": self.wait_slots,
-            "startup": self.startup_delay,
-            "rebuffer": round(self.rebuffer_ratio, 5),
-            "delay_p50": self.delay_p50,
-            "delay_p99": self.delay_p99,
-            "buffer_p99": self.buffer_p99,
-            "goodput": round(self.goodput, 4),
-        }
-        if self.qoe is not None:
-            out["qoe_tier"] = self.qoe["tier"]
-        return out
+        return _flat_row(*(getattr(self, name) for name in _ROW_FIELDS))
 
 
-def _row_histograms(
-    matrix: np.ndarray,
-) -> list[tuple[tuple[int, int], ...]]:
-    """Per-row ``(value, count)`` tuples of a non-negative int matrix.
+#: The :class:`SessionSLO` fields :meth:`SessionSLO.row` reads, and its keys.
+_ROW_FIELDS = (
+    "session_id", "label", "status", "wait_slots", "startup_delay", "rebuffer_ratio",
+    "delay_p50", "delay_p99", "buffer_p99", "goodput", "qoe",
+)
+_ROW_KEYS = ("session", "label", "status", "wait", "startup", "rebuffer", *_ROW_FIELDS[6:10])
 
-    One ``bincount`` over row-offset values replaces a Python ``Counter``
-    per row — the per-session cost is proportional to the row's distinct
-    values, not its length.
+
+def _flat_row(*values: Any) -> dict:
+    """:meth:`SessionSLO.row` of one session's :data:`_ROW_FIELDS` values."""
+    out = dict(zip(_ROW_KEYS, values))  # every value but the QoE dict
+    out.update(rebuffer=round(out["rebuffer"], 5), goodput=round(out["goodput"], 4))
+    if values[-1] is not None:
+        out["qoe_tier"] = values[-1]["tier"]
+    return out
+
+
+_SLO_FIELDS = tuple(f.name for f in fields(SessionSLO))
+_SCALARS = _SLO_FIELDS[3:14]  # wait_slots .. num_packets
+_DTYPES = {"rebuffer_ratio": np.float64, "goodput": np.float64}
+_STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}
+
+
+def _histograms(pairs: np.ndarray, span: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Each row's ``(value, count)`` tuple: the pairs its span cuts."""
+    if not len(span):
+        return []
+    lo, hi = int(span[:, 0].min()), int(span[:, 1].max())
+    flat = list(zip(*pairs[lo:hi].T.tolist()))
+    return [tuple(flat[start - lo:stop - lo]) for start, stop in span.tolist()]
+
+
+class SessionSLOTable(ColumnTable):
+    """Retained session SLOs as NumPy columns, one per :class:`SessionSLO`
+    field: int64 (the two ratios float64), ``label`` / ``status`` as codes
+    into ``labels`` / :data:`~repro.service.admission.STATUSES`, ``qoe`` an
+    object column, and each histogram a row's ``[start, stop)`` span
+    (``delay_span``; a loss-free unit's rows share one) of flat ``(value,
+    count)`` pairs (``delay_pairs``).  Rows are :class:`SessionSLO` objects
+    built only when indexed or iterated; :meth:`rows`, :meth:`to_dicts`
+    and ``repr`` read the columns, and ``==`` compares row contents.
     """
-    num_rows = matrix.shape[0]
-    width = int(matrix.max()) + 1
-    offsets = np.arange(num_rows, dtype=np.int64)[:, None] * width
-    counts = np.bincount(
-        (matrix.astype(np.int64) + offsets).ravel(), minlength=num_rows * width
-    ).reshape(num_rows, width)
-    rows, values = np.nonzero(counts)
-    pairs = list(zip(values.tolist(), counts[rows, values].tolist()))
-    bounds = np.searchsorted(rows, np.arange(num_rows + 1)).tolist()
-    return [tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    __slots__ = (
+        "labels", "session_id", "label", "status", *_SCALARS,
+        "delay_span", "buffer_span", "qoe", "delay_pairs", "buffer_pairs",
+    )
+    _columns = __slots__[1:-2]
+
+    def __init__(self, labels: Iterable[str], *columns: npt.ArrayLike) -> None:
+        self.labels = tuple(labels)
+        for name, column in zip(self.__slots__[1:], columns, strict=True):
+            array = np.asarray(column, object if name == "qoe" else _DTYPES.get(name, np.int64))
+            paired = name.endswith(("_span", "_pairs"))
+            setattr(self, name, array.reshape(-1, 2) if paired else array)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[SessionSLO]) -> SessionSLOTable:
+        """The table of ``rows``, in order (each row gets its own spans)."""
+        values = list(zip(*([getattr(row, name) for name in _SLO_FIELDS] for row in rows)))
+        ids, labels, statuses, *scalars, delays, buffers, qoe = values or [()] * len(_SLO_FIELDS)
+        codes = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        lengths = [np.array([len(h) for h in kind], dtype=np.int64) for kind in (delays, buffers)]
+        spans = [np.stack((np.cumsum(n) - n, np.cumsum(n)), axis=1) for n in lengths]
+        pairs = [[pair for h in kind for pair in h] for kind in (delays, buffers)]
+        statuses = [_STATUS_CODES[status] for status in statuses]
+        return cls(codes, ids, [codes[x] for x in labels], statuses, *scalars, *spans, qoe, *pairs)
+
+    def _names(self, name: str) -> list[Any]:
+        """Column ``name`` as Python values, codes decoded."""
+        values, names = getattr(self, name).tolist(), {"label": self.labels, "status": STATUSES}
+        return list(map(names[name].__getitem__, values)) if name in names else values
+
+    def _fields(self) -> list[list[Any]]:
+        """One list per :class:`SessionSLO` field, in field order."""
+        return [
+            *map(self._names, _SLO_FIELDS[:-3]),
+            _histograms(self.delay_pairs, self.delay_span),
+            _histograms(self.buffer_pairs, self.buffer_span),
+            self._names("qoe"),
+        ]
+
+    def __iter__(self) -> Iterator[SessionSLO]:
+        return map(SessionSLO, *self._fields())
+
+    def rows(self) -> list[dict]:
+        """:meth:`SessionSLO.row` of every row, read off the columns."""
+        return list(map(_flat_row, *map(self._names, _ROW_FIELDS)))
+
+    def to_dicts(self) -> list[dict]:
+        """``dataclasses.asdict`` of every row, read off the columns."""
+        values = self._fields()
+        values[-1] = [None if qoe is None else dict(qoe) for qoe in values[-1]]
+        return [dict(zip(_SLO_FIELDS, row)) for row in zip(*values)]
+
+    def __eq__(self, other: object) -> bool:
+        # Row contents, whatever the label codes and the span layout.
+        if not isinstance(other, SessionSLOTable):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        # Every column in full, so a digest of the repr covers every value.
+        columns = (f"{name}={getattr(self, name).tolist()!r}" for name in self.__slots__[1:])
+        return f"{type(self).__name__}(labels={self.labels!r}, {', '.join(columns)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,31 +249,6 @@ class SessionColumns:
 
     def __len__(self) -> int:
         return len(self.session_ids)
-
-    def slos(self) -> list[SessionSLO]:
-        """One :class:`SessionSLO` per row, in row order."""
-        total = len(self)
-        rows = 1 if self.loss_free else total  # loss-free rows share one tuple
-        histograms = [
-            _row_histograms(matrix[:rows]) * (total // rows)
-            for matrix in (self.node_delays, self.node_buffers)
-        ]
-        columns = [
-            column.tolist() for column in (
-                self.wait_slots, self.startup_delay, self.rebuffer_ratio,
-                self.delay_p50, self.delay_p95, self.delay_p99,
-                self.buffer_p50, self.buffer_p99, self.goodput,
-                self.num_packets,
-            )
-        ]
-        num_nodes = self.node_delays.shape[1]
-        return [
-            SessionSLO(*row[:12], num_nodes, *row[12:])
-            for row in zip(
-                self.session_ids, self.labels, self.statuses, *columns,
-                *histograms, self.qoe or (None,) * total,
-            )
-        ]
 
 
 def score_batch_sessions(
@@ -305,7 +357,9 @@ class FleetSLOReport:
         goodput_mean: mean session goodput.
         cache_hits / cache_misses / cache_hit_rate: schedule-compile
             amortization across the fleet.
-        sessions: every admitted session's :class:`SessionSLO`.
+        sessions: every executed session's SLO as a
+            :class:`SessionSLOTable` sorted by session id (empty under
+            ``aggregation="sketch"``).
         qoe_tiers: ``(tier, count)`` tallies over the ABR sessions in the
             fleet (empty when no session kind carries an ``abr_profile``).
     """
@@ -331,7 +385,7 @@ class FleetSLOReport:
     cache_hits: int
     cache_misses: int
     cache_hit_rate: float
-    sessions: tuple[SessionSLO, ...]
+    sessions: SessionSLOTable
     qoe_tiers: tuple[tuple[str, int], ...] = ()
 
     def row(self) -> dict:
@@ -356,24 +410,66 @@ class FleetSLOReport:
     # -------------------------------------------------------- serialization
     def to_dict(self) -> dict:
         """JSON-serializable snapshot (inverse of :meth:`from_dict`)."""
-        payload = asdict(self)
-        payload["sessions"] = [asdict(s) for s in self.sessions]
+        payload = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        payload["sessions"] = self.sessions.to_dicts()
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FleetSLOReport":
-        """Rebuild a report from :meth:`to_dict` output (JSON round-trip)."""
+        """Rebuild a report from :meth:`to_dict` output (JSON round-trip); a
+        malformed payload raises :class:`ReproError` naming the field and row."""
         payload = dict(payload)
-        sessions = []
-        for row in payload.pop("sessions", []):
-            row = dict(row)
-            row["delay_counts"] = tuple(tuple(p) for p in row["delay_counts"])
-            row["buffer_counts"] = tuple(tuple(p) for p in row["buffer_counts"])
-            sessions.append(SessionSLO(**row))
+        _check_keys(payload, _REPORT_FIELDS, "fleet report", "qoe_tiers")
+        rows = payload.pop("sessions")
+        if not isinstance(rows, (list, tuple)):
+            raise ReproError(f"fleet report: 'sessions' must be a list, got {type(rows).__name__}")
+        try:
+            sessions = SessionSLOTable.from_rows([_session_from_dict(*r) for r in enumerate(rows)])
+        except (TypeError, ValueError) as exc:
+            raise ReproError(f"fleet report sessions: {exc}") from exc
         qoe_tiers = tuple(
             (str(tier), int(count)) for tier, count in payload.pop("qoe_tiers", ())
         )
-        return cls(sessions=tuple(sessions), qoe_tiers=qoe_tiers, **payload)
+        return cls(sessions=sessions, qoe_tiers=qoe_tiers, **payload)
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(FleetSLOReport))
+
+
+def _check_keys(payload: dict, names: Sequence[str], what: str, optional: str) -> None:
+    """Raise :class:`ReproError` naming the first missing or unknown key."""
+    for name in names:
+        if name not in payload and name != optional:
+            raise ReproError(f"{what}: missing field {name!r}")
+    for key in payload:
+        if key not in names:
+            raise ReproError(f"{what}: unknown field {key!r}")
+
+
+def _session_from_dict(index: int, row: Any) -> SessionSLO:
+    """One :meth:`SessionSLOTable.to_dicts` row as a :class:`SessionSLO`."""
+    what = f"fleet report session row {index}"
+    if not isinstance(row, dict):
+        raise ReproError(f"{what} must be an object, got {type(row).__name__}")
+    _check_keys(row, _SLO_FIELDS, what, "qoe")
+    if row["status"] not in _STATUS_CODES:
+        raise ReproError(f"{what}: unknown status {row['status']!r}")
+    histograms: dict[str, tuple] = {}
+    for name in ("delay_counts", "buffer_counts"):
+        pairs = row[name]
+        if not isinstance(pairs, (list, tuple)) or any(
+            not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in pairs
+        ):
+            raise ReproError(f"{what}: field {name!r} must be a list of [value, count] pairs")
+        histograms[name] = tuple(map(tuple, pairs))
+    return SessionSLO(**{**row, **histograms})
+
+
+def _row_counts(matrix: np.ndarray) -> np.ndarray:
+    """Each row's value counts in a non-negative int matrix: one ``bincount``."""
+    rows, width = matrix.shape[0], int(matrix.max()) + 1
+    offsets = np.arange(rows, dtype=np.int64)[:, None] * width
+    return np.bincount((matrix + offsets).ravel(), minlength=rows * width).reshape(rows, width)
 
 
 def _exact_mean(sums: Counter[int], count: int) -> float:
@@ -401,10 +497,11 @@ class FleetAggregator:
     the units arrive in.
 
     Args:
-        keep_sessions: retain every :class:`SessionSLO` for the report's
-            ``sessions`` tuple.  Set False at fleet scale — the whole point
-            of streaming aggregation is not materializing per-session
-            results.
+        keep_sessions: retain every session's SLO columns for the report's
+            :class:`SessionSLOTable`: each unit's small columns and its
+            per-row histograms, not its ``(B, N)`` node matrices.  Set
+            False at fleet scale — the whole point of streaming
+            aggregation is not materializing per-session results.
     """
 
     __slots__ = (
@@ -412,7 +509,7 @@ class FleetAggregator:
         "_startup", "_delay", "_buffer",
         "_admitted", "_degraded", "_rejected", "_queued", "_decisions",
         "_rebuffer_sums", "_rebuffer_max", "_goodput_sums", "_slos",
-        "_tiers", "_sessions",
+        "_tiers", "_labels", "_kept",
     )
 
     def __init__(self, *, keep_sessions: bool = True) -> None:
@@ -430,7 +527,10 @@ class FleetAggregator:
         self._goodput_sums: Counter[int] = Counter()
         self._slos = 0
         self._tiers: Counter[str] = Counter()
-        self._sessions: list[SessionSLO] = []
+        self._labels: dict[str, int] = {}
+        # Per kept unit: its size, node count, QoE dicts, per-row delay and
+        # buffer histograms (values, counts, row lengths) and its columns.
+        self._kept: list[tuple[Any, ...]] = []
 
     def add_decisions(self, decisions: DecisionTable) -> None:
         """Tally a table of admission decisions: one ``np.bincount`` over
@@ -446,20 +546,33 @@ class FleetAggregator:
 
     def add_sessions(self, columns: SessionColumns) -> None:
         """Fold one scored unit: one ``np.bincount`` per population (row 0
-        times the unit size if loss-free) and per mean's numerator column,
-        and with ``keep_sessions`` the unit's :class:`SessionSLO` rows."""
+        times the unit size if loss-free) and per mean's numerator column;
+        with ``keep_sessions``, keep its columns and per-row histograms."""
         if not isinstance(columns, SessionColumns):
             raise ReproError(f"add_sessions takes SessionColumns, got {type(columns).__name__}")
         total = len(columns)
         rows = 1 if columns.loss_free else total
+        keep = self.keep_sessions
+        if keep and not _STATUS_CODES.keys() >= set(columns.statuses):
+            raise ReproError(f"unknown session status in {sorted(set(columns.statuses))}")
+        histograms: list[tuple[Any, ...]] = []
         for table, values, times in (
             (self._startup, columns.startup_delay, 1),
             (self._delay, columns.node_delays[:rows], total // rows),
             (self._buffer, columns.node_buffers[:rows], total // rows),
         ):
-            counts = np.bincount(values.ravel())
+            if keep and values.ndim == 2 and rows > 1:
+                per_row = _row_counts(values)
+                at, cells = per_row.nonzero()
+                histograms.append((cells, per_row[at, cells], np.bincount(at, minlength=rows)))
+                counts = per_row.sum(axis=0)
+            else:
+                counts = np.bincount(values.ravel())
             present = counts.nonzero()[0]
-            table.update(dict(zip(present.tolist(), (counts[present] * times).tolist())))
+            tally = counts[present]
+            if keep and values.ndim == 2 and rows == 1:
+                histograms.append((present, tally, [len(present)]))
+            table.update(dict(zip(present.tolist(), (tally * times).tolist())))
         num_nodes = columns.node_delays.shape[1]
         for sums, denominators, numerators in (
             (self._rebuffer_sums, columns.num_packets, columns.residual),
@@ -476,8 +589,15 @@ class FleetAggregator:
         self._rebuffer_max = max(self._rebuffer_max, float(columns.rebuffer_ratio.max()))
         if columns.qoe is not None:
             self._tiers.update(qoe["tier"] for qoe in columns.qoe if qoe is not None)
-        if self.keep_sessions:
-            self._sessions.extend(columns.slos())
+        if keep:
+            for label in dict.fromkeys(columns.labels):
+                self._labels.setdefault(label, len(self._labels))
+            self._kept.append((total, num_nodes, columns.qoe, histograms, (
+                np.asarray(columns.session_ids, dtype=np.int64),
+                np.fromiter(map(self._labels.__getitem__, columns.labels), np.int64, total),
+                np.fromiter(map(_STATUS_CODES.__getitem__, columns.statuses), np.int64, total),
+                *(getattr(columns, name) for name in _SCALARS if name != "num_nodes"),
+            )))
 
     def startup_counts(self) -> Counter[int]:
         """A copy of the pooled ``startup delay -> sessions`` table so far."""
@@ -514,9 +634,27 @@ class FleetAggregator:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-            # Batch-grouped execution folds sessions in schedule-group
-            # order; the report always lists them by session id.
-            sessions=tuple(sorted(self._sessions, key=lambda s: s.session_id)),
+            sessions=self._sessions(),
             qoe_tiers=tuple(sorted(self._tiers.items())),
         )
 
+    def _sessions(self) -> SessionSLOTable:
+        """The kept units as one table, ordered by session id (one argsort)."""
+        if not self._kept:
+            return SessionSLOTable.from_rows(())
+        sizes, nodes, qoes, histograms, kept = zip(*self._kept)
+        ids, labels, statuses, *scalars = map(np.concatenate, zip(*kept))
+        scalars.insert(_SCALARS.index("num_nodes"), np.repeat(nodes, sizes))
+        qoe = [row for unit, size in zip(qoes, sizes) for row in unit or (None,) * size]
+        # A loss-free unit's one histogram row is every session's.
+        rows = [len(delay[2]) for delay, _ in histograms]
+        repeats = np.repeat([size // r for size, r in zip(sizes, rows)], rows)
+        # Per kind (delay, buffer): every unit's values, counts and row lengths.
+        flat = [[np.concatenate(column) for column in zip(*kind)] for kind in zip(*histograms)]
+        spans = [
+            np.stack((np.cumsum(n) - n, np.cumsum(n)), axis=1).repeat(repeats, axis=0)
+            for _, _, n in flat
+        ]
+        pairs = [np.stack((values, counts), axis=1) for values, counts, _ in flat]
+        table = SessionSLOTable(self._labels, ids, labels, statuses, *scalars, *spans, qoe, *pairs)
+        return table[np.argsort(ids, kind="stable")]

@@ -220,9 +220,9 @@ class ColumnTable(Sequence[Any]):
 
     A subclass's ``__init__`` takes its ``__slots__`` in order; it names
     the array ones ``_columns`` and builds one row from their Python
-    scalars (:meth:`_row`).  An int index builds one row, a slice or index
-    array is a sub-table, iteration yields rows, and ``==`` compares
-    columns.
+    scalars (:meth:`_row`).  A slice or index array is a sub-table, an int
+    index the one row of a one-row sub-table, iteration yields rows, and
+    ``==`` compares columns.
     """
 
     __slots__ = ()
@@ -246,7 +246,7 @@ class ColumnTable(Sequence[Any]):
         i = operator.index(index)
         if not -len(self) <= i < len(self):
             raise IndexError(f"row {i} out of range for {len(self)} rows")
-        return self._row(*(getattr(self, name)[i].item() for name in self._columns))
+        return next(iter(self._take(slice(i, i + 1 or None))))
 
     def __iter__(self) -> Iterator[Any]:
         columns = [getattr(self, name).tolist() for name in self._columns]

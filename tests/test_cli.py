@@ -312,7 +312,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 15.0.0"
+        assert capsys.readouterr().out.strip() == "repro 16.0.0"
 
 
 class TestLintCommand:

@@ -7,12 +7,16 @@ session count, same acceptance claims.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.control import control_record, decisions_from_record
 from repro.control.scenario import (
     RAMP_POLICIES,
     RAMP_SLO,
+    REJECT_PENALTY_FACTOR,
     compare_policies,
     offered_p99,
     ramp_arrival_slots,
@@ -20,7 +24,12 @@ from repro.control.scenario import (
     run_ramp,
 )
 from repro.core.errors import ReproError
+from repro.exec.executor import ExecutorPolicy
+from repro.obs.quantiles import pooled_percentile
 from repro.reporting.ledger import RunLedger
+from repro.service import FleetRunner
+
+SERIAL = ExecutorPolicy(mode="serial")
 
 SCALE = 0.2  # 48 sessions: smallest scale where the full story reproduces
 
@@ -148,3 +157,24 @@ class TestDeterminismAndReplay:
         result = outcomes["queue"].result
         assert result.report.sessions  # aggregation="exact" retained them
         assert offered_p99(result, slo=RAMP_SLO) >= result.report.startup_p99
+
+
+class TestOfferedP99:
+    """``offered_p99`` reads the retained ``startup_delay`` column, and a
+    report that did not retain every executed session raises."""
+
+    FLEET = ramp_fleet("queue", scale=1, seed=0)
+
+    def test_exact_result_reads_the_startup_column(self):
+        result = FleetRunner(policy=SERIAL).run(self.FLEET)
+        report = result.report
+        assert len(report.sessions) == report.admitted + report.degraded
+        counts = Counter(slo.startup_delay for slo in report.sessions)
+        counts[RAMP_SLO * REJECT_PENALTY_FACTOR] += report.rejected
+        assert offered_p99(result) == float(pooled_percentile(counts, 99)) == 77.0
+
+    def test_sketch_result_raises_naming_the_aggregation(self):
+        result = FleetRunner(policy=SERIAL).run(replace(self.FLEET, aggregation="sketch"))
+        assert len(result.report.sessions) == 0
+        with pytest.raises(ReproError, match="aggregation='exact'"):
+            offered_p99(result)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import multiprocessing
+import os
+import signal
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -10,11 +16,16 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core.errors import ReproError
 from repro.exec.executor import ExecutorPolicy, SweepExecutor
 from repro.experiments import ExperimentSpec, run
 from repro.obs.registry import MetricsRegistry
-from repro.reporting.export import read_fleet_report_json, write_fleet_report_json
+from repro.reporting.export import (
+    fleet_report_to_dict,
+    read_fleet_report_json,
+    write_fleet_report_json,
+)
 from repro.service import (
     CapacityModel,
     FleetRunner,
@@ -23,9 +34,28 @@ from repro.service import (
     FleetTelemetry,
     SessionSpec,
 )
+from repro.service import runner as runner_module
 from repro.service.runner import fleet_unit_task
 
 SERIAL = ExecutorPolicy(mode="serial")
+
+#: The process that runs the tests, and the marker file whose exclusive
+#: creation lets exactly one pool worker kill itself (set per test).
+TEST_PID = os.getpid()
+DEATH_MARKER: str | None = None
+
+
+def dying_unit_task(unit: tuple) -> tuple:
+    """``fleet_unit_task``, but the first call in a pool worker SIGKILLs
+    that worker (the one that creates the marker file)."""
+    if os.getpid() != TEST_PID and DEATH_MARKER is not None:
+        try:
+            os.close(os.open(DEATH_MARKER, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return fleet_unit_task(unit)
 
 
 def _small_fleet(**overrides) -> FleetSpec:
@@ -375,6 +405,30 @@ class TestUnitErrors:
         assert isinstance(info.value.__cause__, KeyError)
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched unit task reaches the workers only when they fork",
+)
+class TestWorkerDeath:
+    """A pool worker that dies mid-run ends in the serial fallback and the
+    serial run's report, never in a partial one."""
+
+    def test_killed_worker_falls_back_to_an_identical_report(self, tmp_path, monkeypatch):
+        fleet = _small_fleet(num_sessions=40)
+        serial = FleetRunner(policy=SERIAL).run(fleet)
+        monkeypatch.setattr(sys.modules[__name__], "DEATH_MARKER", str(tmp_path / "died"))
+        monkeypatch.setattr(runner_module, "fleet_unit_task", dying_unit_task)
+        registry = MetricsRegistry()
+        result = FleetRunner(
+            policy=ExecutorPolicy(max_workers=2, mode="parallel"), registry=registry
+        ).run(fleet)
+        assert (tmp_path / "died").exists()  # a worker did die
+        assert result.executor_info["fallback"] is True
+        assert "BrokenProcessPool" in result.executor_info["fallback_error"]
+        assert registry.counter("executor.fallbacks").value == 1
+        assert fleet_report_to_dict(result.report) == fleet_report_to_dict(serial.report)
+
+
 class TestSketchAggregation:
     def test_sketch_report_close_to_exact(self):
         # Percentiles are exact in both modes (sketch_error is accepted but
@@ -384,9 +438,11 @@ class TestSketchAggregation:
         sketch = FleetRunner(policy=SERIAL).run(
             _small_fleet(num_sessions=60, aggregation="sketch", sketch_error=0.01)
         ).report
-        assert sketch.sessions == ()  # nothing per-session materialized
+        assert len(sketch.sessions) == 0  # nothing per-session materialized
         assert len(exact.sessions) == 60
-        assert sketch == replace(exact, sessions=())
+        # A zero-row slice keeps exact's labels and flat histograms, but
+        # tables compare row contents.
+        assert sketch == replace(exact, sessions=exact.sessions[:0])
 
     def test_sketch_report_round_trips(self, tmp_path):
         report = FleetRunner(policy=SERIAL).run(
@@ -722,3 +778,59 @@ class TestExportRoundTrip:
         path.write_text('{"format_version": 1, "kind": "nope", "report": {}}')
         with pytest.raises(ReproError):
             read_fleet_report_json(path)
+
+
+@pytest.fixture(scope="module")
+def fleet_json(tmp_path_factory) -> dict:
+    """The payload of a ``repro fleet --json`` file."""
+    path = tmp_path_factory.mktemp("fleet") / "fleet.json"
+    assert main(["fleet", "--sessions", "40", "--mode", "serial", "--seed", "9",
+                 "--json", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+class TestReportReaderErrors:
+    """A malformed ``repro fleet --json`` file raises a ReproError naming
+    the field (and the session row), never a bare TypeError."""
+
+    def _read(self, payload: dict, tmp_path) -> None:
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(payload))
+        read_fleet_report_json(path)
+
+    def test_missing_session_field(self, fleet_json, tmp_path):
+        payload = copy.deepcopy(fleet_json)
+        del payload["report"]["sessions"][3]["delay_counts"]
+        with pytest.raises(ReproError, match="session row 3: missing field 'delay_counts'"):
+            self._read(payload, tmp_path)
+
+    def test_unknown_session_field(self, fleet_json, tmp_path):
+        payload = copy.deepcopy(fleet_json)
+        payload["report"]["sessions"][0]["colour"] = "red"
+        with pytest.raises(ReproError, match="session row 0: unknown field 'colour'"):
+            self._read(payload, tmp_path)
+
+    def test_histogram_not_a_list(self, fleet_json, tmp_path):
+        payload = copy.deepcopy(fleet_json)
+        payload["report"]["sessions"][1]["buffer_counts"] = 5
+        with pytest.raises(ReproError, match="session row 1: field 'buffer_counts'"):
+            self._read(payload, tmp_path)
+
+    def test_missing_report_field(self, fleet_json, tmp_path):
+        payload = copy.deepcopy(fleet_json)
+        del payload["report"]["delay_p99"]
+        with pytest.raises(ReproError, match="fleet report: missing field 'delay_p99'"):
+            self._read(payload, tmp_path)
+
+    def test_sessions_not_a_list(self, fleet_json, tmp_path):
+        payload = copy.deepcopy(fleet_json)
+        payload["report"]["sessions"] = {"0": payload["report"]["sessions"][0]}
+        with pytest.raises(ReproError, match="'sessions' must be a list, got dict"):
+            self._read(payload, tmp_path)
+
+    def test_untouched_file_reads_back(self, fleet_json, tmp_path):
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(fleet_json, indent=1))
+        report = read_fleet_report_json(path)
+        write_fleet_report_json(report, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == path.read_text()

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +18,17 @@ from repro.core.metrics import summarize_lossy_playback
 from repro.exec.batch import BatchMetrics, replay_batch
 from repro.exec.compiler import COMPILABLE_SCHEMES, compile_schedule
 from repro.exec.replay import bernoulli_mask, replay_arrivals
+from repro.reporting.export import fleet_report_to_dict
 from repro.service.admission import REASONS, STATUSES, AdmissionDecision, DecisionTable
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
     SessionSLO,
+    SessionSLOTable,
     pooled_percentile,
     score_batch_sessions,
 )
+from slo_oracle import slos
 
 
 def _decision(session_id, status, *, wait=0):
@@ -73,10 +77,10 @@ def _columns(delays, buffers, *, residual, available, num_packets, num_slots):
 
 
 def _score(batch, *, session_id=0, wait=0, status="admitted"):
-    (slo,) = score_batch_sessions(
+    (slo,) = slos(score_batch_sessions(
         batch, session_ids=[session_id], labels=["k"],
         wait_slots=[wait], statuses=[status],
-    ).slos()
+    ))
     return slo
 
 
@@ -296,7 +300,7 @@ class TestScoreBatchMatchesReference:
             assert getattr(scored, name).tolist() == [
                 getattr(slo, name) for slo in expected
             ], name
-        assert scored.slos() == expected
+        assert slos(scored) == expected
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.2], ids=["loss-free", "lossy"])
@@ -443,7 +447,7 @@ class TestColumnarPath:
             labels=["k"] * batch.num_sessions, wait_slots=waits,
         )
         assert not columns.loss_free
-        for i, slo in enumerate(columns.slos()):
+        for i, slo in enumerate(slos(columns)):
             num_packets = int(batch.num_packets[i])
             cells = batch.num_nodes * num_packets
             delays = Counter(batch.node_delays[i].tolist())
@@ -472,7 +476,7 @@ class TestColumnarPath:
         )
         assert columns.loss_free
         full = replace(columns, loss_free=False)
-        assert columns.slos() == full.slos()
+        assert slos(columns) == slos(full)
         reports = []
         for unit in (columns, full):
             aggregator = FleetAggregator(keep_sessions=keep_sessions)
@@ -526,3 +530,122 @@ class TestColumnarPath:
         assert report.rebuffer_max == max(
             residual / (nodes * packets) for _, nodes, packets, _, residual, _ in rows
         )
+
+
+def _random_units(rng: random.Random, sizes: list[int]) -> list:
+    """Scored units of ``sizes`` sessions with shuffled ids: lossy and
+    loss-free, several labels and statuses, some with ABR QoE dicts."""
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    units, at = [], 0
+    for total in sizes:
+        nodes = rng.randint(1, 5)
+        loss_free = rng.random() < 0.4
+        if loss_free:
+            delays = np.array([[rng.randint(0, 9) for _ in range(nodes)]] * total)
+            buffers = np.array([[rng.randint(0, 6) for _ in range(nodes)]] * total)
+            packets = np.full(total, rng.randint(1, 8))
+            horizons = np.full(total, rng.randint(8, 30))
+            residual = np.zeros(total, dtype=np.int64)
+        else:
+            delays = np.array([[rng.randint(0, 9) for _ in range(nodes)] for _ in range(total)])
+            buffers = np.array([[rng.randint(0, 6) for _ in range(nodes)] for _ in range(total)])
+            packets = np.array([rng.randint(1, 8) for _ in range(total)])
+            horizons = np.array([rng.randint(8, 30) for _ in range(total)])
+            residual = np.array([rng.randint(0, nodes * p) for p in packets.tolist()])
+        batch = BatchMetrics(
+            num_sessions=total,
+            num_nodes=nodes,
+            num_packets=packets,
+            num_slots=horizons,
+            seeds=tuple(range(total)),
+            drop_rates=(0.0 if loss_free else 0.1,) * total,
+            residual=residual,
+            available=nodes * packets - residual,
+            max_delay=delays.max(axis=1),
+            avg_delay=delays.mean(axis=1),
+            max_buffer=buffers.max(axis=1),
+            avg_buffer=buffers.mean(axis=1),
+            node_delays=delays.astype(np.int32),
+            node_buffers=buffers.astype(np.int32),
+        )
+        columns = score_batch_sessions(
+            batch,
+            session_ids=ids[at:at + total],
+            labels=[rng.choice(("mt-15", "chain-8", "abr")) for _ in range(total)],
+            wait_slots=[rng.randint(0, 5) for _ in range(total)],
+            statuses=[rng.choice(("admitted", "degraded")) for _ in range(total)],
+        )
+        assert columns.loss_free == loss_free
+        if rng.random() < 0.5:
+            columns = replace(columns, qoe=tuple(
+                {"tier": rng.choice(("premium", "standard")), "score": rng.random()}
+                if rng.random() < 0.5 else None
+                for _ in range(total)
+            ))
+        units.append(columns)
+        at += total
+    return units
+
+
+class TestSessionSLOTable:
+    """The report's columnar sessions against the v15 row objects
+    (``tests/slo_oracle.py``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_table_equals_the_oracle_rows(self, sizes, rng):
+        units = _random_units(rng, sizes)
+        expected = sorted(
+            (row for unit in units for row in slos(unit)), key=lambda row: row.session_id
+        )
+        rng.shuffle(units)
+        report = _fold([_decision(row.session_id, row.status) for row in expected], units)
+        table = report.sessions
+        assert isinstance(table, SessionSLOTable)
+        assert tuple(table) == tuple(expected)
+        assert [table[i] for i in range(-len(table), len(table))] == expected * 2
+        assert table.rows() == [row.row() for row in expected]
+        assert table.to_dicts() == [asdict(row) for row in expected]
+
+        # The JSON export is the v15 text: asdict of the report's fields,
+        # with asdict of each row as its sessions.
+        v15 = asdict(replace(report, sessions=()))
+        v15["sessions"] = [asdict(row) for row in expected]
+        envelope = fleet_report_to_dict(report)
+        assert json.dumps(envelope, indent=1) == json.dumps({**envelope, "report": v15}, indent=1)
+
+        # Round trips compare row contents, not the shared-span layout.
+        assert FleetSLOReport.from_dict(report.to_dict()) == report
+        assert FleetSLOReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+        assert SessionSLOTable.from_rows(expected) == table
+
+        # One histogram count more changes the row, the report and the repr.
+        pairs = table.delay_pairs.copy()
+        pairs[rng.randrange(len(pairs)), 1] += 1
+        bumped = SessionSLOTable(*(
+            pairs if name == "delay_pairs" else getattr(table, name)
+            for name in SessionSLOTable.__slots__
+        ))
+        assert bumped != table
+        assert replace(report, sessions=bumped) != report
+        assert repr(replace(report, sessions=bumped)) != repr(report)
+
+    def test_empty_table(self):
+        empty = SessionSLOTable.from_rows(())
+        assert len(empty) == 0 and tuple(empty) == () and empty.rows() == []
+        assert empty.delay_span.shape == (0, 2) and empty.delay_pairs.shape == (0, 2)
+        with pytest.raises(IndexError):
+            empty[0]
+
+    def test_loss_free_rows_share_one_span(self):
+        batch = _lossy_batch(rate=0.0, sessions=5)
+        columns = score_batch_sessions(batch, session_ids=[4, 3, 2, 1, 0], labels=["k"] * 5)
+        report = _fold([_decision(i, "admitted") for i in range(5)], [columns])
+        table = report.sessions
+        assert table.session_id.tolist() == [0, 1, 2, 3, 4]
+        assert len({tuple(span) for span in table.delay_span.tolist()}) == 1
+        assert tuple(table) == tuple(sorted(slos(columns), key=lambda row: row.session_id))
