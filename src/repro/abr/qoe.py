@@ -38,7 +38,7 @@ from repro.abr.session import (
     SLOT_STARTUP,
     AbrSessionResult,
 )
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, check_payload
 from repro.obs.registry import active_registry
 
 __all__ = [
@@ -99,11 +99,15 @@ class QoEMetrics:
         return dict(asdict(self))
 
     @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "QoEMetrics":
+    def from_dict(cls, payload: dict[str, object], what: str = "qoe") -> "QoEMetrics":
+        """Rebuild from :meth:`to_dict` output; a missing, unknown or
+        mistyped field, an unknown tier or slot counts that do not partition
+        the session raise :class:`ReproError` naming ``what``."""
+        check_payload(payload, cls, what)
         try:
-            return cls(**{f: payload[f] for f in cls.__dataclass_fields__})  # type: ignore[arg-type]
-        except KeyError as exc:
-            raise ReproError(f"QoE payload missing field {exc}") from exc
+            return cls(**payload)  # type: ignore[arg-type]
+        except ReproError as exc:
+            raise ReproError(f"{what}: {exc}") from exc
 
 
 def classify_tier(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.abr.qoe import QOE_TIERS, QoEMetrics, collect_qoe
 from repro.abr.session import AbrSessionSpec, run_session
 from repro.abr.traces import build_profile
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, check_payload
 from repro.obs.registry import active_registry
 
 __all__ = [
@@ -79,18 +79,12 @@ class AbrPoint:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "AbrPoint":
-        try:
-            return cls(
-                profile=str(payload["profile"]),
-                startup_chunks=int(payload["startup_chunks"]),  # type: ignore[call-overload]
-                seed=int(payload["seed"]),  # type: ignore[call-overload]
-                delay_slots=int(payload["delay_slots"]),  # type: ignore[call-overload]
-                buffer_slots=int(payload["buffer_slots"]),  # type: ignore[call-overload]
-                qoe=QoEMetrics.from_dict(dict(payload["qoe"])),  # type: ignore[call-overload]
-            )
-        except KeyError as exc:
-            raise ReproError(f"ABR point payload missing field {exc}") from exc
+    def from_dict(cls, payload: dict[str, object], what: str = "ABR point") -> "AbrPoint":
+        """Rebuild from :meth:`to_dict` output; a malformed payload raises
+        :class:`ReproError` naming ``what`` and the field."""
+        check_payload(payload, cls, what)
+        qoe = QoEMetrics.from_dict(payload["qoe"], f"{what} qoe")  # type: ignore[arg-type]
+        return cls(**{**payload, "qoe": qoe})  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,19 +136,26 @@ class AbrTradeoffReport:
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "AbrTradeoffReport":
-        try:
-            return cls(
-                profiles=tuple(str(p) for p in payload["profiles"]),  # type: ignore[union-attr]
-                startup_grid=tuple(int(s) for s in payload["startup_grid"]),  # type: ignore[union-attr]
-                num_chunks=int(payload["num_chunks"]),  # type: ignore[call-overload]
-                chunk_slots=int(payload["chunk_slots"]),  # type: ignore[call-overload]
-                seed=int(payload["seed"]),  # type: ignore[call-overload]
-                points=tuple(
-                    AbrPoint.from_dict(dict(p)) for p in payload["points"]  # type: ignore[union-attr]
-                ),
-            )
-        except KeyError as exc:
-            raise ReproError(f"ABR report payload missing field {exc}") from exc
+        """Rebuild from :meth:`to_dict` output (``tier_counts`` is derived
+        from the points, so it is not read back); a malformed payload raises
+        :class:`ReproError` naming the field and point."""
+        entries = {key: value for key, value in payload.items() if key != "tier_counts"}
+        check_payload(entries, cls, "ABR report")
+        lists: dict[str, tuple] = {}
+        for name, kind in (("profiles", str), ("startup_grid", int), ("points", dict)):
+            values = entries.pop(name)
+            if not isinstance(values, list) or not all(
+                isinstance(value, kind) and not isinstance(value, bool) for value in values
+            ):
+                raise ReproError(
+                    f"ABR report: field {name!r} must be a list of {kind.__name__}, got {values!r}"
+                )
+            lists[name] = tuple(values)
+        lists["points"] = tuple(
+            AbrPoint.from_dict(point, f"ABR report point {index}")
+            for index, point in enumerate(lists["points"])
+        )
+        return cls(**lists, **entries)  # type: ignore[arg-type]
 
 
 def abr_tradeoff(

@@ -66,4 +66,7 @@ def decisions_from_record(record: dict[str, Any]) -> list[ControlDecision]:
     payload = record.get("decisions", [])
     if not isinstance(payload, list):
         raise ReproError("control record 'decisions' must be a list")
-    return [ControlDecision.from_dict(entry) for entry in payload]
+    return [
+        ControlDecision.from_dict(entry, f"control record decision {index}")
+        for index, entry in enumerate(payload)
+    ]

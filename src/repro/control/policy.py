@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, check_payload
 
 __all__ = [
     "CONTROLLERS",
@@ -192,17 +192,9 @@ class ControlDecision:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ControlDecision":
-        """Rebuild a decision from :meth:`to_dict` output (JSON round-trip)."""
-        return cls(
-            epoch=int(payload["epoch"]),
-            controller=str(payload["controller"]),
-            action=str(payload["action"]),
-            reason=str(payload["reason"]),
-            observed_p99=(
-                None if payload.get("observed_p99") is None
-                else float(payload["observed_p99"])
-            ),
-            target_p99=int(payload.get("target_p99", 0)),
-            detail=dict(payload.get("detail", {})),
-        )
+    def from_dict(cls, payload: dict, what: str = "control decision") -> "ControlDecision":
+        """Rebuild a decision from :meth:`to_dict` output (JSON round-trip);
+        a missing, unknown or mistyped field raises :class:`ReproError`
+        naming ``what`` and the field."""
+        check_payload(payload, cls, what)
+        return cls(**{**payload, "detail": dict(payload.get("detail", {}))})

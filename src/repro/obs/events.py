@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.core.errors import ReproError, read_json
+
 __all__ = [
     "SLOT_START",
     "RUN_START",
@@ -116,10 +118,15 @@ class Event:
 
     @classmethod
     def from_dict(cls, payload: dict) -> Event:
-        payload = dict(payload)
-        name = payload.pop("event")
-        slot = payload.pop("slot")
-        return cls(name=name, slot=slot, fields=payload)
+        """Rebuild from :meth:`to_dict` output; a missing or mistyped
+        ``event`` / ``slot`` raises :class:`ReproError`."""
+        fields = dict(payload)
+        name, slot = fields.pop("event", None), fields.pop("slot", None)
+        if not isinstance(name, str) or isinstance(slot, bool) or not isinstance(slot, int):
+            raise ReproError(
+                f"an event needs a string 'event' and an int 'slot', got {payload!r}"
+            )
+        return cls(name=name, slot=slot, fields=fields)
 
 
 class EventSink:
@@ -203,13 +210,14 @@ class EventTracer:
 
 # ----------------------------------------------------------------- replay
 def read_events_jsonl(path: str | Path) -> list[Event]:
-    """Load a JSONL event stream written by :class:`JsonlSink`."""
+    """Load a JSONL event stream written by :class:`JsonlSink`; a malformed
+    line raises :class:`ReproError` naming the path and the line."""
     events: list[Event] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(Event.from_dict(json.loads(line)))
+    for number, payload in read_json(path, "event stream", lines=True):
+        try:
+            events.append(Event.from_dict(payload))
+        except ReproError as exc:
+            raise ReproError(f"event stream {path} line {number}: {exc}") from exc
     return events
 
 

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from repro.core.engine import SimTrace
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, check_payload, read_json
 from repro.core.metrics import SchemeMetrics
 from repro.obs.spans import span_rows
 
@@ -52,7 +52,8 @@ def _check_envelope(payload: dict, *, expected_kind: str, what: str) -> None:
     Rejects a ``format_version`` mismatch, a ``kind`` mismatch, and a
     ``repro_version`` whose *major* differs from this package's (minor/patch
     drift is compatible by policy; majors are not).  Reports written before
-    ``repro_version`` existed are accepted as legacy.
+    ``repro_version`` existed are accepted as legacy.  The ``report`` must
+    be a JSON object.
     """
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
@@ -74,6 +75,9 @@ def _check_envelope(payload: dict, *, expected_kind: str, what: str) -> None:
                 f"different major version than this package ({ours}); "
                 "re-export it with a matching major"
             )
+    report = payload.get("report")
+    if not isinstance(report, dict):
+        raise ReproError(f"{what}: 'report' must be an object, got {type(report).__name__}")
 
 
 def trace_to_dict(
@@ -127,22 +131,45 @@ def write_trace_json(trace: SimTrace, path: str | Path, **kwargs) -> Path:
 def read_trace_json(path: str | Path) -> dict:
     """Load a snapshot written by :func:`write_trace_json` (plain dict form).
 
-    Arrival maps are re-keyed to ints for convenience.
+    Arrival maps are re-keyed to ints for convenience.  A malformed file
+    raises :class:`ReproError` naming the path and the entry.
     """
-    payload = json.loads(Path(path).read_text())
+    from repro.core.packet import Transmission
+
+    payload = read_json(path, "trace JSON")
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ReproError(
             f"unsupported trace format version {version!r} (expected {_FORMAT_VERSION})"
         )
+    what = f"trace JSON {path}"
     payload["arrivals"] = {
-        int(node): {int(p): s for p, s in packets.items()}
-        for node, packets in payload["arrivals"].items()
+        node: _int_keyed(packets, f"{what} arrivals[{node}]", slots=True)
+        for node, packets in _int_keyed(payload.get("arrivals"), f"{what} arrivals").items()
     }
-    payload["neighbors"] = {
-        int(node): peers for node, peers in payload["neighbors"].items()
-    }
+    payload["neighbors"] = _int_keyed(payload.get("neighbors"), f"{what} neighbors")
+    rows = payload.get("transmissions", [])
+    if not isinstance(rows, list):
+        raise ReproError(f"{what} transmissions must be a list, got {type(rows).__name__}")
+    for index, row in enumerate(rows):
+        check_payload(row, Transmission, f"{what} transmission {index}")
     return payload
+
+
+def _int_keyed(mapping: object, what: str, slots: bool = False) -> dict:
+    """A JSON object with its string keys as ints (and, for ``slots``, its
+    values checked as int slots); :class:`ReproError` names a bad entry."""
+    if not isinstance(mapping, dict):
+        raise ReproError(f"{what} must be an object, got {type(mapping).__name__}")
+    keyed = {}
+    for key, value in mapping.items():
+        try:
+            keyed[int(key)] = value
+        except ValueError:
+            raise ReproError(f"{what}: key {key!r} is not an int") from None
+        if slots and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ReproError(f"{what}[{key}]: slot must be an int, got {value!r}")
+    return keyed
 
 
 def trace_from_dict(payload: dict) -> SimTrace:
@@ -278,7 +305,7 @@ def read_fleet_report_json(path: str | Path):
     """
     from repro.service.slo import FleetSLOReport
 
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path, "fleet SLO report")
     _check_envelope(payload, expected_kind="fleet_slo_report", what="fleet SLO report")
     return FleetSLOReport.from_dict(payload["report"])
 
@@ -308,7 +335,7 @@ def read_abr_report_json(path: str | Path):
     """
     from repro.abr.sweep import AbrTradeoffReport
 
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path, "ABR tradeoff report")
     _check_envelope(
         payload, expected_kind="abr_tradeoff_report", what="ABR tradeoff report"
     )

@@ -40,7 +40,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, check_pairs, check_payload
 from repro.exec.batch import BatchMetrics
 from repro.obs.quantiles import pooled_percentile
 from repro.service.admission import ADMITTED, DEGRADED, REJECTED, STATUSES, DecisionTable
@@ -395,60 +395,30 @@ class FleetSLOReport:
         """Rebuild a report from :meth:`to_dict` output (JSON round-trip); a
         malformed payload raises :class:`ReproError` naming the field and row."""
         payload = dict(payload)
-        _check_fields(payload, FleetSLOReport, "fleet report", "qoe_tiers")
+        check_payload(payload, FleetSLOReport, "fleet report")
         rows = payload.pop("sessions")
         if not isinstance(rows, (list, tuple)):
             raise ReproError(f"fleet report: 'sessions' must be a list, got {type(rows).__name__}")
         sessions = SessionSLOTable.from_rows([_session_from_dict(*r) for r in enumerate(rows)])
-        tiers = _pairs(payload.pop("qoe_tiers", ()), "str", "fleet report", "qoe_tiers")
+        tiers = check_pairs(payload.pop("qoe_tiers", ()), "str", "fleet report", "qoe_tiers")
         return cls(sessions=sessions, qoe_tiers=tiers, **payload)
 
 
 _REPORT_FIELDS = tuple(f.name for f in fields(FleetSLOReport))
-#: The types each scalar field annotation admits (a bool is no number).
-_ADMITS: dict[str, type | tuple[type, ...]] = {
-    "int": (int, np.integer), "float": (int, float, np.integer, np.floating),
-    "str": str, "dict | None": (dict, type(None))}
-
-
-def _admits(annotation: str, value: Any) -> bool:
-    return isinstance(value, _ADMITS[annotation]) and not isinstance(value, bool)
-
-
-def _check_fields(values: dict, owner: Any, what: str, optional: str) -> None:
-    """Raise :class:`ReproError` naming the first missing, unknown or
-    mistyped field of dataclass ``owner`` in ``values``."""
-    annotations = {f.name: str(f.type) for f in fields(owner)}
-    for name, annotation in annotations.items():
-        if name not in values and name != optional:
-            raise ReproError(f"{what}: missing field {name!r}")
-        if name in values and annotation in _ADMITS and not _admits(annotation, values[name]):
-            raise ReproError(f"{what}: field {name!r} must be {annotation}, got {values[name]!r}")
-    for key in values:
-        if key not in annotations:
-            raise ReproError(f"{what}: unknown field {key!r}")
-
-
-def _pairs(values: Any, key: str, what: str, name: str) -> tuple[tuple, ...]:
-    """Field ``name``, a list of ``[key, int]`` lists, as a tuple of pairs."""
-    if not isinstance(values, (list, tuple)) or not all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_admits, (key, "int"), pair))
-        for pair in values
-    ):
-        raise ReproError(f"{what}: field {name!r} must be [{key}, int] pairs, got {values!r}")
-    return tuple(map(tuple, values))
 
 
 def _session_from_dict(index: int, row: Any) -> SessionSLO:
     """One :meth:`SessionSLOTable.to_dicts` row as a :class:`SessionSLO`."""
+    from repro.abr.qoe import QoEMetrics
+
     what = f"fleet report session row {index}"
-    if not isinstance(row, dict):
-        raise ReproError(f"{what} must be an object, got {type(row).__name__}")
-    _check_fields(row, SessionSLO, what, "qoe")
+    check_payload(row, SessionSLO, what)
     if row["status"] not in _STATUS_CODES:
         raise ReproError(f"{what}: unknown status {row['status']!r}")
+    if row.get("qoe") is not None:
+        QoEMetrics.from_dict(row["qoe"], f"{what} qoe")
     histograms = {
-        name: _pairs(row[name], "int", what, name)
+        name: check_pairs(row[name], "int", what, name)
         for name in ("delay_counts", "buffer_counts")
     }
     return SessionSLO(**{**row, **histograms})

@@ -88,6 +88,17 @@ class TestQoEMetrics:
         with pytest.raises(ReproError, match="missing field"):
             QoEMetrics.from_dict({"session_slots": 1})
 
+    @pytest.mark.parametrize(("change", "message"), [
+        ({"rebuffer_events": "many"}, "qoe: field 'rebuffer_events' must be int, got 'many'"),
+        ({"tier": 7}, "qoe: field 'tier' must be str, got 7"),
+        ({"tier": "gold"}, "qoe: unknown QoE tier 'gold'"),
+        ({"played_slots": 9}, "qoe: QoE slot counts do not partition the session"),
+    ], ids=["str-events", "int-tier", "unknown-tier", "no-partition"])
+    def test_malformed_dict_rejected(self, change, message):
+        qoe = qoe_from_slot_log(["startup", "play", "rebuffer"], [0.0, 2.0, 0.0])
+        with pytest.raises(ReproError, match=message):
+            QoEMetrics.from_dict({**qoe.to_dict(), **change})
+
     def test_switch_and_smoothness_accounting(self):
         qoe = qoe_from_slot_log(
             ["play", "play", "play", "play"], [2.0, 2.0, 4.0, 1.0]

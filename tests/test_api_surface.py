@@ -47,7 +47,7 @@ class TestExports:
         assert len(names) == len(set(names)), f"duplicates in {module_name}.__all__"
 
     def test_version(self):
-        assert repro.__version__ == "17.0.0"
+        assert repro.__version__ == "17.1.0"
 
     def test_star_import_is_clean(self):
         namespace: dict = {}
@@ -56,7 +56,6 @@ class TestExports:
         assert "ExperimentSpec" in namespace
         assert "run" in namespace
         assert "replay_batch" in namespace
-        assert "simulate" not in namespace  # v1 re-export removed in v2.0
 
 
 class TestErrorHierarchy:

@@ -118,6 +118,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert f"  - {rule} [" in out
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "{oops"], ids=["list", "undecodable"])
+    def test_verify_malformed_file_is_one_line_and_status_1(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and str(path) in lines[0], result.stderr
+
     def test_figure4_parallel_matches_serial(self, capsys):
         # figure4 runs in-process since v12.0; its table is the per-cell
         # worst-case delay, and the process-pool flag is gone.
@@ -312,7 +327,7 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == "repro 17.0.0"
+        assert capsys.readouterr().out.strip() == "repro 17.1.0"
 
 
 class TestLintCommand:

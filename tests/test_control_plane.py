@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -91,6 +92,31 @@ class TestControlDecision:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ReproError):
             ControlDecision(epoch=-1, controller="slo", action="x", reason="r")
+
+    _WIRE = {"epoch": 3, "controller": "slo", "action": "tighten", "reason": "r",
+             "observed_p99": 24.0, "target_p99": 18, "detail": {}}
+
+    @pytest.mark.parametrize(("change", "message"), [
+        ({"epoch": None}, "missing field 'epoch'"),
+        ({"epoch": "x"}, "field 'epoch' must be int, got 'x'"),
+        ({"epoch": 1.9}, "field 'epoch' must be int, got 1.9"),
+        ({"observed_p99": "3"}, "field 'observed_p99' must be float | None, got '3'"),
+        ({"target_p99": 18.5}, "field 'target_p99' must be int, got 18.5"),
+        ({"colour": "red"}, "unknown field 'colour'"),
+        ({"detail": [1]}, "field 'detail' must be dict, got [1]"),
+    ], ids=["missing", "str-epoch", "float-epoch", "str-p99", "float-target", "unknown",
+            "list-detail"])
+    def test_malformed_wire_dict_rejected(self, change, message):
+        wire = {**self._WIRE, **change}
+        wire = {key: value for key, value in wire.items() if value is not None}
+        with pytest.raises(ReproError, match=re.escape(f"control decision: {message}")):
+            ControlDecision.from_dict(wire)
+
+    def test_tampered_log_names_the_decision(self):
+        record = control_record([ControlDecision.from_dict(self._WIRE)] * 2)
+        record["decisions"][1]["epoch"] = "1"
+        with pytest.raises(ReproError, match="control record decision 1: field 'epoch'"):
+            decisions_from_record(record)
 
     def test_row_is_compact(self):
         row = ControlDecision(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 import repro.exec.cache as cache_mod
-from repro.core.errors import ReproError
 from repro.exec.cache import CACHE_VERSION, ScheduleCache, ScheduleKey, default_cache
 from repro.exec.compiler import build_protocol, compile_protocol
 from repro.obs import MetricsRegistry
@@ -73,10 +72,6 @@ class TestMemoryLayer:
 
 class TestNoDiskLayer:
     """The on-disk layer was removed in v11.0.0: the LRU is the only store."""
-
-    def test_disk_true_raises(self):
-        with pytest.raises(ReproError, match="removed in v11.0.0"):
-            ScheduleCache(disk=True)
 
     @pytest.mark.parametrize("option", ["disk_dir", "max_disk_bytes"])
     def test_disk_options_are_gone(self, tmp_path, option):

@@ -1,5 +1,5 @@
-"""The unified experiment facade: spec validation, dispatch, provenance,
-equality with the legacy entry points, and their deprecation."""
+"""The unified experiment facade: spec validation, dispatch, provenance and
+equality with the legacy entry points."""
 
 from __future__ import annotations
 
@@ -273,41 +273,6 @@ class TestAbrKind:
         result = run(ExperimentSpec(kind="abr", abr_profiles=("steady",),
                                     abr_startups=(1,), abr_chunks=4))
         assert result.artifacts["report"] is result.metrics
-
-
-class TestRemovedEntryPoints:
-    """The PR-3 deprecation wrappers are gone in v2.0 — importing them is a
-    hard error (the CI ``deprecation-clean`` job enforces exactly this)."""
-
-    def test_top_level_simulate_removed(self):
-        assert not hasattr(repro, "simulate")
-        assert "simulate" not in repro.__all__
-
-    def test_run_repair_experiment_removed(self):
-        assert not hasattr(repro, "run_repair_experiment")
-        with pytest.raises(ImportError):
-            from repro.repair import run_repair_experiment  # noqa: F401
-
-    def test_run_churn_experiment_removed(self):
-        with pytest.raises(ImportError):
-            from repro.trees.live import run_churn_experiment  # noqa: F401
-
-    def test_parallel_sweep_removed(self):
-        with pytest.raises(ImportError):
-            from repro.workloads import parallel_sweep  # noqa: F401
-
-    def test_replacements_are_exported(self):
-        from repro.repair import repair_experiment  # noqa: F401
-        from repro.trees.live import churn_experiment  # noqa: F401
-        from repro.exec import SweepExecutor, replay_batch  # noqa: F401
-
-    def test_engine_simulate_does_not_warn(self):
-        import warnings
-
-        protocol = repro.MultiTreeProtocol(7, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            engine_simulate(protocol, 10)
 
 
 class TestPublicSurface:

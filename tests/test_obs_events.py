@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.errors import ReproError
 from repro.obs.events import (
     EVENT_SCHEMA,
     TX_DELIVERED,
@@ -89,6 +90,18 @@ class TestJsonlSink:
         tracer.emit(TX_DELIVERED, 1, sender=0, receiver=1, packet=0, new=True)
         tracer.close()
         assert count_events(read_events_jsonl(path)) == tracer.counts
+
+    @pytest.mark.parametrize("line, problem", [
+        ('{"slot": 2}', "needs a string 'event' and an int 'slot'"),
+        ('{"event": "tx_sent", "slot": "2"}', "needs a string 'event' and an int 'slot'"),
+        ("[2]", "must hold a JSON object, got list"),
+        ("{oops", "is not valid JSON"),
+    ], ids=["no-event", "str-slot", "list", "undecodable"])
+    def test_malformed_line_is_named(self, tmp_path, line, problem):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"event": "tx_sent", "slot": 0}\n\n' + line + "\n")
+        with pytest.raises(ReproError, match=f"event stream {path} line 3.*{problem}"):
+            read_events_jsonl(path)
 
 
 class TestEventTracer:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -191,6 +192,28 @@ class TestVersionedEnvelopes:
         path.write_text(json.dumps(payload))
         assert read_abr_report_json(path) == report
 
+    @pytest.mark.parametrize(("field", "value"), [("seed", "x"), ("seed", 1.7),
+                                                  ("delay_slots", None)])
+    def test_malformed_point_rejected(self, tmp_path, field, value):
+        from repro.reporting.export import read_abr_report_json, write_abr_report_json
+
+        path = write_abr_report_json(self._abr_report(), tmp_path / "abr.json")
+        payload = json.loads(path.read_text())
+        payload["report"]["points"][2][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReproError, match=f"ABR report point 2: field '{field}' must be int"):
+            read_abr_report_json(path)
+
+    def test_malformed_point_qoe_rejected(self, tmp_path):
+        from repro.reporting.export import read_abr_report_json, write_abr_report_json
+
+        path = write_abr_report_json(self._abr_report(), tmp_path / "abr.json")
+        payload = json.loads(path.read_text())
+        payload["report"]["points"][0]["qoe"]["rebuffer_events"] = "many"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReproError, match="point 0 qoe: field 'rebuffer_events' must be int"):
+            read_abr_report_json(path)
+
     def test_wrong_kind_rejected(self, tmp_path):
         from repro.reporting.export import (
             read_fleet_report_json,
@@ -200,6 +223,48 @@ class TestVersionedEnvelopes:
         path = write_abr_report_json(self._abr_report(), tmp_path / "abr.json")
         with pytest.raises(ReproError, match="not a fleet SLO report"):
             read_fleet_report_json(path)
+
+
+class TestMalformedFiles:
+    """Every reader goes through one JSON loader: a file that does not hold
+    one JSON object raises a ReproError naming the path."""
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[1, 2]", "must hold a JSON object, got list"),
+        ("{oops", "is not valid JSON"),
+    ], ids=["list", "undecodable"])
+    @pytest.mark.parametrize("reader", [
+        "read_trace_json", "read_fleet_report_json", "read_abr_report_json",
+    ])
+    def test_reader_names_the_path(self, tmp_path, text, problem, reader):
+        import repro.reporting.export as export
+
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ReproError, match=f"{path} {problem}"):
+            getattr(export, reader)(path)
+
+    def test_missing_report_object(self, tmp_path):
+        from repro.reporting.export import read_fleet_report_json
+
+        path = tmp_path / "bare.json"
+        path.write_text('{"format_version": 1, "kind": "fleet_slo_report"}')
+        with pytest.raises(ReproError, match="'report' must be an object, got NoneType"):
+            read_fleet_report_json(path)
+
+    @pytest.mark.parametrize("section, change, problem", [
+        ("arrivals", {"x": {}}, "arrivals: key 'x' is not an int"),
+        ("arrivals", {"1": {"0": "late"}}, "arrivals[1][0]: slot must be an int, got 'late'"),
+        ("neighbors", [], "neighbors must be an object, got list"),
+        ("transmissions", [{"slot": 0}], "transmission 0: missing field 'sender'"),
+    ], ids=["node-key", "slot", "neighbors", "transmission"])
+    def test_trace_entry_is_named(self, trace, tmp_path, section, change, problem):
+        path = write_trace_json(trace, tmp_path / "t.json")
+        payload = json.loads(path.read_text())
+        payload[section] = change
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReproError, match=re.escape(f"trace JSON {path} {problem}")):
+            read_trace_json(path)
 
 
 class TestTraceFromDict:

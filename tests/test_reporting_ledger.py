@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,51 @@ class TestDefaultLedger:
         ledger = default_ledger()
         assert ledger is not None
         assert ledger.path == tmp_path / "env.jsonl"
+
+
+#: Appends COUNT ``run`` records of about PAD bytes to ``$REPRO_LEDGER``,
+#: after printing "ready" and reading one line (so two writers start together).
+_WRITER = """
+import sys
+from repro.reporting.ledger import default_ledger
+ledger = default_ledger()
+print("ready", flush=True)
+sys.stdin.readline()
+name, count, pad = sys.argv[1], int(sys.argv[2]), "x" * int(sys.argv[3])
+for seq in range(count):
+    ledger.append({"record": "run", "writer": name, "seq": seq, "pad": pad})
+"""
+
+
+class TestSharedLedger:
+    """Two processes appending to one ``$REPRO_LEDGER``: every record reads
+    back exactly once and no line is torn, with records larger than
+    Python's 8 KB write buffer."""
+
+    COUNT, PAD = 200, 20_000
+
+    def test_two_writers_lose_and_tear_nothing(self, tmp_path):
+        path = tmp_path / "shared.jsonl"
+        env = {**os.environ, LEDGER_ENV_VAR: str(path),
+               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER, name, str(self.COUNT), str(self.PAD)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+            )
+            for name in ("a", "b")
+        ]
+        assert [writer.stdout.readline() for writer in writers] == ["ready\n"] * 2
+        for writer in writers:
+            writer.stdin.write("go\n")
+            writer.stdin.close()
+        assert [writer.wait(timeout=60) for writer in writers] == [0, 0]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sorted((r["writer"], r["seq"]) for r in records) == [
+            (name, seq) for name in ("a", "b") for seq in range(self.COUNT)
+        ]
+        assert all(len(r["pad"]) == self.PAD for r in records)
+        assert RunLedger(path).records() == records
 
 
 class TestRunRecord:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.abr.qoe import qoe_from_slot_log
 from repro.cli import main
 from repro.core.errors import ReproError
 from repro.exec.executor import ExecutorPolicy, SweepExecutor
@@ -39,6 +40,8 @@ from repro.service import runner as runner_module
 from repro.service.runner import fleet_unit_task
 
 SERIAL = ExecutorPolicy(mode="serial")
+#: A premium ABR session's QoE dict, as a fleet report row carries it.
+QOE = qoe_from_slot_log(["startup", "play", "play"], [0.0, 4.0, 4.0]).to_dict()
 
 #: The process that runs the tests, and the marker file whose exclusive
 #: creation lets exactly one pool worker kill itself (set per test).
@@ -949,6 +952,26 @@ class TestReportReaderErrors:
             match=f"session row 2: field '{field}' must be {re.escape(expected)}",
         ):
             self._read(payload, tmp_path)
+
+    @pytest.mark.parametrize(("qoe", "expected"), [
+        ({"score": 1}, "session row 4 qoe: missing field 'session_slots'"),
+        ({**QOE, "tier": 7}, "session row 4 qoe: field 'tier' must be str, got 7"),
+        ({**QOE, "tier": "gold"}, "session row 4 qoe: unknown QoE tier 'gold'"),
+        ({**QOE, "rebuffer_events": "many"},
+         "session row 4 qoe: field 'rebuffer_events' must be int"),
+    ], ids=["no-fields", "int-tier", "unknown-tier", "str-events"])
+    def test_session_qoe_is_checked(self, fleet_json, tmp_path, qoe, expected):
+        payload = copy.deepcopy(fleet_json)
+        payload["report"]["sessions"][4]["qoe"] = qoe
+        with pytest.raises(ReproError, match=re.escape(expected)):
+            self._read(payload, tmp_path)
+
+    def test_session_qoe_reads_back(self, fleet_json, tmp_path):
+        payload = copy.deepcopy(fleet_json)
+        payload["report"]["sessions"][4]["qoe"] = QOE
+        path = tmp_path / "qoe.json"
+        path.write_text(json.dumps(payload))
+        assert read_fleet_report_json(path).sessions.rows()[4]["qoe_tier"] == "premium"
 
     def test_untouched_file_reads_back(self, fleet_json, tmp_path):
         path = tmp_path / "fleet.json"

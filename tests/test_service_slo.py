@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.abr.qoe import QoEMetrics
 from repro.core.errors import ReproError
 from repro.core.metrics import summarize_lossy_playback
 from repro.exec.batch import BatchMetrics, replay_batch
@@ -615,6 +616,12 @@ class TestColumnarPath:
 NAMES = ("mt-15", "chain-8", "abr")
 
 
+def _qoe(tier: str, score: float) -> dict:
+    """A session's QoE dict: every :class:`QoEMetrics` field (a report
+    reads each back)."""
+    return QoEMetrics(4, 1, 3, 0, 0, 2.0, 0, 0.0, score, tier).to_dict()
+
+
 def _random_units(rng: random.Random, sizes: list[int]) -> list:
     """Scored units of ``sizes`` sessions with shuffled ids, with their
     identity: lossy and loss-free, several labels (codes into
@@ -665,7 +672,7 @@ def _random_units(rng: random.Random, sizes: list[int]) -> list:
         assert columns.loss_free == loss_free
         if rng.random() < 0.5:
             columns = replace(columns, qoe=tuple(
-                {"tier": rng.choice(("premium", "standard")), "score": rng.random()}
+                _qoe(tier=rng.choice(("premium", "standard")), score=rng.random())
                 if rng.random() < 0.5 else None
                 for _ in range(total)
             ))
